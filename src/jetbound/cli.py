@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
@@ -34,6 +35,25 @@ def _relations_text(ctx: TowerContext) -> str:
     return "\n".join(str(q) for q in ctx.relations.relations)
 
 
+def _lookup(
+    cache_dir: str, ctx: TowerContext, token: str, weights: Sequence[int]
+) -> tuple[str, Optional[tuple[MorseReport, bytes]]]:
+    """Cache key of one configuration, and its stored report with the stored bytes.
+
+    The report is ``None`` when the file is missing or does not decode to a
+    report; the caller then computes it, and ``cache.store`` replaces the bad
+    file atomically.
+    """
+    key = cache.cache_key(ctx.n, ctx.r, ctx.k, token, weights, _relations_text(ctx))
+    stored = cache.fetch(cache_dir, key)
+    if stored is not None:
+        try:
+            return key, (MorseReport.from_json_dict(json.loads(stored)), stored)
+        except (ValueError, KeyError, TypeError):
+            pass
+    return key, None
+
+
 def cached_report(
     spec: GeometrySpec,
     k: int,
@@ -43,14 +63,29 @@ def cached_report(
     """Fetch or compute one report; returns it with its canonical JSON bytes."""
     ctx = TowerContext(spec.n, k)
     w = default_weights(k).a if weights is None else tuple(weights)
-    key = cache.cache_key(spec.n, ctx.r, k, spec.token, w, _relations_text(ctx))
-    stored = cache.fetch(cache_dir, key)
-    if stored is not None:
-        return MorseReport.from_json_dict(json.loads(stored)), stored
+    key, hit = _lookup(cache_dir, ctx, spec.token, w)
+    if hit is not None:
+        return hit
     report = compute_report(spec, k, w, rels=ctx.relations)
     payload = _report_json_bytes(report)
     cache.store(cache_dir, key, payload)
     return report, payload
+
+
+def _thread_count(text: str) -> int:
+    """``--threads`` clamped to the CPU count: a process pool starts every worker up front."""
+    return min(int(text), os.cpu_count() or 1)
+
+
+def _dim_order_ok(args) -> bool:
+    """Reject ``--dim < 2`` and ``--order < 1`` with a one-line message."""
+    if args.dim < 2:
+        print(f"{args.command} requires --dim >= 2", file=sys.stderr)
+        return False
+    if args.order < 1:
+        print(f"{args.command} requires --order >= 1", file=sys.stderr)
+        return False
+    return True
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -102,8 +137,7 @@ def _report_csv(report: MorseReport) -> str:
 
 
 def cmd_bound(args) -> int:
-    if args.dim < 2:
-        print("bound requires --dim >= 2", file=sys.stderr)
+    if not _dim_order_ok(args):
         return 2
     spec = GeometrySpec.from_token(args.geometry, args.dim)
     weights = _parse_weights(args.weights) if args.weights else None
@@ -118,8 +152,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    if args.dim < 2:
-        print("poly requires --dim >= 2", file=sys.stderr)
+    if not _dim_order_ok(args):
         return 2
     spec = GeometrySpec.from_token(args.geometry, args.dim)
     weights = _parse_weights(args.weights) if args.weights else None
@@ -150,11 +183,9 @@ def cmd_table(args) -> int:
     reports: dict[tuple[int, int], MorseReport] = {}
     pending = []
     for n, k in TABLE_CELLS:
-        ctx = TowerContext(n, k)
-        key = cache.cache_key(n, ctx.r, k, "log", default_weights(k).a, _relations_text(ctx))
-        stored = cache.fetch(cache_dir, key)
-        if stored is not None:
-            reports[(n, k)] = MorseReport.from_json_dict(json.loads(stored))
+        key, hit = _lookup(cache_dir, TowerContext(n, k), "log", default_weights(k).a)
+        if hit is not None:
+            reports[(n, k)] = hit[0]
         else:
             pending.append(((n, k), key))
     if pending:
@@ -200,8 +231,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.dim < 2:
-        print("sweep requires --dim >= 2", file=sys.stderr)
+    if not _dim_order_ok(args):
         return 2
     if args.budget < 1:
         print("sweep requires --budget >= 1", file=sys.stderr)
@@ -282,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="effective bounds for all 2 <= n <= k <= 5, log geometry")
     _add_common(p_table, dim_order=False)
-    p_table.add_argument("--threads", type=int, default=1)
+    p_table.add_argument("--threads", type=_thread_count, default=1)
     p_table.set_defaults(func=cmd_table)
 
     p_sweep = sub.add_parser("sweep", help="search admissible weight vectors")
     _add_common(p_sweep)
     p_sweep.add_argument("--budget", type=int, default=10, help="number of candidates")
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=_thread_count, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the structural verification matrix")

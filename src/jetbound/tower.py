@@ -11,8 +11,13 @@ form with ``deg(u_j) < r``, and integrates along the fibers down to the base
 ``pushforward_to_base`` computes ``integrate_fibers(reduce_tower(p))``
 without materializing the reduced polynomial: per level it runs the adjoint
 form of the same Euclidean division, keeping only what can still reach the
-``u_j^(r-1)`` coefficient.  The two paths produce identical polynomials term
-by term; the test suite pins that equality.
+``u_j^(r-1)`` coefficient.  It also never forms a term that would push
+forward to zero: the map is Z[c,h,d]-linear and graded (u weighs 1, c_l
+weighs l, and each level lowers the degree by ``r - 1``), so at level j a
+term whose degree in ``u_1..u_j`` is below ``j(r-1)`` lands in base classes
+of negative degree, which are zero.  The two paths produce identical
+polynomials term by term, for every input; the test suite pins that
+equality.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .polyring import (
     Ring,
     VariableId,
     _EXP_MASK,
+    _key_degree,
     _mul_into,
     reduce_monic,
 )
@@ -134,7 +140,7 @@ class RelationSet:
         self.ctx = ctx
         self.lifted = lifted          # lifted[j][l-1] = class l at level j, j = 0..k-1
         self.relations = relations    # relations[j-1] = monic relation of level j
-        self._neg_lifted: dict[int, list[dict[int, int]]] = {}
+        self._neg_lifted: dict[int, list[dict[int, dict[int, int]]]] = {}
 
     def lifted_chern(self, j: int, l: int) -> Polynomial:
         """Lifted class ``l`` at level ``j`` (0 = base); zero for ``l > r``."""
@@ -150,14 +156,21 @@ class RelationSet:
         """The monic degree-r relation of level ``j`` (1-based)."""
         return self.relations[j - 1]
 
-    def negated_lifted_terms(self, j: int) -> list[dict[int, int]]:
-        """Raw negated term maps of the level-j lifted classes, memoized."""
+    def negated_lifted_by_degree(self, j: int) -> list[dict[int, dict[int, int]]]:
+        """Negated level-j lifted classes as raw term maps bucketed by u-degree.
+
+        Entry ``l - 1`` maps each degree ``e`` in ``u_1..u_j`` to the terms
+        of ``-c_l^[j]`` of that degree; memoized per level.
+        """
         cached = self._neg_lifted.get(j)
         if cached is None:
-            cached = [
-                {k: -c for k, c in self.lifted[j][l - 1]._terms.items()}
-                for l in range(1, self.ctx.r + 1)
-            ]
+            low = self.ctx.ring.shift(self.ctx.u(self.ctx.k))
+            cached = []
+            for l in range(1, self.ctx.r + 1):
+                buckets: dict[int, dict[int, int]] = {}
+                for key, coeff in self.lifted[j][l - 1]._terms.items():
+                    buckets.setdefault(_key_degree(key >> low), {})[key] = -coeff
+                cached.append(buckets)
             self._neg_lifted[j] = cached
         return cached
 
@@ -240,42 +253,70 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     """Integrate an arbitrary tower class to the base in one pass per level.
 
     Returns exactly ``integrate_fibers(reduce_tower(p, rels), ctx)`` (it
-    performs the same Euclidean divisions) but never materializes the
-    reduced class, which is what makes high jet orders tractable.  Per level
+    performs the same Euclidean divisions, less the terms that vanish in the
+    base; see below) but never materializes the reduced class, which is what
+    makes high jet orders tractable.  Per level
     the class is split into strata ``A_m`` by the power of the top variable
     and the adjoint recurrence ``B_m = A_m - sum_l c_l^[j-1] B_(m+l)`` is run
     from the top power down; ``B_(r-1)`` is the pushforward (each B-step is
     one division step, restricted to what can still reach the ``u^(r-1)``
     coefficient).
+
+    Terms are kept bucketed by their degree in the tautological variables,
+    and a term ``u_j^m * t`` of ``B_m`` whose degree ``m + deg_u(t)`` is
+    below ``j(r-1)`` is never formed.  This is exact for every ``p``: the
+    map is Z[c,h,d]-linear and lowers the weighted degree by ``r - 1`` per
+    level, so such a term lands in base classes of negative degree, which
+    are zero.  The buckets of ``B_(r-1)`` are the buckets of the next level,
+    and the lifted classes are bucketed once per relation set, so the only
+    per-term degree count is on the input.
     """
     ctx = rels.ctx
     r = ctx.r
     ring = ctx.ring
-    terms = p._terms
+    # the u_1..u_k fields sit above every other field of the packed key
+    low = ring.shift(ctx.u(ctx.k))
+    graded: dict[int, dict[int, int]] = {}
+    for key, coeff in p._terms.items():
+        graded.setdefault(_key_degree(key >> low), {})[key] = coeff
     for j in range(ctx.k, 0, -1):
-        if not terms:
-            break
+        cut = j * (r - 1)
         sh = ring.shift(ctx.u(j))
-        strata: dict[int, dict[int, int]] = {}
-        for key, coeff in terms.items():
-            m = (key >> sh) & _EXP_MASK
-            strata.setdefault(m, {})[key - (m << sh)] = coeff
-        top = max(strata)
+        # strata[m][a]: terms of A_m whose degree in u_1..u_(j-1) is a
+        strata: dict[int, dict[int, dict[int, int]]] = {}
+        for degree, terms in graded.items():
+            if degree < cut:
+                continue
+            by_power: dict[int, dict[int, int]] = {}
+            for key, coeff in terms.items():
+                m = (key >> sh) & _EXP_MASK
+                by_power.setdefault(m, {})[key - (m << sh)] = coeff
+            for m, stratum in by_power.items():
+                strata.setdefault(m, {})[degree - m] = stratum
+        top = max(strata, default=-1)
         if top < r - 1:
-            terms = {}
-            continue
-        negated = rels.negated_lifted_terms(j - 1)
-        window: dict[int, dict[int, int]] = {}
+            return ring.zero
+        negated = rels.negated_lifted_by_degree(j - 1)
+        window: dict[int, dict[int, dict[int, int]]] = {}
         for m in range(top, r - 2, -1):
-            acc = dict(strata.get(m, ()))
+            need = cut - m
+            acc = strata.pop(m, {})
             for l in range(1, r + 1):
                 above = window.get(m + l)
-                if above:
-                    _mul_into(acc, negated[l - 1], above)
-            window[m] = {k: c for k, c in acc.items() if c}
+                if not above:
+                    continue
+                for a, terms in above.items():
+                    for e, neg in negated[l - 1].items():
+                        if a + e >= need:
+                            _mul_into(acc.setdefault(a + e, {}), neg, terms)
+            window[m] = {}
+            for a, terms in acc.items():
+                kept = {k: c for k, c in terms.items() if c}
+                if kept:
+                    window[m][a] = kept
             window.pop(m + r, None)
-        terms = window.get(r - 1, {})
-    return ring.polynomial(terms)
+        graded = window.get(r - 1, {})
+    return ring.polynomial(graded.get(0, {}))
 
 
 def intersect(

@@ -1,10 +1,14 @@
 """Command-line behaviour: formats, exit codes, cache, sweep, verify."""
 
+import contextlib
 import csv
 import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetbound import enumerate_admissible, logarithmic_pair, run_sweep
 from jetbound.cli import main
@@ -94,6 +98,119 @@ def test_bound_exit_code_bad_weights(capsys, cache_dir):
 def test_bound_exit_code_low_dimension(capsys, cache_dir):
     code, _, err = run_cli(capsys, "bound", "--dim", "1", "--order", "1", "--cache-dir", cache_dir)
     assert code == 2 and "--dim" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "poly", "sweep"])
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_order_below_one_exits_2(capsys, cache_dir, command, order):
+    code, out, err = run_cli(capsys, command, "--dim", "2", "--order", order,
+                             "--cache-dir", cache_dir)
+    assert code == 2
+    assert out == ""
+    assert err == f"{command} requires --order >= 1\n"
+
+
+def _corrupt_only_entry(cache_dir, damage=lambda data: data[:40]):
+    (path,) = [os.path.join(cache_dir, name) for name in os.listdir(cache_dir)]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(damage(data))
+    return path
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:40],      # truncated
+    lambda data: b"{}",          # valid JSON, no report fields
+    lambda data: b"[1, 2]",      # valid JSON, not an object
+    lambda data: b"\xff" + data,  # not text
+], ids=["truncated", "empty-object", "list", "binary"])
+def test_bound_recomputes_and_repairs_corrupt_cache_file(capsys, cache_dir, damage):
+    args = ("bound", "--dim", "2", "--order", "2", "--format", "json", "--cache-dir", cache_dir)
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0
+    path = _corrupt_only_entry(cache_dir, damage)
+    code, second, err = run_cli(capsys, *args)
+    assert code == 0 and "Traceback" not in err
+    strip = lambda text: {k: v for k, v in json.loads(text).items() if k != "elapsed_ms"}
+    assert strip(second) == strip(first)
+    with open(path) as fh:
+        assert fh.read() == second  # the recomputed report replaced the bad file
+    code, third, _ = run_cli(capsys, *args)
+    assert code == 0 and third == second  # and is a hit from then on
+
+
+def test_table_recomputes_and_repairs_truncated_cache_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("jetbound.cli.TABLE_CELLS", [(2, 2)])
+    cache_dir = str(tmp_path / "cache")
+    args = ("table", "--format", "json", "--cache-dir", cache_dir)
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0
+    path = _corrupt_only_entry(cache_dir)
+    code, second, err = run_cli(capsys, *args)
+    assert code == 0 and "Traceback" not in err
+    assert second == first
+    with open(path) as fh:
+        assert json.load(fh)["threshold"] == 15
+
+
+@pytest.mark.parametrize("cpus,requested,expected", [(2, "10000", 2), (8, "3", 3)])
+def test_threads_clamped_to_cpu_count(capsys, tmp_path, monkeypatch, cpus, requested, expected):
+    recorded = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("jetbound.cli.os.cpu_count", lambda: cpus)
+    monkeypatch.setattr("jetbound.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("jetbound.sweep.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("jetbound.cli.TABLE_CELLS", [(2, 2)])
+    code, _, _ = run_cli(capsys, "table", "--threads", requested,
+                         "--cache-dir", str(tmp_path / "table"))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "sweep", "--dim", "2", "--order", "2", "--budget", "2",
+                           "--threads", requested, "--cache-dir", str(tmp_path / "sweep"))
+    assert code == 0 and "best      : 2,1" in out
+    assert recorded == [expected, expected]
+
+
+@pytest.fixture(scope="module")
+def fuzz_cache_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz-cache"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["bound", "poly"]),
+    dim=st.integers(-2, 3),
+    order=st.integers(-2, 4),
+    weights=st.none() | st.text(alphabet="0123456789,-abcxyz", max_size=8),
+    fmt=st.sampled_from(["text", "json", "csv"]),
+)
+def test_bound_and_poly_argv_end_in_documented_exit_code(
+    fuzz_cache_dir, command, dim, order, weights, fmt
+):
+    argv = [command, "--dim", str(dim), "--order", str(order), "--format", fmt,
+            "--cache-dir", fuzz_cache_dir]
+    if weights is not None:
+        argv.append(f"--weights={weights}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
 
 
 def test_bound_cache_hit_byte_identical(capsys, cache_dir):

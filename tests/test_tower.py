@@ -182,6 +182,42 @@ def test_pushforward_equals_literal_on_morse_class():
     assert fast == literal
 
 
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
+def test_pushforward_cut_on_inhomogeneous_classes(n, k):
+    # every base variable occurs, and u-degrees fall on both sides of the
+    # cut k(r-1) below which a term pushes forward to zero
+    ctx = TowerContext(n, k)
+    ring = ctx.ring
+    rels = ctx.relations
+    rng = random.Random(1000 + n * 10 + k)
+    base = [ctx.c(l) for l in range(1, ctx.r + 1)] + [ctx.h, ctx.d]
+    cut = k * (ctx.r - 1)
+    udegrees = set()
+    nonzero = 0
+    for _ in range(10):
+        terms = {}
+        for _ in range(8):
+            exps = {ctx.u(j): rng.randint(0, 2 * (ctx.r - 1)) for j in range(1, k + 1)}
+            udegrees.add(sum(exps.values()))
+            exps.update((v, rng.randint(0, 2)) for v in base)
+            terms[ring.encode(exps)] = rng.randint(-9, 9)
+        p = ring.polynomial(terms)
+        assert p.variables_used() >= set(base)
+        pushed = pushforward_to_base(p, rels)
+        assert pushed == integrate_fibers(reduce_tower(p, rels), ctx)
+        nonzero += bool(pushed)
+    assert min(udegrees) < cut <= max(udegrees)
+    assert nonzero
+
+
+@pytest.mark.parametrize("n,k", [(4, 4), (3, 5)])
+def test_pushforward_cut_on_morse_class(n, k):
+    ctx = TowerContext(n, k)
+    rels = ctx.relations
+    cls = morse_class(ctx, default_weights(k))
+    assert pushforward_to_base(cls, rels) == integrate_fibers(reduce_tower(cls, rels), ctx)
+
+
 def test_intersect_degree_two_class():
     ctx = TowerContext(2, 2)
     cls = intersect(ctx, (2, 2))

@@ -13,14 +13,12 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
-from . import cache
+from . import cache, sweep
 from .errors import InadmissibleWeightsError, JetboundError
 from .geometry import GeometrySpec
-from .morse import MorseReport, compute_report, default_weights, is_admissible, order_bounds
-from .sweep import run_sweep
+from .morse import MorseReport, default_weights, is_admissible, order_bounds
 from .tower import TowerContext
 from .verify import run_all
 
@@ -35,41 +33,41 @@ def _relations_text(ctx: TowerContext) -> str:
     return "\n".join(str(q) for q in ctx.relations.relations)
 
 
-def _lookup(
-    cache_dir: str, ctx: TowerContext, token: str, weights: Sequence[int]
-) -> tuple[str, Optional[tuple[MorseReport, bytes]]]:
-    """Cache key of one configuration, and its stored report with the stored bytes.
-
-    The report is ``None`` when the file is missing or does not decode to a
-    report; the caller then computes it, and ``cache.store`` replaces the bad
-    file atomically.
-    """
-    key = cache.cache_key(ctx.n, ctx.r, ctx.k, token, weights, _relations_text(ctx))
-    stored = cache.fetch(cache_dir, key)
-    if stored is not None:
-        try:
-            return key, (MorseReport.from_json_dict(json.loads(stored)), stored)
-        except (ValueError, KeyError, TypeError):
-            pass
-    return key, None
-
-
-def cached_report(
-    spec: GeometrySpec,
-    k: int,
-    weights: Optional[Sequence[int]],
+def cached_reports(
+    jobs: Sequence[tuple[GeometrySpec, int, Optional[Sequence[int]]]],
+    threads: int,
     cache_dir: str,
-) -> tuple[MorseReport, bytes]:
-    """Fetch or compute one report; returns it with its canonical JSON bytes."""
-    ctx = TowerContext(spec.n, k)
-    w = default_weights(k).a if weights is None else tuple(weights)
-    key, hit = _lookup(cache_dir, ctx, spec.token, w)
-    if hit is not None:
-        return hit
-    report = compute_report(spec, k, w, rels=ctx.relations)
-    payload = _report_json_bytes(report)
-    cache.store(cache_dir, key, payload)
-    return report, payload
+) -> list[tuple[MorseReport, bytes]]:
+    """Fetch or compute the report of every ``(spec, k, weights)`` job, in job order.
+
+    Each report comes with its canonical JSON bytes; ``weights=None`` means
+    the default ladder.  A stored file that does not decode to a report is a
+    miss.  Misses are computed in one batch, with the relations built for
+    their keys when serial, and each is stored once; ``cache.store`` replaces
+    a bad file atomically.
+    """
+    results: list[Optional[tuple[MorseReport, bytes]]] = []
+    misses: list[tuple[int, str, sweep.Job]] = []
+    for spec, k, weights in jobs:
+        ctx = TowerContext(spec.n, k)
+        w = default_weights(k).a if weights is None else tuple(weights)
+        key = cache.cache_key(ctx.n, ctx.r, ctx.k, spec.token, w, _relations_text(ctx))
+        stored = cache.fetch(cache_dir, key)
+        hit = None
+        if stored is not None:
+            try:
+                hit = (MorseReport.from_json_dict(json.loads(stored)), stored)
+            except (ValueError, KeyError, TypeError):
+                pass
+        if hit is None:
+            misses.append((len(results), key, sweep.Job(spec, k, w, ctx.relations)))
+        results.append(hit)
+    computed = sweep.compute_reports([job for _, _, job in misses], threads)
+    for (index, key, _), report in zip(misses, computed):
+        payload = _report_json_bytes(report)
+        cache.store(cache_dir, key, payload)
+        results[index] = (report, payload)
+    return results
 
 
 def _thread_count(text: str) -> int:
@@ -136,12 +134,18 @@ def _report_csv(report: MorseReport) -> str:
     return buf.getvalue()
 
 
+def _one_report(args) -> tuple[MorseReport, bytes]:
+    """The cached report that ``bound`` and ``poly`` print."""
+    spec = GeometrySpec.from_token(args.geometry, args.dim)
+    weights = _parse_weights(args.weights) if args.weights else None
+    (result,) = cached_reports([(spec, args.order, weights)], 1, cache.resolve_cache_dir(args.cache_dir))
+    return result
+
+
 def cmd_bound(args) -> int:
     if not _dim_order_ok(args):
         return 2
-    spec = GeometrySpec.from_token(args.geometry, args.dim)
-    weights = _parse_weights(args.weights) if args.weights else None
-    report, payload = cached_report(spec, args.order, weights, cache.resolve_cache_dir(args.cache_dir))
+    report, payload = _one_report(args)
     if args.format == "json":
         sys.stdout.write(payload.decode())
     elif args.format == "csv":
@@ -154,9 +158,7 @@ def cmd_bound(args) -> int:
 def cmd_poly(args) -> int:
     if not _dim_order_ok(args):
         return 2
-    spec = GeometrySpec.from_token(args.geometry, args.dim)
-    weights = _parse_weights(args.weights) if args.weights else None
-    report, _ = cached_report(spec, args.order, weights, cache.resolve_cache_dir(args.cache_dir))
+    report, _ = _one_report(args)
     if args.format == "json":
         print(json.dumps({"dim": report.n, "order": report.k, "geometry": report.geometry,
                           "polynomial": [str(c) for c in report.morse_poly.coeffs]}, indent=2))
@@ -172,32 +174,10 @@ def cmd_poly(args) -> int:
     return 0
 
 
-def _table_worker(job: tuple[int, int]) -> tuple[tuple[int, int], dict]:
-    n, k = job
-    spec = GeometrySpec.from_token("log", n)
-    return (n, k), compute_report(spec, k).to_json_dict()
-
-
 def cmd_table(args) -> int:
-    cache_dir = cache.resolve_cache_dir(args.cache_dir)
-    reports: dict[tuple[int, int], MorseReport] = {}
-    pending = []
-    for n, k in TABLE_CELLS:
-        key, hit = _lookup(cache_dir, TowerContext(n, k), "log", default_weights(k).a)
-        if hit is not None:
-            reports[(n, k)] = hit[0]
-        else:
-            pending.append(((n, k), key))
-    if pending:
-        if args.threads > 1:
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                computed = dict(pool.map(_table_worker, [cell for cell, _ in pending]))
-        else:
-            computed = dict(_table_worker(cell) for cell, _ in pending)
-        for (cell, key) in pending:
-            report = MorseReport.from_json_dict(computed[cell])
-            cache.store(cache_dir, key, _report_json_bytes(report))
-            reports[cell] = report
+    jobs = [(GeometrySpec.from_token("log", n), k, None) for n, k in TABLE_CELLS]
+    results = cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
+    reports = {cell: report for cell, (report, _) in zip(TABLE_CELLS, results)}
     thresholds = {cell: report.threshold for cell, report in reports.items()}
     bounds = order_bounds(thresholds)
     if args.format == "json":
@@ -237,7 +217,9 @@ def cmd_sweep(args) -> int:
         print("sweep requires --budget >= 1", file=sys.stderr)
         return 2
     spec = GeometrySpec.from_token(args.geometry, args.dim)
-    result = run_sweep(spec, args.order, args.budget, threads=args.threads)
+    jobs = [(spec, args.order, w.a) for w in sweep.enumerate_admissible(args.order, args.budget)]
+    results = cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
+    result = sweep.SweepResult.from_reports([report for report, _ in results])
     best = result.best
     if args.format == "json":
         print(
@@ -263,6 +245,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.dim_max < 2:
+        print("verify requires --dim-max >= 2", file=sys.stderr)
+        return 2
     results = run_all(max_n=args.dim_max)
     failed = [r for r in results if not r.passed]
     if args.format == "json":

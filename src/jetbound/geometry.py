@@ -9,7 +9,8 @@ Two base models are supported, both of rank ``r = n``:
   degree-d divisor; the Chern classes of the logarithmic tangent bundle are
   ``c_j = (-1)^j h^j * sum_i (-1)^i binom(n+1, i) d^(j-i)``.
 
-``evaluate_in_degree`` substitutes those classes (with ``h -> 1``) into a
+``substitute_chern`` is the one place that substitutes those classes into a
+polynomial; ``evaluate_in_degree`` applies it (with ``h -> 1``) to a
 weighted-degree-n base class and multiplies the result by ``d``.  For the
 compact model that factor is the honest integral of ``h^n``; for the
 logarithmic model it is kept anyway so that outputs are directly comparable
@@ -34,6 +35,7 @@ __all__ = [
     "compact_hypersurface",
     "logarithmic_pair",
     "base_chern",
+    "substitute_chern",
     "evaluate_in_degree",
     "EvaluatedClass",
 ]
@@ -88,20 +90,27 @@ def _chern_coefficient_in_degree(spec: GeometrySpec, j: int) -> list[int]:
     return [sign * (-1) ** (j - i) * comb(n + 1, j - i) for i in range(j + 1)]
 
 
+def substitute_chern(ctx: TowerContext, spec: GeometrySpec, cls: Polynomial) -> Polynomial:
+    """``cls`` with every ``c_j`` replaced by the base class ``j``: ``h^j`` times a polynomial in d."""
+    ring = ctx.ring
+    d = ring.variable(ctx.d)
+    h = ring.variable(ctx.h)
+    for j in range(1, spec.n + 1):
+        poly = ring.zero
+        for i, coeff in enumerate(_chern_coefficient_in_degree(spec, j)):
+            if coeff:
+                poly = poly + coeff * d ** i
+        cls = cls.substitute(ctx.c(j), poly * h ** j)
+    return cls
+
+
 def base_chern(ctx: TowerContext, spec: GeometrySpec, j: int) -> Polynomial:
     """Class ``j`` of the base bundle, as ``h^j`` times a polynomial in d."""
     if spec.n != ctx.n:
         raise ValueError(f"geometry dimension {spec.n} != tower dimension {ctx.n}")
     if not 1 <= j <= spec.n:
         raise IndexError(f"Chern index {j} outside 1..{spec.n}")
-    ring = ctx.ring
-    d = ring.variable(ctx.d)
-    h = ring.variable(ctx.h)
-    poly = ring.zero
-    for i, coeff in enumerate(_chern_coefficient_in_degree(spec, j)):
-        if coeff:
-            poly = poly + coeff * d ** i
-    return poly * h ** j
+    return substitute_chern(ctx, spec, ctx.ring.variable(ctx.c(j)))
 
 
 @dataclass(frozen=True)
@@ -171,16 +180,7 @@ def evaluate_in_degree(ctx: TowerContext, cls: Polynomial, spec: GeometrySpec) -
             f"class has weighted degree {cls.weighted_degree(weights)}, expected {ctx.n}"
         )
     ring = ctx.ring
-    result = cls
-    for j in range(1, ctx.n + 1):
-        evaluation = ring.zero
-        dvar = ring.variable(ctx.d)
-        for i, coeff in enumerate(_chern_coefficient_in_degree(spec, j)):
-            if coeff:
-                evaluation = evaluation + coeff * dvar ** i
-        result = result.substitute(ctx.c(j), evaluation)
-    result = result.substitute(ctx.h, ring.one)
-    result = result * ring.variable(ctx.d)
+    result = substitute_chern(ctx, spec, cls).substitute(ctx.h, ring.one) * ring.variable(ctx.d)
     coeffs = [0] * (ctx.n + 2)
     for exps, coeff in result.terms():
         residue = set(exps) - {ctx.d}

@@ -19,7 +19,7 @@ from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
-from .geometry import EvaluatedClass, GeometrySpec, evaluate_in_degree
+from .geometry import EvaluatedClass, GeometrySpec, evaluate_in_degree, substitute_chern
 from .polyring import Polynomial
 from .tower import RelationSet, TowerContext, pushforward_to_base
 
@@ -135,6 +135,7 @@ def _linear_power(p: Polynomial, e: int) -> Polynomial:
             )
 
     expand(0, e, 0, 1)
+    del expand  # it refers to itself: without this, acc lives until the cyclic collector runs
     return p.ring.polynomial(acc)
 
 
@@ -283,17 +284,7 @@ def symbolic_leading_form(spec: GeometrySpec, k: int) -> Polynomial:
         F = F + ring.variable(ctx.a(j)) * ring.variable(ctx.u(j))
     base = pushforward_to_base(F ** ctx.total_dim, ctx.relations)
     # evaluate by hand: the weight variables block evaluate_in_degree
-    result = base
-    from .geometry import _chern_coefficient_in_degree
-
-    dvar = ring.variable(ctx.d)
-    for j in range(1, ctx.n + 1):
-        evaluation = ring.zero
-        for i, coeff in enumerate(_chern_coefficient_in_degree(spec, j)):
-            if coeff:
-                evaluation = evaluation + coeff * dvar ** i
-        result = result.substitute(ctx.c(j), evaluation)
-    result = result.substitute(ctx.h, ring.one) * dvar
+    result = substitute_chern(ctx, spec, base).substitute(ctx.h, ring.one) * ring.variable(ctx.d)
     return result.coeff_of(ctx.d, spec.n + 1)
 
 

@@ -25,7 +25,7 @@ e.g. ``3*u1^2*h - 2*c1 + 5``, and round-trips exactly.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import NonMonicRelationError, ParseError, RingMismatchError
 
@@ -158,14 +158,6 @@ class Ring:
     def polynomial(self, terms: Mapping[int, int]) -> "Polynomial":
         """Build a polynomial from raw packed terms, dropping zero coefficients."""
         return Polynomial(self, {k: c for k, c in terms.items() if c})
-
-    def from_exponents(self, terms: Iterable[tuple[Mapping[VariableId, int], int]]) -> "Polynomial":
-        """Build a polynomial from ``(sparse exponent map, coefficient)`` pairs."""
-        acc: dict[int, int] = {}
-        for exps, coeff in terms:
-            k = self.encode(exps)
-            acc[k] = acc.get(k, 0) + coeff
-        return self.polynomial(acc)
 
     # ---- parsing -------------------------------------------------------
 
@@ -441,17 +433,6 @@ class Polynomial:
                     _add_into(acc, stratum)
                 else:
                     _mul_into(acc, stratum, qpow._terms)
-        return self.ring.polynomial(acc)
-
-    def eval_at_integer(self, v: VariableId, x: int) -> "Polynomial":
-        """Exact Horner evaluation of the variable ``v`` at the integer ``x``."""
-        strata = self._strata(v)
-        top = max(strata)
-        acc: dict[int, int] = dict(strata.get(top, {}))
-        for e in range(top - 1, -1, -1):
-            nxt = {k: c * x for k, c in acc.items()}
-            _add_into(nxt, strata.get(e, {}))
-            acc = nxt
         return self.ring.polynomial(acc)
 
     def _strata(self, v: VariableId) -> dict[int, dict[int, int]]:

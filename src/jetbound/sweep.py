@@ -7,18 +7,22 @@ geometric ladder, so the default weights are always candidate number one.
 Results are ranked by (threshold, total, vector), with an absent threshold
 ranking last, which makes the winner independent of evaluation order and of
 any parallelism.
+
+``compute_reports`` is the package's one batch computation, serial or on a
+process pool; ``run_sweep`` and the command line's cached path both use it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .geometry import GeometrySpec
 from .morse import MorseReport, WeightVector, compute_report
-from .tower import TowerContext
+from .tower import RelationSet, TowerContext
 
-__all__ = ["enumerate_admissible", "SweepResult", "run_sweep"]
+__all__ = ["enumerate_admissible", "Job", "SweepResult", "compute_reports", "run_sweep"]
 
 
 def _tuples_with_total(k: int, total: int) -> list[tuple[int, ...]]:
@@ -58,6 +62,8 @@ def _tuples_with_total(k: int, total: int) -> list[tuple[int, ...]]:
 
 def enumerate_admissible(k: int, count: int) -> list[WeightVector]:
     """The first ``count`` admissible weight vectors in (total, lex) order."""
+    if k < 1:
+        raise ValueError("jet order k must be >= 1")
     if count < 1:
         raise ValueError("candidate budget must be >= 1")
     out: list[WeightVector] = []
@@ -71,11 +77,13 @@ def enumerate_admissible(k: int, count: int) -> list[WeightVector]:
     return out
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    best: MorseReport
-    evaluated: int
-    reports: tuple[MorseReport, ...]
+class Job(NamedTuple):
+    """One configuration to compute, with the tower relations built for it."""
+
+    spec: GeometrySpec
+    k: int
+    weights: tuple[int, ...]
+    rels: RelationSet
 
 
 def _rank(report: MorseReport):
@@ -83,10 +91,34 @@ def _rank(report: MorseReport):
     return (threshold, sum(report.weights), report.weights)
 
 
-def _sweep_worker(job: tuple[str, int, int, tuple[int, ...]]) -> dict:
+@dataclass(frozen=True)
+class SweepResult:
+    best: MorseReport
+    evaluated: int
+    reports: tuple[MorseReport, ...]
+
+    @staticmethod
+    def from_reports(reports: Sequence[MorseReport]) -> "SweepResult":
+        return SweepResult(best=min(reports, key=_rank), evaluated=len(reports), reports=tuple(reports))
+
+
+def _compute_shipped(job: tuple[str, int, int, tuple[int, ...]]) -> MorseReport:
     token, n, k, weights = job
-    spec = GeometrySpec.from_token(token, n)
-    return compute_report(spec, k, weights).to_json_dict()
+    return compute_report(GeometrySpec.from_token(token, n), k, weights)
+
+
+def compute_reports(jobs: Sequence[Job], threads: int = 1) -> list[MorseReport]:
+    """The report of every job, in job order.
+
+    With one thread each job is computed with its own relations.  With more,
+    jobs go to a process pool as ``(token, n, k, weights)``, and each worker
+    builds its relations itself.
+    """
+    if threads > 1 and jobs:
+        shipped = [(job.spec.token, job.spec.n, job.k, job.weights) for job in jobs]
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(_compute_shipped, shipped))
+    return [compute_report(job.spec, job.k, job.weights, rels=job.rels) for job in jobs]
 
 
 def run_sweep(
@@ -95,15 +127,7 @@ def run_sweep(
     budget: int,
     threads: int = 1,
 ) -> SweepResult:
-    """Evaluate the first ``budget`` admissible vectors and return the best."""
+    """Evaluate the first ``budget`` admissible vectors and return the best; uncached."""
     candidates = enumerate_admissible(k, budget)
-    reports: list[MorseReport]
-    if threads > 1:
-        jobs = [(spec.token, spec.n, k, w.a) for w in candidates]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            reports = [MorseReport.from_json_dict(d) for d in pool.map(_sweep_worker, jobs)]
-    else:
-        rels = TowerContext(spec.n, k).relations
-        reports = [compute_report(spec, k, w, rels=rels) for w in candidates]
-    best = min(reports, key=_rank)
-    return SweepResult(best=best, evaluated=len(reports), reports=tuple(reports))
+    rels = TowerContext(spec.n, k).relations
+    return SweepResult.from_reports(compute_reports([Job(spec, k, w.a, rels) for w in candidates], threads))

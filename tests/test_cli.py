@@ -174,7 +174,6 @@ def test_threads_clamped_to_cpu_count(capsys, tmp_path, monkeypatch, cpus, reque
             return map(fn, jobs)
 
     monkeypatch.setattr("jetbound.cli.os.cpu_count", lambda: cpus)
-    monkeypatch.setattr("jetbound.cli.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("jetbound.sweep.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("jetbound.cli.TABLE_CELLS", [(2, 2)])
     code, _, _ = run_cli(capsys, "table", "--threads", requested,
@@ -213,6 +212,34 @@ def test_bound_and_poly_argv_end_in_documented_exit_code(
     assert "Traceback" not in err.getvalue()
 
 
+def _argv_exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=25, deadline=None)
+@given(fmt=st.sampled_from(["text", "json", "csv"]), threads=st.integers(-2, 4))
+def test_table_argv_ends_in_documented_exit_code(table_cache_dir, fmt, threads):
+    argv = ["table", "--format", fmt, "--threads", str(threads), "--cache-dir", table_cache_dir]
+    assert _argv_exit_code(argv) in {0, 2, 3, 4}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(-2, 3),
+    order=st.integers(-2, 3),
+    budget=st.integers(-2, 4),
+    fmt=st.sampled_from(["text", "json", "csv"]),
+)
+def test_sweep_argv_ends_in_documented_exit_code(fuzz_cache_dir, dim, order, budget, fmt):
+    argv = ["sweep", "--dim", str(dim), "--order", str(order), "--budget", str(budget),
+            "--format", fmt, "--cache-dir", fuzz_cache_dir]
+    assert _argv_exit_code(argv) in {0, 2, 3, 4}
+
+
 def test_bound_cache_hit_byte_identical(capsys, cache_dir):
     args = (
         "bound", "--dim", "2", "--order", "2", "--geometry", "log",
@@ -225,12 +252,12 @@ def test_bound_cache_hit_byte_identical(capsys, cache_dir):
 
 
 def test_cache_entry_equals_fresh_recomputation(capsys, cache_dir):
-    from jetbound.cli import cached_report
+    from jetbound.cli import cached_reports
     from jetbound.morse import compute_report
 
     spec = logarithmic_pair(2)
-    cached, _ = cached_report(spec, 2, None, cache_dir)
-    again, _ = cached_report(spec, 2, None, cache_dir)
+    ((cached, _),) = cached_reports([(spec, 2, None)], 1, cache_dir)
+    ((again, _),) = cached_reports([(spec, 2, None)], 1, cache_dir)
     fresh = compute_report(spec, 2)
     strip = lambda report: {
         k: v for k, v in report.to_json_dict().items() if k != "elapsed_ms"
@@ -254,7 +281,7 @@ def test_internal_error_maps_to_exit_4(capsys, cache_dir, monkeypatch):
     def boom(*args, **kwargs):
         raise UnreducedClassError("synthetic invariant violation")
 
-    monkeypatch.setattr("jetbound.cli.compute_report", boom)
+    monkeypatch.setattr("jetbound.sweep.compute_report", boom)
     code, _, err = run_cli(capsys, "bound", "--dim", "2", "--order", "2",
                            "--cache-dir", cache_dir)
     assert code == 4
@@ -369,6 +396,24 @@ def test_sweep_deterministic(capsys, cache_dir):
     assert data1["evaluated"] == 6
 
 
+def test_sweep_caches_each_candidate_and_replays(capsys, cache_dir):
+    args = ("sweep", "--dim", "2", "--order", "3", "--budget", "12",
+            "--format", "json", "--cache-dir", cache_dir)
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0
+    entries = sorted(os.listdir(cache_dir))
+    assert len(entries) == 12
+    mtimes = [os.stat(os.path.join(cache_dir, name)).st_mtime_ns for name in entries]
+    code, second, _ = run_cli(capsys, *args)
+    assert code == 0 and second == first  # every candidate is a hit
+    assert sorted(os.listdir(cache_dir)) == entries
+    assert [os.stat(os.path.join(cache_dir, name)).st_mtime_ns for name in entries] == mtimes
+    best = json.loads(first)["best"]
+    code, out, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "3", "--format", "json",
+                           "--weights", ",".join(map(str, best["weights"])), "--cache-dir", cache_dir)
+    assert code == 0 and json.loads(out) == best  # bound shares the sweep's entry
+
+
 def test_sweep_threads_match_sequential():
     spec = logarithmic_pair(2)
     seq = run_sweep(spec, 2, budget=4, threads=1)
@@ -395,6 +440,9 @@ def test_enumerate_admissible_order_and_content():
     ladder = enumerate_admissible(4, 3)
     assert ladder[0].a == (18, 6, 2, 1)
     assert all(sum(ladder[i].a) <= sum(ladder[i + 1].a) for i in range(len(ladder) - 1))
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_admissible(k, 1)
 
 
 def test_verify_passes(capsys):
@@ -402,6 +450,14 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "balanced-unit-n3" in out
+
+
+@pytest.mark.parametrize("dim_max", ["1", "-3"])
+def test_verify_dim_max_below_two_exits_2(capsys, dim_max):
+    code, out, err = run_cli(capsys, "verify", "--dim-max", dim_max)
+    assert code == 2
+    assert out == ""
+    assert err == "verify requires --dim-max >= 2\n"
 
 
 def test_verify_json(capsys):

@@ -150,18 +150,6 @@ def test_degree_in(ring):
     assert ring.zero.degree_in(ring.var("u1")) != -1
 
 
-def test_eval_at_integer(ring):
-    dv = ring.var("d")
-    d = V(ring, "d")
-    p = d**2 - 4 * d + 6
-    assert p.eval_at_integer(dv, 2) == ring.const(2)
-    rng = random.Random(19)
-    for _ in range(10):
-        q = random_poly(ring, rng)
-        assert q.eval_at_integer(dv, 0) == q.coeff_of(dv, 0)
-    assert (d**3 - 15 * d**2).eval_at_integer(dv, 15) == ring.zero
-
-
 # ---- algebraic laws -----------------------------------------------------------
 
 
@@ -208,13 +196,6 @@ def test_law_reconstruction(p):
         for e in range(int(top) + 1):
             rebuilt = rebuilt + p.coeff_of(v, e) * _laws_ring.variable(v) ** e
         assert rebuilt == p
-
-
-@given(_polys, st.integers(min_value=-9, max_value=9))
-@settings(max_examples=60)
-def test_law_eval_matches_substitute_constant(p, x):
-    for v in (0, 3, 5):
-        assert p.eval_at_integer(v, x) == p.substitute(v, _laws_ring.const(x))
 
 
 def test_monomial_encoding_round_trip(ring):

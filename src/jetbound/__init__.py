@@ -7,7 +7,6 @@ from .errors import (
     InhomogeneousClassError,
     JetboundError,
     NonMonicRelationError,
-    ParseError,
     ResidualVariableError,
     RingMismatchError,
     UnreducedClassError,
@@ -92,5 +91,4 @@ __all__ = [
     "InhomogeneousClassError",
     "ResidualVariableError",
     "InadmissibleWeightsError",
-    "ParseError",
 ]

@@ -43,8 +43,8 @@ def cached_reports(
     Each report comes with its canonical JSON bytes; ``weights=None`` means
     the default ladder.  A stored file that does not decode to a report is a
     miss.  Misses are computed in one batch, with the relations built for
-    their keys when serial, and each is stored once; ``cache.store`` replaces
-    a bad file atomically.
+    their keys, and each is stored once; ``cache.store`` replaces a bad file
+    atomically.
     """
     results: list[Optional[tuple[MorseReport, bytes]]] = []
     misses: list[tuple[int, str, sweep.Job]] = []
@@ -73,6 +73,14 @@ def cached_reports(
 def _thread_count(text: str) -> int:
     """``--threads`` clamped to the CPU count: a process pool starts every worker up front."""
     return min(int(text), os.cpu_count() or 1)
+
+
+def _threads_ok(args) -> bool:
+    """Reject ``--threads < 1`` with a one-line message."""
+    if args.threads < 1:
+        print(f"{args.command} requires --threads >= 1", file=sys.stderr)
+        return False
+    return True
 
 
 def _dim_order_ok(args) -> bool:
@@ -175,6 +183,8 @@ def cmd_poly(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if not _threads_ok(args):
+        return 2
     jobs = [(GeometrySpec.from_token("log", n), k, None) for n, k in TABLE_CELLS]
     results = cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
     reports = {cell: report for cell, (report, _) in zip(TABLE_CELLS, results)}
@@ -215,6 +225,8 @@ def cmd_sweep(args) -> int:
         return 2
     if args.budget < 1:
         print("sweep requires --budget >= 1", file=sys.stderr)
+        return 2
+    if not _threads_ok(args):
         return 2
     spec = GeometrySpec.from_token(args.geometry, args.dim)
     jobs = [(spec, args.order, w.a) for w in sweep.enumerate_admissible(args.order, args.budget)]

@@ -31,7 +31,3 @@ class ResidualVariableError(JetboundError):
 
 class InadmissibleWeightsError(JetboundError):
     """A weight vector violates the nefness admissibility chain."""
-
-
-class ParseError(JetboundError):
-    """A polynomial text representation could not be parsed."""

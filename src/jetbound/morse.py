@@ -246,8 +246,6 @@ def leading_degree_coefficient(
     spec: GeometrySpec,
     k: int,
     weights: Union[WeightVector, Sequence[int]],
-    *,
-    rels: Optional[RelationSet] = None,
 ) -> int:
     """Coefficient of ``d^(n+1)`` of the evaluated top self-intersection.
 
@@ -257,8 +255,7 @@ def leading_degree_coefficient(
     for ``k < n`` and be positive for a finite threshold to exist.
     """
     w = _as_weights(weights)
-    if rels is None:
-        rels = TowerContext(spec.n, k).relations
+    rels = TowerContext(spec.n, k).relations
     ctx = rels.ctx
     if w.k != ctx.k:
         raise InadmissibleWeightsError(f"got {w.k} weights for a tower of order {ctx.k}")

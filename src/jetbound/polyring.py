@@ -17,9 +17,10 @@ empty dict.  Exponents are capped at ``2**16 - 1`` per variable, far above
 anything a jet-tower computation produces; ``mul``/``pow`` guard the cap via
 the total degree of their operands.
 
-The text serialization (``str``/:meth:`Ring.parse`) lists terms in graded-lex
-descending order with explicit ``+``/``-`` separators and ``^`` exponents,
-e.g. ``3*u1^2*h - 2*c1 + 5``, and round-trips exactly.
+The text form (``str``) lists terms in graded-lex descending order with
+explicit ``+``/``-`` separators and ``^`` exponents, e.g.
+``3*u1^2*h - 2*c1 + 5``.  It is the form that cache keys hash, so it must not
+change; there is no parser for it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Mapping, Sequence, Union
 
-from .errors import NonMonicRelationError, ParseError, RingMismatchError
+from .errors import NonMonicRelationError, RingMismatchError
 
 __all__ = [
     "NEG_INFINITY",
@@ -67,18 +68,11 @@ def _mul_into(acc: dict, a: Mapping[int, int], b: Mapping[int, int]) -> None:
             acc[k] = get(k, 0) + ca * cb
 
 
-def _add_into(acc: dict, a: Mapping[int, int], scale: int = 1) -> None:
-    """Accumulate ``scale * a`` into ``acc`` (raw term maps)."""
+def _add_into(acc: dict, a: Mapping[int, int]) -> None:
+    """Accumulate ``a`` into ``acc`` (raw term maps)."""
     get = acc.get
-    if scale == 1:
-        for k, c in a.items():
-            acc[k] = get(k, 0) + c
-    else:
-        for k, c in a.items():
-            acc[k] = get(k, 0) + scale * c
-
-
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-))")
+    for k, c in a.items():
+        acc[k] = get(k, 0) + c
 
 
 class Ring:
@@ -158,78 +152,6 @@ class Ring:
     def polynomial(self, terms: Mapping[int, int]) -> "Polynomial":
         """Build a polynomial from raw packed terms, dropping zero coefficients."""
         return Polynomial(self, {k: c for k, c in terms.items() if c})
-
-    # ---- parsing -------------------------------------------------------
-
-    def parse(self, text: str) -> "Polynomial":
-        """Parse the deterministic text form produced by ``str(polynomial)``."""
-        tokens = self._tokenize(text)
-        acc: dict[int, int] = {}
-        pos = 0
-        sign = 1
-        if pos < len(tokens) and tokens[pos] in ("+", "-"):
-            sign = -1 if tokens[pos] == "-" else 1
-            pos += 1
-        if pos >= len(tokens):
-            raise ParseError(f"empty polynomial text {text!r}")
-        while pos < len(tokens):
-            coeff, key, pos = self._parse_term(tokens, pos)
-            acc[key] = acc.get(key, 0) + sign * coeff
-            if pos < len(tokens):
-                if tokens[pos] not in ("+", "-"):
-                    raise ParseError(f"expected '+' or '-' at token {tokens[pos]!r}")
-                sign = -1 if tokens[pos] == "-" else 1
-                pos += 1
-                if pos >= len(tokens):
-                    raise ParseError("dangling sign at end of polynomial text")
-        return self.polynomial(acc)
-
-    def _tokenize(self, text: str) -> list[str]:
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
-                break
-            tokens.append(m.group(m.lastindex))
-            pos = m.end()
-        return tokens
-
-    def _parse_term(self, tokens: list[str], pos: int) -> tuple[int, int, int]:
-        coeff = 1
-        key = 0
-        saw_factor = False
-        while True:
-            tok = tokens[pos] if pos < len(tokens) else None
-            if tok is None or tok in ("+", "-"):
-                break
-            if tok == "*":
-                if not saw_factor:
-                    raise ParseError("'*' without preceding factor")
-                pos += 1
-                tok = tokens[pos] if pos < len(tokens) else None
-                if tok is None or tok in ("+", "-", "*", "^"):
-                    raise ParseError("'*' without following factor")
-            elif saw_factor:
-                raise ParseError(f"missing '*' before {tok!r}")
-            if tok.isdigit():
-                coeff *= int(tok)
-                pos += 1
-            else:
-                v = self.var(tok)
-                pos += 1
-                exp = 1
-                if pos < len(tokens) and tokens[pos] == "^":
-                    pos += 1
-                    if pos >= len(tokens) or not tokens[pos].isdigit():
-                        raise ParseError("'^' must be followed by an integer")
-                    exp = int(tokens[pos])
-                    pos += 1
-                key += exp << self._shifts[v]
-            saw_factor = True
-        return coeff, key, pos
 
     def __repr__(self) -> str:
         return f"Ring({', '.join(self.names)})"
@@ -409,9 +331,6 @@ class Polynomial:
         """Iterate ``(sparse exponent map, coefficient)`` in canonical order."""
         for k in self._sorted_keys():
             yield self.ring.decode(k), self._terms[k]
-
-    def constant_coefficient(self) -> int:
-        return self._terms.get(0, 0)
 
     # ---- substitution and evaluation -----------------------------------------
 

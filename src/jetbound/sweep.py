@@ -10,6 +10,8 @@ any parallelism.
 
 ``compute_reports`` is the package's one batch computation, serial or on a
 process pool; ``run_sweep`` and the command line's cached path both use it.
+Both ways run the same ``Job`` through the same function: the pool receives
+each job with its tower relations rather than rebuilding them.
 """
 
 from __future__ import annotations
@@ -102,23 +104,20 @@ class SweepResult:
         return SweepResult(best=min(reports, key=_rank), evaluated=len(reports), reports=tuple(reports))
 
 
-def _compute_shipped(job: tuple[str, int, int, tuple[int, ...]]) -> MorseReport:
-    token, n, k, weights = job
-    return compute_report(GeometrySpec.from_token(token, n), k, weights)
+def _compute(job: Job) -> MorseReport:
+    return compute_report(job.spec, job.k, job.weights, rels=job.rels)
 
 
 def compute_reports(jobs: Sequence[Job], threads: int = 1) -> list[MorseReport]:
-    """The report of every job, in job order.
+    """The report of every job, in job order, each computed with the job's own relations.
 
-    With one thread each job is computed with its own relations.  With more,
-    jobs go to a process pool as ``(token, n, k, weights)``, and each worker
-    builds its relations itself.
+    With more than one thread the jobs go to a process pool as they are,
+    relations included, and the reports come back pickled.
     """
     if threads > 1 and jobs:
-        shipped = [(job.spec.token, job.spec.n, job.k, job.weights) for job in jobs]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_compute_shipped, shipped))
-    return [compute_report(job.spec, job.k, job.weights, rels=job.rels) for job in jobs]
+            return list(pool.map(_compute, jobs))
+    return list(map(_compute, jobs))
 
 
 def run_sweep(

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -185,6 +186,19 @@ def test_threads_clamped_to_cpu_count(capsys, tmp_path, monkeypatch, cpus, reque
     assert recorded == [expected, expected]
 
 
+@pytest.mark.parametrize("command", ["table", "sweep"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exits_2(capsys, tmp_path, command, threads):
+    argv = [command, "--threads", threads, "--cache-dir", str(tmp_path / "cache")]
+    if command == "sweep":
+        argv += ["--dim", "2", "--order", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"{command} requires --threads >= 1\n"
+    assert not (tmp_path / "cache").exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_cache_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz-cache"))
@@ -238,6 +252,19 @@ def test_sweep_argv_ends_in_documented_exit_code(fuzz_cache_dir, dim, order, bud
     argv = ["sweep", "--dim", str(dim), "--order", str(order), "--budget", str(budget),
             "--format", fmt, "--cache-dir", fuzz_cache_dir]
     assert _argv_exit_code(argv) in {0, 2, 3, 4}
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("--dim", "2", "--order", "2"),
+     "116162c080ceffe9ec2e26821df5ccbcd819b50909d50b13f6f7720fc316654d.json"),
+    (("--dim", "3", "--order", "3", "--geometry", "compact"),
+     "9858b389124fecb85c9ae418e05ba1a4f21f0384f3dcfb3f834fa5a43ac206f3.json"),
+], ids=["log-2-2", "compact-3-3"])
+def test_cache_file_names_are_stable(capsys, cache_dir, argv, name):
+    # the key hashes the relation text, so this pins str() of the relations too
+    code, _, _ = run_cli(capsys, "bound", *argv, "--cache-dir", cache_dir)
+    assert code == 0
+    assert os.listdir(cache_dir) == [name]
 
 
 def test_bound_cache_hit_byte_identical(capsys, cache_dir):
@@ -414,13 +441,18 @@ def test_sweep_caches_each_candidate_and_replays(capsys, cache_dir):
     assert code == 0 and json.loads(out) == best  # bound shares the sweep's entry
 
 
-def test_sweep_threads_match_sequential():
-    spec = logarithmic_pair(2)
-    seq = run_sweep(spec, 2, budget=4, threads=1)
-    par = run_sweep(spec, 2, budget=4, threads=2)
-    assert seq.best.weights == par.best.weights
-    assert seq.best.threshold == par.best.threshold
-    assert [r.morse_poly for r in seq.reports] == [r.morse_poly for r in par.reports]
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 3)])
+def test_sweep_threads_match_sequential(n, k):
+    # run_sweep does not clamp threads, so this ships jobs with their relations to a real pool
+    spec = logarithmic_pair(n)
+    seq = run_sweep(spec, k, budget=4, threads=1)
+    par = run_sweep(spec, k, budget=4, threads=2)
+
+    def untimed(report):
+        return dataclasses.replace(report, elapsed_ms=None)
+
+    assert list(map(untimed, par.reports)) == list(map(untimed, seq.reports))
+    assert untimed(par.best) == untimed(seq.best)
 
 
 def test_sweep_order_three_improves_to_table_value():

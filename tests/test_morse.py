@@ -114,7 +114,8 @@ def test_morse_class_validates_weights():
 def test_linear_power_equals_binary_power():
     ctx = TowerContext(2, 3)
     ring = ctx.ring
-    F = ring.parse("6*u1 + 2*u2 + u3 + 18*h")
+    u1, u2, u3, h = (ring.variable(name) for name in ("u1", "u2", "u3", "h"))
+    F = 6 * u1 + 2 * u2 + u3 + 18 * h
     for e in (0, 1, 2, 5, 9):
         assert _linear_power(F, e) == F**e
 
@@ -194,7 +195,8 @@ def test_leading_coefficient_matches_symbolic_form():
     # symbolic-weight mode (n = 2): the top-coefficient function of the weights
     form = symbolic_leading_form(compact_hypersurface(2), 2)
     sym_ring = form.ring
-    expected = sym_ring.parse("6*a1^2*a2^2 - 8*a1*a2^3 + 4*a2^4")
+    a1, a2 = sym_ring.variable("a1"), sym_ring.variable("a2")
+    expected = 6 * a1**2 * a2**2 - 8 * a1 * a2**3 + 4 * a2**4
     assert form == expected
     for a in [(2, 1), (5, 2), (9, 3)]:
         value = leading_degree_coefficient(compact_hypersurface(2), 2, a)

@@ -89,7 +89,8 @@ def test_reduce_tower_two_levels_by_hand():
     ctx = TowerContext(2, 2)
     ring = ctx.ring
     u1, u2 = ring.variable("u1"), ring.variable("u2")
-    expected = ring.parse("u1*c1^2 - 2*u1*c2 + u2*c2 + c1*c2")
+    c1, c2 = ring.variable("c1"), ring.variable("c2")
+    expected = u1 * c1**2 - 2 * u1 * c2 + u2 * c2 + c1 * c2
     assert reduce_tower(u2**2 * u1, ctx.relations) == expected
 
 

@@ -75,23 +75,8 @@ def _thread_count(text: str) -> int:
     return min(int(text), os.cpu_count() or 1)
 
 
-def _threads_ok(args) -> bool:
-    """Reject ``--threads < 1`` with a one-line message."""
-    if args.threads < 1:
-        print(f"{args.command} requires --threads >= 1", file=sys.stderr)
-        return False
-    return True
-
-
-def _dim_order_ok(args) -> bool:
-    """Reject ``--dim < 2`` and ``--order < 1`` with a one-line message."""
-    if args.dim < 2:
-        print(f"{args.command} requires --dim >= 2", file=sys.stderr)
-        return False
-    if args.order < 1:
-        print(f"{args.command} requires --order >= 1", file=sys.stderr)
-        return False
-    return True
+#: Least value of each integer option, checked in this order before any command runs.
+_MINIMA = (("dim", 2), ("order", 1), ("budget", 1), ("threads", 1), ("dim_max", 2))
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -151,8 +136,6 @@ def _one_report(args) -> tuple[MorseReport, bytes]:
 
 
 def cmd_bound(args) -> int:
-    if not _dim_order_ok(args):
-        return 2
     report, payload = _one_report(args)
     if args.format == "json":
         sys.stdout.write(payload.decode())
@@ -164,8 +147,6 @@ def cmd_bound(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    if not _dim_order_ok(args):
-        return 2
     report, _ = _one_report(args)
     if args.format == "json":
         print(json.dumps({"dim": report.n, "order": report.k, "geometry": report.geometry,
@@ -183,8 +164,6 @@ def cmd_poly(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if not _threads_ok(args):
-        return 2
     jobs = [(GeometrySpec.from_token("log", n), k, None) for n, k in TABLE_CELLS]
     results = cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
     reports = {cell: report for cell, (report, _) in zip(TABLE_CELLS, results)}
@@ -221,13 +200,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not _dim_order_ok(args):
-        return 2
-    if args.budget < 1:
-        print("sweep requires --budget >= 1", file=sys.stderr)
-        return 2
-    if not _threads_ok(args):
-        return 2
     spec = GeometrySpec.from_token(args.geometry, args.dim)
     jobs = [(spec, args.order, w.a) for w in sweep.enumerate_admissible(args.order, args.budget)]
     results = cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
@@ -257,9 +229,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.dim_max < 2:
-        print("verify requires --dim-max >= 2", file=sys.stderr)
-        return 2
     results = run_all(max_n=args.dim_max)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
@@ -329,6 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, least in _MINIMA:
+        if getattr(args, name, least) < least:
+            print(f"{args.command} requires --{name.replace('_', '-')} >= {least}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except InadmissibleWeightsError as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
@@ -98,45 +97,13 @@ def _as_weights(weights: Union[WeightVector, Sequence[int]]) -> WeightVector:
     return WeightVector(tuple(weights))
 
 
-def _linear_power(p: Polynomial, e: int) -> Polynomial:
-    """``p**e`` by direct multinomial expansion over the terms of ``p``.
-
-    Produces the same canonical result as binary powering; preferred for the
-    few-term first Chern forms whose powers drive the pipeline, where it
-    avoids squaring large intermediates.
-    """
-    if e == 0:
-        return p.ring.one
-    items = list(p._terms.items())
-    if not items:
-        return p.ring.zero
-    Polynomial._check_capacity(p.total_degree * e)
-    powers = []
-    for _, coeff in items:
-        row = [1]
-        for _ in range(e):
-            row.append(row[-1] * coeff)
-        powers.append(row)
-    acc: dict[int, int] = {}
-
-    def expand(index: int, remaining: int, key: int, coeff: int) -> None:
-        if index == len(items) - 1:
-            k = key + items[index][0] * remaining
-            c = coeff * powers[index][remaining]
-            acc[k] = acc.get(k, 0) + c
-            return
-        key_step = items[index][0]
-        for take in range(remaining + 1):
-            expand(
-                index + 1,
-                remaining - take,
-                key + key_step * take,
-                coeff * comb(remaining, take) * powers[index][take],
-            )
-
-    expand(0, e, 0, 1)
-    del expand  # it refers to itself: without this, acc lives until the cyclic collector runs
-    return p.ring.polynomial(acc)
+def _weighted_form(ctx: TowerContext, coeffs: Sequence, h_coeff: int = 0) -> Polynomial:
+    """``F = sum_j coeffs[j-1] * u_j + h_coeff * h``; a coefficient is an integer or a polynomial."""
+    ring = ctx.ring
+    F = h_coeff * ring.variable(ctx.h)
+    for j, aj in enumerate(coeffs, start=1):
+        F = F + aj * ring.variable(ctx.u(j))
+    return F
 
 
 def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) -> Polynomial:
@@ -149,14 +116,11 @@ def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) 
     w = _as_weights(weights)
     if w.k != ctx.k:
         raise InadmissibleWeightsError(f"got {w.k} weights for a tower of order {ctx.k}")
-    ring = ctx.ring
     N = ctx.total_dim
     twist = 2 * w.total
-    F = twist * ring.variable(ctx.h)
-    for j, aj in enumerate(w.a, start=1):
-        F = F + aj * ring.variable(ctx.u(j))
-    G = twist * ring.variable(ctx.h)
-    return (F - N * G) * _linear_power(F, N - 1)
+    F = _weighted_form(ctx, w.a, twist)
+    G = twist * ctx.ring.variable(ctx.h)
+    return (F - N * G) * F ** (N - 1)
 
 
 def morse_polynomial(
@@ -259,11 +223,7 @@ def leading_degree_coefficient(
     ctx = rels.ctx
     if w.k != ctx.k:
         raise InadmissibleWeightsError(f"got {w.k} weights for a tower of order {ctx.k}")
-    ring = ctx.ring
-    F = ring.zero
-    for j, aj in enumerate(w.a, start=1):
-        F = F + aj * ring.variable(ctx.u(j))
-    base = pushforward_to_base(_linear_power(F, ctx.total_dim), rels)
+    base = pushforward_to_base(_weighted_form(ctx, w.a) ** ctx.total_dim, rels)
     return evaluate_in_degree(ctx, base, spec).coefficient(spec.n + 1)
 
 
@@ -276,9 +236,7 @@ def symbolic_leading_form(spec: GeometrySpec, k: int) -> Polynomial:
     """
     ctx = TowerContext(spec.n, k, symbolic_weights=True)
     ring = ctx.ring
-    F = ring.zero
-    for j in range(1, k + 1):
-        F = F + ring.variable(ctx.a(j)) * ring.variable(ctx.u(j))
+    F = _weighted_form(ctx, [ring.variable(ctx.a(j)) for j in range(1, k + 1)])
     base = pushforward_to_base(F ** ctx.total_dim, ctx.relations)
     # evaluate by hand: the weight variables block evaluate_in_degree
     result = substitute_chern(ctx, spec, base).substitute(ctx.h, ring.one) * ring.variable(ctx.d)

@@ -26,6 +26,7 @@ change; there is no parser for it.
 from __future__ import annotations
 
 import re
+from math import comb
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import NonMonicRelationError, RingMismatchError
@@ -245,24 +246,46 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        """Binary powering with canonicalization at every step; ``p**0 == 1``."""
+        """Multinomial expansion over the terms; ``p**0 == 1``.
+
+        Each product of term powers is formed once, so the few-term first
+        Chern forms whose powers drive the pipeline never square a large
+        intermediate.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
         if exponent == 0:
             return self.ring.one
-        if not self._terms:
+        items = list(self._terms.items())
+        if not items:
             return self.ring.zero
         self._check_capacity(self.total_degree * exponent)
-        result = None
-        base = self
-        e = exponent
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        powers = []
+        for _, coeff in items:
+            row = [1]
+            for _ in range(exponent):
+                row.append(row[-1] * coeff)
+            powers.append(row)
+        last = len(items) - 1
+        acc: dict[int, int] = {}
+
+        def expand(index: int, remaining: int, key: int, coeff: int) -> None:
+            if index == last:
+                k = key + items[index][0] * remaining
+                acc[k] = acc.get(k, 0) + coeff * powers[index][remaining]
+                return
+            key_step = items[index][0]
+            for take in range(remaining + 1):
+                expand(
+                    index + 1,
+                    remaining - take,
+                    key + key_step * take,
+                    coeff * comb(remaining, take) * powers[index][take],
+                )
+
+        expand(0, exponent, 0, 1)
+        del expand  # it refers to itself: without this, acc lives until the cyclic collector runs
+        return self.ring.polynomial(acc)
 
     @staticmethod
     def _check_capacity(degree_bound) -> None:

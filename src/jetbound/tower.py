@@ -175,45 +175,44 @@ class RelationSet:
         return cached
 
 
+def _lifted_class(prev: Sequence[Polynomial], upow: Sequence[Polynomial], l: int) -> Polynomial:
+    """Class ``l`` of level j from the classes ``prev`` of level j-1; ``upow[e] = u_j^e``.
+
+    ``c_l^[j] = sum_s [binom(r-s, l-s) - binom(r-s, l-s-1)] u_j^(l-s) c_s^[j-1]``
+    over ``0 <= s <= min(l, r)``, with ``c_0 = 1``.  At ``l = r + 1`` it is
+    ``-u_j q_j``, which vanishes modulo the level relation.
+    """
+    r = len(prev)
+    cls = (_binom(r, l) - _binom(r, l - 1)) * upow[l]
+    for s in range(1, min(l, r + 1)):
+        coeff = _binom(r - s, l - s) - _binom(r - s, l - s - 1)
+        if coeff:
+            cls = cls + coeff * (prev[s - 1] * upow[l - s])
+    if l <= r:
+        cls = cls + prev[l - 1]
+    return cls
+
+
 def build_relations(ctx: TowerContext) -> RelationSet:
     """Build the lifted Chern classes and the monic relation of every level.
 
-    Level-j classes follow the rank-r recursion
-    ``c_l^[j] = sum_s [binom(r-s, l-s) - binom(r-s, l-s-1)] u_j^(l-s) c_s^[j-1]``
-    with ``c_0 = 1``, and the level relation is
-    ``q_j = u_j^r + sum_l c_l^[j-1] u_j^(r-l)``.
+    Level-j classes follow the rank-r recursion of ``_lifted_class``, and the
+    level relation is ``q_j = u_j^r + sum_l c_l^[j-1] u_j^(r-l)``.
     """
     ring = ctx.ring
     r = ctx.r
-    lifted: list[tuple[Polynomial, ...]] = []
-    level = tuple(ring.variable(ctx.c(l)) for l in range(1, r + 1))
-    lifted.append(level)
-    for j in range(1, ctx.k):
-        uj = ring.variable(ctx.u(j))
-        upow = [ring.one]
-        for _ in range(r):
-            upow.append(upow[-1] * uj)
-        prev = lifted[j - 1]
-        nxt = []
-        for l in range(1, r + 1):
-            cls = (_binom(r, l) - _binom(r, l - 1)) * upow[l]
-            for s in range(1, l):
-                coeff = _binom(r - s, l - s) - _binom(r - s, l - s - 1)
-                if coeff:
-                    cls = cls + coeff * (prev[s - 1] * upow[l - s])
-            cls = cls + prev[l - 1]
-            nxt.append(cls)
-        lifted.append(tuple(nxt))
+    lifted = [tuple(ring.variable(ctx.c(l)) for l in range(1, r + 1))]
     relations = []
     for j in range(1, ctx.k + 1):
         uj = ring.variable(ctx.u(j))
-        rel = uj ** r
-        upow = [ring.one]
-        for _ in range(r):
-            upow.append(upow[-1] * uj)
+        upow = [uj**e for e in range(r + 1)]
+        prev = lifted[j - 1]
+        rel = upow[r]
         for l in range(1, r + 1):
-            rel = rel + lifted[j - 1][l - 1] * upow[r - l]
+            rel = rel + prev[l - 1] * upow[r - l]
         relations.append(rel)
+        if j < ctx.k:
+            lifted.append(tuple(_lifted_class(prev, upow, l) for l in range(1, r + 1)))
     return RelationSet(ctx, tuple(lifted), tuple(relations))
 
 

@@ -20,7 +20,6 @@ from jetbound import (
     symbolic_leading_form,
 )
 from jetbound.errors import InadmissibleWeightsError
-from jetbound.morse import _linear_power
 
 
 # ---- weight vectors --------------------------------------------------------
@@ -111,13 +110,15 @@ def test_morse_class_validates_weights():
         morse_class(ctx, (2, 1, 1))
 
 
-def test_linear_power_equals_binary_power():
+def test_power_equals_repeated_product():
     ctx = TowerContext(2, 3)
     ring = ctx.ring
     u1, u2, u3, h = (ring.variable(name) for name in ("u1", "u2", "u3", "h"))
     F = 6 * u1 + 2 * u2 + u3 + 18 * h
-    for e in (0, 1, 2, 5, 9):
-        assert _linear_power(F, e) == F**e
+    product = ring.one
+    for e in range(10):
+        assert F**e == product
+        product = product * F
 
 
 # ---- pipeline golden values ---------------------------------------------------
@@ -201,6 +202,13 @@ def test_leading_coefficient_matches_symbolic_form():
     for a in [(2, 1), (5, 2), (9, 3)]:
         value = leading_degree_coefficient(compact_hypersurface(2), 2, a)
         assert value == 6 * a[0] ** 2 * a[1] ** 2 - 8 * a[0] * a[1] ** 3 + 4 * a[1] ** 4
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (3, 3)])
+def test_symbolic_leading_form_vanishes_below_order_n(n, k):
+    # zero as a polynomial in a_1..a_k below order n, so for every weight vector
+    form = symbolic_leading_form(compact_hypersurface(n), k)
+    assert bool(form) == (k >= n)
 
 
 def test_leading_coefficient_geometry_independent():

@@ -178,6 +178,10 @@ def test_law_associativity_distributivity(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+    product = _laws_ring.one
+    for e in range(5):
+        assert p**e == product
+        product = product * p
 
 
 @given(_polys)

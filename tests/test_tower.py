@@ -6,6 +6,7 @@ import pytest
 
 from jetbound import (
     NEG_INFINITY,
+    RelationSet,
     TowerContext,
     build_relations,
     integrate_fibers,
@@ -13,8 +14,10 @@ from jetbound import (
     pushforward_to_base,
     reduce_tower,
 )
+from jetbound import tower
 from jetbound.errors import DimensionMismatchError, UnreducedClassError
 from jetbound.morse import default_weights, morse_class
+from jetbound.verify import check_low_order_leading_vanishes, check_truncation
 
 
 def test_level_one_relation_is_defining():
@@ -53,6 +56,49 @@ def test_truncation_above_rank():
     for j in range(0, 4):
         for l in (4, 5, 9):
             assert not rels.lifted_chern(j, l)
+
+
+def _patch_relations(monkeypatch, perturb):
+    """Make every new tower build its relations through ``perturb(ctx, lifted, relations)``."""
+    build = tower.build_relations
+
+    def perturbed(ctx):
+        rels = build(ctx)
+        return RelationSet(ctx, *perturb(ctx, list(rels.lifted), list(rels.relations)))
+
+    monkeypatch.setattr(tower, "build_relations", perturbed)
+
+
+def test_truncation_check_fails_on_a_perturbed_relation(monkeypatch):
+    assert check_truncation().passed
+
+    def perturb(ctx, lifted, relations):
+        # the u1^(r-1)*c1 coefficient of q_1 goes from 1 to 2
+        u1, c1 = ctx.ring.variable(ctx.u(1)), ctx.ring.variable(ctx.c(1))
+        relations[0] = relations[0] + c1 * u1 ** (ctx.r - 1)
+        return lifted, relations
+
+    _patch_relations(monkeypatch, perturb)
+    result = check_truncation()
+    assert result.name == "rank-truncation"
+    assert not result.passed
+    assert result.detail == "class 3 is nonzero at n=2, level 1"
+
+
+def test_low_order_check_fails_on_a_perturbed_lifted_class(monkeypatch):
+    assert check_low_order_leading_vanishes(3).passed
+
+    def perturb(ctx, lifted, relations):
+        # the u1 coefficient of c_1 at level 1 goes from r-1 to r
+        if len(lifted) > 1:
+            lifted[1] = (lifted[1][0] + ctx.ring.variable(ctx.u(1)),) + lifted[1][1:]
+        return lifted, relations
+
+    _patch_relations(monkeypatch, perturb)
+    result = check_low_order_leading_vanishes(3)
+    assert result.name == "low-order-leading-n3"
+    assert not result.passed
+    assert result.detail.startswith("k=2: ")
 
 
 def test_build_relations_matches_cached():

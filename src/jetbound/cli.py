@@ -1,8 +1,8 @@
 """Command-line front end: bound, poly, table, sweep, verify.
 
-Exit codes: 0 success, 2 invalid input or weights, 3 no threshold (the
-degree polynomial has non-positive leading coefficient), 4 violated internal
-invariant or failed verification.
+Exit codes: 0 success, 2 invalid input or weights or an unusable cache
+directory, 3 no threshold (the degree polynomial has non-positive leading
+coefficient), 4 violated internal invariant or failed verification.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import sys
 from typing import Optional, Sequence
 
 from . import cache, sweep
-from .errors import InadmissibleWeightsError, JetboundError
+from .errors import CacheDirectoryError, InadmissibleWeightsError, JetboundError
 from .geometry import GeometrySpec
 from .morse import MorseReport, default_weights, is_admissible, order_bounds
-from .tower import TowerContext
+from .tower import RelationSet, TowerContext
 from .verify import run_all
 
 TABLE_CELLS = [(n, k) for n in range(2, 6) for k in range(n, 6)]
@@ -29,8 +29,8 @@ def _report_json_bytes(report: MorseReport) -> bytes:
     return (json.dumps(report.to_json_dict(), indent=2) + "\n").encode()
 
 
-def _relations_text(ctx: TowerContext) -> str:
-    return "\n".join(str(q) for q in ctx.relations.relations)
+def _unwritable(cache_dir: str, exc: OSError) -> CacheDirectoryError:
+    return CacheDirectoryError(f"cannot write cache directory {cache_dir}: {exc.strerror or exc}")
 
 
 def cached_reports(
@@ -44,14 +44,22 @@ def cached_reports(
     the default ladder.  A stored file that does not decode to a report is a
     miss.  Misses are computed in one batch, with the relations built for
     their keys, and each is stored once; ``cache.store`` replaces a bad file
-    atomically.
+    atomically.  Jobs on one (n, k) share one tower: its relations and their
+    key text are built once per call.  A cache directory that cannot be
+    created or written raises ``CacheDirectoryError``, before any miss is
+    computed where it can.
     """
     results: list[Optional[tuple[MorseReport, bytes]]] = []
     misses: list[tuple[int, str, sweep.Job]] = []
+    towers: dict[tuple[int, int], tuple[RelationSet, str]] = {}
     for spec, k, weights in jobs:
-        ctx = TowerContext(spec.n, k)
+        if (spec.n, k) not in towers:
+            rels = TowerContext(spec.n, k).relations
+            towers[spec.n, k] = rels, "\n".join(str(q) for q in rels.relations)
+        rels, relations_text = towers[spec.n, k]
+        ctx = rels.ctx
         w = default_weights(k).a if weights is None else tuple(weights)
-        key = cache.cache_key(ctx.n, ctx.r, ctx.k, spec.token, w, _relations_text(ctx))
+        key = cache.cache_key(ctx.n, ctx.r, ctx.k, spec.token, w, relations_text)
         stored = cache.fetch(cache_dir, key)
         hit = None
         if stored is not None:
@@ -60,12 +68,21 @@ def cached_reports(
             except (ValueError, KeyError, TypeError):
                 pass
         if hit is None:
-            misses.append((len(results), key, sweep.Job(spec, k, w, ctx.relations)))
+            misses.append((len(results), key, sweep.Job(spec, k, w, rels)))
         results.append(hit)
+    if misses:
+        # fail before computing anything that could not be stored
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise _unwritable(cache_dir, exc) from exc
     computed = sweep.compute_reports([job for _, _, job in misses], threads)
     for (index, key, _), report in zip(misses, computed):
         payload = _report_json_bytes(report)
-        cache.store(cache_dir, key, payload)
+        try:
+            cache.store(cache_dir, key, payload)
+        except OSError as exc:
+            raise _unwritable(cache_dir, exc) from exc
         results[index] = (report, payload)
     return results
 
@@ -304,7 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     try:
         return args.func(args)
-    except InadmissibleWeightsError as exc:
+    except (InadmissibleWeightsError, CacheDirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except JetboundError as exc:

@@ -31,3 +31,7 @@ class ResidualVariableError(JetboundError):
 
 class InadmissibleWeightsError(JetboundError):
     """A weight vector violates the nefness admissibility chain."""
+
+
+class CacheDirectoryError(JetboundError):
+    """The result cache directory cannot be created or written."""

@@ -3,12 +3,17 @@
 For an admissible weight vector ``a`` on a jet tower of total dimension
 ``N = n + k(n-1)``, the positivity criterion is the top intersection
 ``F^N - N * F^(N-1) * G`` with ``F = sum_j a_j u_j + 2|a| h`` and
-``G = 2|a| h``; it is computed as the single product ``(F - N*G) * F^(N-1)``
-so only one reduction pass is needed.  Evaluating the integrated class in the
-degree variable yields a univariate polynomial ``P(d)``; when its leading
-coefficient is positive, the effective threshold is the smallest positive
-integer beyond which ``P`` stays strictly positive, located by exact integer
-evaluation below the Cauchy root bound.
+``G = 2|a| h``.  It is integrated as the one class ``(F - N*G) * F^(N-1)``,
+so only one reduction pass is needed, and that class is assembled from one
+power with no product: the Euler operator ``h d/dh`` sends ``F^N`` to
+``N*G*F^(N-1)``, so ``(F - N*G) * F^(N-1) = F^N - h d/dh F^N``, whose
+coefficient of ``u^alpha h^beta`` is
+``(1 - beta) * N!/(alpha! beta!) * a^alpha * (2|a|)^beta``: the coefficient
+of that term in ``F^N`` scaled by ``1 - beta``.  Evaluating the integrated
+class in the degree variable yields a univariate polynomial ``P(d)``; when its
+leading coefficient is positive, the effective threshold is the smallest
+positive integer beyond which ``P`` stays strictly positive, located by exact
+integer evaluation below the Cauchy root bound.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
 from .geometry import EvaluatedClass, GeometrySpec, evaluate_in_degree, substitute_chern
-from .polyring import Polynomial
+from .polyring import Polynomial, _EXP_MASK
 from .tower import RelationSet, TowerContext, pushforward_to_base
 
 __all__ = [
@@ -111,16 +116,18 @@ def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) 
 
     ``F = sum_j a_j u_j + 2|a| h`` twists the weighted tautological bundle to
     a nef class, ``G = 2|a| h`` is the twisting class, and ``N`` is the total
-    tower dimension.
+    tower dimension.  Since ``h d/dh F^N = N*G*F^(N-1)``, the class equals
+    ``F^N - h d/dh F^N``: each term of ``F^N`` is scaled by ``1 - beta``,
+    ``beta`` its exponent of ``h``, and the ``beta = 1`` terms vanish.
     """
     w = _as_weights(weights)
     if w.k != ctx.k:
         raise InadmissibleWeightsError(f"got {w.k} weights for a tower of order {ctx.k}")
-    N = ctx.total_dim
-    twist = 2 * w.total
-    F = _weighted_form(ctx, w.a, twist)
-    G = twist * ctx.ring.variable(ctx.h)
-    return (F - N * G) * F ** (N - 1)
+    power = _weighted_form(ctx, w.a, 2 * w.total) ** ctx.total_dim
+    sh = ctx.ring.shift(ctx.h)
+    return ctx.ring.polynomial(
+        {key: (1 - ((key >> sh) & _EXP_MASK)) * coeff for key, coeff in power._terms.items()}
+    )
 
 
 def morse_polynomial(

@@ -248,9 +248,11 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         """Multinomial expansion over the terms; ``p**0 == 1``.
 
-        Each product of term powers is formed once, so the few-term first
-        Chern forms whose powers drive the pipeline never square a large
-        intermediate.
+        A dynamic program over the terms: after each term, ``layers[used]``
+        holds the expansion of the terms seen so far that uses ``used`` of the
+        exponent, with equal monomials merged.  The few-term first Chern forms
+        whose powers drive the pipeline never square a large intermediate, and
+        a base with many terms needs no recursion.
         """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
@@ -260,32 +262,29 @@ class Polynomial:
         if not items:
             return self.ring.zero
         self._check_capacity(self.total_degree * exponent)
-        powers = []
-        for _, coeff in items:
-            row = [1]
-            for _ in range(exponent):
-                row.append(row[-1] * coeff)
-            powers.append(row)
+        layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(exponent)]
         last = len(items) - 1
-        acc: dict[int, int] = {}
-
-        def expand(index: int, remaining: int, key: int, coeff: int) -> None:
-            if index == last:
-                k = key + items[index][0] * remaining
-                acc[k] = acc.get(k, 0) + coeff * powers[index][remaining]
-                return
-            key_step = items[index][0]
-            for take in range(remaining + 1):
-                expand(
-                    index + 1,
-                    remaining - take,
-                    key + key_step * take,
-                    coeff * comb(remaining, take) * powers[index][take],
-                )
-
-        expand(0, exponent, 0, 1)
-        del expand  # it refers to itself: without this, acc lives until the cyclic collector runs
-        return self.ring.polynomial(acc)
+        for index, (key_step, coeff) in enumerate(items):
+            step_powers = [1]
+            for _ in range(exponent):
+                step_powers.append(step_powers[-1] * coeff)
+            # in place, from the fullest layer down: a layer is read before any
+            # share of this term is added to it, and taking none leaves it as it is
+            for used in range(exponent - 1, -1, -1):
+                partial = layers[used]
+                if not partial:
+                    continue
+                remaining = exponent - used
+                # the last term takes whatever is left
+                for take in range(remaining if index == last else 1, remaining + 1):
+                    factor = comb(remaining, take) * step_powers[take]
+                    shift = key_step * take
+                    target = layers[used + take]
+                    get = target.get
+                    for k, c in partial.items():
+                        k += shift
+                        target[k] = get(k, 0) + c * factor
+        return self.ring.polynomial(layers[exponent])
 
     @staticmethod
     def _check_capacity(degree_bound) -> None:

@@ -267,6 +267,44 @@ def test_cache_file_names_are_stable(capsys, cache_dir, argv, name):
     assert os.listdir(cache_dir) == [name]
 
 
+def test_relations_built_once_per_call(capsys, cache_dir, monkeypatch):
+    from jetbound import tower
+
+    built = []
+    build = tower.build_relations
+
+    def counting(ctx):
+        built.append((ctx.n, ctx.k))
+        return build(ctx)
+
+    monkeypatch.setattr(tower, "build_relations", counting)
+    # a miss: its key and its compute share one tower
+    code, _, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "3", "--cache-dir", cache_dir)
+    assert code == 0
+    assert built == [(2, 3)]
+    # a cold sweep: every job's key and compute share one tower
+    built.clear()
+    code, _, _ = run_cli(capsys, "sweep", "--dim", "2", "--order", "3", "--budget", "6",
+                         "--cache-dir", os.path.join(cache_dir, "sweep"))
+    assert code == 0
+    assert built == [(2, 3)]
+
+
+@pytest.mark.parametrize("command", ["bound", "poly", "table", "sweep"])
+def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setattr("jetbound.cli.TABLE_CELLS", [(2, 2)])
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    argv = [command, "--cache-dir", str(path)]
+    if command != "table":
+        argv += ["--dim", "2", "--order", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write cache directory {path}: File exists\n"
+    assert path.read_text() == ""
+
+
 def test_bound_cache_hit_byte_identical(capsys, cache_dir):
     args = (
         "bound", "--dim", "2", "--order", "2", "--geometry", "log",

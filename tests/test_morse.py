@@ -1,6 +1,10 @@
 """Weight vectors, the positivity pipeline, thresholds, leading coefficients."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetbound import (
     EvaluatedClass,
@@ -83,6 +87,17 @@ def test_weight_vector_rejects_inadmissible():
 # ---- the Morse class ----------------------------------------------------------
 
 
+def _morse_class_by_product(ctx, a):
+    """``(F - N*G) * F^(N-1)`` by ring arithmetic."""
+    ring = ctx.ring
+    G = 2 * sum(a) * ring.variable(ctx.h)
+    F = G
+    for j, aj in enumerate(a, start=1):
+        F = F + aj * ring.variable(ctx.u(j))
+    N = ctx.total_dim
+    return (F - N * G) * F ** (N - 1)
+
+
 def test_morse_class_matches_formula():
     ctx = TowerContext(2, 2)
     ring = ctx.ring
@@ -92,6 +107,39 @@ def test_morse_class_matches_formula():
     N = ctx.total_dim
     assert N == 4
     assert morse_class(ctx, (2, 1)) == (F - N * G) * F ** (N - 1)
+    for n, k in [(2, 2), (3, 3), (3, 5), (4, 4)]:
+        ctx = TowerContext(n, k)
+        w = default_weights(k)
+        assert morse_class(ctx, w) == _morse_class_by_product(ctx, w.a)
+
+
+@st.composite
+def _admissible(draw, k):
+    """An admissible k-tuple: a_k >= 1, a_(k-1) >= 2a_k, a_j >= 3a_(j+1) below."""
+    a = [draw(st.integers(1, 3))]
+    for j in range(k - 1):
+        least = 2 * a[0] if j == 0 else 3 * a[0]
+        a.insert(0, least + draw(st.integers(0, 4)))
+    return tuple(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 3), k=st.integers(1, 3))
+def test_morse_class_equals_product_for_drawn_weights(data, n, k):
+    a = data.draw(_admissible(k))
+    assert is_admissible(a)
+    ctx = TowerContext(n, k)
+    assert morse_class(ctx, a) == _morse_class_by_product(ctx, a)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6) for k in range(n, 6)])
+def test_morse_class_term_count_and_no_linear_h(n, k):
+    # the coefficient of u^alpha h^beta carries the factor (1 - beta)
+    ctx = TowerContext(n, k)
+    cls = morse_class(ctx, default_weights(k))
+    N = ctx.total_dim
+    assert len(cls) == comb(N + k, k) - comb(N + k - 2, k - 1)
+    assert 1 not in {exponents.get(ctx.h, 0) for exponents, _ in cls.terms()}
 
 
 def test_morse_class_homogeneous():

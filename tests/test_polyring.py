@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetbound import NEG_INFINITY, Polynomial, Ring, reduce_monic
@@ -84,6 +84,13 @@ def test_pow_degenerate(ring):
     assert ring.zero**0 == ring.one
     with pytest.raises(ValueError):
         p ** -1
+
+
+def test_pow_of_a_base_with_many_terms():
+    ring = Ring(("x", "y"))
+    p = ring.polynomial({ring.encode({0: i, 1: j}): i - 2 * j + 1 for i in range(34) for j in range(34)})
+    assert len(p) > 1100
+    assert p**2 == p * p
 
 
 def test_coeff_of(ring):
@@ -173,6 +180,7 @@ def test_law_commutativity(p, q):
 
 
 @given(_polys, _polys, _polys)
+@example((1 + _laws_ring.variable("u1")) ** 10, _laws_ring.one, _laws_ring.one)  # dense: powers merge terms
 @settings(max_examples=60)
 def test_law_associativity_distributivity(p, q, r):
     assert (p + q) + r == p + (q + r)

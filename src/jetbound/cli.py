@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -25,8 +24,9 @@ from .verify import run_all
 TABLE_CELLS = [(n, k) for n in range(2, 6) for k in range(n, 6)]
 
 
-def _report_json_bytes(report: MorseReport) -> bytes:
-    return (json.dumps(report.to_json_dict(), indent=2) + "\n").encode()
+def _json_text(data) -> str:
+    """The canonical JSON of every command and of every stored report."""
+    return json.dumps(data, indent=2) + "\n"
 
 
 def _unwritable(cache_dir: str, exc: OSError) -> CacheDirectoryError:
@@ -37,19 +37,19 @@ def cached_reports(
     jobs: Sequence[tuple[GeometrySpec, int, Optional[Sequence[int]]]],
     threads: int,
     cache_dir: str,
-) -> list[tuple[MorseReport, bytes]]:
+) -> list[MorseReport]:
     """Fetch or compute the report of every ``(spec, k, weights)`` job, in job order.
 
-    Each report comes with its canonical JSON bytes; ``weights=None`` means
-    the default ladder.  A stored file that does not decode to a report is a
-    miss.  Misses are computed in one batch, with the relations built for
-    their keys, and each is stored once; ``cache.store`` replaces a bad file
-    atomically.  Jobs on one (n, k) share one tower: its relations and their
-    key text are built once per call.  A cache directory that cannot be
+    ``weights=None`` means the default ladder.  A stored file is a miss unless
+    it decodes to a report of the job's own (n, k, geometry, weights).  Misses
+    are computed in one batch, with the relations built for their keys, and
+    each is stored once as its canonical JSON; ``cache.store`` replaces a bad
+    file atomically.  Jobs on one (n, k) share one tower: its relations and
+    their key text are built once per call.  A cache directory that cannot be
     created or written raises ``CacheDirectoryError``, before any miss is
     computed where it can.
     """
-    results: list[Optional[tuple[MorseReport, bytes]]] = []
+    results: list[Optional[MorseReport]] = []
     misses: list[tuple[int, str, sweep.Job]] = []
     towers: dict[tuple[int, int], tuple[RelationSet, str]] = {}
     for spec, k, weights in jobs:
@@ -64,9 +64,11 @@ def cached_reports(
         hit = None
         if stored is not None:
             try:
-                hit = (MorseReport.from_json_dict(json.loads(stored)), stored)
+                hit = MorseReport.from_json_dict(json.loads(stored))
             except (ValueError, KeyError, TypeError):
                 pass
+        if hit is not None and (hit.n, hit.k, hit.geometry, hit.weights) != (spec.n, k, spec.token, w):
+            hit = None  # another configuration's report under this key
         if hit is None:
             misses.append((len(results), key, sweep.Job(spec, k, w, rels)))
         results.append(hit)
@@ -78,12 +80,11 @@ def cached_reports(
             raise _unwritable(cache_dir, exc) from exc
     computed = sweep.compute_reports([job for _, _, job in misses], threads)
     for (index, key, _), report in zip(misses, computed):
-        payload = _report_json_bytes(report)
         try:
-            cache.store(cache_dir, key, payload)
+            cache.store(cache_dir, key, _json_text(report.to_json_dict()).encode())
         except OSError as exc:
             raise _unwritable(cache_dir, exc) from exc
-        results[index] = (report, payload)
+        results[index] = report
     return results
 
 
@@ -106,163 +107,128 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return weights
 
 
-def _print_report_text(report: MorseReport) -> None:
-    print(f"dim       : {report.n}")
-    print(f"order     : {report.k}")
-    print(f"geometry  : {report.geometry}")
-    print(f"weights   : {','.join(str(w) for w in report.weights)}")
-    print(f"total dim : {report.total_dim}")
-    print(f"P(d)      : {report.morse_poly}")
-    print(f"leading   : {report.leading_coeff}")
-    if report.threshold is not None:
-        print(f"threshold : {report.threshold}")
+def _emit(fmt: str, data, rows: list, lines: list[str]) -> None:
+    """Print one command's result: ``data`` as JSON, ``rows`` as CSV or ``lines`` as text."""
+    if fmt == "json":
+        sys.stdout.write(_json_text(data))
+    elif fmt == "csv":
+        csv.writer(sys.stdout).writerows(rows)
     else:
-        print("threshold : none (leading coefficient is not positive)")
+        for line in lines:
+            print(line)
+
+
+_REPORT_HEADER = ["dim", "order", "geometry", "weights", "total_dim", "leading_coeff", "threshold", "polynomial"]
+
+
+def _report_row(report: MorseReport) -> list:
+    return [
+        report.n,
+        report.k,
+        report.geometry,
+        ";".join(str(w) for w in report.weights),
+        report.total_dim,
+        str(report.leading_coeff),
+        "" if report.threshold is None else report.threshold,
+        ";".join(str(c) for c in report.morse_poly.coeffs),
+    ]
+
+
+def _report_lines(report: MorseReport) -> list[str]:
+    lines = [
+        f"dim       : {report.n}",
+        f"order     : {report.k}",
+        f"geometry  : {report.geometry}",
+        f"weights   : {','.join(str(w) for w in report.weights)}",
+        f"total dim : {report.total_dim}",
+        f"P(d)      : {report.morse_poly}",
+        f"leading   : {report.leading_coeff}",
+    ]
+    if report.threshold is not None:
+        lines.append(f"threshold : {report.threshold}")
+    else:
+        lines.append("threshold : none (leading coefficient is not positive)")
     if report.k == 1:
-        print("note      : order 1 is a degenerate tower; threshold is indicative only")
-    print(f"elapsed   : {report.elapsed_ms} ms")
+        lines.append("note      : order 1 is a degenerate tower; threshold is indicative only")
+    lines.append(f"elapsed   : {report.elapsed_ms} ms")
+    return lines
 
 
-def _report_csv(report: MorseReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["dim", "order", "geometry", "weights", "total_dim", "leading_coeff", "threshold", "polynomial"]
-    )
-    writer.writerow(
-        [
-            report.n,
-            report.k,
-            report.geometry,
-            ";".join(str(w) for w in report.weights),
-            report.total_dim,
-            str(report.leading_coeff),
-            "" if report.threshold is None else report.threshold,
-            ";".join(str(c) for c in report.morse_poly.coeffs),
-        ]
-    )
-    return buf.getvalue()
+def _table_lines(thresholds: dict, bounds: dict) -> list[str]:
+    """The n-by-k grid of bounds; a bound taken from a lower order is starred."""
+    lower = {cell for cell, bound in bounds.items() if bound != thresholds[cell]}
+    orders = range(2, 6)
+    lines = ["geometry: log", ("  n\\k" + "".join(f"{k:>7} " for k in orders)).rstrip()]
+    for n in range(2, 6):
+        row = [f"{n:>5}"]
+        for k in orders:
+            bound = bounds.get((n, k))
+            mark = "*" if (n, k) in lower else " "
+            row.append(f"{'-' if bound is None else bound:>7}{mark}")
+        lines.append("".join(row).rstrip())
+    if lower:
+        lines.append("* threshold of a lower order j < k; it bounds order k since E_{j,m} is in E_{k,m}")
+    return lines
 
 
-def _one_report(args) -> tuple[MorseReport, bytes]:
+# Each command returns its exit code and its result in the three shapes
+# ``_emit`` prints: a JSON object, CSV rows and text lines.
+
+
+def _one_report(args) -> MorseReport:
     """The cached report that ``bound`` and ``poly`` print."""
     spec = GeometrySpec.from_token(args.geometry, args.dim)
     weights = _parse_weights(args.weights) if args.weights else None
-    (result,) = cached_reports([(spec, args.order, weights)], 1, cache.resolve_cache_dir(args.cache_dir))
-    return result
+    return cached_reports([(spec, args.order, weights)], 1, cache.resolve_cache_dir(args.cache_dir))[0]
 
 
-def cmd_bound(args) -> int:
-    report, payload = _one_report(args)
-    if args.format == "json":
-        sys.stdout.write(payload.decode())
-    elif args.format == "csv":
-        sys.stdout.write(_report_csv(report))
-    else:
-        _print_report_text(report)
-    return 0 if report.threshold is not None else 3
+def cmd_bound(args):
+    report = _one_report(args)
+    code = 0 if report.threshold is not None else 3
+    return code, report.to_json_dict(), [_REPORT_HEADER, _report_row(report)], _report_lines(report)
 
 
-def cmd_poly(args) -> int:
-    report, _ = _one_report(args)
-    if args.format == "json":
-        print(json.dumps({"dim": report.n, "order": report.k, "geometry": report.geometry,
-                          "polynomial": [str(c) for c in report.morse_poly.coeffs]}, indent=2))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["power", "coefficient"])
-        for i, c in enumerate(report.morse_poly.coeffs):
-            writer.writerow([i, str(c)])
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(report.morse_poly)
-    return 0
+def cmd_poly(args):
+    report = _one_report(args)
+    coeffs = [str(c) for c in report.morse_poly.coeffs]
+    data = {"dim": report.n, "order": report.k, "geometry": report.geometry, "polynomial": coeffs}
+    return 0, data, [["power", "coefficient"], *enumerate(coeffs)], [str(report.morse_poly)]
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     jobs = [(GeometrySpec.from_token("log", n), k, None) for n, k in TABLE_CELLS]
-    results = cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
-    reports = {cell: report for cell, (report, _) in zip(TABLE_CELLS, results)}
-    thresholds = {cell: report.threshold for cell, report in reports.items()}
+    reports = cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
+    thresholds = {cell: report.threshold for cell, report in zip(TABLE_CELLS, reports)}
     bounds = order_bounds(thresholds)
-    if args.format == "json":
-        cells = [
-            {"dim": n, "order": k, "threshold": thresholds[(n, k)], "bound": bounds[(n, k)]}
-            for n, k in TABLE_CELLS
-        ]
-        print(json.dumps({"geometry": "log", "cells": cells}, indent=2))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["dim", "order", "threshold", "bound"])
-        for n, k in TABLE_CELLS:
-            writer.writerow([n, k, thresholds[(n, k)], bounds[(n, k)]])
-        sys.stdout.write(buf.getvalue())
-    else:
-        lower = {cell for cell, bound in bounds.items() if bound != thresholds[cell]}
-        orders = range(2, 6)
-        print("geometry: log")
-        print(("  n\\k" + "".join(f"{k:>7} " for k in orders)).rstrip())
-        for n in range(2, 6):
-            row = [f"{n:>5}"]
-            for k in orders:
-                bound = bounds.get((n, k))
-                mark = "*" if (n, k) in lower else " "
-                row.append(f"{'-' if bound is None else bound:>7}{mark}")
-            print("".join(row).rstrip())
-        if lower:
-            print("* threshold of a lower order j < k; it bounds order k since E_{j,m} is in E_{k,m}")
-    return 0
+    cells = [[n, k, thresholds[(n, k)], bounds[(n, k)]] for n, k in TABLE_CELLS]
+    header = ["dim", "order", "threshold", "bound"]
+    data = {"geometry": "log", "cells": [dict(zip(header, cell)) for cell in cells]}
+    return 0, data, [header, *cells], _table_lines(thresholds, bounds)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     spec = GeometrySpec.from_token(args.geometry, args.dim)
     jobs = [(spec, args.order, w.a) for w in sweep.enumerate_admissible(args.order, args.budget)]
-    results = cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
-    result = sweep.SweepResult.from_reports([report for report, _ in results])
+    result = sweep.SweepResult.from_reports(
+        cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
+    )
     best = result.best
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "dim": args.dim,
-                    "order": args.order,
-                    "geometry": args.geometry,
-                    "budget": args.budget,
-                    "evaluated": result.evaluated,
-                    "best": best.to_json_dict(),
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "csv":
-        sys.stdout.write(_report_csv(best))
-    else:
-        print(f"evaluated : {result.evaluated} candidates")
-        print(f"best      : {','.join(str(w) for w in best.weights)}")
-        _print_report_text(best)
-    return 0 if best.threshold is not None else 3
+    data = {"dim": args.dim, "order": args.order, "geometry": args.geometry,
+            "budget": args.budget, "evaluated": result.evaluated, "best": best.to_json_dict()}
+    lines = [f"evaluated : {result.evaluated} candidates",
+             f"best      : {','.join(str(w) for w in best.weights)}", *_report_lines(best)]
+    code = 0 if best.threshold is not None else 3
+    return code, data, [_REPORT_HEADER, _report_row(best)], lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     results = run_all(max_n=args.dim_max)
-    failed = [r for r in results if not r.passed]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]},
-                indent=2,
-            )
-        )
-    else:
-        for r in results:
-            line = f"{'PASS' if r.passed else 'FAIL'}  {r.name}"
-            if r.detail:
-                line += f"  ({r.detail})"
-            print(line)
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 0 if not failed else 4
+    passed = sum(r.passed for r in results)
+    data = {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]}
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}" + (f"  ({r.detail})" if r.detail else "")
+             for r in results]
+    lines.append(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 4, data, [], lines
 
 
 def _add_common(parser: argparse.ArgumentParser, *, dim_order: bool = True) -> None:
@@ -320,13 +286,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{args.command} requires --{name.replace('_', '-')} >= {least}", file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        code, data, rows, lines = args.func(args)
     except (InadmissibleWeightsError, CacheDirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except JetboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    _emit(args.format, data, rows, lines)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ of that term in ``F^N`` scaled by ``1 - beta``.  Evaluating the integrated
 class in the degree variable yields a univariate polynomial ``P(d)``; when its
 leading coefficient is positive, the effective threshold is the smallest
 positive integer beyond which ``P`` stays strictly positive, located by exact
-integer evaluation below the Cauchy root bound.
+integer evaluation below a power-of-two root bound.
 """
 
 from __future__ import annotations
@@ -151,44 +151,24 @@ def morse_polynomial(
     return evaluate_in_degree(ctx, base, spec)
 
 
-def _integer_root_ceiling(x: int, i: int) -> int:
-    """Smallest integer whose i-th power is >= x (x >= 0), by bisection."""
-    if x <= 1 or i == 1:
-        return x
-    hi = 1 << (-(-x.bit_length() // i) + 1)
-    lo = 0
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid**i < x:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def degree_threshold(P: EvaluatedClass) -> Optional[int]:
     """Smallest positive integer beyond which ``P`` stays strictly positive.
 
-    Absent (None) when the leading coefficient is not positive.  Every real
-    root of ``P`` is bounded above by the Cauchy bound
-    ``1 + max|coeff| / leading`` and by the Fujiwara bound
-    ``2 max_i (|coeff_(deg-i)| / leading)^(1/i)``; scanning the integers down
-    from the smaller of the two for the largest non-positive value is exact.
-    (The Cauchy bound alone is astronomically loose at dimension 5.)
+    Absent (None) when the leading coefficient is not positive.  With
+    ``P = lead*d^m + sum_i c_i d^i``, the first power of two ``B`` with
+    ``lead*B^m > sum_i |c_i|*B^i`` bounds every real root: dividing by
+    ``B^m``, the leading term dominates at every ``x >= B`` as well, so
+    ``P(x) > 0`` there and scanning the integers below ``B`` downwards for
+    the largest non-positive value is exact.
     """
     lead = P.leading_coefficient
     if lead <= 0:
         return None
     rest = [abs(c) for c in P.coeffs[:-1]]
-    if not rest or not any(rest):
-        return 1
-    cauchy = 2 + max(rest) // lead
-    fujiwara = 2 * max(
-        _integer_root_ceiling(abs(c) // lead + 1, len(rest) - i)
-        for i, c in enumerate(P.coeffs[:-1])
-        if c
-    )
-    for x in range(min(cauchy, fujiwara + 1), 0, -1):
+    bound = 1
+    while lead * bound ** len(rest) <= sum(c * bound**i for i, c in enumerate(rest)):
+        bound *= 2
+    for x in range(bound - 1, 0, -1):
         if P(x) <= 0:
             return x + 1
     return 1

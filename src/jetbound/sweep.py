@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .geometry import GeometrySpec
 from .morse import MorseReport, WeightVector, compute_report
@@ -27,39 +27,20 @@ from .tower import RelationSet, TowerContext
 __all__ = ["enumerate_admissible", "Job", "SweepResult", "compute_reports", "run_sweep"]
 
 
-def _tuples_with_total(k: int, total: int) -> list[tuple[int, ...]]:
-    """All admissible k-tuples with the given total, ascending lex order."""
-    found: list[tuple[int, ...]] = []
+def _chains(k: int, total: int, suffix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Admissible k-tuples with the given total that end in ``suffix``.
 
-    def descend(position: int, remaining: int, suffix: tuple[int, ...]) -> None:
-        # positions are filled from a_k leftwards; a_1 absorbs the rest
-        if position == 1:
-            a1 = remaining
-            if k == 1:
-                ok = a1 >= 1
-            elif k == 2:
-                ok = a1 >= 2 * suffix[0]
-            else:
-                ok = a1 >= 3 * suffix[0]
-            if ok and a1 >= 1:
-                found.append((a1,) + suffix)
-            return
-        if position == k:
-            lower = 1
-        elif position == k - 1:
-            lower = 2 * suffix[0]
-        else:
-            lower = 3 * suffix[0]
-        value = lower
-        while value < remaining:  # a_1 needs at least 1 left
-            descend(position - 1, remaining - value, (value,) + suffix)
-            value += 1
-
-    if k == 1:
-        return [(total,)] if total >= 1 else []
-    descend(k, total, ())
-    found.sort()
-    return found
+    Positions are filled from a_k leftwards, each at least its lower bound:
+    1 at a_k, 2*a_k at a_(k-1) and 3*a_(j+1) elsewhere; a_1 takes the rest.
+    """
+    position = k - len(suffix)
+    lower = 1 if not suffix else (2 if position == k - 1 else 3) * suffix[0]
+    if position == 1:
+        if total >= lower:
+            yield (total,) + suffix
+        return
+    for value in range(lower, total // 3 + 1):  # a_(position-1) needs at least 2*value left
+        yield from _chains(k, total - value, (value,) + suffix)
 
 
 def enumerate_admissible(k: int, count: int) -> list[WeightVector]:
@@ -71,7 +52,7 @@ def enumerate_admissible(k: int, count: int) -> list[WeightVector]:
     out: list[WeightVector] = []
     total = 3 ** (k - 1)  # total of the default ladder, the admissible minimum
     while len(out) < count:
-        for a in _tuples_with_total(k, total):
+        for a in sorted(_chains(k, total)):
             out.append(WeightVector(a))
             if len(out) == count:
                 break

@@ -16,5 +16,4 @@ def table_cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def table_reports(table_cache_dir):
-    results = cached_reports(TABLE_JOBS, 1, table_cache_dir)
-    return {cell: report for cell, (report, _) in zip(TABLE_CELLS, results)}
+    return dict(zip(TABLE_CELLS, cached_reports(TABLE_JOBS, 1, table_cache_dir)))

@@ -6,6 +6,9 @@ import dataclasses
 import io
 import json
 import os
+import pathlib
+import re
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,9 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+EXPECTED = pathlib.Path(__file__).parent / "cli_expected"
 
 
 @pytest.fixture()
@@ -314,6 +320,53 @@ def test_bound_cache_hit_byte_identical(capsys, cache_dir):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+    (name,) = os.listdir(cache_dir)
+    with open(os.path.join(cache_dir, name), "rb") as fh:
+        assert fh.read() == out2.encode()  # the hit serialises the report to the stored bytes
+
+
+def test_cache_file_of_another_configuration_is_a_miss(capsys, cache_dir):
+    args = ("bound", "--dim", "2", "--order", "2", "--format", "json", "--cache-dir", cache_dir)
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0
+    (path,) = [os.path.join(cache_dir, name) for name in os.listdir(cache_dir)]
+    code, _, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "3", "--cache-dir", cache_dir)
+    assert code == 0
+    (other,) = [os.path.join(cache_dir, name) for name in os.listdir(cache_dir)
+                if os.path.join(cache_dir, name) != path]
+    shutil.copyfile(other, path)  # the order-3 report under the order-2 key
+    code, second, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    data = json.loads(second)
+    assert (data["order"], data["weights"], data["threshold"]) == (2, [2, 1], 15)
+    strip = lambda text: {k: v for k, v in json.loads(text).items() if k != "elapsed_ms"}
+    assert strip(second) == strip(first)
+    with open(path) as fh:
+        assert fh.read() == second  # the recomputed report replaced the other one
+
+
+_FULL_OUTPUT_CASES = [
+    (name, fmt, argv)
+    for name, argv in [
+        ("bound", ("--dim", "2", "--order", "2")),
+        ("poly", ("--dim", "2", "--order", "3")),
+        ("sweep", ("--dim", "2", "--order", "3", "--budget", "6")),
+        ("table", ()),
+    ]
+    for fmt in ("text", "json", "csv")
+] + [("verify", fmt, ("--dim-max", "2")) for fmt in ("text", "json")]
+
+
+@pytest.mark.parametrize("command,fmt,argv", _FULL_OUTPUT_CASES,
+                         ids=[f"{c}-{f}" for c, f, _ in _FULL_OUTPUT_CASES])
+def test_full_stdout_is_pinned(capsys, cache_dir, table_cache_dir, command, fmt, argv):
+    # the files hold the whole output, CSV line endings included, with elapsed times as <ms>
+    if command != "verify":
+        argv += ("--cache-dir", table_cache_dir if command == "table" else cache_dir)
+    code, out, err = run_cli(capsys, command, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    untimed = re.sub(r'(elapsed   : |"elapsed_ms": )[0-9.]+', r"\1<ms>", out)
+    assert untimed == (EXPECTED / f"{command}.{fmt}").read_bytes().decode()
 
 
 def test_cache_entry_equals_fresh_recomputation(capsys, cache_dir):
@@ -321,14 +374,14 @@ def test_cache_entry_equals_fresh_recomputation(capsys, cache_dir):
     from jetbound.morse import compute_report
 
     spec = logarithmic_pair(2)
-    ((cached, _),) = cached_reports([(spec, 2, None)], 1, cache_dir)
-    ((again, _),) = cached_reports([(spec, 2, None)], 1, cache_dir)
+    (cached,) = cached_reports([(spec, 2, None)], 1, cache_dir)
+    (again,) = cached_reports([(spec, 2, None)], 1, cache_dir)
     fresh = compute_report(spec, 2)
     strip = lambda report: {
         k: v for k, v in report.to_json_dict().items() if k != "elapsed_ms"
     }
     assert strip(cached) == strip(fresh)
-    assert again == cached  # replayed bytes parse to the identical report
+    assert again == cached  # the stored file decodes to the identical report
 
 
 def test_env_var_cache_dir(capsys, tmp_path, monkeypatch):
@@ -510,6 +563,12 @@ def test_enumerate_admissible_order_and_content():
     ladder = enumerate_admissible(4, 3)
     assert ladder[0].a == (18, 6, 2, 1)
     assert all(sum(ladder[i].a) <= sum(ladder[i + 1].a) for i in range(len(ladder) - 1))
+    # the candidates of a (3,5) sweep of budget 12
+    assert [w.a for w in enumerate_admissible(5, 12)] == [
+        (54, 18, 6, 2, 1), (55, 18, 6, 2, 1), (56, 18, 6, 2, 1), (57, 18, 6, 2, 1),
+        (57, 19, 6, 2, 1), (58, 18, 6, 2, 1), (58, 19, 6, 2, 1), (59, 18, 6, 2, 1),
+        (59, 19, 6, 2, 1), (60, 18, 6, 2, 1), (60, 19, 6, 2, 1), (61, 18, 6, 2, 1),
+    ]
     for k in (0, -1):
         with pytest.raises(ValueError):
             enumerate_admissible(k, 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -70,7 +71,7 @@ def cached_reports(
         if hit is not None and (hit.n, hit.k, hit.geometry, hit.weights) != (spec.n, k, spec.token, w):
             hit = None  # another configuration's report under this key
         if hit is None:
-            misses.append((len(results), key, sweep.Job(spec, k, w, rels)))
+            misses.append((len(results), key, sweep.Job(spec, w, rels)))
         results.append(hit)
     if misses:
         # fail before computing anything that could not be stored
@@ -278,9 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built on first use."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     for name, least in _MINIMA:
         if getattr(args, name, least) < least:
             print(f"{args.command} requires --{name.replace('_', '-')} >= {least}", file=sys.stderr)

@@ -14,6 +14,11 @@ class in the degree variable yields a univariate polynomial ``P(d)``; when its
 leading coefficient is positive, the effective threshold is the smallest
 positive integer beyond which ``P`` stays strictly positive, located by exact
 integer evaluation below a power-of-two root bound.
+
+``compute_batch`` runs the pipeline for several weight vectors on one tower
+with one pushforward: their classes are packed into the slots of one class's
+coefficients, each slot wider than ``slot_bits`` proves any base coefficient
+can be.  ``compute_report`` and ``morse_polynomial`` are batches of one.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ __all__ = [
     "leading_degree_coefficient",
     "symbolic_leading_form",
     "MorseReport",
+    "PACKED_BITS",
+    "slot_bits",
+    "compute_batch",
     "compute_report",
 ]
 
@@ -142,13 +150,7 @@ def morse_polynomial(
     The value equals evaluating ``integrate_fibers(reduce_tower(...))``; the
     integration is performed by the single-pass pushforward.
     """
-    w = default_weights(k) if weights is None else _as_weights(weights)
-    if rels is None:
-        rels = TowerContext(spec.n, k).relations
-    ctx = rels.ctx
-    cls = morse_class(ctx, w)
-    base = pushforward_to_base(cls, rels)
-    return evaluate_in_degree(ctx, base, spec)
+    return compute_report(spec, k, weights, rels=rels).morse_poly
 
 
 def degree_threshold(P: EvaluatedClass) -> Optional[int]:
@@ -277,6 +279,111 @@ class MorseReport:
         )
 
 
+#: Width in bits of one packed coefficient: at most this many bits of slots
+#: share a pass, which caps the pass's big-integer sizes and so its memory.
+PACKED_BITS = 1024
+
+
+def slot_bits(rels: RelationSet, total: int) -> int:
+    """Width of one packed slot: one bit above a bound on every base coefficient.
+
+    The bound holds for every admissible vector of weight total ``|a| <=
+    total`` on the tower of ``rels``.  Each coefficient of ``F^N`` is
+    ``N!/(alpha! beta!) a^alpha (2|a|)^beta``, so the l1-norm of ``F^N`` is
+    ``(3|a|)^N`` and that of the class, whose terms are scaled by
+    ``1 - beta``, is at most ``max(N - 1, 1) (3|a|)^N``.  Level j sends a
+    term ``u_j^M t`` to ``t * pi(u_j^M)``, where ``pi(u^(r-1)) = 1``, lower
+    powers go to zero and ``pi(u^M) = -sum_l c_l^[j-1] pi(u^(M-l))``; so the
+    l1-norm of ``pi(u^M)`` is at most ``rho_M`` with ``rho_(r-1) = 1`` and
+    ``rho_M = sum_l |c_l^[j-1]|_1 rho_(M-l)``.  The class has weighted degree
+    ``N - (k-j)(r-1)`` when it reaches level j, which bounds ``M``, and each
+    level multiplies the norm by at most the largest ``rho_M`` below it.
+    """
+    ctx = rels.ctx
+    r, N = ctx.r, ctx.total_dim
+    bound = max(N - 1, 1) * (3 * total) ** N
+    for j in range(1, ctx.k + 1):
+        norms = [sum(map(abs, cls._terms.values())) for cls in rels.lifted[j - 1]]
+        rho = [0] * (r - 1) + [1]
+        for M in range(r, N - (ctx.k - j) * (r - 1) + 1):
+            rho.append(sum(norms[l - 1] * rho[M - l] for l in range(1, r + 1)))
+        bound *= max(rho)
+    return bound.bit_length() + 1
+
+
+def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: int) -> Polynomial:
+    """The Morse classes of ``weights`` in one class, slot i of each coefficient holding class i.
+
+    Each class is dropped once it is packed; a batch of one is the class itself.
+    """
+    if len(weights) == 1:
+        return morse_class(ctx, weights[0])
+    terms: dict[int, int] = {}
+    get = terms.get
+    for i, w in enumerate(weights):
+        shift = i * bits
+        for key, coeff in morse_class(ctx, w)._terms.items():
+            terms[key] = get(key, 0) + (coeff << shift)
+    return ctx.ring.polynomial(terms)
+
+
+def _unpack(packed: Polynomial, bits: int, count: int) -> list[Polynomial]:
+    """The ``count`` classes packed in ``packed``, slot i holding class i.
+
+    Slots below the top are read off as balanced base-``2^bits`` digits, each
+    in ``[-2^(bits-1), 2^(bits-1))``; the top slot is what remains.
+    """
+    full, half = 1 << bits, 1 << (bits - 1)
+    slots: list[dict[int, int]] = [{} for _ in range(count)]
+    for key, value in packed._terms.items():
+        for slot in slots[:-1]:
+            digit = value & (full - 1)
+            if digit >= half:
+                digit -= full
+            slot[key] = digit
+            value = (value - digit) >> bits
+        slots[-1][key] = value
+    return [packed.ring.polynomial(slot) for slot in slots]
+
+
+def compute_batch(
+    rels: RelationSet,
+    jobs: Sequence[tuple[GeometrySpec, Union[WeightVector, Sequence[int]]]],
+) -> list[MorseReport]:
+    """The report of every ``(spec, weights)`` job on the tower of ``rels``, in job order.
+
+    All jobs share one pushforward.  The Morse classes are packed into one
+    class whose coefficients are ``sum_i c_i 2^(i*bits)``, the class of job i
+    in slot i, with ``bits`` from ``slot_bits``.  ``pushforward_to_base`` is
+    Z-linear in the coefficients, and its degree cut and its dropping of
+    zero terms never depend on a coefficient's value, so the packed base
+    class holds the base class of every job in its slot exactly; a batch of
+    one pushes the class itself forward.  Each class is dropped once packed.
+    Each report's ``elapsed_ms`` is an even share of the pass's wall time.
+    """
+    ctx = rels.ctx
+    weights = [_as_weights(w) for _, w in jobs]
+    start = time.perf_counter()
+    bits = slot_bits(rels, max(w.total for w in weights))
+    bases = _unpack(pushforward_to_base(_pack(ctx, weights, bits), rels), bits, len(jobs))
+    polys = [evaluate_in_degree(ctx, base, spec) for (spec, _), base in zip(jobs, bases)]
+    elapsed_ms = round((time.perf_counter() - start) * 1000.0 / len(jobs), 3)
+    return [
+        MorseReport(
+            n=spec.n,
+            k=ctx.k,
+            geometry=spec.token,
+            weights=w.a,
+            total_dim=ctx.total_dim,
+            morse_poly=P,
+            leading_coeff=P.leading_coefficient,
+            threshold=degree_threshold(P),
+            elapsed_ms=elapsed_ms,
+        )
+        for (spec, _), w, P in zip(jobs, weights, polys)
+    ]
+
+
 def compute_report(
     spec: GeometrySpec,
     k: int,
@@ -284,19 +391,8 @@ def compute_report(
     *,
     rels: Optional[RelationSet] = None,
 ) -> MorseReport:
-    """Run the full pipeline for one configuration and time it."""
+    """Run the full pipeline for one configuration and time it: a batch of one."""
     w = default_weights(k) if weights is None else _as_weights(weights)
-    start = time.perf_counter()
-    P = morse_polynomial(spec, k, w, rels=rels)
-    elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    return MorseReport(
-        n=spec.n,
-        k=k,
-        geometry=spec.token,
-        weights=w.a,
-        total_dim=spec.n + k * (spec.n - 1),
-        morse_poly=P,
-        leading_coeff=P.leading_coefficient,
-        threshold=degree_threshold(P),
-        elapsed_ms=elapsed_ms,
-    )
+    if rels is None:
+        rels = TowerContext(spec.n, k).relations
+    return compute_batch(rels, [(spec, w)])[0]

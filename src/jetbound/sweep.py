@@ -10,8 +10,13 @@ any parallelism.
 
 ``compute_reports`` is the package's one batch computation, serial or on a
 process pool; ``run_sweep`` and the command line's cached path both use it.
-Both ways run the same ``Job`` through the same function: the pool receives
-each job with its tower relations rather than rebuilding them.
+It groups the jobs by their relation set and splits each group into packed
+passes of even size, as many jobs each as ``morse.PACKED_BITS`` holds slots
+of ``morse.slot_bits``.  A pass is one chunk, the tower's relations and the
+(geometry, weights) of its jobs, and ``morse.compute_batch`` computes it in
+one pushforward.  Serial and pool runs map the same chunks through the same
+function; the pool receives each chunk with its relations rather than
+rebuilding them, and the reports come back in job order.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .geometry import GeometrySpec
-from .morse import MorseReport, WeightVector, compute_report
+from .morse import PACKED_BITS, MorseReport, WeightVector, compute_batch, slot_bits
 from .tower import RelationSet, TowerContext
 
 __all__ = ["enumerate_admissible", "Job", "SweepResult", "compute_reports", "run_sweep"]
@@ -64,7 +69,6 @@ class Job(NamedTuple):
     """One configuration to compute, with the tower relations built for it."""
 
     spec: GeometrySpec
-    k: int
     weights: tuple[int, ...]
     rels: RelationSet
 
@@ -85,20 +89,44 @@ class SweepResult:
         return SweepResult(best=min(reports, key=_rank), evaluated=len(reports), reports=tuple(reports))
 
 
-def _compute(job: Job) -> MorseReport:
-    return compute_report(job.spec, job.k, job.weights, rels=job.rels)
+def _passes(jobs: Sequence[Job]) -> list[list[int]]:
+    """Job indices grouped by relation set and split into packed passes of even size.
+
+    A pass holds at most ``PACKED_BITS // slot_bits`` jobs, the slot width
+    taken at the largest weight total of the tower's jobs.
+    """
+    towers: dict[RelationSet, list[int]] = {}
+    for index, job in enumerate(jobs):
+        towers.setdefault(job.rels, []).append(index)
+    passes = []
+    for rels, indices in towers.items():
+        width = max(1, PACKED_BITS // slot_bits(rels, max(sum(jobs[i].weights) for i in indices)))
+        count = -(-len(indices) // width)
+        size = -(-len(indices) // count)
+        passes += [indices[start:start + size] for start in range(0, len(indices), size)]
+    return passes
+
+
+def _compute(chunk: tuple[RelationSet, list[tuple[GeometrySpec, tuple[int, ...]]]]) -> list[MorseReport]:
+    return compute_batch(*chunk)
 
 
 def compute_reports(jobs: Sequence[Job], threads: int = 1) -> list[MorseReport]:
     """The report of every job, in job order, each computed with the job's own relations.
 
-    With more than one thread the jobs go to a process pool as they are,
-    relations included, and the reports come back pickled.
+    Each pass of ``_passes`` is one chunk for ``morse.compute_batch``.  With
+    more than one thread the chunks go to a process pool, and the reports
+    come back pickled.
     """
-    if threads > 1 and jobs:
+    passes = _passes(jobs)
+    chunks = [(jobs[p[0]].rels, [(jobs[i].spec, jobs[i].weights) for i in p]) for p in passes]
+    if threads > 1 and chunks:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_compute, jobs))
-    return list(map(_compute, jobs))
+            batches = list(pool.map(_compute, chunks))
+    else:
+        batches = list(map(_compute, chunks))
+    by_index = {i: report for indices, batch in zip(passes, batches) for i, report in zip(indices, batch)}
+    return [by_index[i] for i in range(len(jobs))]
 
 
 def run_sweep(
@@ -110,4 +138,4 @@ def run_sweep(
     """Evaluate the first ``budget`` admissible vectors and return the best; uncached."""
     candidates = enumerate_admissible(k, budget)
     rels = TowerContext(spec.n, k).relations
-    return SweepResult.from_reports(compute_reports([Job(spec, k, w.a, rels) for w in candidates], threads))
+    return SweepResult.from_reports(compute_reports([Job(spec, w.a, rels) for w in candidates], threads))

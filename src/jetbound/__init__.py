@@ -28,7 +28,6 @@ from .morse import (
     default_weights,
     degree_threshold,
     is_admissible,
-    leading_degree_coefficient,
     morse_class,
     morse_polynomial,
     order_bounds,
@@ -76,7 +75,6 @@ __all__ = [
     "morse_polynomial",
     "degree_threshold",
     "order_bounds",
-    "leading_degree_coefficient",
     "symbolic_leading_form",
     "MorseReport",
     "compute_report",

@@ -180,6 +180,9 @@ def _one_report(args) -> MorseReport:
     """The cached report that ``bound`` and ``poly`` print."""
     spec = GeometrySpec.from_token(args.geometry, args.dim)
     weights = _parse_weights(args.weights) if args.weights else None
+    if weights is not None and len(weights) != args.order:
+        # before the tower is built or the cache directory created
+        raise InadmissibleWeightsError(f"got {len(weights)} weights for a tower of order {args.order}")
     return cached_reports([(spec, args.order, weights)], 1, cache.resolve_cache_dir(args.cache_dir))[0]
 
 

@@ -1,12 +1,16 @@
 """Self-verification suites restating the structural facts the engine relies on.
 
 Each check recomputes a fact with the engine and compares against the value
-forced by the theory: the closed form of the first lifted Chern class, the
-class above the rank vanishing modulo its level relation, the vanishing of
-the top degree coefficient for low jet orders (for bare exponent tuples,
-against powers of the first Chern class, and for symbolic weights, so for
-every weight vector), and the unit top coefficient of the balanced
-intersection at order n.  The CLI ``verify`` command prints one line per
+forced by the theory: the closed form of the first lifted Chern class
+(``first-chern-closed-form``), the class above the rank vanishing modulo its
+level relation (``rank-truncation``), the zero top degree coefficient of
+exponent tuples against powers of the first Chern class below order n
+(``first-chern-vanishing-n*``), the unit top coefficient of the balanced
+intersection at order n (``balanced-unit-n*``), and the zero top coefficient
+with symbolic weights for every k < n (``low-order-leading-n*``), which
+proves it for every weight vector.  That form is ``sum_e N!/e! a^e T(e)``,
+``T(e)`` the top coefficient of the tuple ``u^e``, so it is zero exactly
+when every ``T(e)`` is.  The CLI ``verify`` command prints one line per
 check; the test suite asserts them all.
 """
 
@@ -18,7 +22,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .geometry import GeometrySpec, compact_hypersurface, evaluate_in_degree
-from .morse import WeightVector, leading_degree_coefficient, symbolic_leading_form
+from .morse import WeightVector, morse_polynomial, symbolic_leading_form
 from .polyring import reduce_monic
 from .tower import TowerContext, _lifted_class, intersect
 
@@ -26,7 +30,6 @@ __all__ = [
     "CheckResult",
     "check_first_chern_closed_form",
     "check_truncation",
-    "check_vanishing_exponent_tuples",
     "check_vanishing_against_first_chern",
     "check_balanced_intersection_unit",
     "check_low_order_leading_vanishes",
@@ -87,24 +90,6 @@ def check_truncation(max_n: int = 5, max_k: int = 5) -> CheckResult:
     return CheckResult("rank-truncation", True)
 
 
-def check_vanishing_exponent_tuples(n: int) -> CheckResult:
-    """For k < n, every pure exponent tuple has zero top degree coefficient."""
-    spec = compact_hypersurface(n)
-    for k in range(1, n):
-        ctx = TowerContext(n, k)
-        total = ctx.total_dim
-        for exps in _exponent_tuples(k, total):
-            cls = intersect(ctx, exps)
-            value = evaluate_in_degree(ctx, cls, spec).coefficient(n + 1)
-            if value != 0:
-                return CheckResult(
-                    f"low-order-vanishing-n{n}",
-                    False,
-                    f"k={k}, exponents {exps}: coefficient {value}",
-                )
-    return CheckResult(f"low-order-vanishing-n{n}", True)
-
-
 def check_vanishing_against_first_chern(n: int) -> CheckResult:
     """Tuples of total (n-i-1)n + 1 against c1^i also have zero top coefficient."""
     spec = compact_hypersurface(n)
@@ -155,7 +140,6 @@ def run_all(max_n: int = 3) -> list[CheckResult]:
         check_truncation(),
     ]
     for n in range(2, max_n + 1):
-        results.append(check_vanishing_exponent_tuples(n))
         if n >= 3:
             results.append(check_vanishing_against_first_chern(n))
         results.append(check_balanced_intersection_unit(n))
@@ -170,10 +154,12 @@ def interpolate_leading_form(
 ) -> dict[tuple[int, ...], int]:
     """Fit the top-coefficient function of the weights from integer samples.
 
-    The function is homogeneous of degree N = n + k(n-1) in the k weights (or
-    zero), so it is determined by finitely many monomial coefficients.  Those
-    are recovered exactly by solving the linear system over the rationals and
-    verified against every sample; the solution must be integral.
+    A sample's value is the ``d^(n+1)`` coefficient of its Morse polynomial
+    (see ``symbolic_leading_form``).  The function is homogeneous of degree
+    N = n + k(n-1) in the k weights (or zero), so it is determined by
+    finitely many monomial coefficients.  Those are recovered exactly by
+    solving the linear system over the rationals and verified against every
+    sample; the solution must be integral.
     """
     n = spec.n
     N = n + k * (n - 1)
@@ -189,7 +175,7 @@ def interpolate_leading_form(
             for exps in monomials
         ]
         rows.append(row)
-        values.append(Fraction(leading_degree_coefficient(spec, k, w)))
+        values.append(Fraction(morse_polynomial(spec, k, w).coefficient(n + 1)))
     solution = _solve_exact(rows, values)
     out = {}
     for exps, coeff in zip(monomials, solution):

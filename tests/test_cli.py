@@ -102,6 +102,28 @@ def test_bound_exit_code_bad_weights(capsys, cache_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,order,weights", [("bound", "3", "2,1"), ("poly", "1", "6,2,1")])
+def test_weight_count_other_than_order_exits_2_before_anything_is_built(
+    capsys, tmp_path, monkeypatch, command, order, weights
+):
+    built = []
+    monkeypatch.setattr("jetbound.cli.TowerContext", lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, command, "--dim", "2", "--order", order, "--weights", weights,
+                             "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: got {len(weights.split(','))} weights for a tower of order {order}\n"
+    assert built == []
+    assert not (tmp_path / "cache").exists()
+
+
+def test_bound_huge_weights_threshold(capsys, cache_dir):
+    code, out, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "2",
+                           "--weights", "99999999999999999999,1", "--cache-dir", cache_dir)
+    assert code == 0
+    assert "threshold : 200000000000000000006\n" in out
+
+
 def test_bound_exit_code_low_dimension(capsys, cache_dir):
     code, _, err = run_cli(capsys, "bound", "--dim", "1", "--order", "1", "--cache-dir", cache_dir)
     assert code == 2 and "--dim" in err

@@ -1,5 +1,6 @@
 """Weight vectors, the positivity pipeline, thresholds, leading coefficients."""
 
+import functools
 from math import comb
 
 import pytest
@@ -16,13 +17,13 @@ from jetbound import (
     default_weights,
     degree_threshold,
     is_admissible,
-    leading_degree_coefficient,
     logarithmic_pair,
     morse_class,
     morse_polynomial,
     order_bounds,
     symbolic_leading_form,
 )
+from jetbound import morse
 from jetbound.errors import InadmissibleWeightsError
 
 
@@ -70,11 +71,9 @@ def test_is_admissible(a, expected):
 
 def test_weight_vector_partial_sums():
     w = WeightVector((6, 2, 1))
-    assert w.b == (6, 8, 9)
     assert w.total == 9
     assert w.k == 3
     assert str(w) == "6,2,1"
-    assert all(b > 0 for b in w.b)
 
 
 def test_weight_vector_rejects_inadmissible():
@@ -218,6 +217,59 @@ def test_threshold_dips_after_sign_change():
     assert degree_threshold(P) == 7
 
 
+def _threshold_by_scan(P):
+    """The reference search: every integer below the power-of-two root bound, downwards."""
+    lead = P.leading_coefficient
+    if lead <= 0:
+        return None
+    rest = [abs(c) for c in P.coeffs[:-1]]
+    bound = 1
+    while lead * bound ** len(rest) <= sum(c * bound**i for i, c in enumerate(rest)):
+        bound *= 2
+    for x in range(bound - 1, 0, -1):
+        if P(x) <= 0:
+            return x + 1
+    return 1
+
+
+@st.composite
+def _threshold_polynomials(draw):
+    """Random coefficients, or lead * prod (d - r_i) + offset with repeated roots: dips and touches."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=7))
+        return EvaluatedClass.from_coefficients(coeffs)
+    roots = draw(st.lists(st.integers(-30, 300), min_size=1, max_size=6))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=2))
+    coeffs = [draw(st.integers(1, 5))]
+    for r in roots:  # multiply by (d - r)
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    coeffs[0] += draw(st.integers(-3, 3))
+    return EvaluatedClass.from_coefficients(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_threshold_polynomials())
+def test_threshold_equals_linear_scan(P):
+    assert degree_threshold(P) == _threshold_by_scan(P)
+
+
+def test_threshold_search_skips_certified_runs(monkeypatch):
+    # d^3 - 10^30 vanishes at 10^10: a search that stepped one integer at a
+    # time would need about 7 * 10^9 steps from the root bound 2^34
+    steps = []
+    positive_run = morse._positive_run
+
+    def counted(coeffs, x):
+        steps.append(x)
+        assert len(steps) <= 100, "the search visits too many points"
+        return positive_run(coeffs, x)
+
+    monkeypatch.setattr(morse, "_positive_run", counted)
+    assert degree_threshold(EvaluatedClass.from_coefficients([-(10**30), 0, 0, 1])) == 10**10 + 1
+
+
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 3)])
 def test_threshold_scaling_invariance(n, k):
     spec = logarithmic_pair(n)
@@ -236,8 +288,8 @@ def test_threshold_scaling_invariance(n, k):
 def test_leading_coefficient_vanishes_below_order_n():
     spec = compact_hypersurface(3)
     for k, a in [(1, (5,)), (2, (2, 1)), (2, (9, 4))]:
-        assert leading_degree_coefficient(spec, k, a) == 0
-    assert leading_degree_coefficient(logarithmic_pair(3), 2, (2, 1)) == 0
+        assert morse_polynomial(spec, k, a).coefficient(4) == 0
+    assert morse_polynomial(logarithmic_pair(3), 2, (2, 1)).coefficient(4) == 0
 
 
 def test_leading_coefficient_matches_symbolic_form():
@@ -248,7 +300,7 @@ def test_leading_coefficient_matches_symbolic_form():
     expected = 6 * a1**2 * a2**2 - 8 * a1 * a2**3 + 4 * a2**4
     assert form == expected
     for a in [(2, 1), (5, 2), (9, 3)]:
-        value = leading_degree_coefficient(compact_hypersurface(2), 2, a)
+        value = morse_polynomial(compact_hypersurface(2), 2, a).coefficient(3)
         assert value == 6 * a[0] ** 2 * a[1] ** 2 - 8 * a[0] * a[1] ** 3 + 4 * a[1] ** 4
 
 
@@ -261,20 +313,45 @@ def test_symbolic_leading_form_vanishes_below_order_n(n, k):
 
 def test_leading_coefficient_geometry_independent():
     for a in [(2, 1), (4, 1)]:
-        compact = leading_degree_coefficient(compact_hypersurface(2), 2, a)
-        log = leading_degree_coefficient(logarithmic_pair(2), 2, a)
+        compact = morse_polynomial(compact_hypersurface(2), 2, a).coefficient(3)
+        log = morse_polynomial(logarithmic_pair(2), 2, a).coefficient(3)
         assert compact == log
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_form(make_spec, n, k):
+    return symbolic_leading_form(make_spec(n), k)
+
+
+def _evaluate_weights(form, a) -> int:
+    for j, aj in enumerate(a, start=1):
+        form = form.substitute(form.ring.var(f"a{j}"), form.ring.const(aj))
+    return sum(coeff for _, coeff in form.terms())
+
+
+def _assert_top_coefficient_is_symbolic_form(make_spec, n, k, a):
+    # only the beta = 0 terms of the class reach d^(n+1), so the top
+    # coefficient of P is the symbolic form at a; P never exceeds degree n+1
+    P = morse_polynomial(make_spec(n), k, a)
+    assert P.degree <= n + 1
+    assert P.coefficient(n + 1) == _evaluate_weights(_symbolic_form(make_spec, n, k), a)
 
 
 @pytest.mark.parametrize("make_spec", [logarithmic_pair, compact_hypersurface])
 @pytest.mark.parametrize("n,k,a", [(2, 2, (2, 1)), (2, 2, (5, 2)), (3, 3, (6, 2, 1))])
 def test_top_degree_coefficient_agrees_with_self_intersection(make_spec, n, k, a):
-    # the twisted difference and the bare top self-intersection share the
-    # d^(n+1) coefficient, and neither exceeds degree n+1
-    spec = make_spec(n)
-    P = morse_polynomial(spec, k, a)
-    assert P.degree <= n + 1
-    assert P.coefficient(n + 1) == leading_degree_coefficient(spec, k, a)
+    _assert_top_coefficient_is_symbolic_form(make_spec, n, k, a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    make_spec=st.sampled_from((logarithmic_pair, compact_hypersurface)),
+    cell=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+)
+def test_top_degree_coefficient_is_symbolic_form_for_drawn_weights(data, make_spec, cell):
+    n, k = cell
+    _assert_top_coefficient_is_symbolic_form(make_spec, n, k, data.draw(_admissible(k)))
 
 
 # ---- reports ---------------------------------------------------------------------

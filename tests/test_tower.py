@@ -17,7 +17,8 @@ from jetbound import (
 from jetbound import tower
 from jetbound.errors import DimensionMismatchError, UnreducedClassError
 from jetbound.morse import default_weights, morse_class
-from jetbound.verify import check_low_order_leading_vanishes, check_truncation
+from jetbound.cli import main
+from jetbound.verify import check_low_order_leading_vanishes, check_truncation, run_all
 
 
 def test_level_one_relation_is_defining():
@@ -85,20 +86,29 @@ def test_truncation_check_fails_on_a_perturbed_relation(monkeypatch):
     assert result.detail == "class 3 is nonzero at n=2, level 1"
 
 
+def _perturb_lifted_c1(ctx, lifted, relations):
+    # the u1 coefficient of c_1 at level 1 goes from r-1 to r
+    if len(lifted) > 1:
+        lifted[1] = (lifted[1][0] + ctx.ring.variable(ctx.u(1)),) + lifted[1][1:]
+    return lifted, relations
+
+
 def test_low_order_check_fails_on_a_perturbed_lifted_class(monkeypatch):
     assert check_low_order_leading_vanishes(3).passed
-
-    def perturb(ctx, lifted, relations):
-        # the u1 coefficient of c_1 at level 1 goes from r-1 to r
-        if len(lifted) > 1:
-            lifted[1] = (lifted[1][0] + ctx.ring.variable(ctx.u(1)),) + lifted[1][1:]
-        return lifted, relations
-
-    _patch_relations(monkeypatch, perturb)
+    _patch_relations(monkeypatch, _perturb_lifted_c1)
     result = check_low_order_leading_vanishes(3)
     assert result.name == "low-order-leading-n3"
     assert not result.passed
     assert result.detail.startswith("k=2: ")
+
+
+def test_verify_catches_a_perturbed_lifted_class(monkeypatch, capsys):
+    # the symbolic check is the one low-order proof verify runs; its own line must fail
+    _patch_relations(monkeypatch, _perturb_lifted_c1)
+    results = {r.name: r for r in run_all(3)}
+    assert not results["low-order-leading-n3"].passed
+    assert main(["verify", "--dim-max", "3"]) == 4
+    assert "FAIL  low-order-leading-n3  (k=2: " in capsys.readouterr().out
 
 
 def test_build_relations_matches_cached():

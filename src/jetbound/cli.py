@@ -179,7 +179,7 @@ def _table_lines(thresholds: dict, bounds: dict) -> list[str]:
 def _one_report(args) -> MorseReport:
     """The cached report that ``bound`` and ``poly`` print."""
     spec = GeometrySpec.from_token(args.geometry, args.dim)
-    weights = _parse_weights(args.weights) if args.weights else None
+    weights = None if args.weights is None else _parse_weights(args.weights)
     if weights is not None and len(weights) != args.order:
         # before the tower is built or the cache directory created
         raise InadmissibleWeightsError(f"got {len(weights)} weights for a tower of order {args.order}")

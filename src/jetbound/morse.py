@@ -131,15 +131,13 @@ def morse_polynomial(
     spec: GeometrySpec,
     k: int,
     weights: Union[WeightVector, Sequence[int], None] = None,
-    *,
-    rels: Optional[RelationSet] = None,
 ) -> EvaluatedClass:
     """Full pipeline: assemble, integrate to the base, evaluate in the degree.
 
     The value equals evaluating ``integrate_fibers(reduce_tower(...))``; the
     integration is performed by the single-pass pushforward.
     """
-    return compute_report(spec, k, weights, rels=rels).morse_poly
+    return compute_report(spec, k, weights).morse_poly
 
 
 def degree_threshold(P: EvaluatedClass) -> Optional[int]:
@@ -212,21 +210,25 @@ def order_bounds(
     return bounds
 
 
-def symbolic_leading_form(spec: GeometrySpec, k: int) -> Polynomial:
-    """The ``d^(n+1)`` coefficient of the self-intersection with symbolic weights.
+def symbolic_leading_form(spec: GeometrySpec, k: int, c1_power: int = 0) -> Polynomial:
+    """The ``d^(n+1)`` coefficient of ``c_1^i (sum_j a_j u_j)^(N-i)`` on the base, ``i = c1_power``.
 
     Returns a polynomial in the weight variables ``a_1..a_k`` alone,
-    homogeneous of degree ``n + k(n-1)`` (or zero).  Its value at ``a`` is
-    the ``d^(n+1)`` coefficient of ``morse_polynomial(spec, k, a)``: ``h^beta``
-    lowers the degree in d by beta, so only the ``beta = 0`` terms of the
-    class, ``(sum_j a_j u_j)^N`` scaled by ``1 - 0``, reach ``d^(n+1)``.
-    ``verify`` proves with it that the coefficient vanishes for every weight
-    vector below order n, up to n = 5 in a few seconds.
+    homogeneous of degree ``N - i``, ``N = n + k(n-1)`` (or zero).  The
+    pushforward is Z[c,h,d]-linear, so the power is pushed forward and the
+    base class multiplied by ``c_1^i``.  The form is
+    ``sum_e (N-i)!/e! a^e T_i(e)``, ``T_i(e)`` the top coefficient of
+    ``c_1^i u^e``, so it is zero exactly when every ``T_i(e)`` is.  At
+    ``i = 0`` its value at ``a`` is the ``d^(n+1)`` coefficient of
+    ``morse_polynomial(spec, k, a)``: ``h^beta`` lowers the degree in d by
+    beta, so only the ``beta = 0`` terms of the class, ``(sum_j a_j u_j)^N``
+    scaled by ``1 - 0``, reach ``d^(n+1)``.
     """
     ctx = TowerContext(spec.n, k, symbolic_weights=True)
     ring = ctx.ring
     F = _weighted_form(ctx, [ring.variable(ctx.a(j)) for j in range(1, k + 1)])
-    base = pushforward_to_base(F ** ctx.total_dim, ctx.relations)
+    base = pushforward_to_base(F ** (ctx.total_dim - c1_power), ctx.relations)
+    base = base * ring.variable(ctx.c(1)) ** c1_power
     # evaluate by hand: the weight variables block evaluate_in_degree
     result = substitute_chern(ctx, spec, base).substitute(ctx.h, ring.one) * ring.variable(ctx.d)
     return result.coeff_of(ctx.d, spec.n + 1)
@@ -388,11 +390,7 @@ def compute_report(
     spec: GeometrySpec,
     k: int,
     weights: Union[WeightVector, Sequence[int], None] = None,
-    *,
-    rels: Optional[RelationSet] = None,
 ) -> MorseReport:
     """Run the full pipeline for one configuration and time it: a batch of one."""
     w = default_weights(k) if weights is None else _as_weights(weights)
-    if rels is None:
-        rels = TowerContext(spec.n, k).relations
-    return compute_batch(rels, [(spec, w)])[0]
+    return compute_batch(TowerContext(spec.n, k).relations, [(spec, w)])[0]

@@ -23,9 +23,9 @@ equality.
 from __future__ import annotations
 
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, InhomogeneousClassError, UnreducedClassError
+from .errors import DimensionMismatchError, UnreducedClassError
 from .polyring import (
     NEG_INFINITY,
     Polynomial,
@@ -318,39 +318,22 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     return ring.polynomial(graded.get(0, {}))
 
 
-def intersect(
-    ctx: TowerContext,
-    exponents: Sequence[int],
-    extra: Union[Polynomial, int, None] = None,
-) -> Polynomial:
-    """Intersection class of ``u_1^(e_1) ... u_k^(e_k) * extra`` on the base.
+def intersect(ctx: TowerContext, exponents: Sequence[int]) -> Polynomial:
+    """Intersection class of ``u_1^(e_1) ... u_k^(e_k)`` on the base: the reference path.
 
-    The total weighted degree must equal the tower dimension ``n + k(r-1)``;
-    the result is the base class of weighted degree ``n`` obtained by
-    ``integrate_fibers(reduce_tower(...))``.
+    The exponents must sum to the tower dimension ``n + k(r-1)``; the result
+    is the base class of weighted degree ``n`` obtained by
+    ``integrate_fibers(reduce_tower(...))``.  The pipeline integrates with
+    ``pushforward_to_base``; the tests compare the two.
     """
     if len(exponents) != ctx.k:
         raise DimensionMismatchError(
             f"expected {ctx.k} exponents, got {len(exponents)}"
         )
-    ring = ctx.ring
-    if extra is None:
-        extra = ring.one
-    elif isinstance(extra, int):
-        extra = ring.const(extra)
-    weights = ctx.cohomology_weights
-    if not extra.is_homogeneous(weights):
-        raise InhomogeneousClassError("extra class is not homogeneous")
-    extra_degree = extra.weighted_degree(weights)
-    if extra_degree is NEG_INFINITY:
-        extra_degree = 0
-    total = sum(exponents) + extra_degree
-    if total != ctx.total_dim:
+    if sum(exponents) != ctx.total_dim:
         raise DimensionMismatchError(
-            f"total degree {total} != tower dimension {ctx.total_dim}"
+            f"total degree {sum(exponents)} != tower dimension {ctx.total_dim}"
         )
-    cls = extra
-    for j, e in enumerate(exponents, start=1):
-        if e:
-            cls = cls * ring.variable(ctx.u(j)) ** e
+    ring = ctx.ring
+    cls = ring.polynomial({ring.encode({ctx.u(j): e for j, e in enumerate(exponents, start=1)}): 1})
     return integrate_fibers(reduce_tower(cls, ctx.relations), ctx)

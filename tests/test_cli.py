@@ -102,17 +102,24 @@ def test_bound_exit_code_bad_weights(capsys, cache_dir):
     assert code == 2
 
 
-@pytest.mark.parametrize("command,order,weights", [("bound", "3", "2,1"), ("poly", "1", "6,2,1")])
+@pytest.mark.parametrize(
+    "command,order,weights",
+    [("bound", "3", "2,1"), ("poly", "1", "6,2,1"), ("bound", "2", ""), ("poly", "2", "")],
+)
 def test_weight_count_other_than_order_exits_2_before_anything_is_built(
     capsys, tmp_path, monkeypatch, command, order, weights
 ):
+    # an empty list is no list at all, not the default ladder
     built = []
     monkeypatch.setattr("jetbound.cli.TowerContext", lambda *args: built.append(args))
     code, out, err = run_cli(capsys, command, "--dim", "2", "--order", order, "--weights", weights,
                              "--cache-dir", str(tmp_path / "cache"))
     assert code == 2
     assert out == ""
-    assert err == f"error: got {len(weights.split(','))} weights for a tower of order {order}\n"
+    if weights:
+        assert err == f"error: got {len(weights.split(','))} weights for a tower of order {order}\n"
+    else:
+        assert err == "error: weights '' are not a comma-separated integer list\n"
     assert built == []
     assert not (tmp_path / "cache").exists()
 

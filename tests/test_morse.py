@@ -1,7 +1,8 @@
 """Weight vectors, the positivity pipeline, thresholds, leading coefficients."""
 
 import functools
-from math import comb
+from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,14 @@ from jetbound import (
     compute_report,
     default_weights,
     degree_threshold,
+    evaluate_in_degree,
+    integrate_fibers,
     is_admissible,
     logarithmic_pair,
     morse_class,
     morse_polynomial,
     order_bounds,
+    reduce_tower,
     symbolic_leading_form,
 )
 from jetbound import morse
@@ -352,6 +356,32 @@ def test_top_degree_coefficient_agrees_with_self_intersection(make_spec, n, k, a
 def test_top_degree_coefficient_is_symbolic_form_for_drawn_weights(data, make_spec, cell):
     n, k = cell
     _assert_top_coefficient_is_symbolic_form(make_spec, n, k, data.draw(_admissible(k)))
+
+
+@pytest.mark.parametrize("n,k,i", [(2, 2, 1), (3, 3, 1)])
+def test_symbolic_form_with_c1_power_is_the_reference_tuple_sum(n, k, i):
+    # sum_e (N-i)!/e! a^e T_i(e), each T_i(e) on the reference path
+    spec, ctx = compact_hypersurface(n), TowerContext(n, k)
+    ring, total = ctx.ring, ctx.total_dim - i
+    tops = {}
+    for e in product(range(total + 1), repeat=k):
+        if sum(e) == total:
+            cls = ring.variable(ctx.c(1)) ** i
+            for j, ej in enumerate(e, start=1):
+                cls = cls * ring.variable(ctx.u(j)) ** ej
+            base = integrate_fibers(reduce_tower(cls, ctx.relations), ctx)
+            tops[e] = evaluate_in_degree(ctx, base, spec).coefficient(n + 1)
+    form = symbolic_leading_form(spec, k, c1_power=i)
+    samples = {2: [(2, 1), (5, 2), (9, 4)], 3: [(6, 2, 1), (7, 2, 1), (19, 6, 3)]}[k]
+    for a in samples:
+        expected = 0
+        for e, top in tops.items():
+            term = factorial(total) * top
+            for aj, ej in zip(a, e):
+                term = term * aj**ej // factorial(ej)
+            expected += term
+        assert expected != 0
+        assert _evaluate_weights(form, a) == expected
 
 
 # ---- reports ---------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from jetbound import (
     TowerContext,
     compact_hypersurface,
-    compute_report,
     default_weights,
     enumerate_admissible,
     logarithmic_pair,
@@ -16,7 +15,7 @@ from jetbound import (
     pushforward_to_base,
 )
 from jetbound.cli import TABLE_CELLS
-from jetbound.morse import slot_bits
+from jetbound.morse import compute_batch, slot_bits
 from jetbound.sweep import Job, compute_reports
 
 RELATIONS = {(n, k): TowerContext(n, k).relations for n in (2, 3) for k in range(1, 5)}
@@ -56,7 +55,7 @@ def job_lists(draw) -> list[Job]:
 @given(job_lists())
 def test_packed_reports_equal_one_job_reports(jobs):
     packed = compute_reports(jobs)
-    alone = [compute_report(job.spec, job.rels.ctx.k, job.weights, rels=job.rels) for job in jobs]
+    alone = [compute_batch(job.rels, [(job.spec, job.weights)])[0] for job in jobs]
     assert [_untimed(r) for r in packed] == [_untimed(r) for r in alone]
 
 
@@ -82,7 +81,7 @@ def test_sweep_candidates_packed_equal_unpacked(monkeypatch):
     monkeypatch.setattr(morse, "pushforward_to_base", counting)
     packed = compute_reports([Job(spec, a, rels) for a in SWEEP_CANDIDATES])
     assert len(passes) < len(SWEEP_CANDIDATES)  # the candidates did share passes
-    alone = [compute_report(spec, 5, a, rels=rels) for a in SWEEP_CANDIDATES]
+    alone = [compute_batch(rels, [(spec, a)])[0] for a in SWEEP_CANDIDATES]
     assert [_untimed(r) for r in packed] == [_untimed(r) for r in alone]
     assert [r.weights for r in packed] == SWEEP_CANDIDATES
 

@@ -4,12 +4,12 @@ For an admissible weight vector ``a`` on a jet tower of total dimension
 ``N = n + k(n-1)``, the positivity criterion is the top intersection
 ``F^N - N * F^(N-1) * G`` with ``F = sum_j a_j u_j + 2|a| h`` and
 ``G = 2|a| h``.  It is integrated as the one class ``(F - N*G) * F^(N-1)``,
-so only one reduction pass is needed, and that class is assembled from one
-power with no product: the Euler operator ``h d/dh`` sends ``F^N`` to
-``N*G*F^(N-1)``, so ``(F - N*G) * F^(N-1) = F^N - h d/dh F^N``, whose
+so only one reduction pass is needed.  The Euler operator ``h d/dh`` sends
+``F^N`` to ``N*G*F^(N-1)``, so the class is ``F^N - h d/dh F^N``, whose
 coefficient of ``u^alpha h^beta`` is
-``(1 - beta) * N!/(alpha! beta!) * a^alpha * (2|a|)^beta``: the coefficient
-of that term in ``F^N`` scaled by ``1 - beta``.  Evaluating the integrated
+``(1 - beta) * N!/(alpha! beta!) * a^alpha * (2|a|)^beta``.  It is assembled
+as a trinomial in ``h`` and two halves of the weighted form, from the powers
+of each half, so every term is formed once.  Evaluating the integrated
 class in the degree variable yields a univariate polynomial ``P(d)``; when its
 leading coefficient is positive, the effective threshold is the smallest
 positive integer beyond which ``P`` stays strictly positive, located by an
@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
 from .geometry import EvaluatedClass, GeometrySpec, evaluate_in_degree, substitute_chern
-from .polyring import Polynomial, _EXP_MASK
+from .polyring import Polynomial, _mul_into
 from .tower import RelationSet, TowerContext, pushforward_to_base
 
 __all__ = [
@@ -99,10 +100,10 @@ def _as_weights(weights: Union[WeightVector, Sequence[int]]) -> WeightVector:
     return WeightVector(tuple(weights))
 
 
-def _weighted_form(ctx: TowerContext, coeffs: Sequence, h_coeff: int = 0) -> Polynomial:
-    """``F = sum_j coeffs[j-1] * u_j + h_coeff * h``; a coefficient is an integer or a polynomial."""
+def _weighted_form(ctx: TowerContext, coeffs: Sequence) -> Polynomial:
+    """``F = sum_j coeffs[j-1] * u_j``; a coefficient is an integer or a polynomial."""
     ring = ctx.ring
-    F = h_coeff * ring.variable(ctx.h)
+    F = ring.zero
     for j, aj in enumerate(coeffs, start=1):
         F = F + aj * ring.variable(ctx.u(j))
     return F
@@ -114,17 +115,44 @@ def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) 
     ``F = sum_j a_j u_j + 2|a| h`` twists the weighted tautological bundle to
     a nef class, ``G = 2|a| h`` is the twisting class, and ``N`` is the total
     tower dimension.  Since ``h d/dh F^N = N*G*F^(N-1)``, the class equals
-    ``F^N - h d/dh F^N``: each term of ``F^N`` is scaled by ``1 - beta``,
-    ``beta`` its exponent of ``h``, and the ``beta = 1`` terms vanish.
+    ``F^N - h d/dh F^N``.  With ``A = sum_(j<=m) a_j u_j``, ``B`` the rest of
+    the weighted form and ``m = ceil(k/2)``, the trinomial expansion of
+    ``F^N = (A + B + 2|a| h)^N`` makes the class
+    ``sum_(beta != 1) (1 - beta) C(N, beta) (2|a|)^beta h^beta
+    sum_s C(N-beta, s) A^s B^(N-beta-s)``.  The powers of each half are built
+    by repeated products (at ``k = 1`` the half ``B`` is empty), and each term
+    of the class is one product of a factor of ``(beta, s)`` and a
+    coefficient of each half, the larger half ``A`` innermost: the two halves
+    share no variable, so no two triples give the same monomial and every
+    term is formed once, nonzero since every ``a_j > 0``.
     """
     w = _as_weights(weights)
     if w.k != ctx.k:
         raise InadmissibleWeightsError(f"got {w.k} weights for a tower of order {ctx.k}")
-    power = _weighted_form(ctx, w.a, 2 * w.total) ** ctx.total_dim
-    sh = ctx.ring.shift(ctx.h)
-    return ctx.ring.polynomial(
-        {key: (1 - ((key >> sh) & _EXP_MASK)) * coeff for key, coeff in power._terms.items()}
-    )
+    ring, N, m = ctx.ring, ctx.total_dim, (ctx.k + 1) // 2
+    halves = []
+    for js in (range(1, m + 1), range(m + 1, ctx.k + 1)):
+        form = {1 << ring.shift(ctx.u(j)): w.a[j - 1] for j in js}
+        powers = [{0: 1}]
+        for _ in range(N):
+            acc: dict[int, int] = {}
+            _mul_into(acc, powers[-1], form)
+            powers.append(acc)
+        halves.append(powers)
+    A, B = halves
+    h_key, twist = 1 << ring.shift(ctx.h), 2 * w.total
+    terms: dict[int, int] = {}
+    for beta in range(N + 1):
+        if beta == 1:
+            continue
+        outer = (1 - beta) * comb(N, beta) * twist**beta
+        for s in range(N - beta + 1):
+            factor = outer * comb(N - beta, s)
+            a_terms = A[s].items()
+            for b_key, b_coeff in B[N - beta - s].items():
+                key, scale = beta * h_key + b_key, factor * b_coeff
+                terms.update({key + a_key: scale * a_coeff for a_key, a_coeff in a_terms})
+    return Polynomial(ring, terms)
 
 
 def morse_polynomial(
@@ -268,7 +296,13 @@ class MorseReport:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MorseReport":
-        return MorseReport(
+        """The report of ``data``; ``ValueError`` when its fields disagree.
+
+        The threshold must be null or an integer, the total dimension
+        ``n + k(n-1)``, the leading coefficient that of the polynomial, and
+        ``elapsed_ms`` a number.
+        """
+        report = MorseReport(
             n=data["dim"],
             k=data["order"],
             geometry=data["geometry"],
@@ -279,6 +313,15 @@ class MorseReport:
             threshold=data["threshold"],
             elapsed_ms=data["elapsed_ms"],
         )
+        integer = lambda x: isinstance(x, int) and not isinstance(x, bool)
+        if not (
+            (report.threshold is None or integer(report.threshold))
+            and report.total_dim == report.n + report.k * (report.n - 1)
+            and report.leading_coeff == report.morse_poly.leading_coefficient
+            and (integer(report.elapsed_ms) or isinstance(report.elapsed_ms, float))
+        ):
+            raise ValueError("report fields disagree")
+        return report
 
 
 #: Width in bits of one packed coefficient: at most this many bits of slots
@@ -316,17 +359,20 @@ def slot_bits(rels: RelationSet, total: int) -> int:
 def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: int) -> Polynomial:
     """The Morse classes of ``weights`` in one class, slot i of each coefficient holding class i.
 
-    Each class is dropped once it is packed; a batch of one is the class itself.
+    Every class has the same monomials (each term is nonzero), so the packed
+    coefficients are one list over the keys of the first class built, folded
+    by Horner from the last class down: ``v -> (v << bits) + c_i``.  Each
+    class is dropped once it is folded in; a batch of one is the class itself.
     """
     if len(weights) == 1:
         return morse_class(ctx, weights[0])
-    terms: dict[int, int] = {}
-    get = terms.get
-    for i, w in enumerate(weights):
-        shift = i * bits
-        for key, coeff in morse_class(ctx, w)._terms.items():
-            terms[key] = get(key, 0) + (coeff << shift)
-    return ctx.ring.polynomial(terms)
+    top = morse_class(ctx, weights[-1])._terms
+    keys, vals = list(top), list(top.values())
+    del top
+    for w in reversed(weights[:-1]):
+        cls = morse_class(ctx, w)._terms
+        vals = [(v << bits) + cls[key] for v, key in zip(vals, keys)]
+    return Polynomial(ctx.ring, dict(zip(keys, vals)))
 
 
 def _unpack(packed: Polynomial, bits: int, count: int) -> list[Polynomial]:

@@ -250,9 +250,9 @@ class Polynomial:
 
         A dynamic program over the terms: after each term, ``layers[used]``
         holds the expansion of the terms seen so far that uses ``used`` of the
-        exponent, with equal monomials merged.  The few-term first Chern forms
-        whose powers drive the pipeline never square a large intermediate, and
-        a base with many terms needs no recursion.
+        exponent, with equal monomials merged.  A few-term base, such as a
+        symbolic weighted form or one tautological variable, never squares a
+        large intermediate, and a base with many terms needs no recursion.
         """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")

@@ -269,6 +269,12 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     are zero.  The buckets of ``B_(r-1)`` are the buckets of the next level,
     and the lifted classes are bucketed once per relation set, so the only
     per-term degree count is on the input.
+
+    The input is released once it is bucketed, and each level's buckets once
+    they are split into strata: when the caller holds no other reference to
+    ``p``, as for a class built in the call's argument, the pass never holds
+    the input next to its strata (from Python 3.11 on; before, the caller's
+    value stack keeps a call's arguments alive until it returns).
     """
     ctx = rels.ctx
     r = ctx.r
@@ -278,6 +284,7 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     graded: dict[int, dict[int, int]] = {}
     for key, coeff in p._terms.items():
         graded.setdefault(_key_degree(key >> low), {})[key] = coeff
+    del p  # a class the caller does not hold is freed here
     for j in range(ctx.k, 0, -1):
         cut = j * (r - 1)
         sh = ring.shift(ctx.u(j))
@@ -292,6 +299,7 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
                 by_power.setdefault(m, {})[key - (m << sh)] = coeff
             for m, stratum in by_power.items():
                 strata.setdefault(m, {})[degree - m] = stratum
+        del graded
         top = max(strata, default=-1)
         if top < r - 1:
             return ring.zero

@@ -155,12 +155,33 @@ def _corrupt_only_entry(cache_dir, damage=lambda data: data[:40]):
     return path
 
 
+def _with_field(name, value):
+    """Damage that sets one field of the stored report: the file still decodes."""
+    def damage(data):
+        report = json.loads(data)
+        report[name] = value
+        return json.dumps(report).encode()
+    return damage
+
+
+# stored reports whose fields disagree, by test id
+_BAD_FIELDS = {
+    "threshold-text": _with_field("threshold", "abc"),
+    "threshold-bool": _with_field("threshold", True),
+    "total-dim": _with_field("total_dim", 99),
+    "leading-coeff": _with_field("leading_coeff", "7"),
+    "empty-polynomial": _with_field("polynomial", []),
+    "elapsed-text": _with_field("elapsed_ms", "fast"),
+}
+
+
 @pytest.mark.parametrize("damage", [
     lambda data: data[:40],      # truncated
     lambda data: b"{}",          # valid JSON, no report fields
     lambda data: b"[1, 2]",      # valid JSON, not an object
     lambda data: b"\xff" + data,  # not text
-], ids=["truncated", "empty-object", "list", "binary"])
+    *_BAD_FIELDS.values(),
+], ids=["truncated", "empty-object", "list", "binary", *_BAD_FIELDS])
 def test_bound_recomputes_and_repairs_corrupt_cache_file(capsys, cache_dir, damage):
     args = ("bound", "--dim", "2", "--order", "2", "--format", "json", "--cache-dir", cache_dir)
     code, first, _ = run_cli(capsys, *args)
@@ -182,12 +203,13 @@ def test_table_recomputes_and_repairs_truncated_cache_file(capsys, tmp_path, mon
     args = ("table", "--format", "json", "--cache-dir", cache_dir)
     code, first, _ = run_cli(capsys, *args)
     assert code == 0
-    path = _corrupt_only_entry(cache_dir)
-    code, second, err = run_cli(capsys, *args)
-    assert code == 0 and "Traceback" not in err
-    assert second == first
-    with open(path) as fh:
-        assert json.load(fh)["threshold"] == 15
+    for damage in [lambda data: data[:40], *_BAD_FIELDS.values()]:
+        path = _corrupt_only_entry(cache_dir, damage)
+        code, second, err = run_cli(capsys, *args)
+        assert code == 0 and "Traceback" not in err
+        assert second == first
+        with open(path) as fh:
+            assert json.load(fh)["threshold"] == 15
 
 
 @pytest.mark.parametrize("cpus,requested,expected", [(2, "10000", 2), (8, "3", 3)])

@@ -126,9 +126,11 @@ def _admissible(draw, k):
     return tuple(a)
 
 
+# k = 1 leaves one half of the class's split empty; odd k splits it unevenly
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), n=st.integers(2, 3), k=st.integers(1, 3))
-def test_morse_class_equals_product_for_drawn_weights(data, n, k):
+@given(data=st.data(), cell=st.sampled_from([(2, k) for k in range(1, 6)] + [(3, k) for k in range(1, 5)]))
+def test_morse_class_equals_product_for_drawn_weights(data, cell):
+    n, k = cell
     a = data.draw(_admissible(k))
     assert is_admissible(a)
     ctx = TowerContext(n, k)
@@ -186,6 +188,56 @@ def test_pipeline_low_order_leading_vanishes():
     for spec in (logarithmic_pair(2), compact_hypersurface(2)):
         P = morse_polynomial(spec, 1, (1,))
         assert P.coefficient(3) == 0
+
+
+# P(d) of every table cell, logarithmic geometry and default weights, ascending in d.
+TABLE_POLYNOMIALS = {
+    (2, 2): (0, -378, -153, 12),
+    (2, 3): (0, -84906, -29664, 2718),
+    (2, 4): (0, -66469968, -22060404, 2046552),
+    (2, 5): (0, -180221162904, -58995641916, 5456245128),
+    (3, 3): (0, -948279600, -535215528, -17302968, 333162),
+    (3, 4): (0, -265899680907552, -143330165541864, -4484935292544, 99990842868),
+    (3, 5): (
+        0,
+        -932767072844075779968,
+        -499176117299761437888,
+        -15358014975447538560,
+        341303724582213312,
+    ),
+    (4, 4): (
+        0,
+        -1280749294458271131120,
+        -780112539825150983760,
+        -54492363039675135600,
+        -332789748717844800,
+        1701148891784544,
+    ),
+    (4, 5): (
+        0,
+        -6284389657639637744025806161728,
+        -3814155153164444360301839614464,
+        -262379193322034631195469394928,
+        -1581149421562117359644825760,
+        9208896946562372362531920,
+    ),
+    (5, 5): (
+        0,
+        -46703198966428309600592869452982793657856,
+        -29846680351307170272068793346759585645440,
+        -2623955323371179894253718921204096381056,
+        -39796200882092970607855191327868610880,
+        -59222020879185394455699435668241792,
+        82970555252684668951323755447424,
+    ),
+}
+
+
+def test_every_table_cell_polynomial_is_pinned(table_reports):
+    assert set(table_reports) == set(TABLE_POLYNOMIALS)
+    for cell, report in table_reports.items():
+        assert report.weights == default_weights(cell[1]).a
+        assert report.morse_poly.coeffs == TABLE_POLYNOMIALS[cell], cell
 
 
 def test_pipeline_rejects_wrong_weight_count():

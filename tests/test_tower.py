@@ -1,6 +1,8 @@
 """Level relations, canonical reduction, fiber integration, intersections."""
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -290,6 +292,38 @@ def test_pushforward_cut_on_morse_class(n, k):
     rels = ctx.relations
     cls = morse_class(ctx, default_weights(k))
     assert pushforward_to_base(cls, rels) == integrate_fibers(reduce_tower(cls, rels), ctx)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 the caller's value stack holds a call's arguments until it returns",
+)
+def test_pushforward_releases_an_input_the_caller_does_not_hold():
+    # traced at (4,4): a class the caller still holds stays alive through the
+    # pass; one built in the call's argument is released once it is bucketed,
+    # so that pass peaks at least half a class below the held one plus the class
+    ctx = TowerContext(4, 4)
+    rels = ctx.relations
+    w = default_weights(4)
+    pushforward_to_base(morse_class(ctx, w), rels)  # memoize the bucketed lifted classes
+
+    def traced_peak(run):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cls = morse_class(ctx, w)
+        size = tracemalloc.get_traced_memory()[0] - start
+        held = traced_peak(lambda: pushforward_to_base(cls, rels))
+        del cls
+        temporary = traced_peak(lambda: pushforward_to_base(morse_class(ctx, w), rels))
+    finally:
+        tracemalloc.stop()
+    assert temporary + size // 2 < size + held
 
 
 def test_intersect_degree_two_class():

@@ -15,9 +15,13 @@ form of the same Euclidean division, keeping only what can still reach the
 forward to zero: the map is Z[c,h,d]-linear and graded (u weighs 1, c_l
 weighs l, and each level lowers the degree by ``r - 1``), so at level j a
 term whose degree in ``u_1..u_j`` is below ``j(r-1)`` lands in base classes
-of negative degree, which are zero.  The two paths produce identical
-polynomials term by term, for every input; the test suite pins that
-equality.
+of negative degree, which are zero.  Where the level-(j-1) lifted classes
+follow the rank-r recursion from level j-2 and that saves products
+(``RelationSet.peels``), level j multiplies through the recursion: the
+windows are first combined by key shifts and small-integer multiples, then
+multiplied by the smaller level-(j-2) classes.  The pushforward and
+reduce-then-integrate produce identical polynomials term by term, for every
+input and every relation set; the test suite pins that equality.
 """
 
 from __future__ import annotations
@@ -52,6 +56,11 @@ def _binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+def _lift_coeff(r: int, l: int, s: int) -> int:
+    """Coefficient of ``u_j^(l-s) c_s^[j-1]`` in ``c_l^[j]`` at rank r (``c_0 = 1``)."""
+    return _binom(r - s, l - s) - _binom(r - s, l - s - 1)
 
 
 class TowerContext:
@@ -134,13 +143,14 @@ class TowerContext:
 class RelationSet:
     """Lifted Chern classes and the monic relation of every level, memoized."""
 
-    __slots__ = ("ctx", "lifted", "relations", "_neg_lifted")
+    __slots__ = ("ctx", "lifted", "relations", "_neg_lifted", "_peels")
 
     def __init__(self, ctx: TowerContext, lifted, relations):
         self.ctx = ctx
         self.lifted = lifted          # lifted[j][l-1] = class l at level j, j = 0..k-1
         self.relations = relations    # relations[j-1] = monic relation of level j
         self._neg_lifted: dict[int, list[dict[int, dict[int, int]]]] = {}
+        self._peels: dict[int, bool] = {}
 
     def lifted_chern(self, j: int, l: int) -> Polynomial:
         """Lifted class ``l`` at level ``j`` (0 = base); zero for ``l > r``."""
@@ -174,18 +184,44 @@ class RelationSet:
             self._neg_lifted[j] = cached
         return cached
 
+    def peels(self, j: int) -> bool:
+        """Whether the level-j pushforward multiplies through the lifted-class recursion.
+
+        True when ``j >= 2`` and both hold: it pays, since the level-(j-1)
+        classes hold more terms than the level-(j-2) classes plus the nonzero
+        recursion coefficients; and it is exact, since the level-(j-1) classes
+        equal ``_lifted_class`` of the level-(j-2) classes.  Memoized per level.
+        """
+        peel = self._peels.get(j)
+        if peel is None:
+            peel = False
+            if j >= 2:
+                r = self.ctx.r
+                prev, cur = self.lifted[j - 2], self.lifted[j - 1]
+                coeffs = sum(
+                    1 for l in range(1, r + 1) for s in range(l + 1) if _lift_coeff(r, l, s)
+                )
+                if sum(map(len, cur)) > sum(map(len, prev)) + coeffs:
+                    u = self.ctx.ring.variable(self.ctx.u(j - 1))
+                    upow = [u**e for e in range(r + 1)]
+                    peel = all(
+                        cur[l - 1] == _lifted_class(prev, upow, l) for l in range(1, r + 1)
+                    )
+            self._peels[j] = peel
+        return peel
+
 
 def _lifted_class(prev: Sequence[Polynomial], upow: Sequence[Polynomial], l: int) -> Polynomial:
     """Class ``l`` of level j from the classes ``prev`` of level j-1; ``upow[e] = u_j^e``.
 
-    ``c_l^[j] = sum_s [binom(r-s, l-s) - binom(r-s, l-s-1)] u_j^(l-s) c_s^[j-1]``
-    over ``0 <= s <= min(l, r)``, with ``c_0 = 1``.  At ``l = r + 1`` it is
+    ``c_l^[j] = sum_s _lift_coeff(r, l, s) u_j^(l-s) c_s^[j-1]`` over
+    ``0 <= s <= min(l, r)``, with ``c_0 = 1``.  At ``l = r + 1`` it is
     ``-u_j q_j``, which vanishes modulo the level relation.
     """
     r = len(prev)
-    cls = (_binom(r, l) - _binom(r, l - 1)) * upow[l]
+    cls = _lift_coeff(r, l, 0) * upow[l]
     for s in range(1, min(l, r + 1)):
-        coeff = _binom(r - s, l - s) - _binom(r - s, l - s - 1)
+        coeff = _lift_coeff(r, l, s)
         if coeff:
             cls = cls + coeff * (prev[s - 1] * upow[l - s])
     if l <= r:
@@ -248,6 +284,33 @@ def integrate_fibers(p: Polynomial, ctx: TowerContext) -> Polynomial:
     return p
 
 
+def _shift_add(
+    target: dict[int, dict[int, int]],
+    window: dict[int, dict[int, dict[int, int]]],
+    m: int,
+    s: int,
+    sources: Sequence[tuple[int, int]],
+    below: int,
+    floor: int,
+) -> dict[int, dict[int, int]]:
+    """Add ``sum_(l, w) w u^(l-s) B_(m+l)`` into ``target``, bucketed by u-degree.
+
+    ``window[m + l]`` holds ``B_(m+l)`` by degree, ``below`` is the key shift
+    of ``u``, and a term that lands below degree ``floor`` is left out.
+    """
+    for l, w in sources:
+        step = (l - s) << below
+        for a, terms in window.get(m + l, {}).items():
+            if a + l - s < floor:
+                continue
+            into = target.setdefault(a + l - s, {})
+            get = into.get
+            for key, coeff in terms.items():
+                key += step
+                into[key] = get(key, 0) + w * coeff
+    return target
+
+
 def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     """Integrate an arbitrary tower class to the base in one pass per level.
 
@@ -268,13 +331,30 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     level, so such a term lands in base classes of negative degree, which
     are zero.  The buckets of ``B_(r-1)`` are the buckets of the next level,
     and the lifted classes are bucketed once per relation set, so the only
-    per-term degree count is on the input.
+    per-term degree count is on the input.  A term whose power of the top
+    variable is below ``r - 1`` is dropped when bucketed: no B-step reads it.
+
+    Where ``rels.peels(j)``, level j multiplies through the recursion
+    ``c_l^[j-1] = sum_s _lift_coeff(r, l, s) u_(j-1)^(l-s) c_s^[j-2]``: at
+    step m, ``sum_l c_l^[j-1] B_(m+l) = E_0 + sum_(s>=1) c_s^[j-2] E_s`` with
+    ``E_s = sum_(l>=max(s,1)) _lift_coeff(r, l, s) u_(j-1)^(l-s) B_(m+l)``.
+    Each part ``E_s`` takes only key shifts and small-integer multiples; it
+    is built in turn, multiplied by the negated level-(j-2) classes and
+    dropped, and ``E_0`` is subtracted as it is built.  A term of ``B_(m+l)``
+    enters ``E_s`` only if its products with ``c_s^[j-2]`` can reach the
+    cut.  A level peels only where that forms fewer products and is exact
+    (see ``RelationSet.peels``); on the towers ``build_relations`` makes,
+    that is from j = 3 at n >= 4 and from j = 4 at n = 3, never at n = 2.
+    Elsewhere the parts are the windows ``B_(m+s)`` themselves, multiplied
+    by the level-(j-1) classes.
 
     The input is released once it is bucketed, and each level's buckets once
-    they are split into strata: when the caller holds no other reference to
-    ``p``, as for a class built in the call's argument, the pass never holds
-    the input next to its strata (from Python 3.11 on; before, the caller's
-    value stack keeps a call's arguments alive until it returns).
+    they are split into strata; each level's window is released once
+    ``B_(r-1)`` is taken out of it.  When the caller holds no other
+    reference to ``p``, as for a class built in the call's argument, the
+    pass never holds the input next to its strata (from Python 3.11 on;
+    before, the caller's value stack keeps a call's arguments alive until
+    it returns).
     """
     ctx = rels.ctx
     r = ctx.r
@@ -296,33 +376,55 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
             by_power: dict[int, dict[int, int]] = {}
             for key, coeff in terms.items():
                 m = (key >> sh) & _EXP_MASK
-                by_power.setdefault(m, {})[key - (m << sh)] = coeff
+                if m >= r - 1:
+                    by_power.setdefault(m, {})[key - (m << sh)] = coeff
             for m, stratum in by_power.items():
                 strata.setdefault(m, {})[degree - m] = stratum
         del graded
         top = max(strata, default=-1)
         if top < r - 1:
             return ring.zero
-        negated = rels.negated_lifted_by_degree(j - 1)
+        # at step m, part s is sum_(l, w) w u_(j-1)^(l-s) B_(m+l) over sources[s];
+        # acc takes -part 0 and the product of each part s >= 1 with factors[s-1]
+        if rels.peels(j):
+            factors = rels.negated_lifted_by_degree(j - 2)
+            below = ring.shift(ctx.u(j - 1))
+            sources = [
+                [(l, c if s else -c)
+                 for l in range(max(s, 1), r + 1) if (c := _lift_coeff(r, l, s))]
+                for s in range(r + 1)
+            ]
+        else:
+            factors = rels.negated_lifted_by_degree(j - 1)
+            sources = [[]] + [[(s, 1)] for s in range(1, r + 1)]
         window: dict[int, dict[int, dict[int, int]]] = {}
         for m in range(top, r - 2, -1):
             need = cut - m
             acc = strata.pop(m, {})
-            for l in range(1, r + 1):
-                above = window.get(m + l)
-                if not above:
+            if sources[0]:
+                _shift_add(acc, window, m, 0, sources[0], below, need)
+            for s in range(r, 0, -1):
+                factor = factors[s - 1]
+                if not factor:
                     continue
-                for a, terms in above.items():
-                    for e, neg in negated[l - 1].items():
+                if sources[s] == [(s, 1)]:
+                    part = window.get(m + s, {})
+                else:
+                    # products with c_s^[j-2] raise the degree by at most max(factor)
+                    part = _shift_add({}, window, m, s, sources[s], below, need - max(factor))
+                for a, terms in part.items():
+                    for e, neg in factor.items():
                         if a + e >= need:
                             _mul_into(acc.setdefault(a + e, {}), neg, terms)
+                del part
             window[m] = {}
             for a, terms in acc.items():
                 kept = {k: c for k, c in terms.items() if c}
                 if kept:
                     window[m][a] = kept
             window.pop(m + r, None)
-        graded = window.get(r - 1, {})
+        graded = window.pop(r - 1, {})
+        del window
     return ring.polynomial(graded.get(0, {}))
 
 

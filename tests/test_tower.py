@@ -258,10 +258,13 @@ def test_pushforward_equals_literal_on_morse_class():
     assert fast == literal
 
 
-@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
+@pytest.mark.parametrize(
+    "n,k", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4), (4, 3), (3, 4), (5, 3)]
+)
 def test_pushforward_cut_on_inhomogeneous_classes(n, k):
     # every base variable occurs, and u-degrees fall on both sides of the
-    # cut k(r-1) below which a term pushes forward to zero
+    # cut k(r-1) below which a term pushes forward to zero; (4,3), (3,4) and
+    # (5,3) reach a level that multiplies through the lifted-class recursion
     ctx = TowerContext(n, k)
     ring = ctx.ring
     rels = ctx.relations
@@ -284,6 +287,43 @@ def test_pushforward_cut_on_inhomogeneous_classes(n, k):
         nonzero += bool(pushed)
     assert min(udegrees) < cut <= max(udegrees)
     assert nonzero
+
+
+def test_peel_runs_where_it_pays_and_is_exact():
+    # a level multiplies through the recursion of its lifted classes only
+    # where that saves products: never at n = 2, whose misses stay cheap
+    expected = {2: [], 3: [4, 5], 4: [3, 4, 5], 5: [3, 4, 5]}
+    for n, levels in expected.items():
+        rels = TowerContext(n, 5).relations
+        assert [j for j in range(1, 6) if rels.peels(j)] == levels
+    # and only where the classes follow the recursion
+    ctx = TowerContext(4, 3)
+    assert ctx.relations.peels(3)
+    perturbed = RelationSet(
+        ctx, *_perturb_lifted_c1(ctx, list(ctx.relations.lifted), list(ctx.relations.relations))
+    )
+    assert not any(perturbed.peels(j) for j in range(1, 4))
+
+
+def test_pushforward_is_exact_on_a_tower_that_breaks_the_recursion():
+    # c_2^[2] gains u_1*u_2 and q_3 is rebuilt from the changed classes, so
+    # level 2 no longer lifts level 1 by the recursion, nor level 3 level 2
+    ctx = TowerContext(4, 4)
+    ring = ctx.ring
+    rels = ctx.relations
+    u1, u2, u3 = (ring.variable(ctx.u(j)) for j in (1, 2, 3))
+    lifted = list(rels.lifted)
+    relations = list(rels.relations)
+    lifted[2] = (lifted[2][0], lifted[2][1] + u1 * u2) + lifted[2][2:]
+    rel = u3**ctx.r
+    for l in range(1, ctx.r + 1):
+        rel = rel + lifted[2][l - 1] * u3 ** (ctx.r - l)
+    relations[2] = rel
+    perturbed = RelationSet(ctx, tuple(lifted), tuple(relations))
+    cls = morse_class(ctx, default_weights(4))
+    pushed = pushforward_to_base(cls, perturbed)
+    assert pushed == integrate_fibers(reduce_tower(cls, perturbed), ctx)
+    assert pushed != pushforward_to_base(cls, rels)
 
 
 @pytest.mark.parametrize("n,k", [(4, 4), (3, 5)])

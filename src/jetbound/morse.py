@@ -18,7 +18,9 @@ exact downward search below a power-of-two root bound.
 ``compute_batch`` runs the pipeline for several weight vectors on one tower
 with one pushforward: their classes are packed into the slots of one class's
 coefficients, each slot wider than ``slot_bits`` proves any base coefficient
-can be.  ``compute_report`` and ``morse_polynomial`` are batches of one.
+can be.  The proof scales one integer, the absolute pushforward of the default
+ladder's class, computed once per tower and process.  ``compute_report`` and
+``morse_polynomial`` are batches of one and compute no bound.
 """
 
 from __future__ import annotations
@@ -329,34 +331,77 @@ class MorseReport:
 PACKED_BITS = 1024
 
 
-def slot_bits(rels: RelationSet, total: int) -> int:
-    """Width of one packed slot: one bit above a bound on every base coefficient.
+#: The ladder bound ``R`` of every relation set seen, keyed by its ring and lifted classes.
+_LADDER_BOUNDS: dict[tuple, int] = {}
 
-    The bound holds for every admissible vector of weight total ``|a| <=
-    total`` on the tower of ``rels``.  Each coefficient of ``F^N`` is
-    ``N!/(alpha! beta!) a^alpha (2|a|)^beta``, so the l1-norm of ``F^N`` is
-    ``(3|a|)^N`` and that of the class, whose terms are scaled by
-    ``1 - beta``, is at most ``max(N - 1, 1) (3|a|)^N``.  Level j sends a
-    term ``u_j^M t`` to ``t * pi(u_j^M)``, where ``pi(u^(r-1)) = 1``, lower
-    powers go to zero and ``pi(u^M) = -sum_l c_l^[j-1] pi(u^(M-l))``; so the
-    l1-norm of ``pi(u^M)`` is at most ``rho_M`` with ``rho_(r-1) = 1`` and
-    ``rho_M = sum_l |c_l^[j-1]|_1 rho_(M-l)``.  The class has weighted degree
-    ``N - (k-j)(r-1)`` when it reaches level j, which bounds ``M``, and each
-    level multiplies the norm by at most the largest ``rho_M`` below it.
+
+def _collapsed(ctx: TowerContext, p: Polynomial, sign: int) -> Polynomial:
+    """``sign * |p|`` with ``c``, ``h`` and ``d`` set to 1: each key keeps only its u fields."""
+    low = ctx.ring.shift(ctx.u(ctx.k))
+    out: dict[int, int] = {}
+    for key, coeff in p._terms.items():
+        key = key >> low << low
+        out[key] = out.get(key, 0) + sign * abs(coeff)
+    return ctx.ring.polynomial(out)
+
+
+def _ladder_bound(rels: RelationSet) -> int:
+    """``R``: the collapsed absolute pushforward of the default ladder's class.
+
+    The ladder's class and the lifted classes of ``rels`` are replaced by
+    their absolute values with ``c``, ``h`` and ``d`` set to 1, the lifted
+    classes negated so that the recurrence of ``pushforward_to_base`` adds
+    every product, and the one base coefficient left is ``R``.  It depends on
+    the lifted classes alone, so it is memoized per process by their term
+    maps (and the ring), not by the tower's dimensions.
     """
     ctx = rels.ctx
-    r, N = ctx.r, ctx.total_dim
-    bound = max(N - 1, 1) * (3 * total) ** N
-    for j in range(1, ctx.k + 1):
-        norms = [sum(map(abs, cls._terms.values())) for cls in rels.lifted[j - 1]]
-        rho = [0] * (r - 1) + [1]
-        for M in range(r, N - (ctx.k - j) * (r - 1) + 1):
-            rho.append(sum(norms[l - 1] * rho[M - l] for l in range(1, r + 1)))
-        bound *= max(rho)
+    key = (ctx.ring.names, tuple(frozenset(cls._terms.items()) for level in rels.lifted for cls in level))
+    bound = _LADDER_BOUNDS.get(key)
+    if bound is None:
+        absolute = RelationSet(
+            ctx,
+            tuple(tuple(_collapsed(ctx, cls, -1) for cls in level) for level in rels.lifted),
+            rels.relations,
+        )
+        ladder = _collapsed(ctx, morse_class(ctx, default_weights(ctx.k)), 1)
+        bound = _LADDER_BOUNDS[key] = pushforward_to_base(ladder, absolute)._terms.get(0, 0)
+    return bound
+
+
+def slot_bits(rels: RelationSet, a1: int) -> int:
+    """Width of one packed slot: one bit above a bound on every base coefficient.
+
+    The bound holds for every admissible vector with first weight ``a_1 <=
+    a1`` on the tower of ``rels`` (so also for every vector of total at most
+    ``a1``).  Proof, with ``L`` the default ladder and ``x = a_1 / L_1``:
+
+    1. Admissibility gives ``a_j <= a_1 / 3^(j-1)`` below ``k`` and ``a_k <=
+       a_(k-1) / 2``, that is ``a_j <= x L_j`` and ``|a| <= x |L|``.  The
+       coefficient of ``u^alpha h^beta`` in the class is ``(1 - beta)
+       N!/(alpha! beta!) a^alpha (2|a|)^beta`` with ``|alpha| + beta = N``,
+       so ``|class(a)| <= x^N |class(L)|`` coefficient by coefficient.
+    2. The pushforward is Z-linear in the class, and each base coefficient
+       is a sum over the terms of the class of products of lifted-class
+       coefficients; the degree cut and the dropping of zero terms read no
+       value.  By the triangle inequality, pushing ``|class(L)|`` forward
+       with every lifted class replaced by its absolute values bounds every
+       base coefficient of ``class(L)``'s signed pushforward, and with the
+       first step, ``x^N`` times it bounds those of ``class(a)``.
+    3. Setting ``c``, ``h`` and ``d`` to 1 in the class and the lifted
+       classes is a ring map that keeps every u-exponent, and every choice of
+       the pushforward reads u-exponents only, so the result is the sum of
+       the absolute base coefficients: one integer ``R``, which bounds each.
+
+    So every base coefficient is at most ``ceil(R a1^N / L_1^N)`` in absolute
+    value, computed in exact integers; ``R`` is ``_ladder_bound``.
+    """
+    N, ladder = rels.ctx.total_dim, default_weights(rels.ctx.k).a[0]
+    bound = -(-_ladder_bound(rels) * a1**N // ladder**N)
     return bound.bit_length() + 1
 
 
-def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: int) -> Polynomial:
+def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: Optional[int]) -> Polynomial:
     """The Morse classes of ``weights`` in one class, slot i of each coefficient holding class i.
 
     Every class has the same monomials (each term is nonzero), so the packed
@@ -375,12 +420,15 @@ def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: int) -> Poly
     return Polynomial(ctx.ring, dict(zip(keys, vals)))
 
 
-def _unpack(packed: Polynomial, bits: int, count: int) -> list[Polynomial]:
+def _unpack(packed: Polynomial, bits: Optional[int], count: int) -> list[Polynomial]:
     """The ``count`` classes packed in ``packed``, slot i holding class i.
 
     Slots below the top are read off as balanced base-``2^bits`` digits, each
-    in ``[-2^(bits-1), 2^(bits-1))``; the top slot is what remains.
+    in ``[-2^(bits-1), 2^(bits-1))``; the top slot is what remains.  A batch
+    of one is the class itself and reads no width.
     """
+    if count == 1:
+        return [packed]
     full, half = 1 << bits, 1 << (bits - 1)
     slots: list[dict[int, int]] = [{} for _ in range(count)]
     for key, value in packed._terms.items():
@@ -397,22 +445,26 @@ def _unpack(packed: Polynomial, bits: int, count: int) -> list[Polynomial]:
 def compute_batch(
     rels: RelationSet,
     jobs: Sequence[tuple[GeometrySpec, Union[WeightVector, Sequence[int]]]],
+    bits: Optional[int] = None,
 ) -> list[MorseReport]:
     """The report of every ``(spec, weights)`` job on the tower of ``rels``, in job order.
 
     All jobs share one pushforward.  The Morse classes are packed into one
     class whose coefficients are ``sum_i c_i 2^(i*bits)``, the class of job i
-    in slot i, with ``bits`` from ``slot_bits``.  ``pushforward_to_base`` is
-    Z-linear in the coefficients, and its degree cut and its dropping of
-    zero terms never depend on a coefficient's value, so the packed base
-    class holds the base class of every job in its slot exactly; a batch of
-    one pushes the class itself forward.  Each class is dropped once packed.
-    Each report's ``elapsed_ms`` is an even share of the pass's wall time.
+    in slot i.  ``bits`` must be at least ``slot_bits`` at the largest first
+    weight of the jobs, which it is computed as when not given; a batch of
+    one computes no bound and pushes the class itself forward.
+    ``pushforward_to_base`` is Z-linear in the coefficients, and its degree
+    cut and its dropping of zero terms never depend on a coefficient's
+    value, so the packed base class holds the base class of every job in its
+    slot exactly.  Each class is dropped once packed.  Each report's
+    ``elapsed_ms`` is an even share of the pass's wall time.
     """
     ctx = rels.ctx
     weights = [_as_weights(w) for _, w in jobs]
     start = time.perf_counter()
-    bits = slot_bits(rels, max(w.total for w in weights))
+    if bits is None and len(jobs) > 1:
+        bits = slot_bits(rels, max(w.a[0] for w in weights))
     bases = _unpack(pushforward_to_base(_pack(ctx, weights, bits), rels), bits, len(jobs))
     polys = [evaluate_in_degree(ctx, base, spec) for (spec, _), base in zip(jobs, bases)]
     elapsed_ms = round((time.perf_counter() - start) * 1000.0 / len(jobs), 3)

@@ -12,18 +12,21 @@ any parallelism.
 process pool; ``run_sweep`` and the command line's cached path both use it.
 It groups the jobs by their relation set and splits each group into packed
 passes of even size, as many jobs each as ``morse.PACKED_BITS`` holds slots
-of ``morse.slot_bits``.  A pass is one chunk, the tower's relations and the
-(geometry, weights) of its jobs, and ``morse.compute_batch`` computes it in
-one pushforward.  Serial and pool runs map the same chunks through the same
-function; the pool receives each chunk with its relations rather than
-rebuilding them, and the reports come back in job order.
+of ``morse.slot_bits`` at the largest first weight of the group (12 of the
+first 12 candidates at (3,5)).  A tower with one job, such as each cell of
+the table, is one pass and computes no slot width.  A pass is one chunk, the
+tower's relations, the (geometry, weights) of its jobs and the slot width,
+and ``morse.compute_batch`` computes it in one pushforward.  Serial and pool
+runs map the same chunks through the same function; the pool receives each
+chunk with its relations and its slot width rather than rebuilding them,
+and the reports come back in job order.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .geometry import GeometrySpec
 from .morse import PACKED_BITS, MorseReport, WeightVector, compute_batch, slot_bits
@@ -89,43 +92,50 @@ class SweepResult:
         return SweepResult(best=min(reports, key=_rank), evaluated=len(reports), reports=tuple(reports))
 
 
-def _passes(jobs: Sequence[Job]) -> list[list[int]]:
+def _passes(jobs: Sequence[Job]) -> list[tuple[list[int], Optional[int]]]:
     """Job indices grouped by relation set and split into packed passes of even size.
 
-    A pass holds at most ``PACKED_BITS // slot_bits`` jobs, the slot width
-    taken at the largest weight total of the tower's jobs.
+    Each pass comes with its slot width: ``slot_bits`` at the largest first
+    weight of the tower's jobs, and a pass holds at most ``PACKED_BITS //
+    slot_bits`` jobs.  A tower with one job is a pass of one with no width,
+    so it computes no bound.
     """
     towers: dict[RelationSet, list[int]] = {}
     for index, job in enumerate(jobs):
         towers.setdefault(job.rels, []).append(index)
     passes = []
     for rels, indices in towers.items():
-        width = max(1, PACKED_BITS // slot_bits(rels, max(sum(jobs[i].weights) for i in indices)))
-        count = -(-len(indices) // width)
+        if len(indices) == 1:
+            passes.append((indices, None))
+            continue
+        bits = slot_bits(rels, max(jobs[i].weights[0] for i in indices))
+        count = -(-len(indices) // max(1, PACKED_BITS // bits))
         size = -(-len(indices) // count)
-        passes += [indices[start:start + size] for start in range(0, len(indices), size)]
+        passes += [(indices[start:start + size], bits) for start in range(0, len(indices), size)]
     return passes
 
 
-def _compute(chunk: tuple[RelationSet, list[tuple[GeometrySpec, tuple[int, ...]]]]) -> list[MorseReport]:
+def _compute(
+    chunk: tuple[RelationSet, list[tuple[GeometrySpec, tuple[int, ...]]], Optional[int]],
+) -> list[MorseReport]:
     return compute_batch(*chunk)
 
 
 def compute_reports(jobs: Sequence[Job], threads: int = 1) -> list[MorseReport]:
     """The report of every job, in job order, each computed with the job's own relations.
 
-    Each pass of ``_passes`` is one chunk for ``morse.compute_batch``.  With
-    more than one thread the chunks go to a process pool, and the reports
-    come back pickled.
+    Each pass of ``_passes`` is one chunk for ``morse.compute_batch``, its
+    slot width computed here, once per tower.  With more than one thread the
+    chunks go to a process pool, and the reports come back pickled.
     """
     passes = _passes(jobs)
-    chunks = [(jobs[p[0]].rels, [(jobs[i].spec, jobs[i].weights) for i in p]) for p in passes]
+    chunks = [(jobs[p[0]].rels, [(jobs[i].spec, jobs[i].weights) for i in p], bits) for p, bits in passes]
     if threads > 1 and chunks:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             batches = list(pool.map(_compute, chunks))
     else:
         batches = list(map(_compute, chunks))
-    by_index = {i: report for indices, batch in zip(passes, batches) for i, report in zip(indices, batch)}
+    by_index = {i: report for (indices, _), batch in zip(passes, batches) for i, report in zip(indices, batch)}
     return [by_index[i] for i in range(len(jobs))]
 
 

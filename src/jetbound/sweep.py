@@ -9,7 +9,9 @@ ranking last, which makes the winner independent of evaluation order and of
 any parallelism.
 
 ``compute_reports`` is the package's one batch computation, serial or on a
-process pool; ``run_sweep`` and the command line's cached path both use it.
+process pool; ``run_sweep`` and the command line's cached path both use it,
+and both take each tower's relations from ``tower.pipeline_tower``, which
+builds them once per process.
 It groups the jobs by their relation set and splits each group into packed
 passes of even size, as many jobs each as ``morse.PACKED_BITS`` holds slots
 of ``morse.slot_bits`` at the largest first weight of the group (12 of the
@@ -30,7 +32,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .geometry import GeometrySpec
 from .morse import PACKED_BITS, MorseReport, WeightVector, compute_batch, slot_bits
-from .tower import RelationSet, TowerContext
+from .tower import RelationSet, pipeline_tower
 
 __all__ = ["enumerate_admissible", "Job", "SweepResult", "compute_reports", "run_sweep"]
 
@@ -145,7 +147,7 @@ def run_sweep(
     budget: int,
     threads: int = 1,
 ) -> SweepResult:
-    """Evaluate the first ``budget`` admissible vectors and return the best; uncached."""
+    """Evaluate the first ``budget`` admissible vectors and return the best; no report is cached."""
     candidates = enumerate_admissible(k, budget)
-    rels = TowerContext(spec.n, k).relations
+    rels = pipeline_tower(spec.n, k)[0]
     return SweepResult.from_reports(compute_reports([Job(spec, w.a, rels) for w in candidates], threads))

@@ -26,6 +26,8 @@ input and every relation set; the test suite pins that equality.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from math import comb
 from typing import Optional, Sequence
 
@@ -45,6 +47,7 @@ __all__ = [
     "TowerContext",
     "RelationSet",
     "build_relations",
+    "pipeline_tower",
     "reduce_tower",
     "integrate_fibers",
     "pushforward_to_base",
@@ -250,6 +253,19 @@ def build_relations(ctx: TowerContext) -> RelationSet:
         if j < ctx.k:
             lifted.append(tuple(_lifted_class(prev, upow, l) for l in range(1, r + 1)))
     return RelationSet(ctx, tuple(lifted), tuple(relations))
+
+
+@functools.lru_cache(maxsize=None)
+def pipeline_tower(n: int, k: int) -> tuple[RelationSet, str]:
+    """The relations of the (n, k) tower and the SHA-256 hex digest of their text, once per process.
+
+    The text is ``str`` of each level relation, one per line; cache keys
+    carry its digest.  Every pipeline stage takes its tower from here;
+    towers built by hand (perturbed or with symbolic weights) do not.
+    """
+    rels = TowerContext(n, k).relations
+    text = "\n".join(str(q) for q in rels.relations)
+    return rels, hashlib.sha256(text.encode()).hexdigest()
 
 
 def reduce_tower(p: Polynomial, rels: RelationSet) -> Polynomial:

@@ -112,6 +112,7 @@ def test_weight_count_other_than_order_exits_2_before_anything_is_built(
     # an empty list is no list at all, not the default ladder
     built = []
     monkeypatch.setattr("jetbound.cli.TowerContext", lambda *args: built.append(args))
+    monkeypatch.setattr("jetbound.cli.pipeline_tower", lambda *args: built.append(args))
     code, out, err = run_cli(capsys, command, "--dim", "2", "--order", order, "--weights", weights,
                              "--cache-dir", str(tmp_path / "cache"))
     assert code == 2
@@ -311,21 +312,41 @@ def test_sweep_argv_ends_in_documented_exit_code(fuzz_cache_dir, dim, order, bud
     assert _argv_exit_code(argv) in {0, 2, 3, 4}
 
 
-@pytest.mark.parametrize("argv,name", [
-    (("--dim", "2", "--order", "2"),
-     "116162c080ceffe9ec2e26821df5ccbcd819b50909d50b13f6f7720fc316654d.json"),
-    (("--dim", "3", "--order", "3", "--geometry", "compact"),
-     "9858b389124fecb85c9ae418e05ba1a4f21f0384f3dcfb3f834fa5a43ac206f3.json"),
-], ids=["log-2-2", "compact-3-3"])
-def test_cache_file_names_are_stable(capsys, cache_dir, argv, name):
-    # the key hashes the relation text, so this pins str() of the relations too
-    code, _, _ = run_cli(capsys, "bound", *argv, "--cache-dir", cache_dir)
-    assert code == 0
-    assert os.listdir(cache_dir) == [name]
+# The cache key of `bound` at the default ladder, by (geometry, n, k).  The key
+# carries the digest of the relation text, so these pin str() of the relations
+# too; (3, 5) has five level relations.
+PINNED_KEYS = {
+    ("log", 2, 2): "116162c080ceffe9ec2e26821df5ccbcd819b50909d50b13f6f7720fc316654d",
+    ("compact", 3, 3): "9858b389124fecb85c9ae418e05ba1a4f21f0384f3dcfb3f834fa5a43ac206f3",
+    ("log", 3, 5): "0bfed64ead9f4d54565ca7d76081fd37864202518063663861046ffdf087fee5",
+}
+PINNED_IDS = ["-".join(map(str, cell)) for cell in PINNED_KEYS]
 
 
-def test_relations_built_once_per_call(capsys, cache_dir, monkeypatch):
-    from jetbound import tower
+@pytest.mark.parametrize("cell,key", PINNED_KEYS.items(), ids=PINNED_IDS)
+def test_cache_file_names_are_stable(capsys, cache_dir, cell, key):
+    geometry, n, k = cell
+    argv = ("bound", "--dim", str(n), "--order", str(k), "--geometry", geometry, "--cache-dir", cache_dir)
+    # a cold request stores the file; a warm one in the same process reads it and leaves it alone
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert os.listdir(cache_dir) == [f"{key}.json"]
+
+
+@pytest.mark.parametrize("cell,key", PINNED_KEYS.items(), ids=PINNED_IDS)
+def test_cache_key_of_the_memoized_digest_is_pinned(cell, key):
+    from jetbound import cache
+    from jetbound.morse import default_weights
+    from jetbound.tower import pipeline_tower
+
+    geometry, n, k = cell
+    rels, digest = pipeline_tower(n, k)
+    assert cache.cache_key(n, rels.ctx.r, k, geometry, default_weights(k).a, digest) == key
+
+
+def test_relations_built_once_per_process(capsys, cache_dir, monkeypatch):
+    from jetbound import compute_report, tower
 
     built = []
     build = tower.build_relations
@@ -335,16 +356,27 @@ def test_relations_built_once_per_call(capsys, cache_dir, monkeypatch):
         return build(ctx)
 
     monkeypatch.setattr(tower, "build_relations", counting)
+    tower.pipeline_tower.cache_clear()
     # a miss: its key and its compute share one tower
     code, _, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "3", "--cache-dir", cache_dir)
     assert code == 0
     assert built == [(2, 3)]
-    # a cold sweep: every job's key and compute share one tower
-    built.clear()
-    code, _, _ = run_cli(capsys, "sweep", "--dim", "2", "--order", "3", "--budget", "6",
-                         "--cache-dir", os.path.join(cache_dir, "sweep"))
-    assert code == 0
+    # a hit, a poly, a cold sweep and the library's calls on the same tower build nothing
+    for argv in (
+        ("bound", "--dim", "2", "--order", "3", "--cache-dir", cache_dir),
+        ("poly", "--dim", "2", "--order", "3", "--cache-dir", cache_dir),
+        ("sweep", "--dim", "2", "--order", "3", "--budget", "6", "--cache-dir", os.path.join(cache_dir, "sweep")),
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    compute_report(logarithmic_pair(2), 3)
+    run_sweep(logarithmic_pair(2), 3, budget=2)
     assert built == [(2, 3)]
+    # another tower is built once, on its first use
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "2", "--cache-dir", cache_dir)
+        assert code == 0
+    assert built == [(2, 3), (2, 2)]
 
 
 @pytest.mark.parametrize("command", ["bound", "poly", "table", "sweep"])

@@ -20,7 +20,7 @@ from .errors import CacheDirectoryError, InadmissibleWeightsError, JetboundError
 from .geometry import GeometrySpec
 from .morse import MorseReport, default_weights, is_admissible, order_bounds
 from .tower import TowerContext, pipeline_tower
-from .verify import run_all
+from .verify import MAX_DIM, run_all
 
 TABLE_CELLS = [(n, k) for n in range(2, 6) for k in range(n, 6)]
 
@@ -92,8 +92,9 @@ def _thread_count(text: str) -> int:
     return min(int(text), os.cpu_count() or 1)
 
 
-#: Least value of each integer option, checked in this order before any command runs.
-_MINIMA = (("dim", 2), ("order", 1), ("budget", 1), ("threads", 1), ("dim_max", 2))
+#: Bound on each integer option, checked in this order before any command runs.
+_LIMITS = (("dim", ">=", 2), ("order", ">=", 1), ("budget", ">=", 1), ("threads", ">=", 1),
+           ("dim_max", ">=", 2), ("dim_max", "<=", MAX_DIM))
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -288,9 +289,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    for name, least in _MINIMA:
-        if getattr(args, name, least) < least:
-            print(f"{args.command} requires --{name.replace('_', '-')} >= {least}", file=sys.stderr)
+    for name, sign, limit in _LIMITS:
+        value = getattr(args, name, limit)
+        if value < limit if sign == ">=" else value > limit:
+            print(f"{args.command} requires --{name.replace('_', '-')} {sign} {limit}", file=sys.stderr)
             return 2
     try:
         code, data, rows, lines = args.func(args)

@@ -10,12 +10,17 @@ Two base models are supported, both of rank ``r = n``:
   ``c_j = (-1)^j h^j * sum_i (-1)^i binom(n+1, i) d^(j-i)``.
 
 ``substitute_chern`` is the one place that substitutes those classes into a
-polynomial; ``evaluate_in_degree`` applies it (with ``h -> 1``) to a
+finished base class; ``evaluate_in_degree`` applies it (with ``h -> 1``) to a
 weighted-degree-n base class and multiplies the result by ``d``.  For the
 compact model that factor is the honest integral of ``h^n``; for the
 logarithmic model it is kept anyway so that outputs are directly comparable
 with the reference pipeline this engine reproduces.  The factor is positive
 for every degree ``d >= 1``, so positivity thresholds are unaffected.
+
+A relation set is specialized before the pushforward, not here:
+``RelationSet.specialized`` is the one way to map its classes.
+``symbolic_leading_form`` sets ``c_j -> (-1)^j`` that way, the top
+d-coefficient of class j in both models.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
-from .geometry import EvaluatedClass, GeometrySpec, evaluate_in_degree, substitute_chern
+from .geometry import EvaluatedClass, GeometrySpec, evaluate_in_degree
 from .polyring import Polynomial, _mul_into
 from .tower import RelationSet, TowerContext, pipeline_tower, pushforward_to_base
 
@@ -100,15 +100,6 @@ def _as_weights(weights: Union[WeightVector, Sequence[int]]) -> WeightVector:
     if isinstance(weights, WeightVector):
         return weights
     return WeightVector(tuple(weights))
-
-
-def _weighted_form(ctx: TowerContext, coeffs: Sequence) -> Polynomial:
-    """``F = sum_j coeffs[j-1] * u_j``; a coefficient is an integer or a polynomial."""
-    ring = ctx.ring
-    F = ring.zero
-    for j, aj in enumerate(coeffs, start=1):
-        F = F + aj * ring.variable(ctx.u(j))
-    return F
 
 
 def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) -> Polynomial:
@@ -245,23 +236,32 @@ def symbolic_leading_form(spec: GeometrySpec, k: int, c1_power: int = 0) -> Poly
 
     Returns a polynomial in the weight variables ``a_1..a_k`` alone,
     homogeneous of degree ``N - i``, ``N = n + k(n-1)`` (or zero).  The
-    pushforward is Z[c,h,d]-linear, so the power is pushed forward and the
-    base class multiplied by ``c_1^i``.  The form is
-    ``sum_e (N-i)!/e! a^e T_i(e)``, ``T_i(e)`` the top coefficient of
-    ``c_1^i u^e``, so it is zero exactly when every ``T_i(e)`` is.  At
+    form is ``sum_e (N-i)!/e! a^e T_i(e)``, ``T_i(e)`` the top coefficient
+    of ``c_1^i u^e``, so it is zero exactly when every ``T_i(e)`` is.  At
     ``i = 0`` its value at ``a`` is the ``d^(n+1)`` coefficient of
     ``morse_polynomial(spec, k, a)``: ``h^beta`` lowers the degree in d by
     beta, so only the ``beta = 0`` terms of the class, ``(sum_j a_j u_j)^N``
     scaled by ``1 - 0``, reach ``d^(n+1)``.
+
+    The form depends on ``spec.n`` alone, not on the geometry: base class j
+    has top d-coefficient ``(-1)^j`` in both, and every c-monomial of the
+    base class has weighted degree n, so the ``d^(n+1)`` coefficient is the
+    base class at ``c_j = (-1)^j``.  That ring map fixes ``u_1..u_k``, so the
+    power is pushed forward on the tower's relations specialized by it
+    (``RelationSet.specialized``), whose base class is that value times
+    ``(-1)^i`` for the factor ``c_1^i``; no c-monomial is ever formed.
     """
     ctx = TowerContext(spec.n, k, symbolic_weights=True)
     ring = ctx.ring
-    F = _weighted_form(ctx, [ring.variable(ctx.a(j)) for j in range(1, k + 1)])
-    base = pushforward_to_base(F ** (ctx.total_dim - c1_power), ctx.relations)
-    base = base * ring.variable(ctx.c(1)) ** c1_power
-    # evaluate by hand: the weight variables block evaluate_in_degree
-    result = substitute_chern(ctx, spec, base).substitute(ctx.h, ring.one) * ring.variable(ctx.d)
-    return result.coeff_of(ctx.d, spec.n + 1)
+
+    def signs(p: Polynomial) -> Polynomial:
+        for l in range(1, ctx.r + 1):
+            p = p.substitute(ctx.c(l), ring.const((-1) ** l))
+        return p
+
+    F = sum((ring.variable(ctx.a(j)) * ring.variable(ctx.u(j)) for j in range(1, k + 1)), ring.zero)
+    base = pushforward_to_base(F ** (ctx.total_dim - c1_power), ctx.relations.specialized(signs))
+    return (-1) ** c1_power * base
 
 
 @dataclass(frozen=True)
@@ -348,22 +348,21 @@ def _collapsed(ctx: TowerContext, p: Polynomial, sign: int) -> Polynomial:
 def _ladder_bound(rels: RelationSet) -> int:
     """``R``: the collapsed absolute pushforward of the default ladder's class.
 
-    The ladder's class and the lifted classes of ``rels`` are replaced by
-    their absolute values with ``c``, ``h`` and ``d`` set to 1, the lifted
-    classes negated so that the recurrence of ``pushforward_to_base`` adds
-    every product, and the one base coefficient left is ``R``.  It depends on
-    the lifted classes alone, so it is memoized per process by their term
-    maps (and the ring), not by the tower's dimensions.
+    The ladder's class is replaced by its absolute values with ``c``, ``h``
+    and ``d`` set to 1, and pushed forward on ``rels.specialized`` by the same
+    collapse, negated, so that the recurrence of ``pushforward_to_base`` adds
+    every product; the one base coefficient left is ``R``.  The collapse is
+    not a ring map, and the specialized relations are not read: only the
+    triangle inequality of ``slot_bits`` ties ``R`` to the signed
+    pushforward.  It depends on the lifted classes alone, so it is memoized
+    per process by their term maps (and the ring), not by the tower's
+    dimensions.
     """
     ctx = rels.ctx
     key = (ctx.ring.names, tuple(frozenset(cls._terms.items()) for level in rels.lifted for cls in level))
     bound = _LADDER_BOUNDS.get(key)
     if bound is None:
-        absolute = RelationSet(
-            ctx,
-            tuple(tuple(_collapsed(ctx, cls, -1) for cls in level) for level in rels.lifted),
-            rels.relations,
-        )
+        absolute = rels.specialized(lambda cls: _collapsed(ctx, cls, -1))
         ladder = _collapsed(ctx, morse_class(ctx, default_weights(ctx.k)), 1)
         bound = _LADDER_BOUNDS[key] = pushforward_to_base(ladder, absolute)._terms.get(0, 0)
     return bound

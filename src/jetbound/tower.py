@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DimensionMismatchError, UnreducedClassError
 from .polyring import (
@@ -154,6 +154,19 @@ class RelationSet:
         self.relations = relations    # relations[j-1] = monic relation of level j
         self._neg_lifted: dict[int, list[dict[int, dict[int, int]]]] = {}
         self._peels: dict[int, bool] = {}
+
+    def specialized(self, term_map: Callable[[Polynomial], Polynomial]) -> "RelationSet":
+        """This set with every lifted class and relation mapped through ``term_map``, memos fresh.
+
+        The result lives on the same ``ctx``.  When ``term_map`` is a ring map
+        ``phi`` that fixes ``u_1..u_k`` (such as ``c_j -> (-1)^j``), pushing
+        ``phi(p)`` forward on the result gives ``phi`` of the pushforward of
+        ``p`` on this set: every step of ``pushforward_to_base`` is a sum of
+        products, and its degree cut reads u-exponents only.  ``peels`` is
+        decided afresh on the mapped classes.
+        """
+        lifted = tuple(tuple(map(term_map, level)) for level in self.lifted)
+        return RelationSet(self.ctx, lifted, tuple(map(term_map, self.relations)))
 
     def lifted_chern(self, j: int, l: int) -> Polynomial:
         """Lifted class ``l`` at level ``j`` (0 = base); zero for ``l > r``."""

@@ -672,6 +672,18 @@ def test_verify_dim_max_below_two_exits_2(capsys, dim_max):
     assert err == "verify requires --dim-max >= 2\n"
 
 
+@pytest.mark.parametrize("dim_max", ["6", "40"])
+def test_verify_dim_max_above_five_exits_2_before_any_check(capsys, monkeypatch, dim_max):
+    def refuse(max_n):
+        raise AssertionError("an oversized verify run started its checks")
+
+    monkeypatch.setattr("jetbound.cli.run_all", refuse)
+    code, out, err = run_cli(capsys, "verify", "--dim-max", dim_max)
+    assert code == 2
+    assert out == ""
+    assert err == "verify requires --dim-max <= 5\n"
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--dim-max", "2", "--format", "json")
     assert code == 0

@@ -410,9 +410,10 @@ def test_top_degree_coefficient_is_symbolic_form_for_drawn_weights(data, make_sp
     _assert_top_coefficient_is_symbolic_form(make_spec, n, k, data.draw(_admissible(k)))
 
 
-@pytest.mark.parametrize("n,k,i", [(2, 2, 1), (3, 3, 1)])
+@pytest.mark.parametrize("n,k,i", [(2, 2, 1), (3, 3, 1), (4, 3, 1)])
 def test_symbolic_form_with_c1_power_is_the_reference_tuple_sum(n, k, i):
-    # sum_e (N-i)!/e! a^e T_i(e), each T_i(e) on the reference path
+    # sum_e (N-i)!/e! a^e T_i(e), each T_i(e) on the reference path; level 3
+    # of (4,3) multiplies through the lifted-class recursion
     spec, ctx = compact_hypersurface(n), TowerContext(n, k)
     ring, total = ctx.ring, ctx.total_dim - i
     tops = {}
@@ -424,6 +425,8 @@ def test_symbolic_form_with_c1_power_is_the_reference_tuple_sum(n, k, i):
             base = integrate_fibers(reduce_tower(cls, ctx.relations), ctx)
             tops[e] = evaluate_in_degree(ctx, base, spec).coefficient(n + 1)
     form = symbolic_leading_form(spec, k, c1_power=i)
+    # the form reads the base dimension only, not the geometry
+    assert symbolic_leading_form(logarithmic_pair(n), k, c1_power=i)._terms == form._terms
     samples = {2: [(2, 1), (5, 2), (9, 4)], 3: [(6, 2, 1), (7, 2, 1), (19, 6, 3)]}[k]
     for a in samples:
         expected = 0

@@ -144,7 +144,7 @@ def test_first_sweep_round_is_one_pass_and_its_bound_one_per_process(monkeypatch
     monkeypatch.setattr(morse, "_LADDER_BOUNDS", {})
     monkeypatch.setattr(morse, "pushforward_to_base", counting)
     for _ in range(2):
-        rels = TowerContext(3, 5).relations  # a fresh relation set, as each sweep round builds
+        rels = TowerContext(3, 5).relations  # a fresh set: the memo is keyed by content
         compute_reports([Job(spec, a, rels) for a in SWEEP_CANDIDATES])
         assert seen[-1] is rels
     # the ladder bound's one pushforward, then one pass per round

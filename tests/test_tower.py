@@ -258,6 +258,22 @@ def test_pushforward_equals_literal_on_morse_class():
     assert fast == literal
 
 
+def _random_classes(ctx, seed):
+    """Ten random inhomogeneous classes of eight terms over every variable of ``ctx``.
+
+    Each u-exponent lies in ``0..2(r-1)`` and each base exponent in ``0..2``.
+    """
+    ring, rng = ctx.ring, random.Random(seed)
+    base = [ctx.c(l) for l in range(1, ctx.r + 1)] + [ctx.h, ctx.d]
+    for _ in range(10):
+        terms = {}
+        for _ in range(8):
+            exps = {ctx.u(j): rng.randint(0, 2 * (ctx.r - 1)) for j in range(1, ctx.k + 1)}
+            exps.update((v, rng.randint(0, 2)) for v in base)
+            terms[ring.encode(exps)] = rng.randint(-9, 9)
+        yield ring.polynomial(terms)
+
+
 @pytest.mark.parametrize(
     "n,k", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4), (4, 3), (3, 4), (5, 3)]
 )
@@ -266,22 +282,14 @@ def test_pushforward_cut_on_inhomogeneous_classes(n, k):
     # cut k(r-1) below which a term pushes forward to zero; (4,3), (3,4) and
     # (5,3) reach a level that multiplies through the lifted-class recursion
     ctx = TowerContext(n, k)
-    ring = ctx.ring
     rels = ctx.relations
-    rng = random.Random(1000 + n * 10 + k)
-    base = [ctx.c(l) for l in range(1, ctx.r + 1)] + [ctx.h, ctx.d]
+    base = {ctx.c(l) for l in range(1, ctx.r + 1)} | {ctx.h, ctx.d}
     cut = k * (ctx.r - 1)
     udegrees = set()
     nonzero = 0
-    for _ in range(10):
-        terms = {}
-        for _ in range(8):
-            exps = {ctx.u(j): rng.randint(0, 2 * (ctx.r - 1)) for j in range(1, k + 1)}
-            udegrees.add(sum(exps.values()))
-            exps.update((v, rng.randint(0, 2)) for v in base)
-            terms[ring.encode(exps)] = rng.randint(-9, 9)
-        p = ring.polynomial(terms)
-        assert p.variables_used() >= set(base)
+    for p in _random_classes(ctx, 1000 + n * 10 + k):
+        udegrees.update(sum(exps.get(ctx.u(j), 0) for j in range(1, k + 1)) for exps, _ in p.terms())
+        assert p.variables_used() >= base
         pushed = pushforward_to_base(p, rels)
         assert pushed == integrate_fibers(reduce_tower(p, rels), ctx)
         nonzero += bool(pushed)
@@ -289,13 +297,44 @@ def test_pushforward_cut_on_inhomogeneous_classes(n, k):
     assert nonzero
 
 
+def _signs(ctx):
+    """The ring map ``c_j -> (-1)^j``, which fixes every other variable."""
+
+    def signs(p):
+        for l in range(1, ctx.r + 1):
+            p = p.substitute(ctx.c(l), ctx.ring.const((-1) ** l))
+        return p
+
+    return signs
+
+
+@pytest.mark.parametrize("n,k", [(4, 3), (3, 4), (5, 3)])
+def test_specialized_relations_commute_with_the_pushforward(n, k):
+    # pushing phi(p) forward on the relations mapped by phi is phi of the
+    # pushforward of p; the cells reach a level that multiplies through the
+    # lifted-class recursion, on the specialized set too
+    ctx = TowerContext(n, k)
+    rels, signs = ctx.relations, _signs(ctx)
+    specialized = rels.specialized(signs)
+    assert specialized.ctx is ctx
+    assert any(specialized.peels(j) for j in range(1, k + 1))
+    nonzero = 0
+    for p in _random_classes(ctx, 2000 + n * 10 + k):
+        pushed = pushforward_to_base(signs(p), specialized)
+        assert pushed._terms == signs(pushforward_to_base(p, rels))._terms
+        nonzero += bool(pushed)
+    assert nonzero
+
+
 def test_peel_runs_where_it_pays_and_is_exact():
     # a level multiplies through the recursion of its lifted classes only
-    # where that saves products: never at n = 2, whose misses stay cheap
+    # where that saves products: never at n = 2, whose misses stay cheap;
+    # specializing c_j -> (-1)^j leaves the peeling levels as they are
     expected = {2: [], 3: [4, 5], 4: [3, 4, 5], 5: [3, 4, 5]}
     for n, levels in expected.items():
-        rels = TowerContext(n, 5).relations
-        assert [j for j in range(1, 6) if rels.peels(j)] == levels
+        ctx = TowerContext(n, 5)
+        for rels in (ctx.relations, ctx.relations.specialized(_signs(ctx))):
+            assert [j for j in range(1, 6) if rels.peels(j)] == levels
     # and only where the classes follow the recursion
     ctx = TowerContext(4, 3)
     assert ctx.relations.peels(3)

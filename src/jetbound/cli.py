@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import cache, sweep
 from .errors import CacheDirectoryError, InadmissibleWeightsError, JetboundError
 from .geometry import GeometrySpec
-from .morse import MorseReport, default_weights, is_admissible, order_bounds
+from .morse import MorseReport, WeightVector, default_weights, order_bounds
 from .tower import TowerContext, pipeline_tower
 from .verify import MAX_DIM, run_all
 
@@ -102,9 +102,7 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         weights = tuple(int(chunk) for chunk in text.split(","))
     except ValueError:
         raise InadmissibleWeightsError(f"weights {text!r} are not a comma-separated integer list")
-    if not is_admissible(weights):
-        raise InadmissibleWeightsError(f"weights {weights} violate the admissibility chain")
-    return weights
+    return WeightVector(weights).a  # raises on an inadmissible chain
 
 
 def _emit(fmt: str, data, rows: list, lines: list[str]) -> None:

@@ -17,17 +17,20 @@ exact downward search below a power-of-two root bound.
 
 ``compute_batch`` runs the pipeline for several weight vectors on one tower
 with one pushforward: their classes are packed into the slots of one class's
-coefficients, each slot wider than ``slot_bits`` proves any base coefficient
-can be.  The proof scales one integer, the absolute pushforward of the default
-ladder's class, computed once per tower and process.  ``compute_report`` and
-``morse_polynomial`` are batches of one and compute no bound.
+coefficients, each slot of a width its caller passes, at least the
+``slot_bits`` that prove any base coefficient fits.  The proof scales one
+integer, the absolute pushforward of the default ladder's class, computed
+once per relation set and process.  ``compute_report`` and
+``morse_polynomial`` are batches of one, which need no width and compute no
+bound.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
@@ -300,9 +303,10 @@ class MorseReport:
     def from_json_dict(data: dict) -> "MorseReport":
         """The report of ``data``; ``ValueError`` when its fields disagree.
 
-        The threshold must be null or an integer, the total dimension
-        ``n + k(n-1)``, the leading coefficient that of the polynomial, and
-        ``elapsed_ms`` a number.
+        The dimension, order, total dimension and weights must be integers
+        (not floats or booleans), the threshold null or an integer, the total
+        dimension ``n + k(n-1)``, the leading coefficient that of the
+        polynomial, and ``elapsed_ms`` a finite number.
         """
         report = MorseReport(
             n=data["dim"],
@@ -316,11 +320,13 @@ class MorseReport:
             elapsed_ms=data["elapsed_ms"],
         )
         integer = lambda x: isinstance(x, int) and not isinstance(x, bool)
+        elapsed = report.elapsed_ms
         if not (
-            (report.threshold is None or integer(report.threshold))
+            all(map(integer, (report.n, report.k, report.total_dim, *report.weights)))
+            and (report.threshold is None or integer(report.threshold))
             and report.total_dim == report.n + report.k * (report.n - 1)
             and report.leading_coeff == report.morse_poly.leading_coefficient
-            and (integer(report.elapsed_ms) or isinstance(report.elapsed_ms, float))
+            and (integer(elapsed) or isinstance(elapsed, float) and isfinite(elapsed))
         ):
             raise ValueError("report fields disagree")
         return report
@@ -329,10 +335,6 @@ class MorseReport:
 #: Width in bits of one packed coefficient: at most this many bits of slots
 #: share a pass, which caps the pass's big-integer sizes and so its memory.
 PACKED_BITS = 1024
-
-
-#: The ladder bound ``R`` of every relation set seen, keyed by its ring and lifted classes.
-_LADDER_BOUNDS: dict[tuple, int] = {}
 
 
 def _collapsed(ctx: TowerContext, p: Polynomial, sign: int) -> Polynomial:
@@ -345,6 +347,7 @@ def _collapsed(ctx: TowerContext, p: Polynomial, sign: int) -> Polynomial:
     return ctx.ring.polynomial(out)
 
 
+@functools.cache
 def _ladder_bound(rels: RelationSet) -> int:
     """``R``: the collapsed absolute pushforward of the default ladder's class.
 
@@ -354,18 +357,14 @@ def _ladder_bound(rels: RelationSet) -> int:
     every product; the one base coefficient left is ``R``.  The collapse is
     not a ring map, and the specialized relations are not read: only the
     triangle inequality of ``slot_bits`` ties ``R`` to the signed
-    pushforward.  It depends on the lifted classes alone, so it is memoized
-    per process by their term maps (and the ring), not by the tower's
-    dimensions.
+    pushforward.  It is memoized per relation set object: each pipeline
+    tower is built once per process (``pipeline_tower``), and a set built
+    by hand, perturbed or not, gets its own ``R``.
     """
     ctx = rels.ctx
-    key = (ctx.ring.names, tuple(frozenset(cls._terms.items()) for level in rels.lifted for cls in level))
-    bound = _LADDER_BOUNDS.get(key)
-    if bound is None:
-        absolute = rels.specialized(lambda cls: _collapsed(ctx, cls, -1))
-        ladder = _collapsed(ctx, morse_class(ctx, default_weights(ctx.k)), 1)
-        bound = _LADDER_BOUNDS[key] = pushforward_to_base(ladder, absolute)._terms.get(0, 0)
-    return bound
+    absolute = rels.specialized(lambda cls: _collapsed(ctx, cls, -1))
+    ladder = _collapsed(ctx, morse_class(ctx, default_weights(ctx.k)), 1)
+    return pushforward_to_base(ladder, absolute)._terms.get(0, 0)
 
 
 def slot_bits(rels: RelationSet, a1: int) -> int:
@@ -451,8 +450,8 @@ def compute_batch(
     All jobs share one pushforward.  The Morse classes are packed into one
     class whose coefficients are ``sum_i c_i 2^(i*bits)``, the class of job i
     in slot i.  ``bits`` must be at least ``slot_bits`` at the largest first
-    weight of the jobs, which it is computed as when not given; a batch of
-    one computes no bound and pushes the class itself forward.
+    weight of the jobs (``sweep._passes`` sizes it); a batch of one takes
+    ``bits=None`` and pushes the class itself forward.
     ``pushforward_to_base`` is Z-linear in the coefficients, and its degree
     cut and its dropping of zero terms never depend on a coefficient's
     value, so the packed base class holds the base class of every job in its
@@ -462,8 +461,6 @@ def compute_batch(
     ctx = rels.ctx
     weights = [_as_weights(w) for _, w in jobs]
     start = time.perf_counter()
-    if bits is None and len(jobs) > 1:
-        bits = slot_bits(rels, max(w.a[0] for w in weights))
     bases = _unpack(pushforward_to_base(_pack(ctx, weights, bits), rels), bits, len(jobs))
     polys = [evaluate_in_degree(ctx, base, spec) for (spec, _), base in zip(jobs, bases)]
     elapsed_ms = round((time.perf_counter() - start) * 1000.0 / len(jobs), 3)

@@ -26,7 +26,6 @@ change; there is no parser for it.
 from __future__ import annotations
 
 import re
-from math import comb
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import NonMonicRelationError, RingMismatchError
@@ -246,45 +245,21 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        """Multinomial expansion over the terms; ``p**0 == 1``.
+        """Repeated products: ``exponent - 1`` multiplications by ``self``; ``p**0 == 1``.
 
-        A dynamic program over the terms: after each term, ``layers[used]``
-        holds the expansion of the terms seen so far that uses ``used`` of the
-        exponent, with equal monomials merged.  A few-term base, such as a
-        symbolic weighted form or one tautological variable, never squares a
-        large intermediate, and a base with many terms needs no recursion.
+        The degree cap is checked once up front for a nonzero base, so an
+        overflowing power fails before any product is formed.
         """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
         if exponent == 0:
             return self.ring.one
-        items = list(self._terms.items())
-        if not items:
-            return self.ring.zero
-        self._check_capacity(self.total_degree * exponent)
-        layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(exponent)]
-        last = len(items) - 1
-        for index, (key_step, coeff) in enumerate(items):
-            step_powers = [1]
-            for _ in range(exponent):
-                step_powers.append(step_powers[-1] * coeff)
-            # in place, from the fullest layer down: a layer is read before any
-            # share of this term is added to it, and taking none leaves it as it is
-            for used in range(exponent - 1, -1, -1):
-                partial = layers[used]
-                if not partial:
-                    continue
-                remaining = exponent - used
-                # the last term takes whatever is left
-                for take in range(remaining if index == last else 1, remaining + 1):
-                    factor = comb(remaining, take) * step_powers[take]
-                    shift = key_step * take
-                    target = layers[used + take]
-                    get = target.get
-                    for k, c in partial.items():
-                        k += shift
-                        target[k] = get(k, 0) + c * factor
-        return self.ring.polynomial(layers[exponent])
+        if self._terms:
+            self._check_capacity(self.total_degree * exponent)
+        result = self
+        for _ in range(exponent - 1):
+            result = result * self
+        return result
 
     @staticmethod
     def _check_capacity(degree_bound) -> None:

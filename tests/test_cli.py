@@ -173,6 +173,12 @@ _BAD_FIELDS = {
     "leading-coeff": _with_field("leading_coeff", "7"),
     "empty-polynomial": _with_field("polynomial", []),
     "elapsed-text": _with_field("elapsed_ms", "fast"),
+    "dim-float": _with_field("dim", 2.0),
+    "order-float": _with_field("order", 2.0),
+    "total-dim-float": _with_field("total_dim", 4.0),
+    "weights-float": _with_field("weights", [2.0, 1.0]),
+    "elapsed-nan": _with_field("elapsed_ms", float("nan")),
+    "elapsed-inf": _with_field("elapsed_ms", float("inf")),
 }
 
 

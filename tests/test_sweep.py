@@ -20,7 +20,7 @@ from jetbound.cli import TABLE_CELLS, cached_reports
 from jetbound.geometry import GeometrySpec
 from jetbound.morse import compute_batch, compute_report, slot_bits
 from jetbound.sweep import Job, _passes, compute_reports
-from jetbound.tower import RelationSet
+from jetbound.tower import RelationSet, pipeline_tower
 
 RELATIONS = {(n, k): TowerContext(n, k).relations for n in (2, 3) for k in range(1, 6)}
 SWEEP_CANDIDATES = [w.a for w in enumerate_admissible(5, 12)]
@@ -141,14 +141,14 @@ def test_first_sweep_round_is_one_pass_and_its_bound_one_per_process(monkeypatch
         seen.append(rels)
         return pushforward(p, rels)
 
-    monkeypatch.setattr(morse, "_LADDER_BOUNDS", {})
+    morse._ladder_bound.cache_clear()
     monkeypatch.setattr(morse, "pushforward_to_base", counting)
+    rels = pipeline_tower(3, 5)[0]
     for _ in range(2):
-        rels = TowerContext(3, 5).relations  # a fresh set: the memo is keyed by content
         compute_reports([Job(spec, a, rels) for a in SWEEP_CANDIDATES])
         assert seen[-1] is rels
     # the ladder bound's one pushforward, then one pass per round
-    assert len(seen) == 3 and seen[0] is not seen[1]
+    assert len(seen) == 3 and seen[0] is not rels
 
 
 def test_batches_of_one_compute_no_bound(monkeypatch, tmp_path):

@@ -35,30 +35,29 @@ def _unwritable(cache_dir: str, exc: OSError) -> CacheDirectoryError:
 
 
 def cached_reports(
-    jobs: Sequence[tuple[GeometrySpec, int, Optional[Sequence[int]]]],
+    jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
     threads: int,
     cache_dir: str,
 ) -> list[MorseReport]:
-    """Fetch or compute the report of every ``(spec, k, weights)`` job, in job order.
+    """Fetch or compute the report of every ``(spec, weights)`` job, in job order.
 
-    ``weights=None`` means the default ladder.  A stored file is a miss unless
-    it decodes to a report of the job's own (n, k, geometry, weights).  Misses
-    are computed in one batch, with the relations their keys came from, and
-    each is stored once as its canonical JSON; ``cache.store`` replaces a bad
-    file atomically.  Each (n, k) tower comes from ``pipeline_tower``: its
-    relations and the digest its keys carry are built once per process, so a
-    hit does no algebra.  A cache directory that cannot be created or written
-    raises ``CacheDirectoryError``, before any miss is computed where it can.
+    A job's tower is ``(spec.n, len(weights))``.  A stored file is a miss
+    unless it decodes to a report of the job's own (n, k, geometry,
+    weights).  Misses are computed in one batch, on the towers their keys
+    came from, and each is stored once as its canonical JSON;
+    ``cache.store`` replaces a bad file atomically.  Each tower comes from
+    ``pipeline_tower``: its relations and the digest its keys carry are
+    built once per process, so a hit does no algebra.  A cache directory
+    that cannot be created or written raises ``CacheDirectoryError``, before
+    any miss is computed where it can.
     """
     results: list[Optional[MorseReport]] = []
-    misses: list[tuple[int, str, sweep.Job]] = []
-    for spec, k, weights in jobs:
+    misses: list[tuple[int, str]] = []
+    for spec, weights in jobs:
         # a context per job, although the tower has its own: the traced
         # benchmark (perfbench/spans.py) times the key step from this call
-        ctx = TowerContext(spec.n, k)
-        rels, digest = pipeline_tower(ctx.n, ctx.k)
-        w = default_weights(k).a if weights is None else tuple(weights)
-        key = cache.cache_key(ctx.n, ctx.r, ctx.k, spec.token, w, digest)
+        ctx, w = TowerContext(spec.n, len(weights)), tuple(weights)
+        key = cache.cache_key(ctx.n, ctx.r, ctx.k, spec.token, w, pipeline_tower(ctx.n, ctx.k)[1])
         stored = cache.fetch(cache_dir, key)
         hit = None
         if stored is not None:
@@ -66,10 +65,10 @@ def cached_reports(
                 hit = MorseReport.from_json_dict(json.loads(stored))
             except (ValueError, KeyError, TypeError):
                 pass
-        if hit is not None and (hit.n, hit.k, hit.geometry, hit.weights) != (spec.n, k, spec.token, w):
+        if hit is not None and (hit.n, hit.k, hit.geometry, hit.weights) != (spec.n, ctx.k, spec.token, w):
             hit = None  # another configuration's report under this key
         if hit is None:
-            misses.append((len(results), key, sweep.Job(spec, w, rels)))
+            misses.append((len(results), key))
         results.append(hit)
     if misses:
         # fail before computing anything that could not be stored
@@ -77,8 +76,8 @@ def cached_reports(
             os.makedirs(cache_dir, exist_ok=True)
         except OSError as exc:
             raise _unwritable(cache_dir, exc) from exc
-    computed = sweep.compute_reports([job for _, _, job in misses], threads)
-    for (index, key, _), report in zip(misses, computed):
+    computed = sweep.compute_reports([jobs[index] for index, _ in misses], threads)
+    for (index, key), report in zip(misses, computed):
         try:
             cache.store(cache_dir, key, _json_text(report.to_json_dict()).encode())
         except OSError as exc:
@@ -175,12 +174,12 @@ def _table_lines(thresholds: dict, bounds: dict) -> list[str]:
 
 def _one_report(args) -> MorseReport:
     """The cached report that ``bound`` and ``poly`` print."""
-    spec = GeometrySpec.from_token(args.geometry, args.dim)
-    weights = None if args.weights is None else _parse_weights(args.weights)
-    if weights is not None and len(weights) != args.order:
+    weights = default_weights(args.order).a if args.weights is None else _parse_weights(args.weights)
+    if len(weights) != args.order:
         # before the tower is built or the cache directory created
         raise InadmissibleWeightsError(f"got {len(weights)} weights for a tower of order {args.order}")
-    return cached_reports([(spec, args.order, weights)], 1, cache.resolve_cache_dir(args.cache_dir))[0]
+    spec = GeometrySpec(args.geometry, args.dim)
+    return cached_reports([(spec, weights)], 1, cache.resolve_cache_dir(args.cache_dir))[0]
 
 
 def cmd_bound(args):
@@ -197,7 +196,7 @@ def cmd_poly(args):
 
 
 def cmd_table(args):
-    jobs = [(GeometrySpec.from_token("log", n), k, None) for n, k in TABLE_CELLS]
+    jobs = [(GeometrySpec("log", n), default_weights(k).a) for n, k in TABLE_CELLS]
     reports = cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
     thresholds = {cell: report.threshold for cell, report in zip(TABLE_CELLS, reports)}
     bounds = order_bounds(thresholds)
@@ -208,8 +207,8 @@ def cmd_table(args):
 
 
 def cmd_sweep(args):
-    spec = GeometrySpec.from_token(args.geometry, args.dim)
-    jobs = [(spec, args.order, w.a) for w in sweep.enumerate_admissible(args.order, args.budget)]
+    spec = GeometrySpec(args.geometry, args.dim)
+    jobs = [(spec, w.a) for w in sweep.enumerate_admissible(args.order, args.budget)]
     result = sweep.SweepResult.from_reports(
         cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
     )

@@ -1,12 +1,15 @@
 """Chern classes of the base geometry and evaluation in the degree variable.
 
-Two base models are supported, both of rank ``r = n``:
+Two base models are supported, both of rank ``r = n``, each named by the
+token that the command line, the reports and the cache keys use:
 
-* ``compact_hypersurface``, a smooth degree-d hypersurface in (n+1)-space;
-  its Chern classes come from the exact truncated series identity
-  ``c(T) * (1 + d*h) = (1 + h)^(n+2)``, and ``h^n`` integrates to ``d``.
-* ``logarithmic_pair``, projective n-space with a smooth irreducible
-  degree-d divisor; the Chern classes of the logarithmic tangent bundle are
+* ``'compact'`` (``compact_hypersurface(n)``), a smooth degree-d
+  hypersurface in (n+1)-space; its Chern classes come from the exact
+  truncated series identity ``c(T) * (1 + d*h) = (1 + h)^(n+2)``, and
+  ``h^n`` integrates to ``d``.
+* ``'log'`` (``logarithmic_pair(n)``), projective n-space with a smooth
+  irreducible degree-d divisor; the Chern classes of the logarithmic
+  tangent bundle are
   ``c_j = (-1)^j h^j * sum_i (-1)^i binom(n+1, i) d^(j-i)``.
 
 ``substitute_chern`` is the one place that substitutes those classes into a
@@ -45,36 +48,22 @@ __all__ = [
     "EvaluatedClass",
 ]
 
-COMPACT_HYPERSURFACE = "compact_hypersurface"
-LOGARITHMIC_PAIR = "logarithmic_pair"
-
-_KIND_TOKENS = {COMPACT_HYPERSURFACE: "compact", LOGARITHMIC_PAIR: "log"}
-_TOKEN_KINDS = {v: k for k, v in _KIND_TOKENS.items()}
+COMPACT_HYPERSURFACE = "compact"
+LOGARITHMIC_PAIR = "log"
 
 
 @dataclass(frozen=True)
 class GeometrySpec:
-    """Base model of the tower: kind plus base dimension."""
+    """Base model of the tower: its token, ``'compact'`` or ``'log'``, and the base dimension."""
 
-    kind: str
+    token: str
     n: int
 
     def __post_init__(self):
-        if self.kind not in _KIND_TOKENS:
-            raise ValueError(f"unknown geometry kind {self.kind!r}")
+        if self.token not in (COMPACT_HYPERSURFACE, LOGARITHMIC_PAIR):
+            raise ValueError(f"unknown geometry token {self.token!r}")
         if self.n < 1:
             raise ValueError("base dimension must be >= 1")
-
-    @property
-    def token(self) -> str:
-        """Short CLI/report token: 'compact' or 'log'."""
-        return _KIND_TOKENS[self.kind]
-
-    @staticmethod
-    def from_token(token: str, n: int) -> "GeometrySpec":
-        if token not in _TOKEN_KINDS:
-            raise ValueError(f"unknown geometry token {token!r}")
-        return GeometrySpec(_TOKEN_KINDS[token], n)
 
 
 def compact_hypersurface(n: int) -> GeometrySpec:
@@ -88,7 +77,7 @@ def logarithmic_pair(n: int) -> GeometrySpec:
 def _chern_coefficient_in_degree(spec: GeometrySpec, j: int) -> list[int]:
     """Coefficients (ascending in d) of the degree-polynomial of class j."""
     n = spec.n
-    if spec.kind == COMPACT_HYPERSURFACE:
+    if spec.token == COMPACT_HYPERSURFACE:
         # h^j-coefficient of (1+h)^(n+2) / (1+d*h) as a truncated series
         return [comb(n + 2, j - i) * (-1) ** i for i in range(j + 1)]
     sign = (-1) ** j

@@ -60,11 +60,7 @@ def is_admissible(a: Sequence[int]) -> bool:
     k = len(a)
     if k == 0 or any(not isinstance(x, int) or x <= 0 for x in a):
         return False
-    if k == 1:
-        return True
-    if a[k - 2] < 2 * a[k - 1]:
-        return False
-    return all(a[j] >= 3 * a[j + 1] for j in range(k - 2))
+    return all(a[j] >= (2 if j == k - 2 else 3) * a[j + 1] for j in range(k - 1))
 
 
 @dataclass(frozen=True)
@@ -91,11 +87,9 @@ class WeightVector:
 
 
 def default_weights(k: int) -> WeightVector:
-    """The geometric weight ladder (2*3^(k-2), ..., 6, 2, 1); (1) for k = 1."""
+    """The geometric weight ladder (2*3^(k-2), ..., 6, 2, 1), of total 3^(k-1); (1) for k = 1."""
     if k < 1:
         raise ValueError("jet order k must be >= 1")
-    if k == 1:
-        return WeightVector((1,))
     return WeightVector(tuple(2 * 3 ** (k - j - 1) for j in range(1, k)) + (1,))
 
 
@@ -450,14 +444,17 @@ def compute_batch(
     All jobs share one pushforward.  The Morse classes are packed into one
     class whose coefficients are ``sum_i c_i 2^(i*bits)``, the class of job i
     in slot i.  ``bits`` must be at least ``slot_bits`` at the largest first
-    weight of the jobs (``sweep._passes`` sizes it); a batch of one takes
-    ``bits=None`` and pushes the class itself forward.
+    weight of the jobs (``sweep._passes`` sizes it), and a batch of more than
+    one without it raises ``ValueError``; a batch of one takes ``bits=None``
+    and pushes the class itself forward.
     ``pushforward_to_base`` is Z-linear in the coefficients, and its degree
     cut and its dropping of zero terms never depend on a coefficient's
     value, so the packed base class holds the base class of every job in its
     slot exactly.  Each class is dropped once packed.  Each report's
     ``elapsed_ms`` is an even share of the pass's wall time.
     """
+    if len(jobs) > 1 and bits is None:
+        raise ValueError("a batch of more than one job needs bits >= slot_bits at its largest first weight")
     ctx = rels.ctx
     weights = [_as_weights(w) for _, w in jobs]
     start = time.perf_counter()

@@ -9,16 +9,16 @@ ranking last, which makes the winner independent of evaluation order and of
 any parallelism.
 
 ``compute_reports`` is the package's one batch computation, serial or on a
-process pool; ``run_sweep`` and the command line's cached path both use it,
-and both take each tower's relations from ``tower.pipeline_tower``, which
-builds them once per process.
-It groups the jobs by their relation set and splits each group into packed
+process pool; ``run_sweep`` and the command line's cached path both use it.
+A job is a ``(GeometrySpec, weights)`` pair; its tower is ``(spec.n,
+len(weights))``, whose relations ``tower.pipeline_tower`` builds once per
+process.  The jobs are grouped by tower and each group is split into packed
 passes of even size, as many jobs each as ``morse.PACKED_BITS`` holds slots
 of ``morse.slot_bits`` at the largest first weight of the group (12 of the
 first 12 candidates at (3,5)).  A tower with one job, such as each cell of
 the table, is one pass and computes no slot width.  A pass is one chunk, the
-tower's relations, the (geometry, weights) of its jobs and the slot width,
-and ``morse.compute_batch`` computes it in one pushforward.  Serial and pool
+tower's relations, the jobs of the pass and the slot width, and
+``morse.compute_batch`` computes it in one pushforward.  Serial and pool
 runs map the same chunks through the same function; the pool receives each
 chunk with its relations and its slot width rather than rebuilding them,
 and the reports come back in job order.
@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import GeometrySpec
-from .morse import PACKED_BITS, MorseReport, WeightVector, compute_batch, slot_bits
+from .morse import PACKED_BITS, MorseReport, WeightVector, compute_batch, default_weights, slot_bits
 from .tower import RelationSet, pipeline_tower
 
-__all__ = ["enumerate_admissible", "Job", "SweepResult", "compute_reports", "run_sweep"]
+__all__ = ["enumerate_admissible", "SweepResult", "compute_reports", "run_sweep"]
 
 
 def _chains(k: int, total: int, suffix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
@@ -60,7 +60,7 @@ def enumerate_admissible(k: int, count: int) -> list[WeightVector]:
     if count < 1:
         raise ValueError("candidate budget must be >= 1")
     out: list[WeightVector] = []
-    total = 3 ** (k - 1)  # total of the default ladder, the admissible minimum
+    total = default_weights(k).total  # the admissible minimum
     while len(out) < count:
         for a in sorted(_chains(k, total)):
             out.append(WeightVector(a))
@@ -68,14 +68,6 @@ def enumerate_admissible(k: int, count: int) -> list[WeightVector]:
                 break
         total += 1
     return out
-
-
-class Job(NamedTuple):
-    """One configuration to compute, with the tower relations built for it."""
-
-    spec: GeometrySpec
-    weights: tuple[int, ...]
-    rels: RelationSet
 
 
 def _rank(report: MorseReport):
@@ -94,26 +86,27 @@ class SweepResult:
         return SweepResult(best=min(reports, key=_rank), evaluated=len(reports), reports=tuple(reports))
 
 
-def _passes(jobs: Sequence[Job]) -> list[tuple[list[int], Optional[int]]]:
-    """Job indices grouped by relation set and split into packed passes of even size.
+def _passes(
+    jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
+) -> list[tuple[list[int], RelationSet, Optional[int]]]:
+    """Job indices grouped by tower ``(spec.n, len(weights))`` and split into packed passes of even size.
 
-    Each pass comes with its slot width: ``slot_bits`` at the largest first
-    weight of the tower's jobs, and a pass holds at most ``PACKED_BITS //
-    slot_bits`` jobs.  A tower with one job is a pass of one with no width,
-    so it computes no bound.
+    Each pass comes with its tower's relations from ``pipeline_tower`` and
+    its slot width: ``slot_bits`` at the largest first weight of the tower's
+    jobs, and a pass holds at most ``PACKED_BITS // slot_bits`` jobs.  A
+    tower with one job is a pass of one with no width, so it computes no
+    bound.
     """
-    towers: dict[RelationSet, list[int]] = {}
-    for index, job in enumerate(jobs):
-        towers.setdefault(job.rels, []).append(index)
+    towers: dict[tuple[int, int], list[int]] = {}
+    for index, (spec, weights) in enumerate(jobs):
+        towers.setdefault((spec.n, len(weights)), []).append(index)
     passes = []
-    for rels, indices in towers.items():
-        if len(indices) == 1:
-            passes.append((indices, None))
-            continue
-        bits = slot_bits(rels, max(jobs[i].weights[0] for i in indices))
-        count = -(-len(indices) // max(1, PACKED_BITS // bits))
+    for (n, k), indices in towers.items():
+        rels = pipeline_tower(n, k)[0]
+        bits = slot_bits(rels, max(jobs[i][1][0] for i in indices)) if len(indices) > 1 else None
+        count = 1 if bits is None else -(-len(indices) // max(1, PACKED_BITS // bits))
         size = -(-len(indices) // count)
-        passes += [(indices[start:start + size], bits) for start in range(0, len(indices), size)]
+        passes += [(indices[start:start + size], rels, bits) for start in range(0, len(indices), size)]
     return passes
 
 
@@ -123,21 +116,25 @@ def _compute(
     return compute_batch(*chunk)
 
 
-def compute_reports(jobs: Sequence[Job], threads: int = 1) -> list[MorseReport]:
-    """The report of every job, in job order, each computed with the job's own relations.
+def compute_reports(
+    jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
+    threads: int = 1,
+) -> list[MorseReport]:
+    """The report of every ``(spec, weights)`` job, in job order.
 
-    Each pass of ``_passes`` is one chunk for ``morse.compute_batch``, its
-    slot width computed here, once per tower.  With more than one thread the
-    chunks go to a process pool, and the reports come back pickled.
+    Each pass of ``_passes`` is one chunk for ``morse.compute_batch``, with
+    its tower's relations and its slot width, computed here once per tower.
+    With more than one thread the chunks go to a process pool, and the
+    reports come back pickled.
     """
     passes = _passes(jobs)
-    chunks = [(jobs[p[0]].rels, [(jobs[i].spec, jobs[i].weights) for i in p], bits) for p, bits in passes]
+    chunks = [(rels, [jobs[i] for i in indices], bits) for indices, rels, bits in passes]
     if threads > 1 and chunks:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             batches = list(pool.map(_compute, chunks))
     else:
         batches = list(map(_compute, chunks))
-    by_index = {i: report for (indices, _), batch in zip(passes, batches) for i, report in zip(indices, batch)}
+    by_index = {i: report for (indices, *_), batch in zip(passes, batches) for i, report in zip(indices, batch)}
     return [by_index[i] for i in range(len(jobs))]
 
 
@@ -149,5 +146,4 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the first ``budget`` admissible vectors and return the best; no report is cached."""
     candidates = enumerate_admissible(k, budget)
-    rels = pipeline_tower(spec.n, k)[0]
-    return SweepResult.from_reports(compute_reports([Job(spec, w.a, rels) for w in candidates], threads))
+    return SweepResult.from_reports(compute_reports([(spec, w.a) for w in candidates], threads))

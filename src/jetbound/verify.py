@@ -10,8 +10,10 @@ self-intersection for every k < n (``low-order-leading-n*``) and against
 ``c1^i`` (``first-chern-vanishing-n*``).  A symbolic form is
 ``sum_e N!/e! a^e T(e)``, ``T(e)`` the top coefficient of the tuple ``u^e``,
 so it is zero exactly when every ``T(e)`` is.  Every integration runs through
-``pushforward_to_base``, the pipeline's own.  The CLI ``verify`` command
-prints one line per check; the test suite asserts them all.
+``pushforward_to_base``, the pipeline's own, and the first three checks read
+the relation sets of ``pipeline_tower``, the ones every report is computed
+with.  The CLI ``verify`` command prints one line per check; the test suite
+asserts them all.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Sequence
 from .geometry import GeometrySpec, compact_hypersurface, evaluate_in_degree
 from .morse import WeightVector, morse_polynomial, symbolic_leading_form
 from .polyring import reduce_monic
-from .tower import TowerContext, _lifted_class, pushforward_to_base
+from .tower import _lifted_class, pipeline_tower, pushforward_to_base
 
 __all__ = [
     "CheckResult",
@@ -62,17 +64,17 @@ def _exponent_tuples(k: int, total: int) -> Iterable[tuple[int, ...]]:
 def check_first_chern_closed_form() -> CheckResult:
     """Recursively built first classes equal c1 + (r-1)(u_1 + ... + u_j).
 
-    One tower of order ``MAX_ORDER`` per n: a shorter tower's lifted classes
-    are the same classes, level by level.
+    One pipeline tower of order ``MAX_ORDER`` per n: a shorter tower's
+    lifted classes are the same classes, level by level.
     """
     for n in range(2, MAX_DIM + 1):
-        ctx = TowerContext(n, MAX_ORDER)
-        ring = ctx.ring
+        rels = pipeline_tower(n, MAX_ORDER)[0]
+        ctx, ring = rels.ctx, rels.ctx.ring
         for j in range(0, MAX_ORDER):
             expected = ring.variable(ctx.c(1))
             for s in range(1, j + 1):
                 expected = expected + (n - 1) * ring.variable(ctx.u(s))
-            if ctx.relations.lifted_chern(j, 1) != expected:
+            if rels.lifted_chern(j, 1) != expected:
                 return CheckResult(
                     "first-chern-closed-form", False, f"mismatch at n={n}, level {j}"
                 )
@@ -82,8 +84,8 @@ def check_first_chern_closed_form() -> CheckResult:
 def check_truncation() -> CheckResult:
     """The recursion's class r+1 at every level reduces to zero modulo that level's relation."""
     for n in range(2, MAX_DIM + 1):
-        ctx = TowerContext(n, MAX_ORDER)
-        rels = ctx.relations
+        rels = pipeline_tower(n, MAX_ORDER)[0]
+        ctx = rels.ctx
         for j in range(1, MAX_ORDER + 1):
             uj = ctx.ring.variable(ctx.u(j))
             cls = _lifted_class(rels.lifted[j - 1], [uj**e for e in range(n + 2)], n + 1)
@@ -109,10 +111,10 @@ def check_vanishing_against_first_chern(n: int) -> CheckResult:
 
 def check_balanced_intersection_unit(n: int) -> CheckResult:
     """The evaluated u_1^n ... u_n^n intersection has top coefficient exactly 1."""
-    ctx = TowerContext(n, n)
-    ring = ctx.ring
+    rels = pipeline_tower(n, n)[0]
+    ctx, ring = rels.ctx, rels.ctx.ring
     monomial = ring.polynomial({ring.encode({ctx.u(j): n for j in range(1, n + 1)}): 1})
-    base = pushforward_to_base(monomial, ctx.relations)
+    base = pushforward_to_base(monomial, rels)
     value = evaluate_in_degree(ctx, base, compact_hypersurface(n)).coefficient(n + 1)
     if value != 1:
         return CheckResult(f"balanced-unit-n{n}", False, f"coefficient {value}")

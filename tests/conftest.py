@@ -1,10 +1,10 @@
 import pytest
 
-from jetbound import morse
+from jetbound import default_weights, morse
 from jetbound.cli import TABLE_CELLS, cached_reports
 from jetbound.geometry import GeometrySpec
 
-TABLE_JOBS = [(GeometrySpec.from_token("log", n), k, None) for n, k in TABLE_CELLS]
+TABLE_JOBS = [(GeometrySpec("log", n), default_weights(k).a) for n, k in TABLE_CELLS]
 
 
 @pytest.fixture(scope="session")

@@ -463,8 +463,8 @@ def test_cache_entry_equals_fresh_recomputation(capsys, cache_dir):
     from jetbound.morse import compute_report
 
     spec = logarithmic_pair(2)
-    (cached,) = cached_reports([(spec, 2, None)], 1, cache_dir)
-    (again,) = cached_reports([(spec, 2, None)], 1, cache_dir)
+    (cached,) = cached_reports([(spec, (2, 1))], 1, cache_dir)
+    (again,) = cached_reports([(spec, (2, 1))], 1, cache_dir)
     fresh = compute_report(spec, 2)
     strip = lambda report: {
         k: v for k, v in report.to_json_dict().items() if k != "elapsed_ms"

@@ -12,7 +12,7 @@ from jetbound import (
     logarithmic_pair,
 )
 from jetbound.errors import InhomogeneousClassError, ResidualVariableError
-from jetbound.geometry import GeometrySpec
+from jetbound.geometry import COMPACT_HYPERSURFACE, LOGARITHMIC_PAIR, GeometrySpec
 
 
 @pytest.fixture()
@@ -137,11 +137,10 @@ def test_evaluated_class_behaviour():
 
 
 def test_geometry_spec_tokens():
-    spec = GeometrySpec.from_token("log", 3)
+    spec = GeometrySpec("log", 3)
     assert spec == logarithmic_pair(3)
-    assert spec.token == "log"
-    assert compact_hypersurface(4).token == "compact"
-    with pytest.raises(ValueError):
-        GeometrySpec.from_token("weird", 2)
-    with pytest.raises(ValueError):
-        GeometrySpec("spherical", 2)
+    assert spec.token == "log" == LOGARITHMIC_PAIR
+    assert compact_hypersurface(4).token == "compact" == COMPACT_HYPERSURFACE
+    for token in ("weird", "spherical", "compact_hypersurface", "logarithmic_pair"):
+        with pytest.raises(ValueError):
+            GeometrySpec(token, 2)

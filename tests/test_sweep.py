@@ -1,5 +1,6 @@
 """Packed passes: several weight candidates of one tower share one pushforward."""
 
+import itertools
 import pickle
 
 import pytest
@@ -11,6 +12,7 @@ from jetbound import (
     compact_hypersurface,
     default_weights,
     enumerate_admissible,
+    is_admissible,
     logarithmic_pair,
     morse,
     morse_class,
@@ -19,10 +21,10 @@ from jetbound import (
 from jetbound.cli import TABLE_CELLS, cached_reports
 from jetbound.geometry import GeometrySpec
 from jetbound.morse import compute_batch, compute_report, slot_bits
-from jetbound.sweep import Job, _passes, compute_reports
+from jetbound.sweep import _passes, compute_reports
 from jetbound.tower import RelationSet, pipeline_tower
 
-RELATIONS = {(n, k): TowerContext(n, k).relations for n in (2, 3) for k in range(1, 6)}
+RELATIONS = {(n, k): pipeline_tower(n, k)[0] for n in (2, 3) for k in range(1, 6)}
 SWEEP_CANDIDATES = [w.a for w in enumerate_admissible(5, 12)]
 
 
@@ -46,28 +48,26 @@ def admissible(draw, k: int) -> tuple[int, ...]:
 
 
 @st.composite
-def job_lists(draw) -> list[Job]:
+def job_lists(draw) -> list[tuple[GeometrySpec, tuple[int, ...]]]:
     """Jobs on towers n = 2, 3 and k = 1..4 in any order, each in either geometry."""
     cells = draw(st.lists(st.sampled_from([c for c in sorted(RELATIONS) if c[1] <= 4]), min_size=1, max_size=7))
-    return [
-        Job(draw(st.sampled_from((logarithmic_pair, compact_hypersurface)))(n), draw(admissible(k)), RELATIONS[n, k])
-        for n, k in cells
-    ]
+    geometries = st.sampled_from((logarithmic_pair, compact_hypersurface))
+    return [(draw(geometries)(n), draw(admissible(k))) for n, k in cells]
 
 
 @settings(max_examples=25, deadline=None)
 @given(job_lists())
 def test_packed_reports_equal_one_job_reports(jobs):
     packed = compute_reports(jobs)
-    alone = [compute_batch(job.rels, [(job.spec, job.weights)])[0] for job in jobs]
+    alone = [compute_batch(RELATIONS[spec.n, len(a)], [(spec, a)])[0] for spec, a in jobs]
     assert [_untimed(r) for r in packed] == [_untimed(r) for r in alone]
 
 
 def test_pool_chunks_equal_serial_passes():
     jobs = [
-        Job(spec(2), a, RELATIONS[2, k])
+        (spec(2), a)
         for spec in (logarithmic_pair, compact_hypersurface)
-        for k, a in ((2, (2, 1)), (3, (6, 2, 1)), (2, (3, 1)), (3, (7, 2, 1)), (2, (5, 2)))
+        for a in ((2, 1), (6, 2, 1), (3, 1), (7, 2, 1), (5, 2))
     ]
     pooled = compute_reports(jobs, threads=2)
     assert [_untimed(r) for r in pooled] == [_untimed(r) for r in compute_reports(jobs)]
@@ -83,7 +83,7 @@ def test_sweep_candidates_packed_equal_unpacked(monkeypatch):
         return pushforward(p, rels)
 
     monkeypatch.setattr(morse, "pushforward_to_base", counting)
-    packed = compute_reports([Job(spec, a, rels) for a in SWEEP_CANDIDATES])
+    packed = compute_reports([(spec, a) for a in SWEEP_CANDIDATES])
     assert len(passes) < len(SWEEP_CANDIDATES)  # the candidates did share passes
     alone = [compute_batch(rels, [(spec, a)])[0] for a in SWEEP_CANDIDATES]
     assert [_untimed(r) for r in packed] == [_untimed(r) for r in alone]
@@ -145,7 +145,7 @@ def test_first_sweep_round_is_one_pass_and_its_bound_one_per_process(monkeypatch
     monkeypatch.setattr(morse, "pushforward_to_base", counting)
     rels = pipeline_tower(3, 5)[0]
     for _ in range(2):
-        compute_reports([Job(spec, a, rels) for a in SWEEP_CANDIDATES])
+        compute_reports([(spec, a) for a in SWEEP_CANDIDATES])
         assert seen[-1] is rels
     # the ladder bound's one pushforward, then one pass per round
     assert len(seen) == 3 and seen[0] is not rels
@@ -157,9 +157,9 @@ def test_batches_of_one_compute_no_bound(monkeypatch, tmp_path):
 
     monkeypatch.setattr(morse, "_ladder_bound", refuse)
     compute_report(logarithmic_pair(3), 3)
-    table = [(GeometrySpec.from_token("log", n), k, None) for n, k in TABLE_CELLS if n + k <= 7]
+    table = [(GeometrySpec("log", n), default_weights(k).a) for n, k in TABLE_CELLS if n + k <= 7]
     assert len(cached_reports(table, 1, str(tmp_path))) == len(table)
-    assert cached_reports([(compact_hypersurface(2), 4, (19, 6, 2, 1))], 1, str(tmp_path))[0].weights == (19, 6, 2, 1)
+    assert cached_reports([(compact_hypersurface(2), (19, 6, 2, 1))], 1, str(tmp_path))[0].weights == (19, 6, 2, 1)
 
 
 def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
@@ -192,8 +192,8 @@ def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
     monkeypatch.setattr(morse, "_ladder_bound", counting)
     monkeypatch.setattr("jetbound.sweep.ProcessPoolExecutor", RoundTripPool)
     jobs = [
-        Job(logarithmic_pair(n), a, RELATIONS[n, k])
-        for a, k in [((2, 1), 2), ((6, 2, 1), 3), ((3, 1), 2), ((7, 2, 1), 3), ((10**40, 2), 2), ((9, 3, 1), 3)]
+        (logarithmic_pair(n), a)
+        for a in [(2, 1), (6, 2, 1), (3, 1), (7, 2, 1), (10**40, 2), (9, 3, 1)]
         for n in (2, 3)
     ]
     assert len(_passes(jobs)) > 4  # a first weight of 10^40 leaves one slot per pass on the k = 2 towers
@@ -201,3 +201,53 @@ def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
     pooled = compute_reports(jobs, threads=2)
     assert sorted(calls) == [(2, 2, False), (2, 3, False), (3, 2, False), (3, 3, False)]
     assert [_untimed(r) for r in pooled] == [_untimed(r) for r in compute_reports(jobs)]
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_enumeration_is_the_checker_filtered_in_total_lex_order(k):
+    # every composition of each total into k positive parts, in lex order, filtered by is_admissible
+    brute, total = [], 1
+    while len(brute) < 30:
+        for cuts in itertools.combinations(range(1, total), k - 1):
+            bounds = (0,) + cuts + (total,)
+            a = tuple(bounds[i + 1] - bounds[i] for i in range(k))
+            if is_admissible(a):
+                brute.append(a)
+        total += 1
+    assert [w.a for w in enumerate_admissible(k, 30)] == brute[:30]
+
+
+def test_a_batch_of_several_jobs_without_a_slot_width_is_refused_before_assembly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a class was assembled")
+
+    monkeypatch.setattr(morse, "morse_class", refuse)
+    jobs = [(logarithmic_pair(2), (2, 1)), (compact_hypersurface(2), (3, 1))]
+    with pytest.raises(ValueError, match="slot_bits"):
+        compute_batch(RELATIONS[2, 2], jobs)
+
+
+def test_mixed_towers_push_forward_once_each_on_the_pipeline_tower(monkeypatch):
+    seen = []
+    pushforward = morse.pushforward_to_base
+
+    def recording(p, rels):
+        seen.append(rels)
+        return pushforward(p, rels)
+
+    jobs = [
+        (geometry(n), a)
+        for geometry in (logarithmic_pair, compact_hypersurface)
+        for n, a in ((2, (2, 1)), (3, (6, 2, 1)), (2, (7, 2, 1)), (3, (3, 1)), (3, (4, 1)))
+    ] + [(compact_hypersurface(2), (18, 6, 2, 1))]
+    towers = {(2, 2), (2, 3), (3, 3), (3, 2), (2, 4)}
+    morse._ladder_bound.cache_clear()
+    monkeypatch.setattr(morse, "pushforward_to_base", recording)
+    reports = compute_reports(jobs)
+    passes = [rels for rels in seen if rels is pipeline_tower(rels.ctx.n, rels.ctx.k)[0]]
+    assert sorted((rels.ctx.n, rels.ctx.k) for rels in passes) == sorted(towers)
+    # the rest are the ladder bounds of the four towers with more than one job
+    assert len(seen) - len(passes) == 4
+    assert [(r.n, r.k, r.geometry, r.weights) for r in reports] == [
+        (spec.n, len(a), spec.token, a) for spec, a in jobs
+    ]

@@ -16,7 +16,7 @@ from jetbound import (
     pushforward_to_base,
     reduce_tower,
 )
-from jetbound import tower
+from jetbound import tower, verify
 from jetbound.errors import DimensionMismatchError, UnreducedClassError
 from jetbound.morse import default_weights, morse_class
 from jetbound.cli import main
@@ -67,7 +67,12 @@ def test_truncation_above_rank():
 
 
 def _patch_relations(monkeypatch, perturb):
-    """Make every new tower build its relations through ``perturb(ctx, lifted, relations)``."""
+    """Make every new tower build its relations through ``perturb(ctx, lifted, relations)``.
+
+    ``verify`` reads the process's pipeline towers, built before the patch;
+    it gets an uncached ``pipeline_tower`` for the test, so the cached
+    towers are never perturbed.
+    """
     build = tower.build_relations
 
     def perturbed(ctx):
@@ -75,6 +80,7 @@ def _patch_relations(monkeypatch, perturb):
         return RelationSet(ctx, *perturb(ctx, list(rels.lifted), list(rels.relations)))
 
     monkeypatch.setattr(tower, "build_relations", perturbed)
+    monkeypatch.setattr(verify, "pipeline_tower", tower.pipeline_tower.__wrapped__)
 
 
 def test_truncation_check_fails_on_a_perturbed_relation(monkeypatch):

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import cache, sweep
 from .errors import CacheDirectoryError, InadmissibleWeightsError, JetboundError
 from .geometry import GeometrySpec
-from .morse import MorseReport, WeightVector, default_weights, order_bounds
+from .morse import MorseReport, WeightVector, compute_reports, default_weights, order_bounds
 from .tower import TowerContext, pipeline_tower
 from .verify import MAX_DIM, run_all
 
@@ -76,7 +76,7 @@ def cached_reports(
             os.makedirs(cache_dir, exist_ok=True)
         except OSError as exc:
             raise _unwritable(cache_dir, exc) from exc
-    computed = sweep.compute_reports([jobs[index] for index, _ in misses], threads)
+    computed = compute_reports([jobs[index] for index, _ in misses], threads)
     for (index, key), report in zip(misses, computed):
         try:
             cache.store(cache_dir, key, _json_text(report.to_json_dict()).encode())
@@ -87,7 +87,11 @@ def cached_reports(
 
 
 def _thread_count(text: str) -> int:
-    """``--threads`` clamped to the CPU count: a process pool starts every worker up front."""
+    """``--threads`` clamped to the CPU count: a process pool starts every worker up front.
+
+    ``morse.compute_reports`` starts no more workers than passes, and no
+    pool for a single pass.
+    """
     return min(int(text), os.cpu_count() or 1)
 
 

@@ -15,20 +15,29 @@ leading coefficient is positive, the effective threshold is the smallest
 positive integer beyond which ``P`` stays strictly positive, located by an
 exact downward search below a power-of-two root bound.
 
-``compute_batch`` runs the pipeline for several weight vectors on one tower
-with one pushforward: their classes are packed into the slots of one class's
-coefficients, each slot of a width its caller passes, at least the
-``slot_bits`` that prove any base coefficient fits.  The proof scales one
-integer, the absolute pushforward of the default ladder's class, computed
-once per relation set and process.  ``compute_report`` and
-``morse_polynomial`` are batches of one, which need no width and compute no
-bound.
+``compute_reports`` is the package's one batch computation, serial or on a
+process pool.  A job is a ``(GeometrySpec, weights)`` pair; its tower is
+``(spec.n, len(weights))``, whose relations ``tower.pipeline_tower`` builds
+once per process.  The jobs of one pass share a pushforward: their classes
+are packed into the slots of one class's coefficients, each slot
+``slot_bits`` wide at the largest first weight of the tower's jobs, which
+proves any base coefficient fits.  The proof scales one integer, the
+absolute pushforward of the default ladder's class, computed once per
+relation set and process.  A tower's jobs are split into passes of even
+size, as many jobs each as ``PACKED_BITS`` holds slots (12 of the first 12
+candidates at (3,5)); a tower with one job, such as each cell of the table
+or ``compute_report``, is a pass of one with no width and computes no
+bound.  A pass is its jobs and its slot width, and whichever process runs
+it takes its tower from ``pipeline_tower``; a pool starts only for more
+than one pass, with no more workers than passes, and the reports come back
+in job order.
 """
 
 from __future__ import annotations
 
 import functools
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, isfinite
 from typing import Mapping, Optional, Sequence, Union
@@ -50,7 +59,7 @@ __all__ = [
     "MorseReport",
     "PACKED_BITS",
     "slot_bits",
-    "compute_batch",
+    "compute_reports",
     "compute_report",
 ]
 
@@ -434,27 +443,41 @@ def _unpack(packed: Polynomial, bits: Optional[int], count: int) -> list[Polynom
     return [packed.ring.polynomial(slot) for slot in slots]
 
 
-def compute_batch(
-    rels: RelationSet,
-    jobs: Sequence[tuple[GeometrySpec, Union[WeightVector, Sequence[int]]]],
-    bits: Optional[int] = None,
-) -> list[MorseReport]:
-    """The report of every ``(spec, weights)`` job on the tower of ``rels``, in job order.
+def _passes(
+    jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
+) -> list[tuple[list[int], Optional[int]]]:
+    """Job indices grouped by tower ``(spec.n, len(weights))`` and split into packed passes of even size.
 
-    All jobs share one pushforward.  The Morse classes are packed into one
-    class whose coefficients are ``sum_i c_i 2^(i*bits)``, the class of job i
-    in slot i.  ``bits`` must be at least ``slot_bits`` at the largest first
-    weight of the jobs (``sweep._passes`` sizes it), and a batch of more than
-    one without it raises ``ValueError``; a batch of one takes ``bits=None``
-    and pushes the class itself forward.
+    Each pass comes with its slot width: ``slot_bits`` at the largest first
+    weight of the tower's jobs, and a pass holds at most ``PACKED_BITS //
+    slot_bits`` jobs.  A tower with one job is a pass of one with no width,
+    so it computes no bound.
+    """
+    towers: dict[tuple[int, int], list[int]] = {}
+    for index, (spec, weights) in enumerate(jobs):
+        towers.setdefault((spec.n, len(weights)), []).append(index)
+    passes = []
+    for (n, k), indices in towers.items():
+        bits = slot_bits(pipeline_tower(n, k)[0], max(jobs[i][1][0] for i in indices)) if len(indices) > 1 else None
+        count = 1 if bits is None else -(-len(indices) // max(1, PACKED_BITS // bits))
+        size = -(-len(indices) // count)
+        passes += [(indices[start:start + size], bits) for start in range(0, len(indices), size)]
+    return passes
+
+
+def _run_pass(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]], bits: Optional[int]) -> list[MorseReport]:
+    """The reports of one pass of ``_passes``, in job order, from one pushforward.
+
+    The Morse classes are packed into one class whose coefficients are
+    ``sum_i c_i 2^(i*bits)``, the class of job i in slot i, and pushed
+    forward on the jobs' one tower from ``pipeline_tower``.
     ``pushforward_to_base`` is Z-linear in the coefficients, and its degree
     cut and its dropping of zero terms never depend on a coefficient's
     value, so the packed base class holds the base class of every job in its
     slot exactly.  Each class is dropped once packed.  Each report's
     ``elapsed_ms`` is an even share of the pass's wall time.
     """
-    if len(jobs) > 1 and bits is None:
-        raise ValueError("a batch of more than one job needs bits >= slot_bits at its largest first weight")
+    rels = pipeline_tower(jobs[0][0].n, len(jobs[0][1]))[0]
     ctx = rels.ctx
     weights = [_as_weights(w) for _, w in jobs]
     start = time.perf_counter()
@@ -477,11 +500,41 @@ def compute_batch(
     ]
 
 
+def compute_reports(
+    jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
+    threads: int = 1,
+) -> list[MorseReport]:
+    """The report of every ``(spec, weights)`` job, in job order.
+
+    Each pass of ``_passes`` runs through ``_run_pass``.  With more than one
+    thread and more than one pass, the passes go to a process pool of
+    ``min(threads, passes)`` workers, each pass as its jobs and its slot
+    width, and the reports come back pickled.
+    """
+    passes = _passes(jobs)
+    batches = [[jobs[i] for i in indices] for indices, _ in passes]
+    widths = [bits for _, bits in passes]
+    workers = min(threads, len(passes))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_pass, batches, widths))
+    else:
+        results = list(map(_run_pass, batches, widths))
+    by_index = {i: report for (indices, _), batch in zip(passes, results) for i, report in zip(indices, batch)}
+    return [by_index[i] for i in range(len(jobs))]
+
+
 def compute_report(
     spec: GeometrySpec,
     k: int,
     weights: Union[WeightVector, Sequence[int], None] = None,
 ) -> MorseReport:
-    """Run the full pipeline for one configuration and time it: a batch of one."""
+    """Run the full pipeline for one configuration and time it: a job list of one.
+
+    A vector whose length is not ``k`` raises ``InadmissibleWeightsError``
+    before anything is assembled.
+    """
     w = default_weights(k) if weights is None else _as_weights(weights)
-    return compute_batch(pipeline_tower(spec.n, k)[0], [(spec, w)])[0]
+    if w.k != k:
+        raise InadmissibleWeightsError(f"got {w.k} weights for a tower of order {k}")
+    return compute_reports([(spec, w.a)])[0]

@@ -8,33 +8,19 @@ Results are ranked by (threshold, total, vector), with an absent threshold
 ranking last, which makes the winner independent of evaluation order and of
 any parallelism.
 
-``compute_reports`` is the package's one batch computation, serial or on a
-process pool; ``run_sweep`` and the command line's cached path both use it.
-A job is a ``(GeometrySpec, weights)`` pair; its tower is ``(spec.n,
-len(weights))``, whose relations ``tower.pipeline_tower`` builds once per
-process.  The jobs are grouped by tower and each group is split into packed
-passes of even size, as many jobs each as ``morse.PACKED_BITS`` holds slots
-of ``morse.slot_bits`` at the largest first weight of the group (12 of the
-first 12 candidates at (3,5)).  A tower with one job, such as each cell of
-the table, is one pass and computes no slot width.  A pass is one chunk, the
-tower's relations, the jobs of the pass and the slot width, and
-``morse.compute_batch`` computes it in one pushforward.  Serial and pool
-runs map the same chunks through the same function; the pool receives each
-chunk with its relations and its slot width rather than rebuilding them,
-and the reports come back in job order.
+``run_sweep`` computes the candidates with ``morse.compute_reports``, which
+packs them into shared pushforwards, serially or on a process pool.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .geometry import GeometrySpec
-from .morse import PACKED_BITS, MorseReport, WeightVector, compute_batch, default_weights, slot_bits
-from .tower import RelationSet, pipeline_tower
+from .morse import MorseReport, WeightVector, compute_reports, default_weights
 
-__all__ = ["enumerate_admissible", "SweepResult", "compute_reports", "run_sweep"]
+__all__ = ["enumerate_admissible", "SweepResult", "run_sweep"]
 
 
 def _chains(k: int, total: int, suffix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
@@ -84,58 +70,6 @@ class SweepResult:
     @staticmethod
     def from_reports(reports: Sequence[MorseReport]) -> "SweepResult":
         return SweepResult(best=min(reports, key=_rank), evaluated=len(reports), reports=tuple(reports))
-
-
-def _passes(
-    jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
-) -> list[tuple[list[int], RelationSet, Optional[int]]]:
-    """Job indices grouped by tower ``(spec.n, len(weights))`` and split into packed passes of even size.
-
-    Each pass comes with its tower's relations from ``pipeline_tower`` and
-    its slot width: ``slot_bits`` at the largest first weight of the tower's
-    jobs, and a pass holds at most ``PACKED_BITS // slot_bits`` jobs.  A
-    tower with one job is a pass of one with no width, so it computes no
-    bound.
-    """
-    towers: dict[tuple[int, int], list[int]] = {}
-    for index, (spec, weights) in enumerate(jobs):
-        towers.setdefault((spec.n, len(weights)), []).append(index)
-    passes = []
-    for (n, k), indices in towers.items():
-        rels = pipeline_tower(n, k)[0]
-        bits = slot_bits(rels, max(jobs[i][1][0] for i in indices)) if len(indices) > 1 else None
-        count = 1 if bits is None else -(-len(indices) // max(1, PACKED_BITS // bits))
-        size = -(-len(indices) // count)
-        passes += [(indices[start:start + size], rels, bits) for start in range(0, len(indices), size)]
-    return passes
-
-
-def _compute(
-    chunk: tuple[RelationSet, list[tuple[GeometrySpec, tuple[int, ...]]], Optional[int]],
-) -> list[MorseReport]:
-    return compute_batch(*chunk)
-
-
-def compute_reports(
-    jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
-    threads: int = 1,
-) -> list[MorseReport]:
-    """The report of every ``(spec, weights)`` job, in job order.
-
-    Each pass of ``_passes`` is one chunk for ``morse.compute_batch``, with
-    its tower's relations and its slot width, computed here once per tower.
-    With more than one thread the chunks go to a process pool, and the
-    reports come back pickled.
-    """
-    passes = _passes(jobs)
-    chunks = [(rels, [jobs[i] for i in indices], bits) for indices, rels, bits in passes]
-    if threads > 1 and chunks:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(_compute, chunks))
-    else:
-        batches = list(map(_compute, chunks))
-    by_index = {i: report for (indices, *_), batch in zip(passes, batches) for i, report in zip(indices, batch)}
-    return [by_index[i] for i in range(len(jobs))]
 
 
 def run_sweep(

@@ -53,9 +53,6 @@ class CheckResult:
 
 def _exponent_tuples(k: int, total: int) -> Iterable[tuple[int, ...]]:
     """All k-tuples of non-negative integers with the given sum."""
-    if k == 1:
-        yield (total,)
-        return
     for cuts in combinations_with_replacement(range(total + 1), k - 1):
         bounds = (0,) + cuts + (total,)
         yield tuple(bounds[i + 1] - bounds[i] for i in range(k))

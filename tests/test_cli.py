@@ -235,18 +235,19 @@ def test_threads_clamped_to_cpu_count(capsys, tmp_path, monkeypatch, cpus, reque
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr("jetbound.cli.os.cpu_count", lambda: cpus)
-    monkeypatch.setattr("jetbound.sweep.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("jetbound.cli.TABLE_CELLS", [(2, 2)])
+    monkeypatch.setattr("jetbound.morse.ProcessPoolExecutor", RecordingPool)
+    # three passes each: three one-job towers, and 100 (2,2) candidates
+    monkeypatch.setattr("jetbound.cli.TABLE_CELLS", [(2, 2), (2, 3), (3, 3)])
     code, _, _ = run_cli(capsys, "table", "--threads", requested,
                          "--cache-dir", str(tmp_path / "table"))
     assert code == 0
-    code, out, _ = run_cli(capsys, "sweep", "--dim", "2", "--order", "2", "--budget", "2",
+    code, out, _ = run_cli(capsys, "sweep", "--dim", "2", "--order", "2", "--budget", "100",
                            "--threads", requested, "--cache-dir", str(tmp_path / "sweep"))
-    assert code == 0 and "best      : 2,1" in out
+    assert code == 0 and "evaluated : 100 candidates" in out
     assert recorded == [expected, expected]
 
 
@@ -488,7 +489,7 @@ def test_internal_error_maps_to_exit_4(capsys, cache_dir, monkeypatch):
     def boom(*args, **kwargs):
         raise UnreducedClassError("synthetic invariant violation")
 
-    monkeypatch.setattr("jetbound.sweep.compute_batch", boom)
+    monkeypatch.setattr("jetbound.morse._run_pass", boom)
     code, _, err = run_cli(capsys, "bound", "--dim", "2", "--order", "2",
                            "--cache-dir", cache_dir)
     assert code == 4

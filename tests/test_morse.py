@@ -245,6 +245,15 @@ def test_pipeline_rejects_wrong_weight_count():
         morse_polynomial(logarithmic_pair(2), 2, (3, 1, 1))
 
 
+def test_a_wrong_length_vector_is_refused_before_any_pushforward(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a class was pushed forward")
+
+    monkeypatch.setattr(morse, "pushforward_to_base", refuse)
+    with pytest.raises(InadmissibleWeightsError, match=r"^got 3 weights for a tower of order 2$"):
+        compute_report(logarithmic_pair(2), 2, (6, 2, 1))
+
+
 # ---- thresholds ------------------------------------------------------------------
 
 

@@ -20,8 +20,7 @@ from jetbound import (
 )
 from jetbound.cli import TABLE_CELLS, cached_reports
 from jetbound.geometry import GeometrySpec
-from jetbound.morse import compute_batch, compute_report, slot_bits
-from jetbound.sweep import _passes, compute_reports
+from jetbound.morse import _passes, compute_report, compute_reports, slot_bits
 from jetbound.tower import RelationSet, pipeline_tower
 
 RELATIONS = {(n, k): pipeline_tower(n, k)[0] for n in (2, 3) for k in range(1, 6)}
@@ -59,7 +58,7 @@ def job_lists(draw) -> list[tuple[GeometrySpec, tuple[int, ...]]]:
 @given(job_lists())
 def test_packed_reports_equal_one_job_reports(jobs):
     packed = compute_reports(jobs)
-    alone = [compute_batch(RELATIONS[spec.n, len(a)], [(spec, a)])[0] for spec, a in jobs]
+    alone = [compute_report(spec, len(a), a) for spec, a in jobs]
     assert [_untimed(r) for r in packed] == [_untimed(r) for r in alone]
 
 
@@ -74,7 +73,7 @@ def test_pool_chunks_equal_serial_passes():
 
 
 def test_sweep_candidates_packed_equal_unpacked(monkeypatch):
-    spec, rels = logarithmic_pair(3), TowerContext(3, 5).relations
+    spec = logarithmic_pair(3)
     passes = []
     pushforward = morse.pushforward_to_base
 
@@ -85,7 +84,7 @@ def test_sweep_candidates_packed_equal_unpacked(monkeypatch):
     monkeypatch.setattr(morse, "pushforward_to_base", counting)
     packed = compute_reports([(spec, a) for a in SWEEP_CANDIDATES])
     assert len(passes) < len(SWEEP_CANDIDATES)  # the candidates did share passes
-    alone = [compute_batch(rels, [(spec, a)])[0] for a in SWEEP_CANDIDATES]
+    alone = [compute_report(spec, len(a), a) for a in SWEEP_CANDIDATES]
     assert [_untimed(r) for r in packed] == [_untimed(r) for r in alone]
     assert [r.weights for r in packed] == SWEEP_CANDIDATES
 
@@ -162,6 +161,36 @@ def test_batches_of_one_compute_no_bound(monkeypatch, tmp_path):
     assert cached_reports([(compact_hypersurface(2), (19, 6, 2, 1))], 1, str(tmp_path))[0].weights == (19, 6, 2, 1)
 
 
+def test_a_pool_starts_for_several_passes_only_and_receives_jobs_and_widths(monkeypatch):
+    pools, payloads = [], []
+
+    class PicklingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, pickles each argument tuple, starts no process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            for args in zip(*iterables):
+                payloads.append(pickle.dumps(args))
+                yield fn(*pickle.loads(payloads[-1]))
+
+    monkeypatch.setattr(morse, "ProcessPoolExecutor", PicklingPool)
+    compute_reports([(logarithmic_pair(3), a) for a in SWEEP_CANDIDATES], threads=2)
+    assert pools == []  # the 12 candidates are one pass
+    jobs = [(logarithmic_pair(2), (2, 1)), (compact_hypersurface(2), (6, 2, 1)), (logarithmic_pair(3), (3, 1))]
+    reports = compute_reports(jobs, threads=8)
+    assert pools == [3]  # one worker per pass
+    assert [(r.n, r.geometry, r.weights) for r in reports] == [(spec.n, spec.token, a) for spec, a in jobs]
+    assert len(payloads) == 3 and not any(b"RelationSet" in payload for payload in payloads)
+
+
 def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
     calls, in_worker = [], [False]
     ladder_bound = morse._ladder_bound
@@ -171,7 +200,7 @@ def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
         return ladder_bound(rels)
 
     class RoundTripPool:
-        """Stands in for ProcessPoolExecutor: pickles each chunk and result, starts no process."""
+        """Stands in for ProcessPoolExecutor: pickles each argument tuple and result, starts no process."""
 
         def __init__(self, max_workers):
             pass
@@ -182,15 +211,15 @@ def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            for chunk in chunks:
+        def map(self, fn, *iterables):
+            for args in zip(*iterables):
                 in_worker[0] = True
-                result = pickle.dumps(fn(pickle.loads(pickle.dumps(chunk))))
+                result = pickle.dumps(fn(*pickle.loads(pickle.dumps(args))))
                 in_worker[0] = False
                 yield pickle.loads(result)
 
     monkeypatch.setattr(morse, "_ladder_bound", counting)
-    monkeypatch.setattr("jetbound.sweep.ProcessPoolExecutor", RoundTripPool)
+    monkeypatch.setattr(morse, "ProcessPoolExecutor", RoundTripPool)
     jobs = [
         (logarithmic_pair(n), a)
         for a in [(2, 1), (6, 2, 1), (3, 1), (7, 2, 1), (10**40, 2), (9, 3, 1)]
@@ -215,16 +244,6 @@ def test_enumeration_is_the_checker_filtered_in_total_lex_order(k):
                 brute.append(a)
         total += 1
     assert [w.a for w in enumerate_admissible(k, 30)] == brute[:30]
-
-
-def test_a_batch_of_several_jobs_without_a_slot_width_is_refused_before_assembly(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a class was assembled")
-
-    monkeypatch.setattr(morse, "morse_class", refuse)
-    jobs = [(logarithmic_pair(2), (2, 1)), (compact_hypersurface(2), (3, 1))]
-    with pytest.raises(ValueError, match="slot_bits"):
-        compute_batch(RELATIONS[2, 2], jobs)
 
 
 def test_mixed_towers_push_forward_once_each_on_the_pipeline_tower(monkeypatch):

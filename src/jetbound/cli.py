@@ -1,8 +1,9 @@
 """Command-line front end: bound, poly, table, sweep, verify.
 
-Exit codes: 0 success, 2 invalid input or weights or an unusable cache
-directory, 3 no threshold (the degree polynomial has non-positive leading
-coefficient), 4 violated internal invariant or failed verification.
+Exit codes: 0 success, 2 invalid input or weights, an oversized job or an
+unusable cache directory, 3 no threshold (the degree polynomial has
+non-positive leading coefficient), 4 violated internal invariant or failed
+verification.
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ import sys
 from typing import Optional, Sequence
 
 from . import cache, sweep
-from .errors import CacheDirectoryError, InadmissibleWeightsError, JetboundError
+from .errors import CacheDirectoryError, InadmissibleWeightsError, JetboundError, OversizedJobError
 from .geometry import GeometrySpec
-from .morse import MorseReport, WeightVector, compute_reports, default_weights, order_bounds
+from .morse import MorseReport, WeightVector, class_terms, compute_reports, default_weights, order_bounds
 from .tower import TowerContext, pipeline_tower
 from .verify import MAX_DIM, run_all
 
 TABLE_CELLS = [(n, k) for n in range(2, 6) for k in range(n, 6)]
+
+#: Most Morse-class terms of one job: admits (5,6), 1,385,824 terms, and refuses (6,6), 4,587,778.
+MAX_CLASS_TERMS = 2_000_000
 
 
 def _json_text(data) -> str:
@@ -49,8 +53,15 @@ def cached_reports(
     ``pipeline_tower``: its relations and the digest its keys carry are
     built once per process, so a hit does no algebra.  A cache directory
     that cannot be created or written raises ``CacheDirectoryError``, before
-    any miss is computed where it can.
+    any miss is computed where it can.  A job whose Morse class would have
+    more than ``MAX_CLASS_TERMS`` terms raises ``OversizedJobError`` before
+    any tower is built or key formed.
     """
+    for n, k in dict.fromkeys((spec.n, len(weights)) for spec, weights in jobs):
+        terms = class_terms(n, k)
+        if terms > MAX_CLASS_TERMS:
+            raise OversizedJobError(f"the Morse class of the ({n}, {k}) tower has {terms} terms, "
+                                    f"above the limit of {MAX_CLASS_TERMS}")
     results: list[Optional[MorseReport]] = []
     misses: list[tuple[int, str]] = []
     for spec, weights in jobs:
@@ -297,7 +308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     try:
         code, data, rows, lines = args.func(args)
-    except (InadmissibleWeightsError, CacheDirectoryError) as exc:
+    except (InadmissibleWeightsError, OversizedJobError, CacheDirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except JetboundError as exc:

@@ -35,3 +35,7 @@ class InadmissibleWeightsError(JetboundError):
 
 class CacheDirectoryError(JetboundError):
     """The result cache directory cannot be created or written."""
+
+
+class OversizedJobError(JetboundError):
+    """A job's Morse class has more terms than the command line admits."""

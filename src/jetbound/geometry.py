@@ -14,26 +14,32 @@ token that the command line, the reports and the cache keys use:
 
 ``substitute_chern`` is the one place that substitutes those classes into a
 finished base class; ``evaluate_in_degree`` applies it (with ``h -> 1``) to a
-weighted-degree-n base class and multiplies the result by ``d``.  For the
+weighted-degree-n base class and multiplies the result by ``d``.  Packed
+passes, several jobs in one pushforward, take that path: they substitute
+after the pushforward.  A pass of a single job substitutes the degree before
+it instead: ``degree_term_map`` at ``D = 2^B`` sends ``c_j`` to its degree
+polynomial at ``D`` and ``h`` to 1, the tower is specialized by it, and the
+pushforward on Z[u] is one integer whose base-``2^B`` digits are the
+coefficients of ``P(d)`` (see ``morse``).  For the
 compact model that factor is the honest integral of ``h^n``; for the
 logarithmic model it is kept anyway so that outputs are directly comparable
 with the reference pipeline this engine reproduces.  The factor is positive
 for every degree ``d >= 1``, so positivity thresholds are unaffected.
 
 A relation set is specialized before the pushforward, not here:
-``RelationSet.specialized`` is the one way to map its classes.
-``symbolic_leading_form`` sets ``c_j -> (-1)^j`` that way, the top
-d-coefficient of class j in both models.
+``RelationSet.specialized`` is the one way to map its classes, with
+``degree_term_map`` or, in ``symbolic_leading_form``, with ``c_j -> (-1)^j``,
+the top d-coefficient of class j in both models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InhomogeneousClassError, ResidualVariableError
-from .polyring import NEG_INFINITY, Polynomial, Ring
+from .polyring import _EXP_MASK, NEG_INFINITY, Polynomial, Ring
 from .tower import TowerContext
 
 __all__ = [
@@ -44,6 +50,7 @@ __all__ = [
     "logarithmic_pair",
     "base_chern",
     "substitute_chern",
+    "degree_term_map",
     "evaluate_in_degree",
     "EvaluatedClass",
 ]
@@ -96,6 +103,36 @@ def substitute_chern(ctx: TowerContext, spec: GeometrySpec, cls: Polynomial) -> 
                 poly = poly + coeff * d ** i
         cls = cls.substitute(ctx.c(j), poly * h ** j)
     return cls
+
+
+def degree_term_map(ctx: TowerContext, spec: GeometrySpec, D: int) -> Callable[[Polynomial], Polynomial]:
+    """The ring map ``c_j -> p_j(D)``, ``h -> 1``, ``d -> D`` that fixes ``u_1..u_k``, on raw terms.
+
+    ``p_j`` is the degree polynomial of class ``j`` (``_chern_coefficient_in_degree``),
+    so the image of a class is a polynomial in ``u_1..u_k`` alone: each key
+    keeps its u fields, and terms that differ only below them add up.
+    """
+    if spec.n != ctx.n:
+        raise ValueError(f"geometry dimension {spec.n} != tower dimension {ctx.n}")
+    ring = ctx.ring
+    values = [(ring.shift(ctx.d), D)]
+    for j in range(1, spec.n + 1):
+        coeffs = _chern_coefficient_in_degree(spec, j)
+        values.append((ring.shift(ctx.c(j)), sum(c * D**i for i, c in enumerate(coeffs))))
+    low = ring.shift(ctx.u(ctx.k))
+
+    def term_map(p: Polynomial) -> Polynomial:
+        out: dict[int, int] = {}
+        for key, coeff in p._terms.items():
+            for sh, value in values:
+                e = (key >> sh) & _EXP_MASK
+                if e:
+                    coeff *= value**e
+            key = key >> low << low
+            out[key] = out.get(key, 0) + coeff
+        return ring.polynomial(out)
+
+    return term_map
 
 
 def base_chern(ctx: TowerContext, spec: GeometrySpec, j: int) -> Polynomial:

@@ -23,14 +23,18 @@ are packed into the slots of one class's coefficients, each slot
 ``slot_bits`` wide at the largest first weight of the tower's jobs, which
 proves any base coefficient fits.  The proof scales one integer, the
 absolute pushforward of the default ladder's class, computed once per
-relation set and process.  A tower's jobs are split into passes of even
-size, as many jobs each as ``PACKED_BITS`` holds slots (12 of the first 12
-candidates at (3,5)); a tower with one job, such as each cell of the table
-or ``compute_report``, is a pass of one with no width and computes no
-bound.  A pass is its jobs and its slot width, and whichever process runs
-it takes its tower from ``pipeline_tower``; a pool starts only for more
-than one pass, with no more workers than passes, and the reports come back
-in job order.
+relation set and process.  A packed pass substitutes the base Chern classes
+after the pushforward (``geometry.substitute_chern``).  A tower's jobs are
+split into passes of even size, as many jobs each as ``PACKED_BITS`` holds
+slots (12 of the first 12 candidates at (3,5)).  A tower with one job, such
+as each cell of the table or ``compute_report``, is a pass of one with no
+width and computes no slot bound.  A pass of one job, with or without a
+width, substitutes the degree before the pushforward, at ``D = 2^B`` with
+``B`` from ``coefficient_bound``, so the pushforward runs on Z[u] and
+returns ``P(D)/D``, whose balanced base-``2^B`` digits are the coefficients
+of ``P``.  A pass is its jobs and its slot width, and whichever process runs it takes its tower from
+``pipeline_tower``; a pool starts only for more than one pass, with no more
+workers than passes, and the reports come back in job order.
 """
 
 from __future__ import annotations
@@ -42,8 +46,14 @@ from dataclasses import dataclass
 from math import comb, isfinite
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import InadmissibleWeightsError
-from .geometry import EvaluatedClass, GeometrySpec, evaluate_in_degree
+from .errors import InadmissibleWeightsError, JetboundError
+from .geometry import (
+    EvaluatedClass,
+    GeometrySpec,
+    _chern_coefficient_in_degree,
+    degree_term_map,
+    evaluate_in_degree,
+)
 from .polyring import Polynomial, _mul_into
 from .tower import RelationSet, TowerContext, pipeline_tower, pushforward_to_base
 
@@ -52,6 +62,7 @@ __all__ = [
     "is_admissible",
     "default_weights",
     "morse_class",
+    "class_terms",
     "morse_polynomial",
     "degree_threshold",
     "order_bounds",
@@ -59,6 +70,7 @@ __all__ = [
     "MorseReport",
     "PACKED_BITS",
     "slot_bits",
+    "coefficient_bound",
     "compute_reports",
     "compute_report",
 ]
@@ -108,8 +120,12 @@ def _as_weights(weights: Union[WeightVector, Sequence[int]]) -> WeightVector:
     return WeightVector(tuple(weights))
 
 
-def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) -> Polynomial:
-    """The unreduced tower class ``(F - N*G) * F^(N-1)``.
+def morse_class(
+    ctx: TowerContext,
+    weights: Union[WeightVector, Sequence[int]],
+    keep_h: bool = True,
+) -> Polynomial:
+    """The unreduced tower class ``(F - N*G) * F^(N-1)``; with ``keep_h`` false, at ``h = 1``.
 
     ``F = sum_j a_j u_j + 2|a| h`` twists the weighted tautological bundle to
     a nef class, ``G = 2|a| h`` is the twisting class, and ``N`` is the total
@@ -123,7 +139,9 @@ def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) 
     of the class is one product of a factor of ``(beta, s)`` and a
     coefficient of each half, the larger half ``A`` innermost: the two halves
     share no variable, so no two triples give the same monomial and every
-    term is formed once, nonzero since every ``a_j > 0``.
+    term is formed once, nonzero since every ``a_j > 0``.  Without the h
+    field the keys are still distinct, since ``|alpha| + beta = N`` fixes
+    beta: setting ``h = 1`` merges no terms.
     """
     w = _as_weights(weights)
     if w.k != ctx.k:
@@ -139,7 +157,7 @@ def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) 
             powers.append(acc)
         halves.append(powers)
     A, B = halves
-    h_key, twist = 1 << ring.shift(ctx.h), 2 * w.total
+    h_key, twist = 1 << ring.shift(ctx.h) if keep_h else 0, 2 * w.total
     terms: dict[int, int] = {}
     for beta in range(N + 1):
         if beta == 1:
@@ -152,6 +170,17 @@ def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) 
                 key, scale = beta * h_key + b_key, factor * b_coeff
                 terms.update({key + a_key: scale * a_coeff for a_key, a_coeff in a_terms})
     return Polynomial(ring, terms)
+
+
+def class_terms(n: int, k: int) -> int:
+    """The number of terms of ``morse_class`` on the (n, k) tower: ``C(N+k, k) - C(N+k-2, k-1)``.
+
+    One term per ``u^alpha h^beta`` with ``|alpha| + beta = N = n + k(n-1)``
+    and ``beta != 1``: the monomials of degree N in k + 1 variables, less
+    those with ``beta = 1``, the monomials of degree N - 1 in k variables.
+    """
+    N = n + k * (n - 1)
+    return comb(N + k, k) - comb(N + k - 2, k - 1)
 
 
 def morse_polynomial(
@@ -402,16 +431,78 @@ def slot_bits(rels: RelationSet, a1: int) -> int:
     return bound.bit_length() + 1
 
 
-def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: Optional[int]) -> Polynomial:
+def _absolute_at(p: Polynomial, values: Sequence[int]) -> int:
+    """``|p|`` at ``values``: every coefficient made absolute, variable ``v`` set to ``values[v]``."""
+    total = 0
+    for key, coeff in p._terms.items():
+        term = abs(coeff)
+        for v, e in p.ring.decode(key).items():
+            term *= values[v] ** e
+        total += term
+    return total
+
+
+def coefficient_bound(rels: RelationSet, spec: GeometrySpec, weights: Sequence[int]) -> int:
+    """A bound ``S >= sum_i |q_i|``, ``P(d) = sum_i q_i d^(i+1)`` the degree polynomial of ``weights``.
+
+    No pushforward is run.  Write ``|f|`` for ``f`` with every coefficient
+    made absolute, evaluated at ``u_j = mu_j``, ``c_l = ||p_l||`` (the sum of
+    the absolute coefficients of the degree polynomial of class l) and
+    ``h = 1``.  It is subadditive and submultiplicative, and it bounds the
+    1-norm in d of the image of ``f`` under ``c_l -> p_l(d)``, ``h -> 1``.
+    From level 1 up, ``mu_j`` is the least integer ``mu >= 1`` with ``mu^r >=
+    sum_l |c_l^[j-1]| mu^(r-l)``, where the lifted classes of level j-1 hold
+    ``u_1..u_(j-1)`` only, so their values are known.  Proof:
+
+    1. Level j of the pushforward sends ``u_j^m w``, w free of ``u_j``, to
+       ``w H_(m-r+1)``, with ``H_s = -sum_l c_l^[j-1] H_(s-l)``, ``H_0 = 1``
+       and ``H_s = 0`` below 0 (``u_j^(r-1)`` coefficient of ``u_j^m``
+       modulo the level relation); that is reduce-then-integrate, which
+       ``pushforward_to_base`` equals term by term, degree cut and peeling
+       included.
+    2. By induction on s, ``|H_s| <= sum_l |c_l^[j-1]| mu_j^(s-l) <=
+       mu_j^s``, the last step being the choice of ``mu_j``.
+    3. So ``|w H_(m-r+1)| <= |u_j^m w| / mu_j^(r-1)``, also for ``m < r - 1``
+       where the image is 0, and by linearity and the triangle inequality
+       level j divides ``|.|`` of any class by at least ``mu_j^(r-1)``.
+    4. The class is ``sum_(beta != 1) (1 - beta) C(N, beta) Y^beta h^beta
+       (sum_j a_j u_j)^(N-beta)`` with ``Y = 2|a|``, so with ``X = sum_j a_j
+       mu_j`` its value is ``sum_beta |1 - beta| C(N, beta) Y^beta
+       X^(N-beta) = 2 X^N - (X + Y)^N + N Y (X + Y)^(N-1)``.
+
+    Hence ``sum_i |q_i| <= |class| / prod_j mu_j^(r-1)``, and ``S`` is that
+    quotient rounded down, in exact integers.  It reads the lifted classes of
+    ``rels``, so a tower built by hand gets its own bound.
+    """
+    ctx, r, N = rels.ctx, rels.ctx.r, rels.ctx.total_dim
+    values = [0] * ctx.ring.arity
+    for l in range(1, r + 1):
+        values[ctx.c(l)] = sum(map(abs, _chern_coefficient_in_degree(spec, l)))
+    values[ctx.h] = values[ctx.d] = 1
+    divisor = 1
+    for j in range(1, ctx.k + 1):
+        C = [_absolute_at(cls, values) for cls in rels.lifted[j - 1]]
+        fits = lambda mu: mu**r >= sum(c * mu ** (r - l) for l, c in enumerate(C, start=1))
+        low, high = 0, 1
+        while not fits(high):
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if fits(mid) else (mid, high)
+        values[ctx.u(j)] = high
+        divisor *= high ** (r - 1)
+    X, Y = sum(a * values[ctx.u(j)] for j, a in enumerate(weights, start=1)), 2 * sum(weights)
+    return (2 * X**N - (X + Y) ** N + N * Y * (X + Y) ** (N - 1)) // divisor
+
+
+def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: int) -> Polynomial:
     """The Morse classes of ``weights`` in one class, slot i of each coefficient holding class i.
 
     Every class has the same monomials (each term is nonzero), so the packed
     coefficients are one list over the keys of the first class built, folded
     by Horner from the last class down: ``v -> (v << bits) + c_i``.  Each
-    class is dropped once it is folded in; a batch of one is the class itself.
+    class is dropped once it is folded in.
     """
-    if len(weights) == 1:
-        return morse_class(ctx, weights[0])
     top = morse_class(ctx, weights[-1])._terms
     keys, vals = list(top), list(top.values())
     del top
@@ -421,15 +512,12 @@ def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: Optional[int
     return Polynomial(ctx.ring, dict(zip(keys, vals)))
 
 
-def _unpack(packed: Polynomial, bits: Optional[int], count: int) -> list[Polynomial]:
-    """The ``count`` classes packed in ``packed``, slot i holding class i.
+def _unpack(packed: Polynomial, bits: int, count: int) -> list[Polynomial]:
+    """The ``count`` classes packed in ``packed``, slot i holding class i (or digit i of ``P(D)/D``).
 
     Slots below the top are read off as balanced base-``2^bits`` digits, each
-    in ``[-2^(bits-1), 2^(bits-1))``; the top slot is what remains.  A batch
-    of one is the class itself and reads no width.
+    in ``[-2^(bits-1), 2^(bits-1))``; the top slot is what remains.
     """
-    if count == 1:
-        return [packed]
     full, half = 1 << bits, 1 << (bits - 1)
     slots: list[dict[int, int]] = [{} for _ in range(count)]
     for key, value in packed._terms.items():
@@ -465,10 +553,34 @@ def _passes(
     return passes
 
 
+def _collapsed_polynomial(rels: RelationSet, spec: GeometrySpec, weights: WeightVector) -> EvaluatedClass:
+    """``P(d)`` of one job from one pushforward on Z[u], the degree set to ``D = 2^B`` first.
+
+    ``phi = degree_term_map(ctx, spec, D)`` is a ring map that fixes
+    ``u_1..u_k``, so pushing ``phi(class)``, the class at ``h = 1``, forward
+    on ``rels.specialized(phi)`` gives ``phi(base) = P(D)/D = sum_i q_i
+    2^(iB)``, a single integer.  With ``B`` one bit above
+    ``coefficient_bound``, every ``|q_i| < 2^(B-1)``, so the n + 1 balanced
+    digits of ``_unpack`` are the ``q_i`` exactly; a top digit outside that
+    range is a violated invariant and raises ``JetboundError``.
+    """
+    ctx = rels.ctx
+    bits = coefficient_bound(rels, spec, weights.a).bit_length() + 1
+    term_map = degree_term_map(ctx, spec, 1 << bits)
+    value = pushforward_to_base(morse_class(ctx, weights, keep_h=False), rels.specialized(term_map))
+    digits = [slot._terms.get(0, 0) for slot in _unpack(value, bits, ctx.n + 1)]
+    if abs(digits[-1]) >= 1 << (bits - 1):
+        raise JetboundError(
+            f"the degree polynomial of {spec.token} ({ctx.n}, {ctx.k}) does not fit {bits}-bit digits"
+        )
+    return EvaluatedClass.from_coefficients([0] + digits)
+
+
 def _run_pass(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]], bits: Optional[int]) -> list[MorseReport]:
     """The reports of one pass of ``_passes``, in job order, from one pushforward.
 
-    The Morse classes are packed into one class whose coefficients are
+    A pass of one job is ``_collapsed_polynomial``, with or without a
+    width.  Otherwise the Morse classes are packed into one class whose coefficients are
     ``sum_i c_i 2^(i*bits)``, the class of job i in slot i, and pushed
     forward on the jobs' one tower from ``pipeline_tower``.
     ``pushforward_to_base`` is Z-linear in the coefficients, and its degree
@@ -481,8 +593,11 @@ def _run_pass(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]], bits: Option
     ctx = rels.ctx
     weights = [_as_weights(w) for _, w in jobs]
     start = time.perf_counter()
-    bases = _unpack(pushforward_to_base(_pack(ctx, weights, bits), rels), bits, len(jobs))
-    polys = [evaluate_in_degree(ctx, base, spec) for (spec, _), base in zip(jobs, bases)]
+    if len(jobs) == 1:
+        polys = [_collapsed_polynomial(rels, jobs[0][0], weights[0])]
+    else:
+        bases = _unpack(pushforward_to_base(_pack(ctx, weights, bits), rels), bits, len(jobs))
+        polys = [evaluate_in_degree(ctx, base, spec) for (spec, _), base in zip(jobs, bases)]
     elapsed_ms = round((time.perf_counter() - start) * 1000.0 / len(jobs), 3)
     return [
         MorseReport(

@@ -1,44 +1,44 @@
 import pytest
 
-from jetbound import default_weights, morse
+from jetbound import default_weights, morse_class, pushforward_to_base
 from jetbound.cli import TABLE_CELLS, cached_reports
 from jetbound.geometry import GeometrySpec
+from jetbound.morse import compute_reports
+from jetbound.tower import pipeline_tower
 
 TABLE_JOBS = [(GeometrySpec("log", n), default_weights(k).a) for n, k in TABLE_CELLS]
 
 
 @pytest.fixture(scope="session")
-def table_run(tmp_path_factory):
-    """Warm a cache with every table cell; the heavy cells run exactly once.
-
-    Returns the cache directory and the base class of every cell: each cell
-    is a pass of one, so the pushforward returns the cell's own base class,
-    which is kept on the way.
-    """
+def table_cache_dir(tmp_path_factory):
+    """A cache warmed with every table cell; the heavy cells run exactly once."""
     path = str(tmp_path_factory.mktemp("table-cache"))
+    cached_reports(TABLE_JOBS, 1, path)
+    return path
+
+
+@pytest.fixture(scope="session")
+def table_bases():
+    """The base class of every table cell, pushed forward on the pipeline tower.
+
+    Each cell is a pass of one, which substitutes the degree before its
+    pushforward, so the pipeline never forms these classes: they are
+    computed here, once per session.
+    """
     bases = {}
-    pushforward = morse.pushforward_to_base
-
-    def recording(p, rels):
-        bases[rels.ctx.n, rels.ctx.k] = pushforward(p, rels)
-        return bases[rels.ctx.n, rels.ctx.k]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(morse, "pushforward_to_base", recording)
-        cached_reports(TABLE_JOBS, 1, path)
-    return path, bases
-
-
-@pytest.fixture(scope="session")
-def table_cache_dir(table_run):
-    return table_run[0]
-
-
-@pytest.fixture(scope="session")
-def table_bases(table_run):
-    return table_run[1]
+    for n, k in TABLE_CELLS:
+        rels = pipeline_tower(n, k)[0]
+        bases[n, k] = pushforward_to_base(morse_class(rels.ctx, default_weights(k)), rels)
+    return bases
 
 
 @pytest.fixture(scope="session")
 def table_reports(table_cache_dir):
     return dict(zip(TABLE_CELLS, cached_reports(TABLE_JOBS, 1, table_cache_dir)))
+
+
+@pytest.fixture(scope="session")
+def compact_table_reports():
+    """The report of every table cell on the compact geometry, each a pass of one."""
+    jobs = [(GeometrySpec("compact", n), default_weights(k).a) for n, k in TABLE_CELLS]
+    return dict(zip(TABLE_CELLS, compute_reports(jobs)))

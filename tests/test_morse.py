@@ -1,6 +1,7 @@
 """Weight vectors, the positivity pipeline, thresholds, leading coefficients."""
 
 import functools
+import hashlib
 from itertools import product
 from math import comb, factorial
 
@@ -28,7 +29,11 @@ from jetbound import (
     symbolic_leading_form,
 )
 from jetbound import morse
+from jetbound.cli import TABLE_CELLS, main
 from jetbound.errors import InadmissibleWeightsError
+from jetbound.geometry import GeometrySpec, degree_term_map
+from jetbound.morse import class_terms, coefficient_bound
+from jetbound.tower import RelationSet, pipeline_tower, pushforward_to_base
 
 
 # ---- weight vectors --------------------------------------------------------
@@ -143,8 +148,10 @@ def test_morse_class_term_count_and_no_linear_h(n, k):
     ctx = TowerContext(n, k)
     cls = morse_class(ctx, default_weights(k))
     N = ctx.total_dim
-    assert len(cls) == comb(N + k, k) - comb(N + k - 2, k - 1)
+    assert len(cls) == comb(N + k, k) - comb(N + k - 2, k - 1) == class_terms(n, k)
     assert 1 not in {exponents.get(ctx.h, 0) for exponents, _ in cls.terms()}
+    # at h = 1 no two terms merge: |alpha| + beta = N fixes beta
+    assert len(morse_class(ctx, default_weights(k), keep_h=False)) == len(cls)
 
 
 def test_morse_class_homogeneous():
@@ -241,8 +248,96 @@ def test_every_table_cell_polynomial_is_pinned(table_reports):
 
 
 def test_pipeline_rejects_wrong_weight_count():
-    with pytest.raises(InadmissibleWeightsError):
-        morse_polynomial(logarithmic_pair(2), 2, (3, 1, 1))
+    with pytest.raises(InadmissibleWeightsError, match=r"^got 3 weights for a tower of order 2$"):
+        morse_polynomial(logarithmic_pair(2), 2, (6, 2, 1))
+
+
+# SHA-256 of the comma-joined decimal coefficients of P(d) at the default
+# weights, as the engine printed them before single-job passes collapsed to Z[u].
+POLYNOMIAL_DIGESTS = {
+    "log": {
+        (2, 2): "3bd730e700c8af0b486cfccd5b1085e2d0c1c0b49cb4111d67383dbface67ae5",
+        (2, 3): "996857fc68082de6575cebf0007aec3ffe8d0450cce8d1574e269280cba887ad",
+        (2, 4): "67e9aa71a96aa339ab3a7c02dfe539d1b1bf584870d08e1cfa6a5a4f78da4b9c",
+        (2, 5): "f3dbbf422d493b5e506eca2dcd89a9a1241a4f70d4c70f7574f4982a0a13a0ad",
+        (3, 3): "b418f25b87e3f4b57cdc55a3c2a34b21bb97b2dd68b76a7a4a491c14f5cf301c",
+        (3, 4): "df6c3e580b2247bb51955341de465ddf8b5ce7ca0e4fd4ff2977a8aad96ddec4",
+        (3, 5): "376f04c849ff839562a1d27ccf3f18a062e48954c2cfbff64040b6bdbc84b1ad",
+        (4, 4): "a74f05c30228489489d16042dd79ffd9181492c1da9446bc05817ab507656f7a",
+        (4, 5): "4f4096b765de8dd307feabdfc18fc10741c3a8f1c3d74a2a01f05027436d1565",
+        (5, 5): "1d8983e62cd3b32f7ff3665414d5a334fee1e73cb6e53cc01373d173a07ebd40",
+    },
+    "compact": {
+        (2, 2): "0db69bbe3f57d41aa4db4ecb8cf1e59a97a34b92718c81f82c339d552f6e953d",
+        (2, 3): "93e1109fcd6475838cc530e3cb2880fae8c0311446278dd893dc32b8fedae1b9",
+        (2, 4): "f978de2b41e41d94176c47c9cacb51ff2386ce90787949eedac373a7884e3fc6",
+        (2, 5): "0ba6389ad2122fdfdd56794470e16ca3f5f1d9cf0a2c24d415fd8d8c6d068175",
+        (3, 3): "847436ae88e889056d8c217fc0b960a8a3673738f3c760daffed378f4afbffc7",
+        (3, 4): "cd05cb77e263ea32cf549cb298a91c7bd5acd6b1d0517f8de3fc9cb044a25f63",
+        (3, 5): "83e5b18401e82c1303a7181023762fb844f9236b80cb9e14404874f62a969845",
+        (4, 4): "5a422fa271932a95e6bc07ab5948565b95cc74682fa2ddcfdeb78d6c2efeebce",
+        (4, 5): "f47bdfc5b50b3c5ba702edb655eb9b73a5956572c38bff8930eed7ce277dc3a6",
+        (5, 5): "7fb6edf5df5fbb70b5f60d2920198880982709fae1e919255a69689934fd7525",
+    },
+}
+
+
+@pytest.fixture()
+def both_tables(table_reports, compact_table_reports):
+    return {"log": table_reports, "compact": compact_table_reports}
+
+
+def test_every_coefficient_of_every_table_cell_in_both_geometries_is_pinned(both_tables):
+    for token, reports in both_tables.items():
+        assert set(reports) == set(POLYNOMIAL_DIGESTS[token])
+        for cell, report in reports.items():
+            text = ",".join(map(str, report.morse_poly.coeffs))
+            assert hashlib.sha256(text.encode()).hexdigest() == POLYNOMIAL_DIGESTS[token][cell], (token, cell)
+
+
+def test_coefficient_bound_covers_every_table_cell_in_both_geometries(both_tables):
+    for token, reports in both_tables.items():
+        for (n, k), report in reports.items():
+            bound = coefficient_bound(pipeline_tower(n, k)[0], GeometrySpec(token, n), report.weights)
+            assert sum(map(abs, report.morse_poly.coeffs)) <= bound, (token, n, k)
+
+
+def test_coefficient_bound_of_a_perturbed_tower_is_its_own_and_covers_it():
+    rels = pipeline_tower(3, 4)[0]
+    ctx = rels.ctx
+    # the u1 coefficient of c_1 at level 1 goes from r-1 to r, as in the slot-width test
+    lifted = (rels.lifted[0], (rels.lifted[1][0] + ctx.ring.variable(ctx.u(1)),) + rels.lifted[1][1:]) + rels.lifted[2:]
+    perturbed = RelationSet(ctx, lifted, rels.relations)
+    for spec in (logarithmic_pair(3), compact_hypersurface(3)):
+        assert coefficient_bound(perturbed, spec, (18, 6, 2, 1)) > coefficient_bound(rels, spec, (18, 6, 2, 1))
+        for a in [(18, 6, 2, 1), (19, 6, 2, 1), (1000, 6, 2, 1), (10**6, 300, 100, 7)]:
+            P = evaluate_in_degree(ctx, pushforward_to_base(morse_class(ctx, a), perturbed), spec)
+            assert 0 < sum(map(abs, P.coeffs)) <= coefficient_bound(perturbed, spec, a)
+
+
+@pytest.mark.parametrize("make_spec", [logarithmic_pair, compact_hypersurface])
+@pytest.mark.parametrize("cell", [(n, k) for n, k in TABLE_CELLS if n + k <= 7])
+def test_pushforward_on_the_degree_specialized_tower_is_P_at_that_degree(make_spec, cell):
+    n, k = cell
+    spec, rels = make_spec(n), pipeline_tower(n, k)[0]
+    a = default_weights(k)
+    P = compute_report(spec, k).morse_poly
+    cls = morse_class(rels.ctx, a, keep_h=False)
+    for D in (-3, -1, 1, 2, 7, 2 ** (coefficient_bound(rels, spec, a.a).bit_length() + 1)):
+        value = pushforward_to_base(cls, rels.specialized(degree_term_map(rels.ctx, spec, D)))
+        assert set(value._terms) <= {0}
+        assert D * value._terms.get(0, 0) == P(D)
+
+
+def test_digits_of_a_too_narrow_collapsed_pushforward_exit_4(capsys, tmp_path, monkeypatch):
+    # S = 7 gives B = 4: the (3,3) coefficients do not fit 4-bit digits
+    monkeypatch.setattr(morse, "coefficient_bound", lambda *args: 7)
+    code = main(["bound", "--dim", "3", "--order", "3", "--cache-dir", str(tmp_path / "cache")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: the degree polynomial of log (3, 3) does not fit 4-bit digits\n"
+    assert not any((tmp_path / "cache").glob("*.json"))
 
 
 def test_a_wrong_length_vector_is_refused_before_any_pushforward(monkeypatch):

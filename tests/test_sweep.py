@@ -246,7 +246,7 @@ def test_enumeration_is_the_checker_filtered_in_total_lex_order(k):
     assert [w.a for w in enumerate_admissible(k, 30)] == brute[:30]
 
 
-def test_mixed_towers_push_forward_once_each_on_the_pipeline_tower(monkeypatch):
+def test_mixed_towers_push_forward_once_each_on_the_pipeline_tower_or_its_degree_specialization(monkeypatch):
     seen = []
     pushforward = morse.pushforward_to_base
 
@@ -264,9 +264,14 @@ def test_mixed_towers_push_forward_once_each_on_the_pipeline_tower(monkeypatch):
     monkeypatch.setattr(morse, "pushforward_to_base", recording)
     reports = compute_reports(jobs)
     passes = [rels for rels in seen if rels is pipeline_tower(rels.ctx.n, rels.ctx.k)[0]]
-    assert sorted((rels.ctx.n, rels.ctx.k) for rels in passes) == sorted(towers)
+    assert sorted((rels.ctx.n, rels.ctx.k) for rels in passes) == sorted(towers - {(2, 4)})
+    # the one job of (2, 4) is pushed forward once, on its tower specialized at a degree
+    (single,) = [rels for rels in seen if rels.ctx is pipeline_tower(2, 4)[0].ctx]
+    assert single is not pipeline_tower(2, 4)[0]
+    u_vars = {single.ctx.u(j) for j in range(1, 5)}
+    assert all(cls.variables_used() <= u_vars for level in single.lifted for cls in level)
     # the rest are the ladder bounds of the four towers with more than one job
-    assert len(seen) - len(passes) == 4
+    assert len(seen) - len(passes) - 1 == 4
     assert [(r.n, r.k, r.geometry, r.weights) for r in reports] == [
         (spec.n, len(a), spec.token, a) for spec, a in jobs
     ]

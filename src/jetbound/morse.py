@@ -9,7 +9,11 @@ so only one reduction pass is needed.  The Euler operator ``h d/dh`` sends
 coefficient of ``u^alpha h^beta`` is
 ``(1 - beta) * N!/(alpha! beta!) * a^alpha * (2|a|)^beta``.  It is assembled
 as a trinomial in ``h`` and two halves of the weighted form, from the powers
-of each half, so every term is formed once.  Evaluating the integrated
+of each half, so every term is formed once.  The pipeline forms only the
+terms that can reach the base (``beta <= n`` and a power of ``u_k`` of at
+least ``r - 1``; ``morse_class(..., base_only=True)``): the pushforward
+drops every other term, so the base class is the same, and at (5,5) 39,650
+of the full class's 122,031 terms are formed.  Evaluating the integrated
 class in the degree variable yields a univariate polynomial ``P(d)``; when its
 leading coefficient is positive, the effective threshold is the smallest
 positive integer beyond which ``P`` stays strictly positive, located by an
@@ -32,9 +36,10 @@ width and computes no slot bound.  A pass of one job, with or without a
 width, substitutes the degree before the pushforward, at ``D = 2^B`` with
 ``B`` from ``coefficient_bound``, so the pushforward runs on Z[u] and
 returns ``P(D)/D``, whose balanced base-``2^B`` digits are the coefficients
-of ``P``.  A pass is its jobs and its slot width, and whichever process runs it takes its tower from
-``pipeline_tower``; a pool starts only for more than one pass, with no more
-workers than passes, and the reports come back in job order.
+of ``P``.  A pass is its jobs and its slot width, and whichever process
+runs it takes its tower from ``pipeline_tower``; a pool starts only for
+more than one pass, with no more workers than passes, and the reports come
+back in job order.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .geometry import (
     degree_term_map,
     evaluate_in_degree,
 )
-from .polyring import Polynomial, _mul_into
+from .polyring import _EXP_MASK, Polynomial, _mul_into
 from .tower import RelationSet, TowerContext, pipeline_tower, pushforward_to_base
 
 __all__ = [
@@ -124,6 +129,7 @@ def morse_class(
     ctx: TowerContext,
     weights: Union[WeightVector, Sequence[int]],
     keep_h: bool = True,
+    base_only: bool = False,
 ) -> Polynomial:
     """The unreduced tower class ``(F - N*G) * F^(N-1)``; with ``keep_h`` false, at ``h = 1``.
 
@@ -142,11 +148,22 @@ def morse_class(
     term is formed once, nonzero since every ``a_j > 0``.  Without the h
     field the keys are still distinct, since ``|alpha| + beta = N`` fixes
     beta: setting ``h = 1`` merges no terms.
+
+    With ``base_only``, only the terms that can reach the base are formed:
+    those with ``beta <= n`` whose power of ``u_k`` is at least ``r - 1``.
+    ``pushforward_to_base`` drops every other term, whatever the relations
+    and the coefficients: for ``beta > n`` the u-degree ``N - beta`` is below
+    the level-k cut ``k(r-1)``, and a lower power of ``u_k`` is dropped when
+    the input is bucketed.  So both classes have the same pushforward.  The
+    powers of the half holding ``u_k`` (``B``, or ``A`` at ``k = 1``) are
+    filtered once, before the products, and the filter reads exponents only,
+    so every admissible vector on one tower gives the same keys.
     """
     w = _as_weights(weights)
     if w.k != ctx.k:
         raise InadmissibleWeightsError(f"got {w.k} weights for a tower of order {ctx.k}")
     ring, N, m = ctx.ring, ctx.total_dim, (ctx.k + 1) // 2
+    low = ring.shift(ctx.u(ctx.k))
     halves = []
     for js in (range(1, m + 1), range(m + 1, ctx.k + 1)):
         form = {1 << ring.shift(ctx.u(j)): w.a[j - 1] for j in js}
@@ -155,11 +172,15 @@ def morse_class(
             acc: dict[int, int] = {}
             _mul_into(acc, powers[-1], form)
             powers.append(acc)
+        if base_only and ctx.k in js:
+            powers = [
+                {key: c for key, c in p.items() if key >> low & _EXP_MASK >= ctx.r - 1} for p in powers
+            ]
         halves.append(powers)
     A, B = halves
     h_key, twist = 1 << ring.shift(ctx.h) if keep_h else 0, 2 * w.total
     terms: dict[int, int] = {}
-    for beta in range(N + 1):
+    for beta in range((ctx.n if base_only else N) + 1):
         if beta == 1:
             continue
         outer = (1 - beta) * comb(N, beta) * twist**beta
@@ -178,6 +199,9 @@ def class_terms(n: int, k: int) -> int:
     One term per ``u^alpha h^beta`` with ``|alpha| + beta = N = n + k(n-1)``
     and ``beta != 1``: the monomials of degree N in k + 1 variables, less
     those with ``beta = 1``, the monomials of degree N - 1 in k variables.
+    This counts the full class, not the base-only class the pipeline forms;
+    the CLI's oversize guard keeps reading it, so ``MAX_CLASS_TERMS`` and
+    the jobs the guard refuses do not depend on the cut.
     """
     N = n + k * (n - 1)
     return comb(N + k, k) - comb(N + k - 2, k - 1)
@@ -386,7 +410,9 @@ def _ladder_bound(rels: RelationSet) -> int:
     The ladder's class is replaced by its absolute values with ``c``, ``h``
     and ``d`` set to 1, and pushed forward on ``rels.specialized`` by the same
     collapse, negated, so that the recurrence of ``pushforward_to_base`` adds
-    every product; the one base coefficient left is ``R``.  The collapse is
+    every product; the one base coefficient left is ``R``.  Only the class's
+    base-only terms are formed: the pushforward drops the others by their
+    exponents alone, so ``R`` is that of the full class.  The collapse is
     not a ring map, and the specialized relations are not read: only the
     triangle inequality of ``slot_bits`` ties ``R`` to the signed
     pushforward.  It is memoized per relation set object: each pipeline
@@ -395,7 +421,7 @@ def _ladder_bound(rels: RelationSet) -> int:
     """
     ctx = rels.ctx
     absolute = rels.specialized(lambda cls: _collapsed(ctx, cls, -1))
-    ladder = _collapsed(ctx, morse_class(ctx, default_weights(ctx.k)), 1)
+    ladder = _collapsed(ctx, morse_class(ctx, default_weights(ctx.k), base_only=True), 1)
     return pushforward_to_base(ladder, absolute)._terms.get(0, 0)
 
 
@@ -498,16 +524,17 @@ def coefficient_bound(rels: RelationSet, spec: GeometrySpec, weights: Sequence[i
 def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: int) -> Polynomial:
     """The Morse classes of ``weights`` in one class, slot i of each coefficient holding class i.
 
-    Every class has the same monomials (each term is nonzero), so the packed
-    coefficients are one list over the keys of the first class built, folded
-    by Horner from the last class down: ``v -> (v << bits) + c_i``.  Each
-    class is dropped once it is folded in.
+    Every base-only class of the tower has the same monomials (each term is
+    nonzero, and the cut reads exponents only), so the packed coefficients
+    are one list over the keys of the first class built, folded by Horner
+    from the last class down: ``v -> (v << bits) + c_i``.  Each class is
+    dropped once it is folded in.
     """
-    top = morse_class(ctx, weights[-1])._terms
+    top = morse_class(ctx, weights[-1], base_only=True)._terms
     keys, vals = list(top), list(top.values())
     del top
     for w in reversed(weights[:-1]):
-        cls = morse_class(ctx, w)._terms
+        cls = morse_class(ctx, w, base_only=True)._terms
         vals = [(v << bits) + cls[key] for v, key in zip(vals, keys)]
     return Polynomial(ctx.ring, dict(zip(keys, vals)))
 
@@ -557,17 +584,21 @@ def _collapsed_polynomial(rels: RelationSet, spec: GeometrySpec, weights: Weight
     """``P(d)`` of one job from one pushforward on Z[u], the degree set to ``D = 2^B`` first.
 
     ``phi = degree_term_map(ctx, spec, D)`` is a ring map that fixes
-    ``u_1..u_k``, so pushing ``phi(class)``, the class at ``h = 1``, forward
-    on ``rels.specialized(phi)`` gives ``phi(base) = P(D)/D = sum_i q_i
-    2^(iB)``, a single integer.  With ``B`` one bit above
-    ``coefficient_bound``, every ``|q_i| < 2^(B-1)``, so the n + 1 balanced
-    digits of ``_unpack`` are the ``q_i`` exactly; a top digit outside that
-    range is a violated invariant and raises ``JetboundError``.
+    ``u_1..u_k``, so pushing ``phi(class)``, the base-only class at ``h = 1``
+    (it has the full class's pushforward), forward on ``rels.specialized(phi)``
+    gives ``phi(base) = P(D)/D = sum_i q_i 2^(iB)``, a single integer.  With
+    ``B`` one bit above ``coefficient_bound``, every ``|q_i| < 2^(B-1)``, so
+    the n + 1 balanced digits of ``_unpack`` are the ``q_i`` exactly; a top
+    digit outside that range is a violated invariant and raises
+    ``JetboundError``.
     """
     ctx = rels.ctx
     bits = coefficient_bound(rels, spec, weights.a).bit_length() + 1
     term_map = degree_term_map(ctx, spec, 1 << bits)
-    value = pushforward_to_base(morse_class(ctx, weights, keep_h=False), rels.specialized(term_map))
+    # the class is built in the call, so the pushforward frees it once bucketed
+    value = pushforward_to_base(
+        morse_class(ctx, weights, keep_h=False, base_only=True), rels.specialized(term_map)
+    )
     digits = [slot._terms.get(0, 0) for slot in _unpack(value, bits, ctx.n + 1)]
     if abs(digits[-1]) >= 1 << (bits - 1):
         raise JetboundError(

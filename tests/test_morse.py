@@ -170,6 +170,86 @@ def test_morse_class_validates_weights():
         morse_class(ctx, (2, 1, 1))
 
 
+def _perturbed_3_4() -> RelationSet:
+    """The (3,4) tower with the u1 coefficient of c_1 at level 1 raised from r-1 to r."""
+    rels = pipeline_tower(3, 4)[0]
+    ctx = rels.ctx
+    lifted = (rels.lifted[0], (rels.lifted[1][0] + ctx.ring.variable(ctx.u(1)),) + rels.lifted[1][1:]) + rels.lifted[2:]
+    return RelationSet(ctx, lifted, rels.relations)
+
+
+def _tower(cell) -> RelationSet:
+    return _perturbed_3_4() if cell == "perturbed" else pipeline_tower(*cell)[0]
+
+
+def _reaches_base(ctx, key) -> bool:
+    """``beta <= n`` (u-degree at least ``N - n``) and a power of ``u_k`` of at least ``r - 1``."""
+    e = ctx.ring.decode(key)
+    u_degree = sum(e.get(ctx.u(j), 0) for j in range(1, ctx.k + 1))
+    return u_degree >= ctx.total_dim - ctx.n and e.get(ctx.u(ctx.k), 0) >= ctx.r - 1
+
+
+BASE_ONLY_TOWERS = [(n, k) for n, k in TABLE_CELLS if n + k <= 8] + [(2, 1), (3, 2), "perturbed"]
+
+
+@pytest.mark.parametrize("cell", BASE_ONLY_TOWERS, ids=str)
+def test_base_only_class_has_the_pushforward_of_the_full_class(cell):
+    rels = _tower(cell)
+    ctx = rels.ctx
+    a = default_weights(ctx.k)
+    for keep_h in (True, False):
+        full = morse_class(ctx, a, keep_h=keep_h)
+        cut = morse_class(ctx, a, keep_h=keep_h, base_only=True)
+        assert cut._terms == {key: c for key, c in full._terms.items() if _reaches_base(ctx, key)}
+    assert pushforward_to_base(morse_class(ctx, a, base_only=True), rels) == pushforward_to_base(
+        morse_class(ctx, a), rels
+    )
+    # on the degree-specialized tower of the pipeline's single jobs, in both geometries
+    for spec in (logarithmic_pair(ctx.n), compact_hypersurface(ctx.n)):
+        D = 2 ** (coefficient_bound(rels, spec, a.a).bit_length() + 1)
+        specialized = rels.specialized(degree_term_map(ctx, spec, D))
+        value = pushforward_to_base(morse_class(ctx, a, keep_h=False, base_only=True), specialized)
+        assert value._terms.get(0)
+        assert value == pushforward_to_base(morse_class(ctx, a, keep_h=False), specialized)
+
+
+def test_every_term_the_base_only_class_leaves_out_pushes_forward_to_zero():
+    rels = _perturbed_3_4()
+    ctx = rels.ctx
+    full = morse_class(ctx, default_weights(4))
+    dropped = {key: c for key, c in full._terms.items() if not _reaches_base(ctx, key)}
+    assert 0 < len(dropped) < len(full)
+    for key, coeff in dropped.items():
+        assert not pushforward_to_base(ctx.ring.polynomial({key: coeff}), rels)
+
+
+@pytest.mark.parametrize("n,k", TABLE_CELLS + [(4, 6), (2, 1), (3, 1)])
+def test_base_only_class_term_count_and_keys_do_not_depend_on_the_weights(n, k):
+    ctx = TowerContext(n, k)
+    N, a = ctx.total_dim, default_weights(k).a
+    # alpha_k >= r - 1 leaves |alpha| - r + 1 to spread over k exponents, for each beta in {0, 2..n}
+    count = sum(comb(N - beta - ctx.r + k, k - 1) for beta in range(min(n, N) + 1) if beta != 1)
+    ladder = morse_class(ctx, a, base_only=True)
+    other = morse_class(ctx, (a[0] + 1,) + a[1:], base_only=True)
+    assert len(ladder) == count
+    assert ladder._terms.keys() == other._terms.keys()
+    assert {(3, 5): 2575, (5, 5): 39650}.get((n, k), count) == count
+
+
+# R of each tower as the full class gives it: the terms left out of the base-only class add nothing
+LADDER_BOUNDS = {
+    (3, 4): 105301388268077004,
+    (3, 5): 1966989441997054649883168,
+    (4, 4): 119837263291610139758855080,
+    "perturbed": 142410224819344593,
+}
+
+
+@pytest.mark.parametrize("cell", list(LADDER_BOUNDS), ids=str)
+def test_ladder_bound_is_pinned(cell):
+    assert morse._ladder_bound.__wrapped__(_tower(cell)) == LADDER_BOUNDS[cell]
+
+
 def test_power_equals_repeated_product():
     ctx = TowerContext(2, 3)
     ring = ctx.ring

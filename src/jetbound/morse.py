@@ -22,29 +22,28 @@ exact downward search below a power-of-two root bound.
 ``compute_reports`` is the package's one batch computation, serial or on a
 process pool.  A job is a ``(GeometrySpec, weights)`` pair; its tower is
 ``(spec.n, len(weights))``, whose relations ``tower.pipeline_tower`` builds
-once per process.  The jobs of one pass share a pushforward: their classes
-are packed into the slots of one class's coefficients, each slot
-``slot_bits`` wide at the largest first weight of the tower's jobs, which
-proves any base coefficient fits.  The proof scales one integer, the
-absolute pushforward of the default ladder's class, computed once per
-relation set and process.  A packed pass substitutes the base Chern classes
-after the pushforward (``geometry.substitute_chern``).  A tower's jobs are
-split into passes of even size, as many jobs each as ``PACKED_BITS`` holds
-slots (12 of the first 12 candidates at (3,5)).  A tower with one job, such
-as each cell of the table or ``compute_report``, is a pass of one with no
-width and computes no slot bound.  A pass of one job, with or without a
+once per process.  ``coefficient_bound`` is the one bound on the integers a
+pushforward produces, and it needs no pushforward.  The jobs of one pass
+share a pushforward: their classes are packed into the slots of one class's
+coefficients, each slot one bit wider than the bound at ``c_l = 1`` and at
+the componentwise maximum of the tower's vectors, which covers every base
+coefficient of every job of the tower.  A packed pass substitutes the base
+Chern classes after the pushforward (``geometry.substitute_chern``).  A
+tower's jobs are split into passes of even size, as many jobs each as
+``PACKED_BITS`` holds slots (12 of the first 12 candidates at (3,5)).  A
+tower with one job, such as each cell of the table or ``compute_report``,
+is a pass of one with no width.  A pass of one job, with or without a
 width, substitutes the degree before the pushforward, at ``D = 2^B`` with
-``B`` from ``coefficient_bound``, so the pushforward runs on Z[u] and
-returns ``P(D)/D``, whose balanced base-``2^B`` digits are the coefficients
-of ``P``.  A pass is its jobs and its slot width, and whichever process
-runs it takes its tower from ``pipeline_tower``; a pool starts only for
-more than one pass, with no more workers than passes, and the reports come
-back in job order.
+``B`` from the bound at ``c_l = ||p_l||``, so the pushforward runs on Z[u]
+and returns ``P(D)/D``, whose balanced base-``2^B`` digits are the
+coefficients of ``P``.  A pass is its jobs and its slot width, and
+whichever process runs it takes its tower from ``pipeline_tower``; a pool
+starts only for more than one pass, with no more workers than passes, and
+the reports come back in job order.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -74,7 +73,6 @@ __all__ = [
     "symbolic_leading_form",
     "MorseReport",
     "PACKED_BITS",
-    "slot_bits",
     "coefficient_bound",
     "compute_reports",
     "compute_report",
@@ -393,70 +391,6 @@ class MorseReport:
 PACKED_BITS = 1024
 
 
-def _collapsed(ctx: TowerContext, p: Polynomial, sign: int) -> Polynomial:
-    """``sign * |p|`` with ``c``, ``h`` and ``d`` set to 1: each key keeps only its u fields."""
-    low = ctx.ring.shift(ctx.u(ctx.k))
-    out: dict[int, int] = {}
-    for key, coeff in p._terms.items():
-        key = key >> low << low
-        out[key] = out.get(key, 0) + sign * abs(coeff)
-    return ctx.ring.polynomial(out)
-
-
-@functools.cache
-def _ladder_bound(rels: RelationSet) -> int:
-    """``R``: the collapsed absolute pushforward of the default ladder's class.
-
-    The ladder's class is replaced by its absolute values with ``c``, ``h``
-    and ``d`` set to 1, and pushed forward on ``rels.specialized`` by the same
-    collapse, negated, so that the recurrence of ``pushforward_to_base`` adds
-    every product; the one base coefficient left is ``R``.  Only the class's
-    base-only terms are formed: the pushforward drops the others by their
-    exponents alone, so ``R`` is that of the full class.  The collapse is
-    not a ring map, and the specialized relations are not read: only the
-    triangle inequality of ``slot_bits`` ties ``R`` to the signed
-    pushforward.  It is memoized per relation set object: each pipeline
-    tower is built once per process (``pipeline_tower``), and a set built
-    by hand, perturbed or not, gets its own ``R``.
-    """
-    ctx = rels.ctx
-    absolute = rels.specialized(lambda cls: _collapsed(ctx, cls, -1))
-    ladder = _collapsed(ctx, morse_class(ctx, default_weights(ctx.k), base_only=True), 1)
-    return pushforward_to_base(ladder, absolute)._terms.get(0, 0)
-
-
-def slot_bits(rels: RelationSet, a1: int) -> int:
-    """Width of one packed slot: one bit above a bound on every base coefficient.
-
-    The bound holds for every admissible vector with first weight ``a_1 <=
-    a1`` on the tower of ``rels`` (so also for every vector of total at most
-    ``a1``).  Proof, with ``L`` the default ladder and ``x = a_1 / L_1``:
-
-    1. Admissibility gives ``a_j <= a_1 / 3^(j-1)`` below ``k`` and ``a_k <=
-       a_(k-1) / 2``, that is ``a_j <= x L_j`` and ``|a| <= x |L|``.  The
-       coefficient of ``u^alpha h^beta`` in the class is ``(1 - beta)
-       N!/(alpha! beta!) a^alpha (2|a|)^beta`` with ``|alpha| + beta = N``,
-       so ``|class(a)| <= x^N |class(L)|`` coefficient by coefficient.
-    2. The pushforward is Z-linear in the class, and each base coefficient
-       is a sum over the terms of the class of products of lifted-class
-       coefficients; the degree cut and the dropping of zero terms read no
-       value.  By the triangle inequality, pushing ``|class(L)|`` forward
-       with every lifted class replaced by its absolute values bounds every
-       base coefficient of ``class(L)``'s signed pushforward, and with the
-       first step, ``x^N`` times it bounds those of ``class(a)``.
-    3. Setting ``c``, ``h`` and ``d`` to 1 in the class and the lifted
-       classes is a ring map that keeps every u-exponent, and every choice of
-       the pushforward reads u-exponents only, so the result is the sum of
-       the absolute base coefficients: one integer ``R``, which bounds each.
-
-    So every base coefficient is at most ``ceil(R a1^N / L_1^N)`` in absolute
-    value, computed in exact integers; ``R`` is ``_ladder_bound``.
-    """
-    N, ladder = rels.ctx.total_dim, default_weights(rels.ctx.k).a[0]
-    bound = -(-_ladder_bound(rels) * a1**N // ladder**N)
-    return bound.bit_length() + 1
-
-
 def _absolute_at(p: Polynomial, values: Sequence[int]) -> int:
     """``|p|`` at ``values``: every coefficient made absolute, variable ``v`` set to ``values[v]``."""
     total = 0
@@ -468,17 +402,26 @@ def _absolute_at(p: Polynomial, values: Sequence[int]) -> int:
     return total
 
 
-def coefficient_bound(rels: RelationSet, spec: GeometrySpec, weights: Sequence[int]) -> int:
-    """A bound ``S >= sum_i |q_i|``, ``P(d) = sum_i q_i d^(i+1)`` the degree polynomial of ``weights``.
+def coefficient_bound(rels: RelationSet, chern: Sequence[int], weights: Sequence[int]) -> int:
+    """A bound ``S`` on the base class of ``weights``' base-only class, ``c_l`` taken at ``chern[l-1]``.
 
     No pushforward is run.  Write ``|f|`` for ``f`` with every coefficient
-    made absolute, evaluated at ``u_j = mu_j``, ``c_l = ||p_l||`` (the sum of
-    the absolute coefficients of the degree polynomial of class l) and
-    ``h = 1``.  It is subadditive and submultiplicative, and it bounds the
-    1-norm in d of the image of ``f`` under ``c_l -> p_l(d)``, ``h -> 1``.
-    From level 1 up, ``mu_j`` is the least integer ``mu >= 1`` with ``mu^r >=
-    sum_l |c_l^[j-1]| mu^(r-l)``, where the lifted classes of level j-1 hold
-    ``u_1..u_(j-1)`` only, so their values are known.  Proof:
+    made absolute, evaluated at ``u_j = mu_j``, ``c_l = chern[l-1]`` and
+    ``h = 1``; it is subadditive and submultiplicative.  From level 1 up,
+    ``mu_j`` is the least integer ``mu >= 1`` with ``mu^r >= sum_l
+    |c_l^[j-1]| mu^(r-l)``, where the lifted classes of level j-1 hold
+    ``u_1..u_(j-1)`` only, so their values are known.  ``S`` bounds
+    ``|base|``, and so:
+
+    - at ``chern[l-1] = ||p_l||``, the sum of the absolute coefficients of
+      the degree polynomial of class l, ``S >= sum_i |q_i|`` with ``P(d) =
+      sum_i q_i d^(i+1)``, since ``|.|`` then bounds the 1-norm in d of the
+      image under ``c_l -> p_l(d)``, ``h -> 1`` (a single job's digits);
+    - at every ``chern[l-1] = 1``, ``S`` is at least the sum of the absolute
+      coefficients of the unspecialized base class over its c- and
+      h-monomials, and so at least each of them (a packed pass's slots).
+
+    Proof:
 
     1. Level j of the pushforward sends ``u_j^m w``, w free of ``u_j``, to
        ``w H_(m-r+1)``, with ``H_s = -sum_l c_l^[j-1] H_(s-l)``, ``H_0 = 1``
@@ -492,18 +435,22 @@ def coefficient_bound(rels: RelationSet, spec: GeometrySpec, weights: Sequence[i
        where the image is 0, and by linearity and the triangle inequality
        level j divides ``|.|`` of any class by at least ``mu_j^(r-1)``.
     4. The class is ``sum_(beta != 1) (1 - beta) C(N, beta) Y^beta h^beta
-       (sum_j a_j u_j)^(N-beta)`` with ``Y = 2|a|``, so with ``X = sum_j a_j
-       mu_j`` its value is ``sum_beta |1 - beta| C(N, beta) Y^beta
-       X^(N-beta) = 2 X^N - (X + Y)^N + N Y (X + Y)^(N-1)``.
+       (sum_j a_j u_j)^(N-beta)`` with ``Y = 2|a|``.  The pipeline pushes
+       forward its base-only part: the terms with ``beta <= n``, less those
+       whose power of ``u_k`` is below ``r - 1``, which only drops terms
+       from ``|.|``.  So with ``X = sum_j a_j mu_j`` its value is at most
+       ``sum_(beta <= n) |1 - beta| C(N, beta) Y^beta X^(N-beta)``.
 
-    Hence ``sum_i |q_i| <= |class| / prod_j mu_j^(r-1)``, and ``S`` is that
-    quotient rounded down, in exact integers.  It reads the lifted classes of
-    ``rels``, so a tower built by hand gets its own bound.
+    Hence ``|base| <= |class| / prod_j mu_j^(r-1)``, and ``S`` is that
+    quotient rounded down, in exact integers.  The sum of step 4 increases
+    in every ``a_j``, so ``S`` at a componentwise maximum of several vectors
+    bounds each of them.  It reads the lifted classes of ``rels``, so a
+    tower built by hand gets its own bound.
     """
     ctx, r, N = rels.ctx, rels.ctx.r, rels.ctx.total_dim
     values = [0] * ctx.ring.arity
-    for l in range(1, r + 1):
-        values[ctx.c(l)] = sum(map(abs, _chern_coefficient_in_degree(spec, l)))
+    for l, value in enumerate(chern, start=1):
+        values[ctx.c(l)] = value
     values[ctx.h] = values[ctx.d] = 1
     divisor = 1
     for j in range(1, ctx.k + 1):
@@ -518,7 +465,7 @@ def coefficient_bound(rels: RelationSet, spec: GeometrySpec, weights: Sequence[i
         values[ctx.u(j)] = high
         divisor *= high ** (r - 1)
     X, Y = sum(a * values[ctx.u(j)] for j, a in enumerate(weights, start=1)), 2 * sum(weights)
-    return (2 * X**N - (X + Y) ** N + N * Y * (X + Y) ** (N - 1)) // divisor
+    return sum(abs(1 - beta) * comb(N, beta) * Y**beta * X ** (N - beta) for beta in range(ctx.n + 1)) // divisor
 
 
 def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: int) -> Polynomial:
@@ -563,17 +510,21 @@ def _passes(
 ) -> list[tuple[list[int], Optional[int]]]:
     """Job indices grouped by tower ``(spec.n, len(weights))`` and split into packed passes of even size.
 
-    Each pass comes with its slot width: ``slot_bits`` at the largest first
-    weight of the tower's jobs, and a pass holds at most ``PACKED_BITS //
-    slot_bits`` jobs.  A tower with one job is a pass of one with no width,
-    so it computes no bound.
+    Each pass comes with its slot width, one bit above ``coefficient_bound``
+    at every ``c_l = 1`` and at the componentwise maximum of the tower's
+    vectors, and a pass holds at most ``PACKED_BITS // width`` jobs.  A
+    tower with one job is a pass of one with no width, so it computes no
+    bound.
     """
     towers: dict[tuple[int, int], list[int]] = {}
     for index, (spec, weights) in enumerate(jobs):
         towers.setdefault((spec.n, len(weights)), []).append(index)
     passes = []
     for (n, k), indices in towers.items():
-        bits = slot_bits(pipeline_tower(n, k)[0], max(jobs[i][1][0] for i in indices)) if len(indices) > 1 else None
+        bits = None
+        if len(indices) > 1:
+            top = [max(jobs[i][1][j] for i in indices) for j in range(k)]
+            bits = coefficient_bound(pipeline_tower(n, k)[0], [1] * n, top).bit_length() + 1
         count = 1 if bits is None else -(-len(indices) // max(1, PACKED_BITS // bits))
         size = -(-len(indices) // count)
         passes += [(indices[start:start + size], bits) for start in range(0, len(indices), size)]
@@ -587,13 +538,15 @@ def _collapsed_polynomial(rels: RelationSet, spec: GeometrySpec, weights: Weight
     ``u_1..u_k``, so pushing ``phi(class)``, the base-only class at ``h = 1``
     (it has the full class's pushforward), forward on ``rels.specialized(phi)``
     gives ``phi(base) = P(D)/D = sum_i q_i 2^(iB)``, a single integer.  With
-    ``B`` one bit above ``coefficient_bound``, every ``|q_i| < 2^(B-1)``, so
+    ``B`` one bit above ``coefficient_bound`` at ``c_l = ||p_l||`` (the sum
+    of the absolute coefficients of ``p_l``), every ``|q_i| < 2^(B-1)``, so
     the n + 1 balanced digits of ``_unpack`` are the ``q_i`` exactly; a top
     digit outside that range is a violated invariant and raises
     ``JetboundError``.
     """
     ctx = rels.ctx
-    bits = coefficient_bound(rels, spec, weights.a).bit_length() + 1
+    chern = [sum(map(abs, _chern_coefficient_in_degree(spec, l))) for l in range(1, ctx.r + 1)]
+    bits = coefficient_bound(rels, chern, weights.a).bit_length() + 1
     term_map = degree_term_map(ctx, spec, 1 << bits)
     # the class is built in the call, so the pushforward frees it once bucketed
     value = pushforward_to_base(

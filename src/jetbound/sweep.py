@@ -28,6 +28,10 @@ def _chains(k: int, total: int, suffix: tuple[int, ...] = ()) -> Iterator[tuple[
 
     Positions are filled from a_k leftwards, each at least its lower bound:
     1 at a_k, 2*a_k at a_(k-1) and 3*a_(j+1) elsewhere; a_1 takes the rest.
+    With ``L`` the default ladder, a value ``v`` at position p leaves
+    positions 1..p-1 at least ``v * sum_(j<p) L_j / L_p`` (the ratios are
+    integers), so every value tried completes to at least one chain, and
+    the work grows with the chains yielded, not with the total.
     """
     position = k - len(suffix)
     lower = 1 if not suffix else (2 if position == k - 1 else 3) * suffix[0]
@@ -35,7 +39,9 @@ def _chains(k: int, total: int, suffix: tuple[int, ...] = ()) -> Iterator[tuple[
         if total >= lower:
             yield (total,) + suffix
         return
-    for value in range(lower, total // 3 + 1):  # a_(position-1) needs at least 2*value left
+    ladder = default_weights(k).a
+    need = sum(ladder[:position - 1]) // ladder[position - 1]
+    for value in range(lower, total // (1 + need) + 1):
         yield from _chains(k, total - value, (value,) + suffix)
 
 

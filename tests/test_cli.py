@@ -138,6 +138,21 @@ def test_an_oversized_job_exits_2_before_any_tower_is_built(capsys, tmp_path, mo
     assert not (tmp_path / "cache").exists()
 
 
+def test_an_oversized_sweep_exits_2_before_any_tower_is_built(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tower was built")
+
+    monkeypatch.setattr("jetbound.cli.pipeline_tower", refuse)
+    monkeypatch.setattr("jetbound.morse.pipeline_tower", refuse)
+    code, out, err = run_cli(capsys, "sweep", "--dim", "2", "--order", "40", "--budget", "2",
+                             "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the Morse class of the (2, 40) tower has 309785580566094139142020 terms,"
+                   " above the limit of 2000000\n")
+    assert not (tmp_path / "cache").exists()
+
+
 def test_bound_huge_weights_threshold(capsys, cache_dir):
     code, out, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "2",
                            "--weights", "99999999999999999999,1", "--cache-dir", cache_dir)

@@ -1,7 +1,7 @@
 """Packed passes: several weight candidates of one tower share one pushforward."""
 
-import itertools
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,7 @@ from jetbound import (
 )
 from jetbound.cli import TABLE_CELLS, cached_reports
 from jetbound.geometry import GeometrySpec
-from jetbound.morse import _passes, compute_report, compute_reports, slot_bits
+from jetbound.morse import _passes, coefficient_bound, compute_report, compute_reports
 from jetbound.tower import RelationSet, pipeline_tower
 
 RELATIONS = {(n, k): pipeline_tower(n, k)[0] for n in (2, 3) for k in range(1, 6)}
@@ -89,18 +89,23 @@ def test_sweep_candidates_packed_equal_unpacked(monkeypatch):
     assert [r.weights for r in packed] == SWEEP_CANDIDATES
 
 
+def _slot_bound(rels, a) -> int:
+    """The bound that sizes a packed pass's slots: every ``c_l`` taken at 1."""
+    return coefficient_bound(rels, [1] * rels.ctx.r, a)
+
+
 @pytest.mark.parametrize("cell", TABLE_CELLS)
 def test_slot_bits_cover_table_base_classes(cell, table_bases):
     n, k = cell
-    bits = slot_bits(TowerContext(n, k).relations, default_weights(k).total)
-    assert 0 < _largest(table_bases[cell]) < 2 ** (bits - 1)
+    assert 0 < _largest(table_bases[cell]) <= _slot_bound(pipeline_tower(n, k)[0], default_weights(k).a)
 
 
 def test_slot_bits_cover_sweep_candidates():
     rels = TowerContext(3, 5).relations
+    top = [max(column) for column in zip(*SWEEP_CANDIDATES)]
     for a in SWEEP_CANDIDATES:
         base = pushforward_to_base(morse_class(rels.ctx, a), rels)
-        assert 0 < _largest(base) < 2 ** (slot_bits(rels, sum(a)) - 1)
+        assert 0 < _largest(base) <= _slot_bound(rels, a) <= _slot_bound(rels, top)
 
 
 @st.composite
@@ -112,11 +117,14 @@ def lopsided(draw, k: int) -> tuple[int, ...]:
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_slot_bits_cover_drawn_vectors_at_their_first_weight(data):
+def test_slot_width_at_the_componentwise_maximum_covers_both_drawn_vectors(data):
     rels = RELATIONS[data.draw(st.sampled_from(sorted(RELATIONS)))]
-    a = data.draw(lopsided(rels.ctx.k))
-    base = pushforward_to_base(morse_class(rels.ctx, a), rels)
-    assert _largest(base) < 2 ** (slot_bits(rels, a[0]) - 1)
+    n, k = rels.ctx.n, rels.ctx.k
+    vectors = [data.draw(lopsided(k)), data.draw(lopsided(k))]
+    ((_, bits), *_) = _passes([(logarithmic_pair(n), a) for a in vectors])
+    for a in vectors:
+        base = pushforward_to_base(morse_class(rels.ctx, a), rels)
+        assert _largest(base) <= _slot_bound(rels, a) < 2 ** (bits - 1)
 
 
 def test_slot_bits_of_a_perturbed_tower_are_its_own_and_cover_it():
@@ -125,36 +133,45 @@ def test_slot_bits_of_a_perturbed_tower_are_its_own_and_cover_it():
     # the u1 coefficient of c_1 at level 1 goes from r-1 to r; the relation text stays
     lifted = (rels.lifted[0], (rels.lifted[1][0] + ctx.ring.variable(ctx.u(1)),) + rels.lifted[1][1:]) + rels.lifted[2:]
     perturbed = RelationSet(ctx, lifted, rels.relations)
-    assert morse._ladder_bound(perturbed) > morse._ladder_bound(rels)
+    assert _slot_bound(perturbed, (18, 6, 2, 1)) > _slot_bound(rels, (18, 6, 2, 1))
     for a in [(18, 6, 2, 1), (19, 6, 2, 1), (1000, 6, 2, 1), (10**6, 300, 100, 7)]:
         base = pushforward_to_base(morse_class(ctx, a), perturbed)
-        assert 0 < _largest(base) < 2 ** (slot_bits(perturbed, a[0]) - 1)
+        assert 0 < _largest(base) <= _slot_bound(perturbed, a)
 
 
-def test_first_sweep_round_is_one_pass_and_its_bound_one_per_process(monkeypatch):
-    spec = logarithmic_pair(3)
-    seen = []
-    pushforward = morse.pushforward_to_base
-
-    def counting(p, rels):
-        seen.append(rels)
-        return pushforward(p, rels)
-
-    morse._ladder_bound.cache_clear()
-    monkeypatch.setattr(morse, "pushforward_to_base", counting)
+def test_first_sweep_round_is_one_pass_with_one_slot_bound(monkeypatch):
+    jobs = [(logarithmic_pair(3), a) for a in SWEEP_CANDIDATES]
     rels = pipeline_tower(3, 5)[0]
-    for _ in range(2):
-        compute_reports([(spec, a) for a in SWEEP_CANDIDATES])
-        assert seen[-1] is rels
-    # the ladder bound's one pushforward, then one pass per round
-    assert len(seen) == 3 and seen[0] is not rels
+    seen, bounds = [], []
+    pushforward, bound = morse.pushforward_to_base, morse.coefficient_bound
+
+    def counting_pushforward(p, tower):
+        seen.append(tower)
+        return pushforward(p, tower)
+
+    def counting_bound(tower, chern, weights):
+        bounds.append((tower, tuple(chern)))
+        return bound(tower, chern, weights)
+
+    monkeypatch.setattr(morse, "pushforward_to_base", counting_pushforward)
+    monkeypatch.setattr(morse, "coefficient_bound", counting_bound)
+    for rounds in (1, 2):
+        compute_reports(jobs)
+        # one bound at c_l = 1 and one pushforward on the pipeline tower per round; nothing is kept
+        assert seen == [rels] * rounds and bounds == [(rels, (1, 1, 1))] * rounds
+    assert _passes(jobs) == [(list(range(12)), 85)]
 
 
 def test_batches_of_one_compute_no_bound(monkeypatch, tmp_path):
-    def refuse(rels):
-        raise AssertionError("a batch of one computed a slot bound")
+    bound = morse.coefficient_bound
 
-    monkeypatch.setattr(morse, "_ladder_bound", refuse)
+    def refuse(rels, chern, weights):
+        # a single job's digits take c_l = ||p_l||, never 1 for every l; a slot width takes 1
+        if set(chern) == {1}:
+            raise AssertionError("a batch of one computed a slot bound")
+        return bound(rels, chern, weights)
+
+    monkeypatch.setattr(morse, "coefficient_bound", refuse)
     compute_report(logarithmic_pair(3), 3)
     table = [(GeometrySpec("log", n), default_weights(k).a) for n, k in TABLE_CELLS if n + k <= 7]
     assert len(cached_reports(table, 1, str(tmp_path))) == len(table)
@@ -193,11 +210,12 @@ def test_a_pool_starts_for_several_passes_only_and_receives_jobs_and_widths(monk
 
 def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
     calls, in_worker = [], [False]
-    ladder_bound = morse._ladder_bound
+    bound = morse.coefficient_bound
 
-    def counting(rels):
-        calls.append((rels.ctx.n, rels.ctx.k, in_worker[0]))
-        return ladder_bound(rels)
+    def counting(rels, chern, weights):
+        if set(chern) == {1}:  # a slot width, not a single job's digits
+            calls.append((rels.ctx.n, rels.ctx.k, in_worker[0]))
+        return bound(rels, chern, weights)
 
     class RoundTripPool:
         """Stands in for ProcessPoolExecutor: pickles each argument tuple and result, starts no process."""
@@ -218,7 +236,7 @@ def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
                 in_worker[0] = False
                 yield pickle.loads(result)
 
-    monkeypatch.setattr(morse, "_ladder_bound", counting)
+    monkeypatch.setattr(morse, "coefficient_bound", counting)
     monkeypatch.setattr(morse, "ProcessPoolExecutor", RoundTripPool)
     jobs = [
         (logarithmic_pair(n), a)
@@ -232,18 +250,30 @@ def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
     assert [_untimed(r) for r in pooled] == [_untimed(r) for r in compute_reports(jobs)]
 
 
-@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 7))
 def test_enumeration_is_the_checker_filtered_in_total_lex_order(k):
-    # every composition of each total into k positive parts, in lex order, filtered by is_admissible
+    # every vector of each total with a_1 the rest, filtered by is_admissible and sorted; each
+    # suffix of an admissible vector is admissible, and the chain gives a_j <= a_1 L_j / L_1 for
+    # the ladder L, so suffixes are filtered as they grow, which keeps k = 6 small
+    ladder = default_weights(k).a
     brute, total = [], 1
     while len(brute) < 30:
-        for cuts in itertools.combinations(range(1, total), k - 1):
-            bounds = (0,) + cuts + (total,)
-            a = tuple(bounds[i + 1] - bounds[i] for i in range(k))
-            if is_admissible(a):
-                brute.append(a)
+        rests = [()]
+        for j in range(k - 1, 0, -1):
+            cap = total * ladder[j] // ladder[0]
+            rests = [(x,) + rest for rest in rests for x in range(1, cap + 1) if is_admissible((x,) + rest)]
+        brute += sorted(a for a in ((total - sum(rest),) + rest for rest in rests) if is_admissible(a))
         total += 1
     assert [w.a for w in enumerate_admissible(k, 30)] == brute[:30]
+
+
+@pytest.mark.parametrize("k,count", [(8, 3), (40, 2)])
+def test_enumeration_at_a_high_order_starts_with_the_ladder_at_once(k, count):
+    start = time.perf_counter()
+    vectors = enumerate_admissible(k, count)
+    assert time.perf_counter() - start < 1.0
+    assert vectors[0] == default_weights(k) and len(vectors) == count
+    assert all(sum(w.a) == 3 ** (k - 1) + i for i, w in enumerate(vectors))
 
 
 def test_mixed_towers_push_forward_once_each_on_the_pipeline_tower_or_its_degree_specialization(monkeypatch):
@@ -260,7 +290,6 @@ def test_mixed_towers_push_forward_once_each_on_the_pipeline_tower_or_its_degree
         for n, a in ((2, (2, 1)), (3, (6, 2, 1)), (2, (7, 2, 1)), (3, (3, 1)), (3, (4, 1)))
     ] + [(compact_hypersurface(2), (18, 6, 2, 1))]
     towers = {(2, 2), (2, 3), (3, 3), (3, 2), (2, 4)}
-    morse._ladder_bound.cache_clear()
     monkeypatch.setattr(morse, "pushforward_to_base", recording)
     reports = compute_reports(jobs)
     passes = [rels for rels in seen if rels is pipeline_tower(rels.ctx.n, rels.ctx.k)[0]]
@@ -270,8 +299,8 @@ def test_mixed_towers_push_forward_once_each_on_the_pipeline_tower_or_its_degree
     assert single is not pipeline_tower(2, 4)[0]
     u_vars = {single.ctx.u(j) for j in range(1, 5)}
     assert all(cls.variables_used() <= u_vars for level in single.lifted for cls in level)
-    # the rest are the ladder bounds of the four towers with more than one job
-    assert len(seen) - len(passes) - 1 == 4
+    # no other pushforward runs: the slot widths of the four packed towers need none
+    assert len(seen) == len(passes) + 1
     assert [(r.n, r.k, r.geometry, r.weights) for r in reports] == [
         (spec.n, len(a), spec.token, a) for spec, a in jobs
     ]

@@ -12,33 +12,35 @@ token that the command line, the reports and the cache keys use:
   tangent bundle are
   ``c_j = (-1)^j h^j * sum_i (-1)^i binom(n+1, i) d^(j-i)``.
 
-``substitute_chern`` is the one place that substitutes those classes into a
-finished base class; ``evaluate_in_degree`` applies it (with ``h -> 1``) to a
-weighted-degree-n base class and multiplies the result by ``d``.  Packed
-passes, several jobs in one pushforward, take that path: they substitute
-after the pushforward.  A pass of a single job substitutes the degree before
-it instead: ``degree_term_map`` at ``D = 2^B`` sends ``c_j`` to its degree
-polynomial at ``D`` and ``h`` to 1, the tower is specialized by it, and the
-pushforward on Z[u] is one integer whose base-``2^B`` digits are the
-coefficients of ``P(d)`` (see ``morse``).  For the
-compact model that factor is the honest integral of ``h^n``; for the
+``chern_term_map`` is the one way to substitute those classes: on raw
+terms it sends ``c_l`` to given integers, ``h`` to 1 and ``d`` to ``D``, and
+keeps every other field of a key.  ``degree_term_map`` is that map at
+``c_l = p_l(D)``, ``p_l`` the degree polynomial of class l.  A pass of a
+single job specializes the tower by it at ``D = 2^B`` before the
+pushforward, which on Z[u] is then one integer whose balanced base-``2^B``
+digits (``balanced_digits``) are the coefficients of ``P(d)/d`` (see
+``morse``).  Packed passes, several jobs in one pushforward, substitute
+after it: ``evaluate_in_degree`` applies ``degree_term_map`` to a finished
+weighted-degree-n base class at a ``D = 2^B`` wide enough for its
+coefficients, reads the same digits and multiplies the result by ``d``.
+For the compact model that factor is the honest integral of ``h^n``; for the
 logarithmic model it is kept anyway so that outputs are directly comparable
 with the reference pipeline this engine reproduces.  The factor is positive
 for every degree ``d >= 1``, so positivity thresholds are unaffected.
 
 A relation set is specialized before the pushforward, not here:
 ``RelationSet.specialized`` is the one way to map its classes, with
-``degree_term_map`` or, in ``symbolic_leading_form``, with ``c_j -> (-1)^j``,
-the top d-coefficient of class j in both models.
+``degree_term_map`` or, in ``symbolic_leading_form``, with ``chern_term_map``
+at ``c_l = (-1)^l``, the top d-coefficient of class l in both models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .errors import InhomogeneousClassError, ResidualVariableError
+from .errors import InhomogeneousClassError, JetboundError, ResidualVariableError
 from .polyring import _EXP_MASK, NEG_INFINITY, Polynomial, Ring
 from .tower import TowerContext
 
@@ -49,8 +51,10 @@ __all__ = [
     "compact_hypersurface",
     "logarithmic_pair",
     "base_chern",
-    "substitute_chern",
+    "chern_term_map",
     "degree_term_map",
+    "balanced_digits",
+    "read_degree_polynomial",
     "evaluate_in_degree",
     "EvaluatedClass",
 ]
@@ -91,35 +95,16 @@ def _chern_coefficient_in_degree(spec: GeometrySpec, j: int) -> list[int]:
     return [sign * (-1) ** (j - i) * comb(n + 1, j - i) for i in range(j + 1)]
 
 
-def substitute_chern(ctx: TowerContext, spec: GeometrySpec, cls: Polynomial) -> Polynomial:
-    """``cls`` with every ``c_j`` replaced by the base class ``j``: ``h^j`` times a polynomial in d."""
-    ring = ctx.ring
-    d = ring.variable(ctx.d)
-    h = ring.variable(ctx.h)
-    for j in range(1, spec.n + 1):
-        poly = ring.zero
-        for i, coeff in enumerate(_chern_coefficient_in_degree(spec, j)):
-            if coeff:
-                poly = poly + coeff * d ** i
-        cls = cls.substitute(ctx.c(j), poly * h ** j)
-    return cls
+def chern_term_map(ctx: TowerContext, chern: Sequence[int], D: int) -> Callable[[Polynomial], Polynomial]:
+    """The ring map ``c_l -> chern[l-1]``, ``h -> 1``, ``d -> D`` on raw terms.
 
-
-def degree_term_map(ctx: TowerContext, spec: GeometrySpec, D: int) -> Callable[[Polynomial], Polynomial]:
-    """The ring map ``c_j -> p_j(D)``, ``h -> 1``, ``d -> D`` that fixes ``u_1..u_k``, on raw terms.
-
-    ``p_j`` is the degree polynomial of class ``j`` (``_chern_coefficient_in_degree``),
-    so the image of a class is a polynomial in ``u_1..u_k`` alone: each key
-    keeps its u fields, and terms that differ only below them add up.
+    It clears the c, h and d fields of each key and keeps the others, the u
+    fields and the symbolic weight fields ``a_j``, so terms that differ only
+    in the cleared fields add up.
     """
-    if spec.n != ctx.n:
-        raise ValueError(f"geometry dimension {spec.n} != tower dimension {ctx.n}")
     ring = ctx.ring
-    values = [(ring.shift(ctx.d), D)]
-    for j in range(1, spec.n + 1):
-        coeffs = _chern_coefficient_in_degree(spec, j)
-        values.append((ring.shift(ctx.c(j)), sum(c * D**i for i, c in enumerate(coeffs))))
-    low = ring.shift(ctx.u(ctx.k))
+    values = [(ring.shift(ctx.d), D)] + [(ring.shift(ctx.c(l)), v) for l, v in enumerate(chern, start=1)]
+    keep = ~sum(_EXP_MASK << ring.shift(v) for v in (ctx.h, ctx.d, *map(ctx.c, range(1, ctx.r + 1))))
 
     def term_map(p: Polynomial) -> Polynomial:
         out: dict[int, int] = {}
@@ -128,11 +113,47 @@ def degree_term_map(ctx: TowerContext, spec: GeometrySpec, D: int) -> Callable[[
                 e = (key >> sh) & _EXP_MASK
                 if e:
                     coeff *= value**e
-            key = key >> low << low
+            key &= keep
             out[key] = out.get(key, 0) + coeff
         return ring.polynomial(out)
 
     return term_map
+
+
+def degree_term_map(ctx: TowerContext, spec: GeometrySpec, D: int) -> Callable[[Polynomial], Polynomial]:
+    """``chern_term_map`` at ``c_l = p_l(D)``, ``p_l`` the degree polynomial of class l.
+
+    It fixes ``u_1..u_k``, so the image of a class of the tower is a
+    polynomial in ``u_1..u_k`` alone, and that of a base class an integer.
+    """
+    if spec.n != ctx.n:
+        raise ValueError(f"geometry dimension {spec.n} != tower dimension {ctx.n}")
+    polys = [_chern_coefficient_in_degree(spec, l) for l in range(1, spec.n + 1)]
+    return chern_term_map(ctx, [sum(c * D**i for i, c in enumerate(p)) for p in polys], D)
+
+
+def balanced_digits(value: int, bits: int, count: int, name: str) -> list[int]:
+    """The ``count`` balanced base-``2^bits`` digits of ``value``, lowest first.
+
+    Every digit lies in ``[-2^(bits-1), 2^(bits-1))``; the top digit is what
+    remains, and one outside that range means ``name`` does not fit, a
+    violated invariant that raises ``JetboundError``.
+    """
+    half = 1 << (bits - 1)
+    digits = []
+    for _ in range(count - 1):
+        digit = ((value + half) & (2 * half - 1)) - half
+        digits.append(digit)
+        value = (value - digit) >> bits
+    if not -half <= value < half:
+        raise JetboundError(f"{name} does not fit {bits}-bit digits")
+    return digits + [value]
+
+
+def read_degree_polynomial(ctx: TowerContext, spec: GeometrySpec, value: Polynomial, bits: int) -> EvaluatedClass:
+    """``P(d)`` from the integer ``value = P(D)/D`` at ``D = 2^bits``: its n + 1 balanced digits."""
+    name = f"the degree polynomial of {spec.token} ({ctx.n}, {ctx.k})"
+    return EvaluatedClass.from_coefficients([0] + balanced_digits(value._terms.get(0, 0), bits, ctx.n + 1, name))
 
 
 def base_chern(ctx: TowerContext, spec: GeometrySpec, j: int) -> Polynomial:
@@ -141,7 +162,8 @@ def base_chern(ctx: TowerContext, spec: GeometrySpec, j: int) -> Polynomial:
         raise ValueError(f"geometry dimension {spec.n} != tower dimension {ctx.n}")
     if not 1 <= j <= spec.n:
         raise IndexError(f"Chern index {j} outside 1..{spec.n}")
-    return substitute_chern(ctx, spec, ctx.ring.variable(ctx.c(j)))
+    coeffs = _chern_coefficient_in_degree(spec, j)
+    return ctx.ring.polynomial({ctx.ring.encode({ctx.h: j, ctx.d: i}): c for i, c in enumerate(coeffs)})
 
 
 @dataclass(frozen=True)
@@ -193,8 +215,14 @@ def evaluate_in_degree(ctx: TowerContext, cls: Polynomial, spec: GeometrySpec) -
 
     The input must be free of tautological and weight variables and
     homogeneous of weighted degree n; both conditions catch mis-assembled
-    intersections early.  Substitutes every ``c_j`` by its degree polynomial,
-    sets ``h`` to 1 and multiplies by the degree factor ``d``.
+    intersections early.  Its value under ``degree_term_map`` at
+    ``D = 2^B`` is ``sum_i q_i D^i``, whose n + 1 balanced digits are the
+    coefficients of the result divided by the degree factor ``d``.  ``B`` is
+    one bit above ``sum |coeff| * M^n``, ``M = max_l ||p_l||`` the largest
+    sum of the absolute coefficients of a degree polynomial: a term
+    ``c^gamma h^beta`` of weighted degree n has ``sum_l gamma_l <= n``, so
+    its image is at most ``|coeff| * M^n`` in 1-norm, and every
+    ``|q_i| < 2^(B-1)``.
     """
     if spec.n != ctx.n:
         raise ValueError(f"geometry dimension {spec.n} != tower dimension {ctx.n}")
@@ -210,12 +238,6 @@ def evaluate_in_degree(ctx: TowerContext, cls: Polynomial, spec: GeometrySpec) -
         raise InhomogeneousClassError(
             f"class has weighted degree {cls.weighted_degree(weights)}, expected {ctx.n}"
         )
-    ring = ctx.ring
-    result = substitute_chern(ctx, spec, cls).substitute(ctx.h, ring.one) * ring.variable(ctx.d)
-    coeffs = [0] * (ctx.n + 2)
-    for exps, coeff in result.terms():
-        residue = set(exps) - {ctx.d}
-        if residue:
-            raise ResidualVariableError("evaluation left non-degree variables behind")
-        coeffs[exps.get(ctx.d, 0)] = coeff
-    return EvaluatedClass.from_coefficients(coeffs)
+    M = max(sum(map(abs, _chern_coefficient_in_degree(spec, l))) for l in range(1, ctx.n + 1))
+    bits = (sum(map(abs, cls._terms.values())) * M**ctx.n).bit_length() + 1
+    return read_degree_polynomial(ctx, spec, degree_term_map(ctx, spec, 1 << bits)(cls), bits)

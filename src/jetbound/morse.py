@@ -28,7 +28,7 @@ share a pushforward: their classes are packed into the slots of one class's
 coefficients, each slot one bit wider than the bound at ``c_l = 1`` and at
 the componentwise maximum of the tower's vectors, which covers every base
 coefficient of every job of the tower.  A packed pass substitutes the base
-Chern classes after the pushforward (``geometry.substitute_chern``).  A
+Chern classes after the pushforward (``geometry.evaluate_in_degree``).  A
 tower's jobs are split into passes of even size, as many jobs each as
 ``PACKED_BITS`` holds slots (12 of the first 12 candidates at (3,5)).  A
 tower with one job, such as each cell of the table or ``compute_report``,
@@ -36,10 +36,11 @@ is a pass of one with no width.  A pass of one job, with or without a
 width, substitutes the degree before the pushforward, at ``D = 2^B`` with
 ``B`` from the bound at ``c_l = ||p_l||``, so the pushforward runs on Z[u]
 and returns ``P(D)/D``, whose balanced base-``2^B`` digits are the
-coefficients of ``P``.  A pass is its jobs and its slot width, and
-whichever process runs it takes its tower from ``pipeline_tower``; a pool
-starts only for more than one pass, with no more workers than passes, and
-the reports come back in job order.
+coefficients of ``P``.  Every digit, of a packed slot or of a ``P``, is
+read by ``geometry.balanced_digits``.  A pass is its jobs and its slot
+width, and whichever process runs it takes its tower from
+``pipeline_tower``; a pool starts only for more than one pass, with no more
+workers than passes, and the reports come back in job order.
 """
 
 from __future__ import annotations
@@ -50,13 +51,16 @@ from dataclasses import dataclass
 from math import comb, isfinite
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import InadmissibleWeightsError, JetboundError
+from .errors import InadmissibleWeightsError
 from .geometry import (
     EvaluatedClass,
     GeometrySpec,
     _chern_coefficient_in_degree,
+    balanced_digits,
+    chern_term_map,
     degree_term_map,
     evaluate_in_degree,
+    read_degree_polynomial,
 )
 from .polyring import _EXP_MASK, Polynomial, _mul_into
 from .tower import RelationSet, TowerContext, pipeline_tower, pushforward_to_base
@@ -305,17 +309,13 @@ def symbolic_leading_form(spec: GeometrySpec, k: int, c1_power: int = 0) -> Poly
     base class has weighted degree n, so the ``d^(n+1)`` coefficient is the
     base class at ``c_j = (-1)^j``.  That ring map fixes ``u_1..u_k``, so the
     power is pushed forward on the tower's relations specialized by it
-    (``RelationSet.specialized``), whose base class is that value times
+    (``RelationSet.specialized`` with ``geometry.chern_term_map``, which
+    keeps the ``a_j`` fields), whose base class is that value times
     ``(-1)^i`` for the factor ``c_1^i``; no c-monomial is ever formed.
     """
     ctx = TowerContext(spec.n, k, symbolic_weights=True)
     ring = ctx.ring
-
-    def signs(p: Polynomial) -> Polynomial:
-        for l in range(1, ctx.r + 1):
-            p = p.substitute(ctx.c(l), ring.const((-1) ** l))
-        return p
-
+    signs = chern_term_map(ctx, [(-1) ** l for l in range(1, ctx.r + 1)], 1)
     F = sum((ring.variable(ctx.a(j)) * ring.variable(ctx.u(j)) for j in range(1, k + 1)), ring.zero)
     base = pushforward_to_base(F ** (ctx.total_dim - c1_power), ctx.relations.specialized(signs))
     return (-1) ** c1_power * base
@@ -358,17 +358,23 @@ class MorseReport:
         """The report of ``data``; ``ValueError`` when its fields disagree.
 
         The dimension, order, total dimension and weights must be integers
-        (not floats or booleans), the threshold null or an integer, the total
-        dimension ``n + k(n-1)``, the leading coefficient that of the
-        polynomial, and ``elapsed_ms`` a finite number.
+        (not floats or booleans), each polynomial coefficient and the leading
+        coefficient the decimal string ``to_json_dict`` writes, the threshold
+        null or an integer, the total dimension ``n + k(n-1)``, the leading
+        coefficient that of the polynomial, and ``elapsed_ms`` a finite number.
         """
+        texts = data["polynomial"]
+        if not isinstance(texts, list) or not all(
+            isinstance(c, str) and str(int(c)) == c for c in (*texts, data["leading_coeff"])
+        ):
+            raise ValueError("report coefficients are not decimal strings")
         report = MorseReport(
             n=data["dim"],
             k=data["order"],
             geometry=data["geometry"],
             weights=tuple(data["weights"]),
             total_dim=data["total_dim"],
-            morse_poly=EvaluatedClass(tuple(int(c) for c in data["polynomial"])),
+            morse_poly=EvaluatedClass(tuple(map(int, texts))),
             leading_coeff=int(data["leading_coeff"]),
             threshold=data["threshold"],
             elapsed_ms=data["elapsed_ms"],
@@ -487,21 +493,16 @@ def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: int) -> Poly
 
 
 def _unpack(packed: Polynomial, bits: int, count: int) -> list[Polynomial]:
-    """The ``count`` classes packed in ``packed``, slot i holding class i (or digit i of ``P(D)/D``).
+    """The ``count`` classes packed in ``packed``, slot i holding class i.
 
-    Slots below the top are read off as balanced base-``2^bits`` digits, each
-    in ``[-2^(bits-1), 2^(bits-1))``; the top slot is what remains.
+    Each coefficient is read off as ``count`` balanced base-``2^bits``
+    digits (``balanced_digits``); a top slot outside their range is a
+    violated invariant and raises ``JetboundError``.
     """
-    full, half = 1 << bits, 1 << (bits - 1)
     slots: list[dict[int, int]] = [{} for _ in range(count)]
     for key, value in packed._terms.items():
-        for slot in slots[:-1]:
-            digit = value & (full - 1)
-            if digit >= half:
-                digit -= full
+        for slot, digit in zip(slots, balanced_digits(value, bits, count, "a packed base class")):
             slot[key] = digit
-            value = (value - digit) >> bits
-        slots[-1][key] = value
     return [packed.ring.polynomial(slot) for slot in slots]
 
 
@@ -540,9 +541,9 @@ def _collapsed_polynomial(rels: RelationSet, spec: GeometrySpec, weights: Weight
     gives ``phi(base) = P(D)/D = sum_i q_i 2^(iB)``, a single integer.  With
     ``B`` one bit above ``coefficient_bound`` at ``c_l = ||p_l||`` (the sum
     of the absolute coefficients of ``p_l``), every ``|q_i| < 2^(B-1)``, so
-    the n + 1 balanced digits of ``_unpack`` are the ``q_i`` exactly; a top
-    digit outside that range is a violated invariant and raises
-    ``JetboundError``.
+    the n + 1 balanced digits read by ``geometry.read_degree_polynomial``
+    are the ``q_i`` exactly; a top digit outside that range is a violated
+    invariant and raises ``JetboundError``.
     """
     ctx = rels.ctx
     chern = [sum(map(abs, _chern_coefficient_in_degree(spec, l))) for l in range(1, ctx.r + 1)]
@@ -552,12 +553,7 @@ def _collapsed_polynomial(rels: RelationSet, spec: GeometrySpec, weights: Weight
     value = pushforward_to_base(
         morse_class(ctx, weights, keep_h=False, base_only=True), rels.specialized(term_map)
     )
-    digits = [slot._terms.get(0, 0) for slot in _unpack(value, bits, ctx.n + 1)]
-    if abs(digits[-1]) >= 1 << (bits - 1):
-        raise JetboundError(
-            f"the degree polynomial of {spec.token} ({ctx.n}, {ctx.k}) does not fit {bits}-bit digits"
-        )
-    return EvaluatedClass.from_coefficients([0] + digits)
+    return read_degree_polynomial(ctx, spec, value, bits)
 
 
 def _run_pass(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]], bits: Optional[int]) -> list[MorseReport]:

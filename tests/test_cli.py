@@ -193,6 +193,15 @@ def _with_field(name, value):
     return damage
 
 
+def _with_coefficient(i, value):
+    """Damage that sets polynomial entry ``i`` of the stored report to ``value(entry)``."""
+    def damage(data):
+        report = json.loads(data)
+        report["polynomial"][i] = value(report["polynomial"][i])
+        return json.dumps(report).encode()
+    return damage
+
+
 # stored reports whose fields disagree, by test id
 _BAD_FIELDS = {
     "threshold-text": _with_field("threshold", "abc"),
@@ -207,6 +216,9 @@ _BAD_FIELDS = {
     "weights-float": _with_field("weights", [2.0, 1.0]),
     "elapsed-nan": _with_field("elapsed_ms", float("nan")),
     "elapsed-inf": _with_field("elapsed_ms", float("inf")),
+    "polynomial-float": _with_coefficient(1, lambda c: int(c) + 0.5),
+    "polynomial-bool": _with_coefficient(0, lambda c: False),
+    "polynomial-noncanonical": _with_coefficient(-1, lambda c: "0" + c),
 }
 
 

@@ -1,6 +1,10 @@
 """Base Chern classes and degree evaluation for both geometries."""
 
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetbound import (
     EvaluatedClass,
@@ -11,8 +15,8 @@ from jetbound import (
     evaluate_in_degree,
     logarithmic_pair,
 )
-from jetbound.errors import InhomogeneousClassError, ResidualVariableError
-from jetbound.geometry import COMPACT_HYPERSURFACE, LOGARITHMIC_PAIR, GeometrySpec
+from jetbound.errors import InhomogeneousClassError, JetboundError, ResidualVariableError
+from jetbound.geometry import COMPACT_HYPERSURFACE, LOGARITHMIC_PAIR, GeometrySpec, balanced_digits
 
 
 @pytest.fixture()
@@ -103,6 +107,59 @@ def test_evaluate_log_first_class_square(ctx2):
     P = evaluate_in_degree(ctx2, c1**2, logarithmic_pair(2))
     # d*(3-d)^2 = 9d - 6d^2 + d^3
     assert P.coeffs == (0, 9, -6, 1)
+
+
+def _weighted_monomials(ctx):
+    """The keys of every ``c^gamma h^beta`` of weighted degree n, ``c_l`` of weight l."""
+    n = ctx.n
+    keys = []
+    for gamma in product(*(range(n // l + 1) for l in range(1, n + 1))):
+        weight = sum(l * e for l, e in enumerate(gamma, start=1))
+        if weight <= n:
+            exps = {ctx.c(l): e for l, e in enumerate(gamma, start=1)}
+            keys.append(ctx.ring.encode({**exps, ctx.h: n - weight}))
+    return keys
+
+
+def _symbolic_evaluation(ctx, spec, cls):
+    """``d`` times ``cls`` with each ``c_j`` replaced by ``base_chern`` and ``h`` by 1, ascending in d."""
+    for j in range(1, ctx.n + 1):
+        cls = cls.substitute(ctx.c(j), base_chern(ctx, spec, j))
+    result = cls.substitute(ctx.h, ctx.ring.one) * ctx.ring.variable(ctx.d)
+    assert result.variables_used() <= {ctx.d}
+    coeffs = [0] * (ctx.n + 2)
+    for exps, coeff in result.terms():
+        coeffs[exps.get(ctx.d, 0)] = coeff
+    return EvaluatedClass.from_coefficients(coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    token=st.sampled_from([COMPACT_HYPERSURFACE, LOGARITHMIC_PAIR]),
+    coeffs=st.lists(st.integers(-10**40, 10**40), max_size=19),
+)
+@example(n=2, token=LOGARITHMIC_PAIR, coeffs=[])
+@example(n=5, token=COMPACT_HYPERSURFACE, coeffs=[])
+@example(n=5, token=LOGARITHMIC_PAIR, coeffs=[10**40] * 19)
+def test_evaluate_equals_symbolic_substitution(n, token, coeffs):
+    # the digits of P(2^B)/2^B against substituting the base classes in d
+    ctx, spec = TowerContext(n, 1), GeometrySpec(token, n)
+    cls = ctx.ring.polynomial(dict(zip(_weighted_monomials(ctx), coeffs)))
+    assert evaluate_in_degree(ctx, cls, spec) == _symbolic_evaluation(ctx, spec, cls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=st.integers(1, 70), data=st.data())
+def test_balanced_digits_round_trip_and_refuse_a_wide_top(bits, data):
+    half = 1 << (bits - 1)
+    digits = data.draw(st.lists(st.integers(-half, half - 1), min_size=1, max_size=6))
+    value = sum(digit << (i * bits) for i, digit in enumerate(digits))
+    assert balanced_digits(value, bits, len(digits), "x") == digits
+    carry = 1 << (len(digits) * bits)  # moves the top digit by 2^bits
+    for wide in (value + carry, value - carry):
+        with pytest.raises(JetboundError, match=f"^x does not fit {bits}-bit digits$"):
+            balanced_digits(wide, bits, len(digits), "x")
 
 
 def test_evaluate_rejects_tower_variables(ctx2):

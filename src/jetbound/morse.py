@@ -434,7 +434,7 @@ def coefficient_bound(rels: RelationSet, chern: Sequence[int], weights: Sequence
        and ``H_s = 0`` below 0 (``u_j^(r-1)`` coefficient of ``u_j^m``
        modulo the level relation); that is reduce-then-integrate, which
        ``pushforward_to_base`` equals term by term, degree cut and peeling
-       included.
+       included, at every level's ``peel_depth``.
     2. By induction on s, ``|H_s| <= sum_l |c_l^[j-1]| mu_j^(s-l) <=
        mu_j^s``, the last step being the choice of ``mu_j``.
     3. So ``|w H_(m-r+1)| <= |u_j^m w| / mu_j^(r-1)``, also for ``m < r - 1``

@@ -15,11 +15,11 @@ form of the same Euclidean division, keeping only what can still reach the
 forward to zero: the map is Z[c,h,d]-linear and graded (u weighs 1, c_l
 weighs l, and each level lowers the degree by ``r - 1``), so at level j a
 term whose degree in ``u_1..u_j`` is below ``j(r-1)`` lands in base classes
-of negative degree, which are zero.  Where the level-(j-1) lifted classes
-follow the rank-r recursion from level j-2 and that saves products
-(``RelationSet.peels``), level j multiplies through the recursion: the
-windows are first combined by key shifts and small-integer multiples, then
-multiplied by the smaller level-(j-2) classes.  The pushforward and
+of negative degree, which are zero.  Where the lifted classes below level j
+follow the rank-r recursion and that saves products, level j runs its window
+through ``RelationSet.peel_depth(j)`` steps of that recursion, each one key
+shifts and small-integer multiples, and multiplies the result by the smaller
+classes that many levels down.  The pushforward and
 reduce-then-integrate produce identical polynomials term by term, for every
 input and every relation set; the test suite pins that equality.
 """
@@ -64,6 +64,15 @@ def _binom(n: int, k: int) -> int:
 def _lift_coeff(r: int, l: int, s: int) -> int:
     """Coefficient of ``u_j^(l-s) c_s^[j-1]`` in ``c_l^[j]`` at rank r (``c_0 = 1``)."""
     return _binom(r - s, l - s) - _binom(r - s, l - s - 1)
+
+
+@functools.cache
+def _lift_table(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry t lists the ``(s, _lift_coeff(r, s, t))`` with ``t < s <= r`` that are nonzero.
+
+    The coefficients left out are ``_lift_coeff(r, t, t) = 1``.
+    """
+    return tuple(tuple((s, c) for s in range(t + 1, r + 1) if (c := _lift_coeff(r, s, t))) for t in range(r + 1))
 
 
 class TowerContext:
@@ -143,17 +152,23 @@ class TowerContext:
         return f"TowerContext(n={self.n}, k={self.k})"
 
 
+#: A level runs more than one step of the lifted-class recursion only where its
+#: classes hold more than this many times as many terms as the recursion has
+#: nonzero coefficients; on lighter levels the chunked steps lose time.
+_DEEP_PEEL = 6
+
+
 class RelationSet:
     """Lifted Chern classes and the monic relation of every level, memoized."""
 
-    __slots__ = ("ctx", "lifted", "relations", "_neg_lifted", "_peels")
+    __slots__ = ("ctx", "lifted", "relations", "_neg_lifted", "_depths")
 
     def __init__(self, ctx: TowerContext, lifted, relations):
         self.ctx = ctx
         self.lifted = lifted          # lifted[j][l-1] = class l at level j, j = 0..k-1
         self.relations = relations    # relations[j-1] = monic relation of level j
-        self._neg_lifted: dict[int, list[dict[int, dict[int, int]]]] = {}
-        self._peels: dict[int, bool] = {}
+        self._neg_lifted: dict[tuple[int, bool], list[list[tuple[int, int, dict[int, int]]]]] = {}
+        self._depths: dict[int, int] = {}
 
     def specialized(self, term_map: Callable[[Polynomial], Polynomial]) -> "RelationSet":
         """This set with every lifted class and relation mapped through ``term_map``, memos fresh.
@@ -162,8 +177,8 @@ class RelationSet:
         ``phi`` that fixes ``u_1..u_k`` (such as ``c_j -> (-1)^j``), pushing
         ``phi(p)`` forward on the result gives ``phi`` of the pushforward of
         ``p`` on this set: every step of ``pushforward_to_base`` is a sum of
-        products, and its degree cut reads u-exponents only.  ``peels`` is
-        decided afresh on the mapped classes.
+        products, and its degree cut reads u-exponents only.  ``peel_depth``
+        is decided afresh on the mapped classes.
         """
         lifted = tuple(tuple(map(term_map, level)) for level in self.lifted)
         return RelationSet(self.ctx, lifted, tuple(map(term_map, self.relations)))
@@ -182,49 +197,61 @@ class RelationSet:
         """The monic degree-r relation of level ``j`` (1-based)."""
         return self.relations[j - 1]
 
-    def negated_lifted_by_degree(self, j: int) -> list[dict[int, dict[int, int]]]:
-        """Negated level-j lifted classes as raw term maps bucketed by u-degree.
+    def negated_lifted_buckets(self, j: int, chunked: bool) -> list[list[tuple[int, int, dict[int, int]]]]:
+        """Negated level-j lifted classes as raw term maps, bucketed for the pushforward.
 
-        Entry ``l - 1`` maps each degree ``e`` in ``u_1..u_j`` to the terms
-        of ``-c_l^[j]`` of that degree; memoized per level.
+        Entry ``l - 1`` lists ``(e, f, terms)``: the terms of ``-c_l^[j]``
+        whose degree in ``u_1..u_j`` is ``e`` and, when ``chunked``, whose
+        ``u_1`` exponent is ``f`` (else ``f = 0``); memoized per level and
+        ``chunked``.
         """
-        cached = self._neg_lifted.get(j)
+        cached = self._neg_lifted.get((j, chunked))
         if cached is None:
-            low = self.ctx.ring.shift(self.ctx.u(self.ctx.k))
+            ring, ctx = self.ctx.ring, self.ctx
+            low, first, mask = ring.shift(ctx.u(ctx.k)), ring.shift(ctx.u(1)), _EXP_MASK if chunked else 0
             cached = []
-            for l in range(1, self.ctx.r + 1):
-                buckets: dict[int, dict[int, int]] = {}
+            for l in range(1, ctx.r + 1):
+                buckets: dict[tuple[int, int], dict[int, int]] = {}
                 for key, coeff in self.lifted[j][l - 1]._terms.items():
-                    buckets.setdefault(_key_degree(key >> low), {})[key] = -coeff
-                cached.append(buckets)
-            self._neg_lifted[j] = cached
+                    buckets.setdefault((_key_degree(key >> low), (key >> first) & mask), {})[key] = -coeff
+                cached.append([(e, f, terms) for (e, f), terms in buckets.items()])
+            self._neg_lifted[(j, chunked)] = cached
         return cached
 
-    def peels(self, j: int) -> bool:
-        """Whether the level-j pushforward multiplies through the lifted-class recursion.
+    def peel_depth(self, j: int) -> int:
+        """How many steps of the lifted-class recursion the level-j pushforward runs through.
 
-        True when ``j >= 2`` and both hold: it pays, since the level-(j-1)
-        classes hold more terms than the level-(j-2) classes plus the nonzero
-        recursion coefficients; and it is exact, since the level-(j-1) classes
-        equal ``_lifted_class`` of the level-(j-2) classes.  Memoized per level.
+        Step i rewrites the level-(j-i) classes by the recursion from level
+        j-i-1, so the window is multiplied by the level-(j-1-depth) classes.
+        A step is taken while it is exact, the level-(j-i) classes being
+        ``_lifted_class`` of the level-(j-i-1) classes, and while it pays:
+        per window term it forms one product fewer for each term by which the
+        level-(j-i) classes outnumber the level-(j-i-1) classes, and one shift
+        more for each nonzero recursion coefficient.  Steps beyond the first
+        run in ``u_1`` chunks (see ``pushforward_to_base``), whose smaller
+        buckets cost more than they save unless the level is heavy: they are taken
+        only where the level-(j-1) classes hold more than ``_DEEP_PEEL`` times
+        as many terms as there are coefficients.  Memoized per level, so a
+        perturbed or specialized set decides on its own classes.
         """
-        peel = self._peels.get(j)
-        if peel is None:
-            peel = False
-            if j >= 2:
-                r = self.ctx.r
-                prev, cur = self.lifted[j - 2], self.lifted[j - 1]
-                coeffs = sum(
-                    1 for l in range(1, r + 1) for s in range(l + 1) if _lift_coeff(r, l, s)
-                )
-                if sum(map(len, cur)) > sum(map(len, prev)) + coeffs:
-                    u = self.ctx.ring.variable(self.ctx.u(j - 1))
-                    upow = [u**e for e in range(r + 1)]
-                    peel = all(
-                        cur[l - 1] == _lifted_class(prev, upow, l) for l in range(1, r + 1)
-                    )
-            self._peels[j] = peel
-        return peel
+        depth = self._depths.get(j)
+        if depth is None:
+            ctx, r = self.ctx, self.ctx.r
+            terms = lambda i: sum(map(len, self.lifted[i]))
+            coeffs = r + sum(map(len, _lift_table(r)))  # the nonzero recursion coefficients
+            depth = 0
+            while depth < j - 1 and (not depth or terms(j - 1) > _DEEP_PEEL * coeffs):
+                i = j - 1 - depth  # the level this step rewrites
+                if terms(i) <= terms(i - 1) + coeffs:
+                    break
+                u = ctx.ring.variable(ctx.u(i))
+                upow = [u**e for e in range(r + 1)]
+                prev, cur = self.lifted[i - 1], self.lifted[i]
+                if any(cur[l - 1] != _lifted_class(prev, upow, l) for l in range(1, r + 1)):
+                    break
+                depth += 1
+            self._depths[j] = depth
+        return depth
 
 
 def _lifted_class(prev: Sequence[Polynomial], upow: Sequence[Polynomial], l: int) -> Polynomial:
@@ -313,33 +340,6 @@ def integrate_fibers(p: Polynomial, ctx: TowerContext) -> Polynomial:
     return p
 
 
-def _shift_add(
-    target: dict[int, dict[int, int]],
-    window: dict[int, dict[int, dict[int, int]]],
-    m: int,
-    s: int,
-    sources: Sequence[tuple[int, int]],
-    below: int,
-    floor: int,
-) -> dict[int, dict[int, int]]:
-    """Add ``sum_(l, w) w u^(l-s) B_(m+l)`` into ``target``, bucketed by u-degree.
-
-    ``window[m + l]`` holds ``B_(m+l)`` by degree, ``below`` is the key shift
-    of ``u``, and a term that lands below degree ``floor`` is left out.
-    """
-    for l, w in sources:
-        step = (l - s) << below
-        for a, terms in window.get(m + l, {}).items():
-            if a + l - s < floor:
-                continue
-            into = target.setdefault(a + l - s, {})
-            get = into.get
-            for key, coeff in terms.items():
-                key += step
-                into[key] = get(key, 0) + w * coeff
-    return target
-
-
 def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     """Integrate an arbitrary tower class to the base in one pass per level.
 
@@ -363,23 +363,28 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     per-term degree count is on the input.  A term whose power of the top
     variable is below ``r - 1`` is dropped when bucketed: no B-step reads it.
 
-    Where ``rels.peels(j)``, level j multiplies through the recursion
-    ``c_l^[j-1] = sum_s _lift_coeff(r, l, s) u_(j-1)^(l-s) c_s^[j-2]``: at
-    step m, ``sum_l c_l^[j-1] B_(m+l) = E_0 + sum_(s>=1) c_s^[j-2] E_s`` with
-    ``E_s = sum_(l>=max(s,1)) _lift_coeff(r, l, s) u_(j-1)^(l-s) B_(m+l)``.
-    Each part ``E_s`` takes only key shifts and small-integer multiples; it
-    is built in turn, multiplied by the negated level-(j-2) classes and
-    dropped, and ``E_0`` is subtracted as it is built.  A term of ``B_(m+l)``
-    enters ``E_s`` only if its products with ``c_s^[j-2]`` can reach the
-    cut.  A level peels only where that forms fewer products and is exact
-    (see ``RelationSet.peels``); on the towers ``build_relations`` makes,
-    that is from j = 3 at n >= 4 and from j = 4 at n = 3, never at n = 2.
-    Elsewhere the parts are the windows ``B_(m+s)`` themselves, multiplied
-    by the level-(j-1) classes.
+    Level j runs its window through ``d = rels.peel_depth(j)`` steps of the
+    recursion ``c_s^[i] = sum_t _lift_coeff(r, s, t) u_i^(s-t) c_t^[i-1]``
+    (``c_0 = 1``).  At step m the parts ``E_s^(0) = B_(m+s)``, s = 1..r,
+    give ``sum_s c_s^[j-1] E_s^(0)``; step i rewrites that as ``E_0^(i) +
+    sum_(t>=1) c_t^[j-1-i] E_t^(i)`` with ``E_t^(i) = sum_(s>=max(t,1))
+    _lift_coeff(r, s, t) u_(j-i)^(s-t) E_s^(i-1)``, key shifts and
+    small-integer multiples only.  Each step's part 0 is subtracted into
+    the accumulator as it is built; the last step's parts are built in turn,
+    multiplied by the negated level-(j-1-d) classes and dropped.  At d = 0
+    the parts are the windows themselves.  A term enters a part only if it
+    can still reach the cut.  Where ``2 <= d <= j - 2`` no step shifts
+    ``u_1``, so the window is kept in chunks by the ``u_1`` exponent and each
+    chunk runs through the steps alone: terms of two chunks never merge in a
+    part, the products are those of the unchunked pass, and the parts held
+    at a time are one chunk's.  On the towers ``build_relations`` makes at
+    k = 5, the depths of levels 1..5 are 0, 0, 0, 0, 0 at n = 2, 0, 0, 0, 1,
+    1 at n = 3, and 0, 0, 1, 1, 3 at n = 4 and 5.
 
-    The input is released once it is bucketed, and each level's buckets once
-    they are split into strata; each level's window is released once
-    ``B_(r-1)`` is taken out of it.  When the caller holds no other
+    The input is released once it is bucketed, and each bucket of a level
+    once it is split into strata; each level's window is released once
+    ``B_(r-1)`` is taken out of it, and each ``B_m`` drops its zero terms in
+    place.  When the caller holds no other
     reference to ``p``, as for a class built in the call's argument, the
     pass never holds the input next to its strata (from Python 3.11 on;
     before, the caller's value stack keeps a call's arguments alive until
@@ -394,66 +399,107 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     for key, coeff in p._terms.items():
         graded.setdefault(_key_degree(key >> low), {})[key] = coeff
     del p  # a class the caller does not hold is freed here
+    lift = _lift_table(r)
     for j in range(ctx.k, 0, -1):
         cut = j * (r - 1)
         sh = ring.shift(ctx.u(j))
-        # strata[m][a]: terms of A_m whose degree in u_1..u_(j-1) is a
-        strata: dict[int, dict[int, dict[int, int]]] = {}
-        for degree, terms in graded.items():
+        depth = rels.peel_depth(j)
+        # where parts are stored between steps and no step shifts u_1, terms are kept in
+        # chunks by their u_1 exponent
+        chunked = _EXP_MASK if 2 <= depth <= j - 2 else 0
+        above = ring.shift(ctx.u(1)) - sh
+        select = _EXP_MASK | chunked << above
+        # strata[m][chunk][a]: terms of A_m whose degree in u_1..u_(j-1) is a
+        strata: dict[int, dict[int, dict[int, dict[int, int]]]] = {}
+        while graded:  # each bucket is released once it is split
+            degree, terms = graded.popitem()
             if degree < cut:
                 continue
+            # by_power[v]: the terms whose u_j exponent is m = v & _EXP_MASK, and u_1 exponent
+            # v >> above when chunked
             by_power: dict[int, dict[int, int]] = {}
             for key, coeff in terms.items():
-                m = (key >> sh) & _EXP_MASK
+                v = (key >> sh) & select
+                m = v & _EXP_MASK
                 if m >= r - 1:
-                    by_power.setdefault(m, {})[key - (m << sh)] = coeff
-            for m, stratum in by_power.items():
-                strata.setdefault(m, {})[degree - m] = stratum
-        del graded
+                    by_power.setdefault(v, {})[key - (m << sh)] = coeff
+            for v, stratum in by_power.items():
+                m = v & _EXP_MASK
+                strata.setdefault(m, {}).setdefault((v >> above) & chunked, {})[degree - m] = stratum
         top = max(strata, default=-1)
         if top < r - 1:
             return ring.zero
-        # at step m, part s is sum_(l, w) w u_(j-1)^(l-s) B_(m+l) over sources[s];
-        # acc takes -part 0 and the product of each part s >= 1 with factors[s-1]
-        if rels.peels(j):
-            factors = rels.negated_lifted_by_degree(j - 2)
-            below = ring.shift(ctx.u(j - 1))
-            sources = [
-                [(l, c if s else -c)
-                 for l in range(max(s, 1), r + 1) if (c := _lift_coeff(r, l, s))]
-                for s in range(r + 1)
-            ]
-        else:
-            factors = rels.negated_lifted_by_degree(j - 1)
-            sources = [[]] + [[(s, 1)] for s in range(1, r + 1)]
-        window: dict[int, dict[int, dict[int, int]]] = {}
+        factors = rels.negated_lifted_buckets(j - 1 - depth, bool(chunked))
+        # step i shifts u_(j-i) by lift; depth 0 is one step whose parts are the window entries
+        steps = [(ring.shift(ctx.u(j - i)), lift) for i in range(1, depth + 1)] or [(0, ((),) * (r + 1))]
+        # reach[i][t]: the most u-degree a term of part t of step i gains on its way into acc
+        reach = [[0] + [max((e for e, _, _ in factor), default=NEG_INFINITY) for factor in factors]]
+        for _ in steps[1:]:
+            after = reach[0]
+            reach.insert(0, [0] + [
+                max(t - s + after[s] for s in range(t + 1) if _lift_coeff(r, t, s)) for t in range(1, r + 1)
+            ])
+        window: dict[int, dict[int, dict[int, dict[int, int]]]] = {}
         for m in range(top, r - 2, -1):
             need = cut - m
             acc = strata.pop(m, {})
-            if sources[0]:
-                _shift_add(acc, window, m, 0, sources[0], below, need)
-            for s in range(r, 0, -1):
-                factor = factors[s - 1]
-                if not factor:
-                    continue
-                if sources[s] == [(s, 1)]:
-                    part = window.get(m + s, {})
-                else:
-                    # products with c_s^[j-2] raise the degree by at most max(factor)
-                    part = _shift_add({}, window, m, s, sources[s], below, need - max(factor))
-                for a, terms in part.items():
-                    for e, neg in factor.items():
-                        if a + e >= need:
-                            _mul_into(acc.setdefault(a + e, {}), neg, terms)
-                del part
-            window[m] = {}
-            for a, terms in acc.items():
-                kept = {k: c for k, c in terms.items() if c}
-                if kept:
-                    window[m][a] = kept
+            for chunk in {c for s in range(1, r + 1) for c in window.get(m + s, ())}:
+                parts = [{}] + [window.get(m + s, {}).get(chunk, {}) for s in range(1, r + 1)]
+                into_chunk = acc.setdefault(chunk, {})
+                for i, (shift, sources) in enumerate(steps):
+                    last, gain = i == len(steps) - 1, reach[i]
+                    prev, parts = parts, [{}] * (r + 1)
+                    for t in range(r + 1):
+                        if gain[t] == NEG_INFINITY:
+                            continue
+                        if t and not sources[t]:
+                            part = prev[t]
+                        else:
+                            # part t >= 1 starts as a copy of part t before; part 0 goes
+                            # into acc negated, since c_0 = 1
+                            part = into_chunk
+                            if t:
+                                part = {a: dict(terms) for a, terms in prev[t].items() if a + gain[t] >= need}
+                            for s, w in sources[t]:
+                                w, up = (w if t else -w), (s - t) << shift
+                                for a, terms in prev[s].items():
+                                    if a + s - t + gain[t] < need:
+                                        continue
+                                    into = part.setdefault(a + s - t, {})
+                                    get = into.get
+                                    for key, coeff in terms.items():
+                                        key += up
+                                        into[key] = get(key, 0) + w * coeff
+                        if not t:
+                            continue
+                        if not last:
+                            parts[t] = part
+                            continue
+                        for a, terms in part.items():
+                            for e, f, neg in factors[t - 1]:
+                                if a + e >= need:
+                                    _mul_into(acc.setdefault(chunk + f, {}).setdefault(a + e, {}), neg, terms)
+                        del part
+                    del prev
+            # B_m is acc less its zero terms, dropped in place
+            for chunk, buckets in list(acc.items()):
+                for a, terms in list(buckets.items()):
+                    if 0 in terms.values():
+                        for key in [key for key, coeff in terms.items() if not coeff]:
+                            del terms[key]
+                        if not terms:
+                            del buckets[a]
+                if not buckets:
+                    del acc[chunk]
+            window[m] = acc
+            del acc
             window.pop(m + r, None)
-        graded = window.pop(r - 1, {})
+        chunks = window.pop(r - 1)
         del window
+        graded = chunks.pop(0, {})
+        for buckets in chunks.values():
+            for a, terms in buckets.items():
+                graded.setdefault(a, {}).update(terms)
     return ring.polynomial(graded.get(0, {}))
 
 

@@ -23,12 +23,14 @@ def table_bases():
 
     Each cell is a pass of one, which substitutes the degree before its
     pushforward, so the pipeline never forms these classes: they are
-    computed here, once per session.
+    computed here, once per session, from the base-only class, which has the
+    full class's pushforward.  They are the suite's only pushforward of a
+    peel deeper than one level on a tower with symbolic ``c_l``.
     """
     bases = {}
     for n, k in TABLE_CELLS:
         rels = pipeline_tower(n, k)[0]
-        bases[n, k] = pushforward_to_base(morse_class(rels.ctx, default_weights(k)), rels)
+        bases[n, k] = pushforward_to_base(morse_class(rels.ctx, default_weights(k), base_only=True), rels)
     return bases
 
 

@@ -100,7 +100,7 @@ def test_slot_bits_cover_table_base_classes(cell, table_bases):
     assert 0 < _largest(table_bases[cell]) <= _slot_bound(pipeline_tower(n, k)[0], default_weights(k).a)
 
 
-def test_slot_bits_cover_sweep_candidates():
+def test_coefficient_bound_covers_sweep_candidates():
     rels = TowerContext(3, 5).relations
     top = [max(column) for column in zip(*SWEEP_CANDIDATES)]
     for a in SWEEP_CANDIDATES:

@@ -342,7 +342,7 @@ def test_specialized_relations_commute_with_the_pushforward(n, k):
     rels, signs = ctx.relations, _signs(ctx)
     specialized = rels.specialized(signs)
     assert specialized.ctx is ctx
-    assert any(specialized.peels(j) for j in range(1, k + 1))
+    assert any(specialized.peel_depth(j) for j in range(1, k + 1))
     nonzero = 0
     for p in _random_classes(ctx, 2000 + n * 10 + k):
         pushed = pushforward_to_base(signs(p), specialized)
@@ -352,21 +352,75 @@ def test_specialized_relations_commute_with_the_pushforward(n, k):
 
 
 def test_peel_runs_where_it_pays_and_is_exact():
-    # a level multiplies through the recursion of its lifted classes only
-    # where that saves products: never at n = 2, whose misses stay cheap;
-    # specializing c_j -> (-1)^j leaves the peeling levels as they are
-    expected = {2: [], 3: [4, 5], 4: [3, 4, 5], 5: [3, 4, 5]}
-    for n, levels in expected.items():
+    # a level runs through the recursion of its lifted classes only where that
+    # saves products: never at n = 2, whose misses stay cheap, and more than one
+    # step only at the heavy top level of n = 4 and 5; specializing
+    # c_j -> (-1)^j leaves the depths as they are
+    expected = {2: [0, 0, 0, 0, 0], 3: [0, 0, 0, 1, 1], 4: [0, 0, 1, 1, 3], 5: [0, 0, 1, 1, 3]}
+    for n, depths in expected.items():
         ctx = TowerContext(n, 5)
         for rels in (ctx.relations, ctx.relations.specialized(_signs(ctx))):
-            assert [j for j in range(1, 6) if rels.peels(j)] == levels
+            assert [rels.peel_depth(j) for j in range(1, 6)] == depths
     # and only where the classes follow the recursion
     ctx = TowerContext(4, 3)
-    assert ctx.relations.peels(3)
+    assert ctx.relations.peel_depth(3) == 1
     perturbed = RelationSet(
         ctx, *_perturb_lifted_c1(ctx, list(ctx.relations.lifted), list(ctx.relations.relations))
     )
-    assert not any(perturbed.peels(j) for j in range(1, 4))
+    assert [perturbed.peel_depth(j) for j in range(1, 4)] == [0, 0, 0]
+
+
+def _with_depths(rels, depths):
+    """A copy of ``rels`` with fresh memos whose level j runs ``depths[j]`` steps where given."""
+    forced = RelationSet(rels.ctx, rels.lifted, rels.relations)
+    forced._depths.update(depths)
+    return forced
+
+
+@pytest.mark.parametrize("n,k", [(4, 3), (3, 4), (5, 3), (4, 4)])
+def test_every_exact_peel_depth_equals_depth_zero(n, k):
+    # every level of these towers follows the recursion, so every depth up to
+    # j - 1 is exact: at (3,4) and (4,4) depth 2 at level 4 runs in u_1 chunks,
+    # and depth j - 1 steps through u_1 itself
+    ctx = TowerContext(n, k)
+    plain = _with_depths(ctx.relations, {j: 0 for j in range(1, k + 1)})
+    classes = list(_random_classes(ctx, 4000 + n * 10 + k))
+    expected = [pushforward_to_base(p, plain) for p in classes]
+    assert any(expected)
+    for j in range(2, k + 1):
+        for depth in range(1, j):
+            forced = _with_depths(ctx.relations, {j: depth})
+            assert forced.peel_depth(j) == depth
+            assert [pushforward_to_base(p, forced) for p in classes] == expected
+
+
+def test_peel_depth_stops_where_a_lower_level_breaks_the_recursion():
+    # at (4,5) level 5 runs three steps; c_2^[3] gains u_1*u_3 and levels 4
+    # and 5 are rebuilt from it, so level 4 still follows the recursion from
+    # level 3 but level 3 no longer follows it from level 2
+    ctx = TowerContext(4, 5)
+    ring, rels = ctx.ring, ctx.relations
+    assert rels.peel_depth(5) == 3
+    u = [ring.variable(ctx.u(j)) for j in range(1, 6)]
+    lifted, relations = list(rels.lifted), list(rels.relations)
+    lifted[3] = (lifted[3][0], lifted[3][1] + u[0] * u[2]) + lifted[3][2:]
+    upow = [u[3] ** e for e in range(ctx.r + 1)]
+    lifted[4] = tuple(tower._lifted_class(lifted[3], upow, l) for l in range(1, ctx.r + 1))
+    for j in (4, 5):
+        rel = u[j - 1] ** ctx.r
+        for l in range(1, ctx.r + 1):
+            rel = rel + lifted[j - 1][l - 1] * u[j - 1] ** (ctx.r - l)
+        relations[j - 1] = rel
+    perturbed = RelationSet(ctx, tuple(lifted), tuple(relations))
+    assert perturbed.peel_depth(5) == 1
+    # the literal reduction is slow at (4,5), so it checks the first class and
+    # the pass at depth 0 everywhere checks the other nine
+    classes = list(_random_classes(ctx, 5000))
+    pushed = [pushforward_to_base(p, perturbed) for p in classes]
+    assert pushed[0] and pushed[0] == integrate_fibers(reduce_tower(classes[0], perturbed), ctx)
+    plain = _with_depths(perturbed, dict.fromkeys(range(1, 6), 0))
+    assert pushed == [pushforward_to_base(p, plain) for p in classes]
+    assert pushed != [pushforward_to_base(p, rels) for p in classes]
 
 
 def test_pushforward_is_exact_on_a_tower_that_breaks_the_recursion():

@@ -433,7 +433,7 @@ def coefficient_bound(rels: RelationSet, chern: Sequence[int], weights: Sequence
        ``w H_(m-r+1)``, with ``H_s = -sum_l c_l^[j-1] H_(s-l)``, ``H_0 = 1``
        and ``H_s = 0`` below 0 (``u_j^(r-1)`` coefficient of ``u_j^m``
        modulo the level relation); that is reduce-then-integrate, which
-       ``pushforward_to_base`` equals term by term, degree cut and peeling
+       ``pushforward_to_base`` equals term by term, its cuts and peeling
        included, at every level's ``peel_depth``.
     2. By induction on s, ``|H_s| <= sum_l |c_l^[j-1]| mu_j^(s-l) <=
        mu_j^s``, the last step being the choice of ``mu_j``.
@@ -564,8 +564,8 @@ def _run_pass(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]], bits: Option
     ``sum_i c_i 2^(i*bits)``, the class of job i in slot i, and pushed
     forward on the jobs' one tower from ``pipeline_tower``.
     ``pushforward_to_base`` is Z-linear in the coefficients, and its degree
-    cut and its dropping of zero terms never depend on a coefficient's
-    value, so the packed base class holds the base class of every job in its
+    and suffix cuts and its dropping of zero terms never depend on a
+    coefficient's value, so the packed base class holds the base class of every job in its
     slot exactly.  Each class is dropped once packed.  Each report's
     ``elapsed_ms`` is an even share of the pass's wall time.
     """

@@ -11,17 +11,28 @@ form with ``deg(u_j) < r``, and integrates along the fibers down to the base
 ``pushforward_to_base`` computes ``integrate_fibers(reduce_tower(p))``
 without materializing the reduced polynomial: per level it runs the adjoint
 form of the same Euclidean division, keeping only what can still reach the
-``u_j^(r-1)`` coefficient.  It also never forms a term that would push
-forward to zero: the map is Z[c,h,d]-linear and graded (u weighs 1, c_l
-weighs l, and each level lowers the degree by ``r - 1``), so at level j a
-term whose degree in ``u_1..u_j`` is below ``j(r-1)`` lands in base classes
-of negative degree, which are zero.  Where the lifted classes below level j
-follow the rank-r recursion and that saves products, level j runs its window
-through ``RelationSet.peel_depth(j)`` steps of that recursion, each one key
-shifts and small-integer multiples, and multiplies the result by the smaller
-classes that many levels down.  The pushforward and
-reduce-then-integrate produce identical polynomials term by term, for every
-input and every relation set; the test suite pins that equality.
+``u_j^(r-1)`` coefficient.  It also drops the terms that would push forward
+to zero.  Levels j down to j - i are i + 1 projective bundles of relative
+dimension ``r - 1``, and the map is linear over the classes below them and
+graded (u and h weigh 1, c_l weighs l, and each level lowers the degree by
+``r - 1``), so at level j a term whose exponents of ``u_j, ..., u_(j-i)``
+sum to less than ``(i + 1)(r - 1)`` lands in classes of negative degree,
+which are zero.  Every level cuts on the shortest run (i = 0, the
+power of ``u_j``) and on the whole one (i = j - 1, the degree in
+``u_1..u_j``); the levels that peel cut on every run between.  Where the
+lifted classes below level j follow the rank-r recursion and that saves
+products, level j runs its window through ``RelationSet.peel_depth(j)``
+steps of that recursion, each one key shifts and small-integer multiples,
+and multiplies the result by the smaller classes that many levels down.
+
+The pushforward and reduce-then-integrate produce identical polynomials
+term by term when the relations are graded: every lifted class ``c_l`` is
+weighted-homogeneous of weight l, u and h weighing 1 and ``c_l`` weighing
+l, as ``build_relations`` makes them, so that each lifted class raises any
+sum of u-exponents by at most l.  A set mapped by a ring map that fixes
+``u_1..u_k`` (``RelationSet.specialized``) inherits the equality through
+that map.  On any other set the cuts may drop terms that reach the base.
+The test suite pins the equality, and the limit.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from .polyring import (
     Polynomial,
     Ring,
     VariableId,
+    _EXP_BITS,
     _EXP_MASK,
     _key_degree,
     _mul_into,
@@ -73,6 +85,79 @@ def _lift_table(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     The coefficients left out are ``_lift_coeff(r, t, t) = 1``.
     """
     return tuple(tuple((s, c) for s in range(t + 1, r + 1) if (c := _lift_coeff(r, s, t))) for t in range(r + 1))
+
+
+#: A suffix sum is read from a key only in a bucket of lower degree, so that it leaves
+#: the top bit of its field free; a bucket of higher degree is kept whole.
+_HALF = 1 << _EXP_BITS - 1
+
+
+@functools.cache
+def _suffix_test(r: int, m: int, first: int, stop: int) -> Optional[tuple[int, int]]:
+    """``(add, guard)`` testing ``s_q >= (q + 1)(r - 1) - m`` for ``first <= q < stop`` at once.
+
+    ``s_q`` is a term's sum of exponents of ``u_(j-1), ..., u_(j-q)`` at
+    level j, which field q - 1 of ``(key >> base) * spread`` holds (see
+    ``pushforward_to_base``).  Adding ``2^15 - bound`` to a field below
+    ``2^15`` sets its top bit exactly when it reaches the bound and carries
+    nothing, so a term passes when ``((key >> base) * spread + add) & guard
+    == guard``.  A bound above ``2^15`` is clamped to it, which no sum read
+    reaches.  None when no bound is positive.
+    """
+    add = guard = 0
+    for q in range(first, stop):
+        bound = min((q + 1) * (r - 1) - m, _HALF)
+        if bound > 0:
+            add += (_HALF - bound) << _EXP_BITS * (q - 1)
+            guard += _HALF << _EXP_BITS * (q - 1)
+    return (add, guard) if guard else None
+
+
+#: The tests of a level that does not peel: none.
+_UNTESTED = ((None,), None)
+
+
+@functools.cache
+def _suffix_tests(r: int, m: int, depth: int, stop: int) -> tuple[tuple, Optional[tuple[int, int]]]:
+    """The tests of window step m on a level of ``depth`` that reads the suffixes below ``stop`` per term.
+
+    Step i + 1 of the recursion makes ``s_(i+1)`` final, so its parts are
+    tested on that suffix; ``B_m`` is tested on the suffixes past
+    ``depth``, which a product by the factor classes may leave short.
+    """
+    steps = tuple(_suffix_test(r, m, i + 1, min(i + 2, stop)) for i in range(depth)) or (None,)
+    return steps, _suffix_test(r, m, depth + 1, stop)
+
+
+def _passing(terms: dict[int, int], a: int, base: int, spread: int, test: Optional[tuple[int, int]]) -> dict[int, int]:
+    """The terms of a bucket of degree ``a`` that pass ``test``: ``terms`` itself if none is read, else a new map."""
+    if test is None or a >= _HALF:
+        return terms
+    add, guard = test
+    return {key: coeff for key, coeff in terms.items() if ((key >> base) * spread + add) & guard == guard}
+
+
+def _kept(
+    buckets: dict[int, dict[int, int]], base: int, spread: int, test: Optional[tuple[int, int]], least: int = 0
+) -> dict[int, dict[int, int]]:
+    """New buckets: the terms that pass ``test`` of the buckets of degree ``least`` or more, none empty."""
+    return {a: kept for a, terms in buckets.items() if a >= least and (kept := _passing(terms, a, base, spread, test))}
+
+
+def _reach(r: int, gains: Sequence[float], steps: int) -> list[list[float]]:
+    """Entry ``[i][t]``: the most a term of part t of step i raises a sum of u-exponents on its way into acc.
+
+    ``gains[t - 1]`` is the most a term of factor class t raises it by
+    (``NEG_INFINITY`` for a zero class), and each later step of the
+    recursion raises it by ``t - s`` on the way to part s.
+    """
+    reach = [[0, *gains]]
+    for _ in range(steps - 1):
+        after = reach[0]
+        reach.insert(0, [0] + [
+            max(t - s + after[s] for s in range(t + 1) if _lift_coeff(r, t, s)) for t in range(1, r + 1)
+        ])
+    return reach
 
 
 class TowerContext:
@@ -177,8 +262,11 @@ class RelationSet:
         ``phi`` that fixes ``u_1..u_k`` (such as ``c_j -> (-1)^j``), pushing
         ``phi(p)`` forward on the result gives ``phi`` of the pushforward of
         ``p`` on this set: every step of ``pushforward_to_base`` is a sum of
-        products, and its degree cut reads u-exponents only.  ``peel_depth``
-        is decided afresh on the mapped classes.
+        products, and its degree and suffix cuts read u-exponents only, never
+        a coefficient.  So the pushforward on the result equals
+        reduce-then-integrate wherever it does on this set, though the mapped
+        classes are not homogeneous.  ``peel_depth`` is decided afresh on the
+        mapped classes.
         """
         lifted = tuple(tuple(map(term_map, level)) for level in self.lifted)
         return RelationSet(self.ctx, lifted, tuple(map(term_map, self.relations)))
@@ -343,10 +431,11 @@ def integrate_fibers(p: Polynomial, ctx: TowerContext) -> Polynomial:
 def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     """Integrate an arbitrary tower class to the base in one pass per level.
 
-    Returns exactly ``integrate_fibers(reduce_tower(p, rels), ctx)`` (it
-    performs the same Euclidean divisions, less the terms that vanish in the
-    base; see below) but never materializes the reduced class, which is what
-    makes high jet orders tractable.  Per level
+    Returns exactly ``integrate_fibers(reduce_tower(p, rels), ctx)`` on
+    graded relations (see the module docstring; it performs the same
+    Euclidean divisions, less the terms that vanish in the base, see below)
+    but never materializes the reduced class, which is what makes high jet
+    orders tractable.  Per level
     the class is split into strata ``A_m`` by the power of the top variable
     and the adjoint recurrence ``B_m = A_m - sum_l c_l^[j-1] B_(m+l)`` is run
     from the top power down; ``B_(r-1)`` is the pushforward (each B-step is
@@ -355,10 +444,10 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
 
     Terms are kept bucketed by their degree in the tautological variables,
     and a term ``u_j^m * t`` of ``B_m`` whose degree ``m + deg_u(t)`` is
-    below ``j(r-1)`` is never formed.  This is exact for every ``p``: the
-    map is Z[c,h,d]-linear and lowers the weighted degree by ``r - 1`` per
-    level, so such a term lands in base classes of negative degree, which
-    are zero.  The buckets of ``B_(r-1)`` are the buckets of the next level,
+    below ``j(r-1)`` is never formed, for every ``p``: the map is
+    Z[c,h,d]-linear and lowers the weighted degree by ``r - 1`` per level,
+    so such a term lands in base classes of negative degree, which are
+    zero.  The buckets of ``B_(r-1)`` are the buckets of the next level,
     and the lifted classes are bucketed once per relation set, so the only
     per-term degree count is on the input.  A term whose power of the top
     variable is below ``r - 1`` is dropped when bucketed: no B-step reads it.
@@ -380,6 +469,25 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
     at a time are one chunk's.  On the towers ``build_relations`` makes at
     k = 5, the depths of levels 1..5 are 0, 0, 0, 0, 0 at n = 2, 0, 0, 0, 1,
     1 at n = 3, and 0, 0, 1, 1, 3 at n = 4 and 5.
+
+    A level that peels also cuts on the shorter runs of levels below it: a
+    term ``u_j^m * t`` reaches the base only if ``m + s_i(t) >= (i + 1)(r -
+    1)`` for i = 1..j-2, where ``s_i`` sums the exponents of ``u_(j-1), ...,
+    u_(j-i)``.  This holds for the reason the degree cut holds, levels j down
+    to j - i being i + 1 projective bundles, and a lifted class ``c_l``
+    raises any sum of u-exponents by at most l, so a term of a part or of
+    ``B_m`` that fails it never reaches the base.  The test reads exponents
+    only: one multiplication places every suffix sum of a key in a field of
+    its own (``_suffix_test``).  It runs on each stratum of the input as the
+    stratum is split (below the top level the input is the output of a
+    level that cut it, and drops nothing where that level peels), on the
+    parts after step i for ``s_i``, which the later steps and the factor
+    classes leave as it is, and on each ``B_m`` for the suffixes past d,
+    which a product may leave short.  Parts are cut into new maps, since a
+    part can be the part before or a window entry.  In chunks ``s_(j-2)``
+    is a bucket's degree less its chunk, and it is cut per bucket, with the
+    degree.  A level that does not peel (every level at n = 2) cuts on its
+    degree only: there the test per term costs more time than it saves.
 
     The input is released once it is bucketed, and each bucket of a level
     once it is split into strata; each level's window is released once
@@ -409,6 +517,12 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
         chunked = _EXP_MASK if 2 <= depth <= j - 2 else 0
         above = ring.shift(ctx.u(1)) - sh
         select = _EXP_MASK | chunked << above
+        # key >> base holds u_(j-1), ..., u_1 in fields 0, ..., j-2, and times spread = 1 + 2^16 + ...
+        # + 2^(16(j-2)) it holds in field q - 1 the suffix sum s_q of the exponents of u_(j-1), ..., u_(j-q)
+        base, spread = sh + _EXP_BITS, (1 << _EXP_BITS * (j - 1)) // _EXP_MASK
+        # a level that peels reads the suffixes below per_term per term; s_(j-1) is a bucket's
+        # degree a, and in chunks s_(j-2) is a - chunk
+        per_term = (j - 2 if chunked else j - 1) if depth else 1
         # strata[m][chunk][a]: terms of A_m whose degree in u_1..u_(j-1) is a
         strata: dict[int, dict[int, dict[int, dict[int, int]]]] = {}
         while graded:  # each bucket is released once it is split
@@ -425,6 +539,8 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
                     by_power.setdefault(v, {})[key - (m << sh)] = coeff
             for v, stratum in by_power.items():
                 m = v & _EXP_MASK
+                if depth:
+                    stratum = _passing(stratum, degree - m, base, spread, _suffix_test(r, m, 1, j - 1))
                 strata.setdefault(m, {}).setdefault((v >> above) & chunked, {})[degree - m] = stratum
         top = max(strata, default=-1)
         if top < r - 1:
@@ -433,27 +549,29 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
         # step i shifts u_(j-i) by lift; depth 0 is one step whose parts are the window entries
         steps = [(ring.shift(ctx.u(j - i)), lift) for i in range(1, depth + 1)] or [(0, ((),) * (r + 1))]
         # reach[i][t]: the most u-degree a term of part t of step i gains on its way into acc
-        reach = [[0] + [max((e for e, _, _ in factor), default=NEG_INFINITY) for factor in factors]]
-        for _ in steps[1:]:
-            after = reach[0]
-            reach.insert(0, [0] + [
-                max(t - s + after[s] for s in range(t + 1) if _lift_coeff(r, t, s)) for t in range(1, r + 1)
-            ])
+        reach = _reach(r, [max((e for e, _, _ in factor), default=NEG_INFINITY) for factor in factors], len(steps))
+        if chunked:  # high[i][t]: the same for the degree in u_2..u_(j-1), which is a - chunk
+            high = _reach(r, [max((e - f for e, f, _ in fac), default=NEG_INFINITY) for fac in factors], len(steps))
         window: dict[int, dict[int, dict[int, dict[int, int]]]] = {}
         for m in range(top, r - 2, -1):
             need = cut - m
+            tests, final = _suffix_tests(r, m, depth, per_term) if depth else _UNTESTED
             acc = strata.pop(m, {})
             for chunk in {c for s in range(1, r + 1) for c in window.get(m + s, ())}:
                 parts = [{}] + [window.get(m + s, {}).get(chunk, {}) for s in range(1, r + 1)]
                 into_chunk = acc.setdefault(chunk, {})
                 for i, (shift, sources) in enumerate(steps):
-                    last, gain = i == len(steps) - 1, reach[i]
+                    last, gain, test = i == len(steps) - 1, reach[i], tests[i]
+                    if chunked:  # a + gain >= need then also takes s_(j-2) = a - chunk to its bound
+                        gain = [min(g, r - 1 + h - chunk) for g, h in zip(gain, high[i])]
                     prev, parts = parts, [{}] * (r + 1)
                     for t in range(r + 1):
                         if gain[t] == NEG_INFINITY:
                             continue
                         if t and not sources[t]:
                             part = prev[t]
+                            if chunked:  # gains in chunks can drop buckets that the step before kept
+                                part = _kept(part, base, spread, None, need - gain[t])
                         else:
                             # part t >= 1 starts as a copy of part t before; part 0 goes
                             # into acc negated, since c_0 = 1
@@ -472,6 +590,8 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
                                         into[key] = get(key, 0) + w * coeff
                         if not t:
                             continue
+                        if test:  # into a new map: part t may be prev[t] or a window entry
+                            part = _kept(part, base, spread, test)
                         if not last:
                             parts[t] = part
                             continue
@@ -481,7 +601,9 @@ def pushforward_to_base(p: Polynomial, rels: RelationSet) -> Polynomial:
                                     _mul_into(acc.setdefault(chunk + f, {}).setdefault(a + e, {}), neg, terms)
                         del part
                     del prev
-            # B_m is acc less its zero terms, dropped in place
+            if final or chunked:  # in chunks, a product may also leave s_(j-2) = a - chunk short
+                acc = {c: _kept(buckets, base, spread, final, need - (r - 1) + c) for c, buckets in acc.items()}
+            # B_m is acc less its zero terms, dropped in place, and its empty chunks
             for chunk, buckets in list(acc.items()):
                 for a, terms in list(buckets.items()):
                     if 0 in terms.values():

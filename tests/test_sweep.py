@@ -127,7 +127,7 @@ def test_slot_width_at_the_componentwise_maximum_covers_both_drawn_vectors(data)
         assert _largest(base) <= _slot_bound(rels, a) < 2 ** (bits - 1)
 
 
-def test_slot_bits_of_a_perturbed_tower_are_its_own_and_cover_it():
+def test_coefficient_bound_of_a_perturbed_tower_is_its_own_and_covers_it():
     rels = RELATIONS[3, 4]
     ctx = rels.ctx
     # the u1 coefficient of c_1 at level 1 goes from r-1 to r; the relation text stays

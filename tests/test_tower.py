@@ -1,5 +1,6 @@
 """Level relations, canonical reduction, fiber integration, intersections."""
 
+import itertools
 import random
 import sys
 import tracemalloc
@@ -304,6 +305,76 @@ def test_pushforward_cut_on_inhomogeneous_classes(n, k):
     assert nonzero
 
 
+def _suffix_sums(ctx, exps):
+    """Entry i: the sum of the exponents of ``u_k, ..., u_(k-i)`` in ``exps``, for i = 0..k-1."""
+    return list(itertools.accumulate(exps.get(ctx.u(j), 0) for j in range(ctx.k, 0, -1)))
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (4, 3), (3, 4)])
+def test_terms_failing_a_suffix_condition_push_forward_to_zero(n, k):
+    # the lemma behind the suffix cut, on the reference path: levels k..k-i are
+    # i + 1 projective bundles, so a term whose exponents of u_k, ..., u_(k-i)
+    # sum to less than (i + 1)(r - 1) integrates to zero, also where its whole
+    # u-degree reaches k(r - 1); terms that meet every condition do not all vanish
+    ctx = TowerContext(n, k)
+    ring, rels, r = ctx.ring, ctx.relations, ctx.r
+    base = ring.encode({ctx.c(1): 1, ctx.h: 1})
+    failing = reaching = 0
+    for e in itertools.product(range(2 * r - 1), repeat=k):
+        exps = dict(zip(map(ctx.u, range(1, k + 1)), e))
+        sums = _suffix_sums(ctx, exps)
+        if sums[-1] < k * (r - 1):
+            continue
+        pushed = integrate_fibers(reduce_tower(ring.polynomial({ring.encode(exps) + base: 1}), rels), ctx)
+        if any(s < (i + 1) * (r - 1) for i, s in enumerate(sums)):
+            assert not pushed, e
+            failing += 1
+        else:
+            reaching += bool(pushed)
+    assert failing and reaching
+
+
+@pytest.mark.parametrize("n,k", [(4, 3), (3, 4), (5, 3), (4, 4)])
+def test_pushforward_suffix_cut_on_inhomogeneous_classes(n, k):
+    # the top level peels, so it also cuts on every shorter suffix of u_k, ..., u_1:
+    # the classes hold terms on both sides of each suffix's bound (i + 1)(r - 1),
+    # and terms that reach the degree cut but fail a shorter suffix
+    ctx = TowerContext(n, k)
+    rels, r = ctx.relations, ctx.r
+    assert rels.peel_depth(k)
+    sides = set()
+    only_suffix = nonzero = 0
+    for p in _random_classes(ctx, 6000 + n * 10 + k):
+        for exps, _ in p.terms():
+            meets = [s >= (i + 1) * (r - 1) for i, s in enumerate(_suffix_sums(ctx, exps))]
+            sides.update(enumerate(meets))
+            only_suffix += meets[0] and meets[-1] and not all(meets)
+        pushed = pushforward_to_base(p, rels)
+        assert pushed == integrate_fibers(reduce_tower(p, rels), ctx)
+        nonzero += bool(pushed)
+    assert sides == {(i, side) for i in range(k) for side in (False, True)}
+    assert only_suffix and nonzero
+
+
+def test_pushforward_is_not_exact_on_an_inhomogeneous_tower():
+    # the documented limit of the cuts: c_1^[2] gains u_1*u_2^2, of weight 3, and
+    # q_3 is rebuilt from it, so the relations are not graded and the pass
+    # drops terms that reach the base
+    ctx = TowerContext(3, 3)
+    ring, rels = ctx.ring, ctx.relations
+    u1, u2, u3 = (ring.variable(ctx.u(j)) for j in (1, 2, 3))
+    lifted, relations = list(rels.lifted), list(rels.relations)
+    lifted[2] = (lifted[2][0] + u1 * u2**2,) + lifted[2][1:]
+    rel = u3**ctx.r
+    for l in range(1, ctx.r + 1):
+        rel = rel + lifted[2][l - 1] * u3 ** (ctx.r - l)
+    relations[2] = rel
+    perturbed = RelationSet(ctx, tuple(lifted), tuple(relations))
+    classes = list(_random_classes(ctx, 1))
+    differ = [pushforward_to_base(p, perturbed) != integrate_fibers(reduce_tower(p, perturbed), ctx) for p in classes]
+    assert any(differ) and not all(differ)
+
+
 def _signs(ctx):
     """The ring map ``c_j -> (-1)^j``, which fixes every other variable."""
 
@@ -392,6 +463,22 @@ def test_every_exact_peel_depth_equals_depth_zero(n, k):
             forced = _with_depths(ctx.relations, {j: depth})
             assert forced.peel_depth(j) == depth
             assert [pushforward_to_base(p, forced) for p in classes] == expected
+
+
+@pytest.mark.parametrize("n,k", [(3, 6), (4, 5)])
+def test_suffix_cut_equals_the_depth_zero_pass(n, k):
+    # the top level runs three steps in u_1 chunks and cuts on every suffix; a
+    # pass at depth 0 everywhere cuts on the degree only.  At (3,6) the factor
+    # classes of level 2 hold u_2, so s_4, through u_2, is final only in B_m;
+    # at (4,5) they are level-1 classes
+    ctx = TowerContext(n, k)
+    rels = ctx.relations
+    assert rels.peel_depth(k) == 3
+    plain = _with_depths(rels, dict.fromkeys(range(1, k + 1), 0))
+    classes = [*_random_classes(ctx, 7000 + n * 10 + k), morse_class(ctx, default_weights(k), base_only=True)]
+    expected = [pushforward_to_base(p, plain) for p in classes]
+    assert all(expected)
+    assert [pushforward_to_base(p, rels) for p in classes] == expected
 
 
 def test_peel_depth_stops_where_a_lower_level_breaks_the_recursion():

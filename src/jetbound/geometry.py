@@ -12,26 +12,26 @@ token that the command line, the reports and the cache keys use:
   tangent bundle are
   ``c_j = (-1)^j h^j * sum_i (-1)^i binom(n+1, i) d^(j-i)``.
 
-``chern_term_map`` is the one way to substitute those classes: on raw
-terms it sends ``c_l`` to given integers, ``h`` to 1 and ``d`` to ``D``, and
-keeps every other field of a key.  ``degree_term_map`` is that map at
-``c_l = p_l(D)``, ``p_l`` the degree polynomial of class l.  A pass of a
-single job specializes the tower by it at ``D = 2^B`` before the
-pushforward, which on Z[u] is then one integer whose balanced base-``2^B``
-digits (``balanced_digits``) are the coefficients of ``P(d)/d`` (see
-``morse``).  Packed passes, several jobs in one pushforward, substitute
-after it: ``evaluate_in_degree`` applies ``degree_term_map`` to a finished
+``chern_term_map`` is the one way to substitute those classes in a class:
+on raw terms it sends ``c_l`` to given integers, ``h`` to 1 and ``d`` to
+``D``, and keeps every other field of a key.  ``degree_term_map`` is that
+map at ``c_l = p_l(D)``, ``p_l`` the degree polynomial of class l.  Packed
+passes, several jobs in one pushforward, substitute after it:
+``evaluate_in_degree`` applies ``degree_term_map`` to a finished
 weighted-degree-n base class at a ``D = 2^B`` wide enough for its
-coefficients, reads the same digits and multiplies the result by ``d``.
-For the compact model that factor is the honest integral of ``h^n``; for the
+coefficients, reads the balanced base-``2^B`` digits (``balanced_digits``)
+of the integer it gets and multiplies the result by ``d``.  For the
+compact model that factor is the honest integral of ``h^n``; for the
 logarithmic model it is kept anyway so that outputs are directly comparable
 with the reference pipeline this engine reproduces.  The factor is positive
-for every degree ``d >= 1``, so positivity thresholds are unaffected.
+for every degree ``d >= 1``, so positivity thresholds are unaffected.  A
+single job forms no base class: ``morse`` multiplies its base Segre classes
+out of the ``p_l`` (``_chern_coefficient_in_degree``) and then by ``d``.
 
 A relation set is specialized before the pushforward, not here:
-``RelationSet.specialized`` is the one way to map its classes, with
-``degree_term_map`` or, in ``symbolic_leading_form``, with ``chern_term_map``
-at ``c_l = (-1)^l``, the top d-coefficient of class l in both models.
+``RelationSet.specialized`` is the one way to map its classes, as
+``symbolic_leading_form`` does with ``chern_term_map`` at ``c_l =
+(-1)^l``, the top d-coefficient of class l in both models.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "chern_term_map",
     "degree_term_map",
     "balanced_digits",
-    "read_degree_polynomial",
     "evaluate_in_degree",
     "EvaluatedClass",
 ]
@@ -150,12 +149,6 @@ def balanced_digits(value: int, bits: int, count: int, name: str) -> list[int]:
     return digits + [value]
 
 
-def read_degree_polynomial(ctx: TowerContext, spec: GeometrySpec, value: Polynomial, bits: int) -> EvaluatedClass:
-    """``P(d)`` from the integer ``value = P(D)/D`` at ``D = 2^bits``: its n + 1 balanced digits."""
-    name = f"the degree polynomial of {spec.token} ({ctx.n}, {ctx.k})"
-    return EvaluatedClass.from_coefficients([0] + balanced_digits(value._terms.get(0, 0), bits, ctx.n + 1, name))
-
-
 def base_chern(ctx: TowerContext, spec: GeometrySpec, j: int) -> Polynomial:
     """Class ``j`` of the base bundle, as ``h^j`` times a polynomial in d."""
     if spec.n != ctx.n:
@@ -240,4 +233,6 @@ def evaluate_in_degree(ctx: TowerContext, cls: Polynomial, spec: GeometrySpec) -
         )
     M = max(sum(map(abs, _chern_coefficient_in_degree(spec, l))) for l in range(1, ctx.n + 1))
     bits = (sum(map(abs, cls._terms.values())) * M**ctx.n).bit_length() + 1
-    return read_degree_polynomial(ctx, spec, degree_term_map(ctx, spec, 1 << bits)(cls), bits)
+    value = degree_term_map(ctx, spec, 1 << bits)(cls)._terms.get(0, 0)
+    name = f"the degree polynomial of {spec.token} ({ctx.n}, {ctx.k})"
+    return EvaluatedClass.from_coefficients([0] + balanced_digits(value, bits, ctx.n + 1, name))

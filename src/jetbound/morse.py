@@ -9,7 +9,7 @@ so only one reduction pass is needed.  The Euler operator ``h d/dh`` sends
 coefficient of ``u^alpha h^beta`` is
 ``(1 - beta) * N!/(alpha! beta!) * a^alpha * (2|a|)^beta``.  It is assembled
 as a trinomial in ``h`` and two halves of the weighted form, from the powers
-of each half, so every term is formed once.  The pipeline forms only the
+of each half, so every term is formed once.  A packed pass forms only the
 terms that can reach the base (``beta <= n`` and a power of ``u_k`` of at
 least ``r - 1``; ``morse_class(..., base_only=True)``): the pushforward
 drops every other term, so the base class is the same, and at (5,5) 39,650
@@ -21,26 +21,32 @@ exact downward search below a power-of-two root bound.
 
 ``compute_reports`` is the package's one batch computation, serial or on a
 process pool.  A job is a ``(GeometrySpec, weights)`` pair; its tower is
-``(spec.n, len(weights))``, whose relations ``tower.pipeline_tower`` builds
-once per process.  ``coefficient_bound`` is the one bound on the integers a
-pushforward produces, and it needs no pushforward.  The jobs of one pass
-share a pushforward: their classes are packed into the slots of one class's
-coefficients, each slot one bit wider than the bound at ``c_l = 1`` and at
-the componentwise maximum of the tower's vectors, which covers every base
-coefficient of every job of the tower.  A packed pass substitutes the base
-Chern classes after the pushforward (``geometry.evaluate_in_degree``).  A
-tower's jobs are split into passes of even size, as many jobs each as
-``PACKED_BITS`` holds slots (12 of the first 12 candidates at (3,5)).  A
-tower with one job, such as each cell of the table or ``compute_report``,
-is a pass of one with no width.  A pass of one job, with or without a
-width, substitutes the degree before the pushforward, at ``D = 2^B`` with
-``B`` from the bound at ``c_l = ||p_l||``, so the pushforward runs on Z[u]
-and returns ``P(D)/D``, whose balanced base-``2^B`` digits are the
-coefficients of ``P``.  Every digit, of a packed slot or of a ``P``, is
-read by ``geometry.balanced_digits``.  A pass is its jobs and its slot
-width, and whichever process runs it takes its tower from
-``pipeline_tower``; a pool starts only for more than one pass, with no more
-workers than passes, and the reports come back in job order.
+``(spec.n, len(weights))``.  A tower with one job, such as each cell of the
+table or ``compute_report``, is a pass of one with no width, and a pass of
+one job, with or without a width, forms no class and runs no pushforward.
+At ``h = 1`` its class is a combination of powers of the one linear form
+``L = sum_j a_j u_j``, and ``_segre_states`` integrates those level by
+level as products of Segre classes: a level expands each Segre class of
+its own by those of the level below (``tower._segre_expansion``) and the
+power of ``L`` by the binomial theorem, and sends ``u_j^E`` to the Segre
+class ``s_(E-r+1)`` below.  At the base, ``_segre_polynomial`` reads the
+products as polynomials in d.  No u-monomial, degree substitution or digit
+is formed, and no tower is built.
+
+The jobs of a tower with more than one share a pushforward on the relations
+``tower.pipeline_tower`` builds once per process: their classes are packed
+into the slots of one class's coefficients, each slot one bit wider than
+``coefficient_bound``, the one bound on the integers a pushforward
+produces, at ``c_l = 1`` and at the componentwise maximum of the tower's
+vectors, which covers every base coefficient of every job of the tower.
+A packed pass substitutes the base Chern classes after the pushforward
+(``geometry.evaluate_in_degree``), and its slots are read by
+``geometry.balanced_digits``.  A tower's jobs are split into passes of
+even size, as many jobs each as ``PACKED_BITS`` holds slots (12 of the
+first 12 candidates at (3,5)).  A pass is its jobs and its slot width, and
+whichever process runs it takes its tower from ``pipeline_tower``; a pool
+starts only for more than one pass, with no more workers than passes, and
+the reports come back in job order.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, isfinite
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
 from .geometry import (
@@ -58,12 +64,10 @@ from .geometry import (
     _chern_coefficient_in_degree,
     balanced_digits,
     chern_term_map,
-    degree_term_map,
     evaluate_in_degree,
-    read_degree_polynomial,
 )
-from .polyring import _EXP_MASK, Polynomial, _mul_into
-from .tower import RelationSet, TowerContext, pipeline_tower, pushforward_to_base
+from .polyring import _EXP_MASK, Polynomial, _add_into, _mul_into
+from .tower import RelationSet, TowerContext, _segre_expansion, pipeline_tower, pushforward_to_base
 
 __all__ = [
     "WeightVector",
@@ -214,10 +218,10 @@ def morse_polynomial(
     k: int,
     weights: Union[WeightVector, Sequence[int], None] = None,
 ) -> EvaluatedClass:
-    """Full pipeline: assemble, integrate to the base, evaluate in the degree.
+    """Full pipeline: integrate the class to the base and evaluate it in the degree.
 
-    The value equals evaluating ``integrate_fibers(reduce_tower(...))``; the
-    integration is performed by the single-pass pushforward.
+    The value equals evaluating ``integrate_fibers(reduce_tower(...))``; a
+    single job integrates by the Segre recursion of ``_segre_polynomial``.
     """
     return compute_report(spec, k, weights).morse_poly
 
@@ -419,13 +423,15 @@ def coefficient_bound(rels: RelationSet, chern: Sequence[int], weights: Sequence
     ``u_1..u_(j-1)`` only, so their values are known.  ``S`` bounds
     ``|base|``, and so:
 
+    - at every ``chern[l-1] = 1``, ``S`` is at least the sum of the absolute
+      coefficients of the unspecialized base class over its c- and
+      h-monomials, and so at least each of them (a packed pass's slots);
     - at ``chern[l-1] = ||p_l||``, the sum of the absolute coefficients of
       the degree polynomial of class l, ``S >= sum_i |q_i|`` with ``P(d) =
       sum_i q_i d^(i+1)``, since ``|.|`` then bounds the 1-norm in d of the
-      image under ``c_l -> p_l(d)``, ``h -> 1`` (a single job's digits);
-    - at every ``chern[l-1] = 1``, ``S`` is at least the sum of the absolute
-      coefficients of the unspecialized base class over its c- and
-      h-monomials, and so at least each of them (a packed pass's slots).
+      image under ``c_l -> p_l(d)``, ``h -> 1``.  The pipeline reads no
+      digits of ``P`` (single jobs run ``_segre_polynomial``); the tests
+      check this bound against every table cell.
 
     Proof:
 
@@ -532,60 +538,115 @@ def _passes(
     return passes
 
 
-def _collapsed_polynomial(rels: RelationSet, spec: GeometrySpec, weights: WeightVector) -> EvaluatedClass:
-    """``P(d)`` of one job from one pushforward on Z[u], the degree set to ``D = 2^B`` first.
+def _segre_states(
+    r: int, weights: Sequence[int], powers: Mapping[int, int]
+) -> Iterator[dict[tuple[tuple[int, ...], int], int]]:
+    """The states of ``sum_M powers[M] L^M``, ``L = sum_j a_j u_j``, on levels k, k - 1, ..., 0.
 
-    ``phi = degree_term_map(ctx, spec, D)`` is a ring map that fixes
-    ``u_1..u_k``, so pushing ``phi(class)``, the base-only class at ``h = 1``
-    (it has the full class's pushforward), forward on ``rels.specialized(phi)``
-    gives ``phi(base) = P(D)/D = sum_i q_i 2^(iB)``, a single integer.  With
-    ``B`` one bit above ``coefficient_bound`` at ``c_l = ||p_l||`` (the sum
-    of the absolute coefficients of ``p_l``), every ``|q_i| < 2^(B-1)``, so
-    the n + 1 balanced digits read by ``geometry.read_degree_polynomial``
-    are the ``q_i`` exactly; a top digit outside that range is a violated
-    invariant and raises ``JetboundError``.
+    A state ``(indices, M)`` of level j with coefficient g stands for ``g
+    prod_(i in indices) s_i^[j] L_j^M``, ``L_j = sum_(i <= j) a_i u_i`` and
+    ``s^[j] = 1 / c^[j]`` the Segre series of the level-j classes; level k
+    holds ``((), M)`` for each power.  Level j turns its states into those
+    of level j - 1 in three steps:
+
+    - it expands each index by ``tower._segre_expansion``, which gives ``u_j^e``
+      times a product of level-(j-1) Segre classes;
+    - it writes ``L_j^M = sum_m C(M, m) a_j^m u_j^m L_(j-1)^(M-m)``, with
+      ``m = M`` at j = 1, where ``L_0 = 0``;
+    - it pushes ``u_j^E`` forward to ``s_(E-r+1)^[j-1]``, zero for ``E < r -
+      1``: the ``u_j^(r-1)`` coefficient of ``u_j^E`` modulo the level
+      relation, the ``H_s`` of step 1 of ``coefficient_bound``'s proof.
+
+    Each step is an identity in the cohomology of level j, and the
+    pushforward is linear over level j - 1 (the projection formula), so the
+    level-0 states, whose M is 0, are the pushforward of the input exactly:
+    ``sum g prod_(i in indices) s_i^[0]``.  No u-monomial is ever formed.
+    Each level lowers the degree by ``r - 1``, so a state of level j that
+    comes from ``L^M`` has its indices and M summing to ``M - (k - j)(r - 1)``.
     """
-    ctx = rels.ctx
-    chern = [sum(map(abs, _chern_coefficient_in_degree(spec, l))) for l in range(1, ctx.r + 1)]
-    bits = coefficient_bound(rels, chern, weights.a).bit_length() + 1
-    term_map = degree_term_map(ctx, spec, 1 << bits)
-    # the class is built in the call, so the pushforward frees it once bucketed
-    value = pushforward_to_base(
-        morse_class(ctx, weights, keep_h=False, base_only=True), rels.specialized(term_map)
-    )
-    return read_degree_polynomial(ctx, spec, value, bits)
+    states = {((), M): g for M, g in powers.items()}
+    yield states
+    for j in range(len(weights), 0, -1):
+        a, below = weights[j - 1], {}
+        for (indices, M), g in states.items():
+            expansion = _segre_expansion(r, indices)
+            for m in range(M if j == 1 else 0, M + 1):
+                scale = g * comb(M, m) * a**m
+                for e, rest, coeff in expansion:
+                    index = e + m - r + 1
+                    if index >= 0:
+                        key = (tuple(sorted((*rest, index))) if index else rest, M - m)
+                        below[key] = below.get(key, 0) + scale * coeff
+        states = below
+        yield states
+
+
+def _segre_polynomial(spec: GeometrySpec, weights: WeightVector) -> EvaluatedClass:
+    """``P(d)`` of one job from the Morse class's pushforward as products of base Segre classes.
+
+    At ``h = 1`` the class is ``sum_(beta != 1) (1 - beta) C(N, beta)
+    (2|a|)^beta L^(N-beta)``, ``L = sum_j a_j u_j``: ``h^beta`` only fixes
+    the degree ``n - beta`` of its base part, so ``beta > n`` gives none.
+    ``_segre_states`` pushes it forward to ``sum g prod_i s_i^[0]``.  The base
+    Segre series is ``1 / c`` at ``c_l = p_l(d)``, ``h = 1``: ``S_0 = 1`` and
+    ``S_p = -sum_(l <= min(p, r)) p_l(d) S_(p-l)``, and ``h^n`` integrates to
+    d, so ``P(d) = d sum g prod_i S_i(d)``.  That is
+    ``evaluate_in_degree`` of ``pushforward_to_base`` of the same class,
+    coefficient by coefficient, with no degree substituted and no digit read.
+    """
+    n, r, k = spec.n, spec.n, weights.k
+    N, twist = n + k * (r - 1), 2 * weights.total
+    powers = {N - beta: (1 - beta) * comb(N, beta) * twist**beta for beta in range(n + 1) if beta != 1}
+    for states in _segre_states(r, weights.a, powers):
+        pass
+    # raw term maps in d, each key an exponent: -p_l(d), S_p(d) and then P(d) / d
+    chern = [{i: -c for i, c in enumerate(_chern_coefficient_in_degree(spec, l))} for l in range(1, r + 1)]
+    segre: list[dict[int, int]] = [{0: 1}]
+    for p in range(1, n + 1):
+        segre.append({})
+        for l in range(1, p + 1):
+            _mul_into(segre[p], chern[l - 1], segre[p - l])
+    total: dict[int, int] = {}
+    for (indices, _), g in states.items():
+        term = {0: g}
+        for i in indices:
+            factor, term = term, {}
+            _mul_into(term, factor, segre[i])
+        _add_into(total, term)
+    return EvaluatedClass.from_coefficients([0] + [total.get(i, 0) for i in range(n + 1)])
 
 
 def _run_pass(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]], bits: Optional[int]) -> list[MorseReport]:
-    """The reports of one pass of ``_passes``, in job order, from one pushforward.
+    """The reports of one pass of ``_passes``, in job order.
 
-    A pass of one job is ``_collapsed_polynomial``, with or without a
-    width.  Otherwise the Morse classes are packed into one class whose coefficients are
-    ``sum_i c_i 2^(i*bits)``, the class of job i in slot i, and pushed
-    forward on the jobs' one tower from ``pipeline_tower``.
-    ``pushforward_to_base`` is Z-linear in the coefficients, and its degree
-    and suffix cuts and its dropping of zero terms never depend on a
-    coefficient's value, so the packed base class holds the base class of every job in its
-    slot exactly.  Each class is dropped once packed.  Each report's
+    A pass of one job is ``_segre_polynomial``, with or without a width: it
+    builds no tower and runs no pushforward.  Otherwise the Morse classes
+    are packed into one class whose coefficients are ``sum_i c_i
+    2^(i*bits)``, the class of job i in slot i, and pushed forward once on
+    the jobs' one tower from ``pipeline_tower``.  ``pushforward_to_base`` is
+    Z-linear in the coefficients, and its degree and suffix cuts and its
+    dropping of zero terms never depend on a coefficient's value, so the
+    packed base class holds the base class of every job in its slot
+    exactly.  Each class is dropped once packed.  Each report's
     ``elapsed_ms`` is an even share of the pass's wall time.
     """
-    rels = pipeline_tower(jobs[0][0].n, len(jobs[0][1]))[0]
-    ctx = rels.ctx
+    n, k = jobs[0][0].n, len(jobs[0][1])
     weights = [_as_weights(w) for _, w in jobs]
     start = time.perf_counter()
     if len(jobs) == 1:
-        polys = [_collapsed_polynomial(rels, jobs[0][0], weights[0])]
+        polys = [_segre_polynomial(jobs[0][0], weights[0])]
     else:
-        bases = _unpack(pushforward_to_base(_pack(ctx, weights, bits), rels), bits, len(jobs))
-        polys = [evaluate_in_degree(ctx, base, spec) for (spec, _), base in zip(jobs, bases)]
+        rels = pipeline_tower(n, k)[0]
+        bases = _unpack(pushforward_to_base(_pack(rels.ctx, weights, bits), rels), bits, len(jobs))
+        polys = [evaluate_in_degree(rels.ctx, base, spec) for (spec, _), base in zip(jobs, bases)]
     elapsed_ms = round((time.perf_counter() - start) * 1000.0 / len(jobs), 3)
     return [
         MorseReport(
             n=spec.n,
-            k=ctx.k,
+            k=k,
             geometry=spec.token,
             weights=w.a,
-            total_dim=ctx.total_dim,
+            total_dim=n + k * (n - 1),
             morse_poly=P,
             leading_coeff=P.leading_coefficient,
             threshold=degree_threshold(P),

@@ -33,6 +33,14 @@ sum of u-exponents by at most l.  A set mapped by a ring map that fixes
 ``u_1..u_k`` (``RelationSet.specialized``) inherits the equality through
 that map.  On any other set the cuts may drop terms that reach the base.
 The test suite pins the equality, and the limit.
+
+``_segre_expansion`` serves a combination of powers of a linear form in
+the ``u_j``, as a single job's Morse class is at ``h = 1``: it writes a
+product of the Segre classes ``s^[j] = 1 / c^[j]`` of level j as powers of
+``u_j`` times Segre classes of level j - 1, so ``morse`` integrates such a
+class level by level without forming a u-monomial.  It reads the rank
+alone, not a relation set: the identity it uses holds on the towers
+``build_relations`` makes.
 """
 
 from __future__ import annotations
@@ -85,6 +93,39 @@ def _lift_table(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     The coefficients left out are ``_lift_coeff(r, t, t) = 1``.
     """
     return tuple(tuple((s, c) for s in range(t + 1, r + 1) if (c := _lift_coeff(r, s, t))) for t in range(r + 1))
+
+
+@functools.cache
+def _segre_gamma(r: int, i: int, e: int) -> int:
+    """``[x^e] (1 + x)^-(i + r) (1 - x)^-1``: the coefficient of ``u_j^e s_i^[j-1]`` in ``s_(i+e)^[j]`` at rank r."""
+    return sum((-1) ** t * comb(i + r + t - 1, t) for t in range(e + 1))
+
+
+@functools.cache
+def _segre_expansion(r: int, indices: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """``prod_(i in indices) s_i^[j]`` over level j-1 at rank r, as triples ``(e, rest, g)``.
+
+    ``s^[j] = 1 / c^[j]`` is the Segre series of the level-j classes.  The
+    product is ``sum g u_j^e prod_(i in rest) s_i^[j-1]``, each ``rest``
+    sorted and free of ``s_0 = 1``, each ``g`` nonzero.  One factor expands
+    as ``s_i^[j] = sum_(i' <= i) _segre_gamma(r, i', i - i') u_j^(i-i')
+    s_(i')^[j-1]``: the lifted classes of ``_lifted_class`` are the degree
+    <= r part of ``c^[j](y) = (1 - u_j y)(1 + u_j y)^r c^[j-1](y / (1 +
+    u_j y))``, whose ``y^(r+1)`` term ``-u_j q_j`` vanishes modulo the level
+    relation, so on level j ``s^[j](y) = (1 - u_j y)^-1 (1 + u_j y)^-r
+    s^[j-1](y / (1 + u_j y))`` exactly.  The product is that of the
+    expansion of ``indices[:-1]`` with the last factor, memoized per
+    ``(r, indices)`` and so independent of any weight.
+    """
+    if not indices:
+        return ((0, (), 1),)
+    *head, i = indices
+    terms: dict[tuple[int, tuple[int, ...]], int] = {}
+    for e, rest, g in _segre_expansion(r, tuple(head)):
+        for low in range(i + 1):
+            key = (e + i - low, tuple(sorted((*rest, low))) if low else rest)
+            terms[key] = terms.get(key, 0) + g * _segre_gamma(r, low, i - low)
+    return tuple((e, rest, g) for (e, rest), g in terms.items() if g)
 
 
 #: A suffix sum is read from a key only in a bucket of lower degree, so that it leaves

@@ -21,10 +21,10 @@ def table_cache_dir(tmp_path_factory):
 def table_bases():
     """The base class of every table cell, pushed forward on the pipeline tower.
 
-    Each cell is a pass of one, which substitutes the degree before its
-    pushforward, so the pipeline never forms these classes: they are
-    computed here, once per session, from the base-only class, which has the
-    full class's pushforward.  They are the suite's only pushforward of a
+    Each cell is a pass of one, which integrates as products of Segre
+    classes and runs no pushforward, so the pipeline never forms these
+    classes: they are computed here, once per session, from the base-only
+    class, which has the full class's pushforward.  They are the suite's only pushforward of a
     peel deeper than one level on a tower with symbolic ``c_l``.
     """
     bases = {}

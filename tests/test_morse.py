@@ -18,6 +18,7 @@ from jetbound import (
     compute_report,
     default_weights,
     degree_threshold,
+    enumerate_admissible,
     evaluate_in_degree,
     integrate_fibers,
     is_admissible,
@@ -29,7 +30,7 @@ from jetbound import (
     symbolic_leading_form,
 )
 from jetbound import morse
-from jetbound.cli import TABLE_CELLS, main
+from jetbound.cli import TABLE_CELLS
 from jetbound.errors import InadmissibleWeightsError
 from jetbound.geometry import GeometrySpec, _chern_coefficient_in_degree, degree_term_map
 from jetbound.morse import class_terms, coefficient_bound
@@ -179,7 +180,7 @@ def _perturbed_3_4() -> RelationSet:
 
 
 def _digit_bound(rels, spec, a) -> int:
-    """The bound that sizes a single job's digits: ``c_l`` taken at ``||p_l||``."""
+    """``coefficient_bound`` at ``c_l = ||p_l||``: it bounds the 1-norm of ``P(d)/d``."""
     norms = [sum(map(abs, _chern_coefficient_in_degree(spec, l))) for l in range(1, rels.ctx.r + 1)]
     return coefficient_bound(rels, norms, a)
 
@@ -210,7 +211,7 @@ def test_base_only_class_has_the_pushforward_of_the_full_class(cell):
     assert pushforward_to_base(morse_class(ctx, a, base_only=True), rels) == pushforward_to_base(
         morse_class(ctx, a), rels
     )
-    # on the degree-specialized tower of the pipeline's single jobs, in both geometries
+    # on the tower specialized at a degree wide enough for the digits of P, in both geometries
     for spec in (logarithmic_pair(ctx.n), compact_hypersurface(ctx.n)):
         D = 2 ** (_digit_bound(rels, spec, a.a).bit_length() + 1)
         specialized = rels.specialized(degree_term_map(ctx, spec, D))
@@ -401,15 +402,49 @@ def test_pushforward_on_the_degree_specialized_tower_is_P_at_that_degree(make_sp
         assert D * value._terms.get(0, 0) == P(D)
 
 
-def test_digits_of_a_too_narrow_collapsed_pushforward_exit_4(capsys, tmp_path, monkeypatch):
-    # S = 7 gives B = 4: the (3,3) coefficients do not fit 4-bit digits
-    monkeypatch.setattr(morse, "coefficient_bound", lambda *args: 7)
-    code = main(["bound", "--dim", "3", "--order", "3", "--cache-dir", str(tmp_path / "cache")])
-    captured = capsys.readouterr()
-    assert code == 4
-    assert captured.out == ""
-    assert captured.err == "error: the degree polynomial of log (3, 3) does not fit 4-bit digits\n"
-    assert not any((tmp_path / "cache").glob("*.json"))
+# ---- the Segre recursion of single jobs ----------------------------------------------
+
+
+def _pushed_forward_polynomials(n, k, a) -> dict[str, EvaluatedClass]:
+    """``P(d)`` in both geometries from the base-only class pushed forward on the pipeline tower."""
+    rels = pipeline_tower(n, k)[0]
+    base = pushforward_to_base(morse_class(rels.ctx, a, base_only=True), rels)
+    return {spec.token: evaluate_in_degree(rels.ctx, base, spec) for spec in (logarithmic_pair(n), compact_hypersurface(n))}
+
+
+def test_segre_recursion_equals_the_pushforward_on_every_table_cell(table_bases):
+    for (n, k), base in table_bases.items():
+        ctx = pipeline_tower(n, k)[0].ctx
+        for spec in (logarithmic_pair(n), compact_hypersurface(n)):
+            expected = evaluate_in_degree(ctx, base, spec)
+            assert morse._segre_polynomial(spec, default_weights(k)) == expected, (spec.token, n, k)
+
+
+SEGRE_JOBS = [
+    *((n, default_weights(k).a) for n, k in [(2, 1), (3, 1), (3, 2), (4, 3), (3, 6)]),
+    *((3, w.a) for w in enumerate_admissible(5, 12)),
+    (3, (10**20 + 7, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("n,a", SEGRE_JOBS, ids=str)
+def test_segre_recursion_equals_the_pushforward(n, a):
+    expected = _pushed_forward_polynomials(n, len(a), a)
+    for spec in (logarithmic_pair(n), compact_hypersurface(n)):
+        assert morse._segre_polynomial(spec, WeightVector(a)) == expected[spec.token], spec.token
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 5), (3, 3), (4, 4), (5, 5)])
+def test_segre_states_keep_their_degree_and_end_with_no_power_left(n, k):
+    r, N, a = n, n + k * (n - 1), default_weights(k).a
+    for beta in (0, *range(2, n + 1)):
+        levels = list(morse._segre_states(r, a, {N - beta: 1}))
+        assert len(levels) == k + 1 and levels[-1]
+        for j, states in zip(range(k, -1, -1), levels):
+            for indices, M in states:
+                assert sum(indices) + M == n - beta + j * (r - 1)
+                assert list(indices) == sorted(indices) and 0 not in indices
+        assert all(M == 0 for _, M in levels[-1])
 
 
 def test_a_wrong_length_vector_is_refused_before_any_pushforward(monkeypatch):

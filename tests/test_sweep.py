@@ -163,13 +163,8 @@ def test_first_sweep_round_is_one_pass_with_one_slot_bound(monkeypatch):
 
 
 def test_batches_of_one_compute_no_bound(monkeypatch, tmp_path):
-    bound = morse.coefficient_bound
-
     def refuse(rels, chern, weights):
-        # a single job's digits take c_l = ||p_l||, never 1 for every l; a slot width takes 1
-        if set(chern) == {1}:
-            raise AssertionError("a batch of one computed a slot bound")
-        return bound(rels, chern, weights)
+        raise AssertionError("a batch of one computed a bound")
 
     monkeypatch.setattr(morse, "coefficient_bound", refuse)
     compute_report(logarithmic_pair(3), 3)
@@ -213,8 +208,7 @@ def test_pool_receives_the_slot_width_computed_once_per_tower(monkeypatch):
     bound = morse.coefficient_bound
 
     def counting(rels, chern, weights):
-        if set(chern) == {1}:  # a slot width, not a single job's digits
-            calls.append((rels.ctx.n, rels.ctx.k, in_worker[0]))
+        calls.append((rels.ctx.n, rels.ctx.k, in_worker[0]))
         return bound(rels, chern, weights)
 
     class RoundTripPool:
@@ -276,7 +270,7 @@ def test_enumeration_at_a_high_order_starts_with_the_ladder_at_once(k, count):
     assert all(sum(w.a) == 3 ** (k - 1) + i for i, w in enumerate(vectors))
 
 
-def test_mixed_towers_push_forward_once_each_on_the_pipeline_tower_or_its_degree_specialization(monkeypatch):
+def test_mixed_towers_push_forward_once_per_packed_tower_and_single_jobs_run_none(monkeypatch):
     seen = []
     pushforward = morse.pushforward_to_base
 
@@ -292,15 +286,10 @@ def test_mixed_towers_push_forward_once_each_on_the_pipeline_tower_or_its_degree
     towers = {(2, 2), (2, 3), (3, 3), (3, 2), (2, 4)}
     monkeypatch.setattr(morse, "pushforward_to_base", recording)
     reports = compute_reports(jobs)
-    passes = [rels for rels in seen if rels is pipeline_tower(rels.ctx.n, rels.ctx.k)[0]]
-    assert sorted((rels.ctx.n, rels.ctx.k) for rels in passes) == sorted(towers - {(2, 4)})
-    # the one job of (2, 4) is pushed forward once, on its tower specialized at a degree
-    (single,) = [rels for rels in seen if rels.ctx is pipeline_tower(2, 4)[0].ctx]
-    assert single is not pipeline_tower(2, 4)[0]
-    u_vars = {single.ctx.u(j) for j in range(1, 5)}
-    assert all(cls.variables_used() <= u_vars for level in single.lifted for cls in level)
-    # no other pushforward runs: the slot widths of the four packed towers need none
-    assert len(seen) == len(passes) + 1
+    # each packed tower is pushed forward once, on its pipeline tower
+    assert all(rels is pipeline_tower(rels.ctx.n, rels.ctx.k)[0] for rels in seen)
+    assert sorted((rels.ctx.n, rels.ctx.k) for rels in seen) == sorted(towers - {(2, 4)})
+    # the one job of (2, 4) runs none: it is integrated as products of Segre classes
     assert [(r.n, r.k, r.geometry, r.weights) for r in reports] == [
         (spec.n, len(a), spec.token, a) for spec, a in jobs
     ]

@@ -26,8 +26,8 @@ from .verify import MAX_DIM, run_all
 TABLE_CELLS = [(n, k) for n in range(2, 6) for k in range(n, 6)]
 
 #: Most Morse-class terms of one job: admits (5,6), 1,385,824 terms, and refuses (6,6), 4,587,778.
-#: It counts the full class (``class_terms``), which no job forms: a packed pass forms the base-only
-#: class, and a single job none, as it integrates products of Segre classes ((6,6) in about 1 s).
+#: It counts the full class (``class_terms``), which no job forms: every job integrates products of
+#: Segre classes ((6,6) in about 1 s).
 MAX_CLASS_TERMS = 2_000_000
 
 
@@ -102,8 +102,8 @@ def cached_reports(
 def _thread_count(text: str) -> int:
     """``--threads`` clamped to the CPU count: a process pool starts every worker up front.
 
-    ``morse.compute_reports`` starts no more workers than passes, and no
-    pool for a single pass.
+    ``morse.compute_reports`` starts no more workers than jobs, and no pool
+    for a single job.
     """
     return min(int(text), os.cpu_count() or 1)
 

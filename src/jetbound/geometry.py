@@ -15,8 +15,7 @@ token that the command line, the reports and the cache keys use:
 ``chern_term_map`` is the one way to substitute those classes in a class:
 on raw terms it sends ``c_l`` to given integers, ``h`` to 1 and ``d`` to
 ``D``, and keeps every other field of a key.  ``degree_term_map`` is that
-map at ``c_l = p_l(D)``, ``p_l`` the degree polynomial of class l.  Packed
-passes, several jobs in one pushforward, substitute after it:
+map at ``c_l = p_l(D)``, ``p_l`` the degree polynomial of class l.
 ``evaluate_in_degree`` applies ``degree_term_map`` to a finished
 weighted-degree-n base class at a ``D = 2^B`` wide enough for its
 coefficients, reads the balanced base-``2^B`` digits (``balanced_digits``)
@@ -25,8 +24,10 @@ compact model that factor is the honest integral of ``h^n``; for the
 logarithmic model it is kept anyway so that outputs are directly comparable
 with the reference pipeline this engine reproduces.  The factor is positive
 for every degree ``d >= 1``, so positivity thresholds are unaffected.  A
-single job forms no base class: ``morse`` multiplies its base Segre classes
-out of the ``p_l`` (``_chern_coefficient_in_degree``) and then by ``d``.
+job forms no base class: ``morse`` multiplies its base Segre classes out of
+the ``p_l`` (``_chern_coefficient_in_degree``) and then by ``d``, and
+``evaluate_in_degree`` serves the pushforward of a class, the reference
+that recursion is tested against.
 
 A relation set is specialized before the pushforward, not here:
 ``RelationSet.specialized`` is the one way to map its classes, as

@@ -9,44 +9,27 @@ so only one reduction pass is needed.  The Euler operator ``h d/dh`` sends
 coefficient of ``u^alpha h^beta`` is
 ``(1 - beta) * N!/(alpha! beta!) * a^alpha * (2|a|)^beta``.  It is assembled
 as a trinomial in ``h`` and two halves of the weighted form, from the powers
-of each half, so every term is formed once.  A packed pass forms only the
-terms that can reach the base (``beta <= n`` and a power of ``u_k`` of at
-least ``r - 1``; ``morse_class(..., base_only=True)``): the pushforward
-drops every other term, so the base class is the same, and at (5,5) 39,650
-of the full class's 122,031 terms are formed.  Evaluating the integrated
-class in the degree variable yields a univariate polynomial ``P(d)``; when its
-leading coefficient is positive, the effective threshold is the smallest
-positive integer beyond which ``P`` stays strictly positive, located by an
-exact downward search below a power-of-two root bound.
+of each half, so every term is formed once; ``morse_class(..., base_only=True)``
+forms only the terms that can reach the base (``beta <= n`` and a power of
+``u_k`` of at least ``r - 1``), 39,650 of the full class's 122,031 at (5,5).
+Evaluating the integrated class in the degree variable yields a univariate
+polynomial ``P(d)``; when its leading coefficient is positive, the effective
+threshold is the smallest positive integer beyond which ``P`` stays strictly
+positive, located by an exact downward search below a power-of-two root bound.
 
 ``compute_reports`` is the package's one batch computation, serial or on a
-process pool.  A job is a ``(GeometrySpec, weights)`` pair; its tower is
-``(spec.n, len(weights))``.  A tower with one job, such as each cell of the
-table or ``compute_report``, is a pass of one with no width, and a pass of
-one job, with or without a width, forms no class and runs no pushforward.
-At ``h = 1`` its class is a combination of powers of the one linear form
+process pool.  A job is a ``(GeometrySpec, weights)`` pair, and each job runs
+on its own: it forms no class and runs no pushforward.  At ``h = 1`` its
+class is a combination of powers of the one linear form
 ``L = sum_j a_j u_j``, and ``_segre_states`` integrates those level by
 level as products of Segre classes: a level expands each Segre class of
 its own by those of the level below (``tower._segre_expansion``) and the
 power of ``L`` by the binomial theorem, and sends ``u_j^E`` to the Segre
 class ``s_(E-r+1)`` below.  At the base, ``_segre_polynomial`` reads the
 products as polynomials in d.  No u-monomial, degree substitution or digit
-is formed, and no tower is built.
-
-The jobs of a tower with more than one share a pushforward on the relations
-``tower.pipeline_tower`` builds once per process: their classes are packed
-into the slots of one class's coefficients, each slot one bit wider than
-``coefficient_bound``, the one bound on the integers a pushforward
-produces, at ``c_l = 1`` and at the componentwise maximum of the tower's
-vectors, which covers every base coefficient of every job of the tower.
-A packed pass substitutes the base Chern classes after the pushforward
-(``geometry.evaluate_in_degree``), and its slots are read by
-``geometry.balanced_digits``.  A tower's jobs are split into passes of
-even size, as many jobs each as ``PACKED_BITS`` holds slots (12 of the
-first 12 candidates at (3,5)).  A pass is its jobs and its slot width, and
-whichever process runs it takes its tower from ``pipeline_tower``; a pool
-starts only for more than one pass, with no more workers than passes, and
-the reports come back in job order.
+is formed, and no tower is built.  The pushforward of a class
+(``morse_class``, ``tower.pushforward_to_base``) remains the reference the
+recursion is tested against, and ``symbolic_leading_form`` runs on it.
 """
 
 from __future__ import annotations
@@ -58,16 +41,11 @@ from math import comb, isfinite
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
-from .geometry import (
-    EvaluatedClass,
-    GeometrySpec,
-    _chern_coefficient_in_degree,
-    balanced_digits,
-    chern_term_map,
-    evaluate_in_degree,
-)
+from .geometry import EvaluatedClass, GeometrySpec, _chern_coefficient_in_degree, chern_term_map
+# not used here: the benchmark's tracer (perfbench/spans.py) wraps it as ``morse.evaluate_in_degree``
+from .geometry import evaluate_in_degree  # noqa: F401
 from .polyring import _EXP_MASK, Polynomial, _add_into, _mul_into
-from .tower import RelationSet, TowerContext, _segre_expansion, pipeline_tower, pushforward_to_base
+from .tower import TowerContext, _segre_expansion, pushforward_to_base
 
 __all__ = [
     "WeightVector",
@@ -80,8 +58,6 @@ __all__ = [
     "order_bounds",
     "symbolic_leading_form",
     "MorseReport",
-    "PACKED_BITS",
-    "coefficient_bound",
     "compute_reports",
     "compute_report",
 ]
@@ -205,9 +181,9 @@ def class_terms(n: int, k: int) -> int:
     One term per ``u^alpha h^beta`` with ``|alpha| + beta = N = n + k(n-1)``
     and ``beta != 1``: the monomials of degree N in k + 1 variables, less
     those with ``beta = 1``, the monomials of degree N - 1 in k variables.
-    This counts the full class, not the base-only class the pipeline forms;
-    the CLI's oversize guard keeps reading it, so ``MAX_CLASS_TERMS`` and
-    the jobs the guard refuses do not depend on the cut.
+    This counts the full class, which no job forms (each integrates products
+    of Segre classes); the CLI's oversize guard keeps reading it, so
+    ``MAX_CLASS_TERMS`` and the jobs the guard refuses stay as they were.
     """
     N = n + k * (n - 1)
     return comb(N + k, k) - comb(N + k - 2, k - 1)
@@ -220,8 +196,8 @@ def morse_polynomial(
 ) -> EvaluatedClass:
     """Full pipeline: integrate the class to the base and evaluate it in the degree.
 
-    The value equals evaluating ``integrate_fibers(reduce_tower(...))``; a
-    single job integrates by the Segre recursion of ``_segre_polynomial``.
+    The value equals evaluating ``integrate_fibers(reduce_tower(...))``; the
+    job integrates by the Segre recursion of ``_segre_polynomial``.
     """
     return compute_report(spec, k, weights).morse_poly
 
@@ -396,148 +372,6 @@ class MorseReport:
         return report
 
 
-#: Width in bits of one packed coefficient: at most this many bits of slots
-#: share a pass, which caps the pass's big-integer sizes and so its memory.
-PACKED_BITS = 1024
-
-
-def _absolute_at(p: Polynomial, values: Sequence[int]) -> int:
-    """``|p|`` at ``values``: every coefficient made absolute, variable ``v`` set to ``values[v]``."""
-    total = 0
-    for key, coeff in p._terms.items():
-        term = abs(coeff)
-        for v, e in p.ring.decode(key).items():
-            term *= values[v] ** e
-        total += term
-    return total
-
-
-def coefficient_bound(rels: RelationSet, chern: Sequence[int], weights: Sequence[int]) -> int:
-    """A bound ``S`` on the base class of ``weights``' base-only class, ``c_l`` taken at ``chern[l-1]``.
-
-    No pushforward is run.  Write ``|f|`` for ``f`` with every coefficient
-    made absolute, evaluated at ``u_j = mu_j``, ``c_l = chern[l-1]`` and
-    ``h = 1``; it is subadditive and submultiplicative.  From level 1 up,
-    ``mu_j`` is the least integer ``mu >= 1`` with ``mu^r >= sum_l
-    |c_l^[j-1]| mu^(r-l)``, where the lifted classes of level j-1 hold
-    ``u_1..u_(j-1)`` only, so their values are known.  ``S`` bounds
-    ``|base|``, and so:
-
-    - at every ``chern[l-1] = 1``, ``S`` is at least the sum of the absolute
-      coefficients of the unspecialized base class over its c- and
-      h-monomials, and so at least each of them (a packed pass's slots);
-    - at ``chern[l-1] = ||p_l||``, the sum of the absolute coefficients of
-      the degree polynomial of class l, ``S >= sum_i |q_i|`` with ``P(d) =
-      sum_i q_i d^(i+1)``, since ``|.|`` then bounds the 1-norm in d of the
-      image under ``c_l -> p_l(d)``, ``h -> 1``.  The pipeline reads no
-      digits of ``P`` (single jobs run ``_segre_polynomial``); the tests
-      check this bound against every table cell.
-
-    Proof:
-
-    1. Level j of the pushforward sends ``u_j^m w``, w free of ``u_j``, to
-       ``w H_(m-r+1)``, with ``H_s = -sum_l c_l^[j-1] H_(s-l)``, ``H_0 = 1``
-       and ``H_s = 0`` below 0 (``u_j^(r-1)`` coefficient of ``u_j^m``
-       modulo the level relation); that is reduce-then-integrate, which
-       ``pushforward_to_base`` equals term by term, its cuts and peeling
-       included, at every level's ``peel_depth``.
-    2. By induction on s, ``|H_s| <= sum_l |c_l^[j-1]| mu_j^(s-l) <=
-       mu_j^s``, the last step being the choice of ``mu_j``.
-    3. So ``|w H_(m-r+1)| <= |u_j^m w| / mu_j^(r-1)``, also for ``m < r - 1``
-       where the image is 0, and by linearity and the triangle inequality
-       level j divides ``|.|`` of any class by at least ``mu_j^(r-1)``.
-    4. The class is ``sum_(beta != 1) (1 - beta) C(N, beta) Y^beta h^beta
-       (sum_j a_j u_j)^(N-beta)`` with ``Y = 2|a|``.  The pipeline pushes
-       forward its base-only part: the terms with ``beta <= n``, less those
-       whose power of ``u_k`` is below ``r - 1``, which only drops terms
-       from ``|.|``.  So with ``X = sum_j a_j mu_j`` its value is at most
-       ``sum_(beta <= n) |1 - beta| C(N, beta) Y^beta X^(N-beta)``.
-
-    Hence ``|base| <= |class| / prod_j mu_j^(r-1)``, and ``S`` is that
-    quotient rounded down, in exact integers.  The sum of step 4 increases
-    in every ``a_j``, so ``S`` at a componentwise maximum of several vectors
-    bounds each of them.  It reads the lifted classes of ``rels``, so a
-    tower built by hand gets its own bound.
-    """
-    ctx, r, N = rels.ctx, rels.ctx.r, rels.ctx.total_dim
-    values = [0] * ctx.ring.arity
-    for l, value in enumerate(chern, start=1):
-        values[ctx.c(l)] = value
-    values[ctx.h] = values[ctx.d] = 1
-    divisor = 1
-    for j in range(1, ctx.k + 1):
-        C = [_absolute_at(cls, values) for cls in rels.lifted[j - 1]]
-        fits = lambda mu: mu**r >= sum(c * mu ** (r - l) for l, c in enumerate(C, start=1))
-        low, high = 0, 1
-        while not fits(high):
-            low, high = high, 2 * high
-        while high - low > 1:
-            mid = (low + high) // 2
-            low, high = (low, mid) if fits(mid) else (mid, high)
-        values[ctx.u(j)] = high
-        divisor *= high ** (r - 1)
-    X, Y = sum(a * values[ctx.u(j)] for j, a in enumerate(weights, start=1)), 2 * sum(weights)
-    return sum(abs(1 - beta) * comb(N, beta) * Y**beta * X ** (N - beta) for beta in range(ctx.n + 1)) // divisor
-
-
-def _pack(ctx: TowerContext, weights: Sequence[WeightVector], bits: int) -> Polynomial:
-    """The Morse classes of ``weights`` in one class, slot i of each coefficient holding class i.
-
-    Every base-only class of the tower has the same monomials (each term is
-    nonzero, and the cut reads exponents only), so the packed coefficients
-    are one list over the keys of the first class built, folded by Horner
-    from the last class down: ``v -> (v << bits) + c_i``.  Each class is
-    dropped once it is folded in.
-    """
-    top = morse_class(ctx, weights[-1], base_only=True)._terms
-    keys, vals = list(top), list(top.values())
-    del top
-    for w in reversed(weights[:-1]):
-        cls = morse_class(ctx, w, base_only=True)._terms
-        vals = [(v << bits) + cls[key] for v, key in zip(vals, keys)]
-    return Polynomial(ctx.ring, dict(zip(keys, vals)))
-
-
-def _unpack(packed: Polynomial, bits: int, count: int) -> list[Polynomial]:
-    """The ``count`` classes packed in ``packed``, slot i holding class i.
-
-    Each coefficient is read off as ``count`` balanced base-``2^bits``
-    digits (``balanced_digits``); a top slot outside their range is a
-    violated invariant and raises ``JetboundError``.
-    """
-    slots: list[dict[int, int]] = [{} for _ in range(count)]
-    for key, value in packed._terms.items():
-        for slot, digit in zip(slots, balanced_digits(value, bits, count, "a packed base class")):
-            slot[key] = digit
-    return [packed.ring.polynomial(slot) for slot in slots]
-
-
-def _passes(
-    jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
-) -> list[tuple[list[int], Optional[int]]]:
-    """Job indices grouped by tower ``(spec.n, len(weights))`` and split into packed passes of even size.
-
-    Each pass comes with its slot width, one bit above ``coefficient_bound``
-    at every ``c_l = 1`` and at the componentwise maximum of the tower's
-    vectors, and a pass holds at most ``PACKED_BITS // width`` jobs.  A
-    tower with one job is a pass of one with no width, so it computes no
-    bound.
-    """
-    towers: dict[tuple[int, int], list[int]] = {}
-    for index, (spec, weights) in enumerate(jobs):
-        towers.setdefault((spec.n, len(weights)), []).append(index)
-    passes = []
-    for (n, k), indices in towers.items():
-        bits = None
-        if len(indices) > 1:
-            top = [max(jobs[i][1][j] for i in indices) for j in range(k)]
-            bits = coefficient_bound(pipeline_tower(n, k)[0], [1] * n, top).bit_length() + 1
-        count = 1 if bits is None else -(-len(indices) // max(1, PACKED_BITS // bits))
-        size = -(-len(indices) // count)
-        passes += [(indices[start:start + size], bits) for start in range(0, len(indices), size)]
-    return passes
-
-
 def _segre_states(
     r: int, weights: Sequence[int], powers: Mapping[int, int]
 ) -> Iterator[dict[tuple[tuple[int, ...], int], int]]:
@@ -555,7 +389,7 @@ def _segre_states(
       ``m = M`` at j = 1, where ``L_0 = 0``;
     - it pushes ``u_j^E`` forward to ``s_(E-r+1)^[j-1]``, zero for ``E < r -
       1``: the ``u_j^(r-1)`` coefficient of ``u_j^E`` modulo the level
-      relation, the ``H_s`` of step 1 of ``coefficient_bound``'s proof.
+      relation, which is what ``pushforward_to_base`` integrates it to.
 
     Each step is an identity in the cohomology of level j, and the
     pushforward is linear over level j - 1 (the projection formula), so the
@@ -616,68 +450,45 @@ def _segre_polynomial(spec: GeometrySpec, weights: WeightVector) -> EvaluatedCla
     return EvaluatedClass.from_coefficients([0] + [total.get(i, 0) for i in range(n + 1)])
 
 
-def _run_pass(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]], bits: Optional[int]) -> list[MorseReport]:
-    """The reports of one pass of ``_passes``, in job order.
+def _run_job(job: tuple[GeometrySpec, tuple[int, ...]]) -> MorseReport:
+    """The report of one ``(spec, weights)`` job, its ``elapsed_ms`` the job's own wall time.
 
-    A pass of one job is ``_segre_polynomial``, with or without a width: it
-    builds no tower and runs no pushforward.  Otherwise the Morse classes
-    are packed into one class whose coefficients are ``sum_i c_i
-    2^(i*bits)``, the class of job i in slot i, and pushed forward once on
-    the jobs' one tower from ``pipeline_tower``.  ``pushforward_to_base`` is
-    Z-linear in the coefficients, and its degree and suffix cuts and its
-    dropping of zero terms never depend on a coefficient's value, so the
-    packed base class holds the base class of every job in its slot
-    exactly.  Each class is dropped once packed.  Each report's
-    ``elapsed_ms`` is an even share of the pass's wall time.
+    ``P(d)`` comes from ``_segre_polynomial``: no tower is built and no class
+    is formed or pushed forward.
     """
-    n, k = jobs[0][0].n, len(jobs[0][1])
-    weights = [_as_weights(w) for _, w in jobs]
+    spec, weights = job
     start = time.perf_counter()
-    if len(jobs) == 1:
-        polys = [_segre_polynomial(jobs[0][0], weights[0])]
-    else:
-        rels = pipeline_tower(n, k)[0]
-        bases = _unpack(pushforward_to_base(_pack(rels.ctx, weights, bits), rels), bits, len(jobs))
-        polys = [evaluate_in_degree(rels.ctx, base, spec) for (spec, _), base in zip(jobs, bases)]
-    elapsed_ms = round((time.perf_counter() - start) * 1000.0 / len(jobs), 3)
-    return [
-        MorseReport(
-            n=spec.n,
-            k=k,
-            geometry=spec.token,
-            weights=w.a,
-            total_dim=n + k * (n - 1),
-            morse_poly=P,
-            leading_coeff=P.leading_coefficient,
-            threshold=degree_threshold(P),
-            elapsed_ms=elapsed_ms,
-        )
-        for (spec, _), w, P in zip(jobs, weights, polys)
-    ]
+    w = _as_weights(weights)
+    P = _segre_polynomial(spec, w)
+    threshold = degree_threshold(P)
+    return MorseReport(
+        n=spec.n,
+        k=w.k,
+        geometry=spec.token,
+        weights=w.a,
+        total_dim=spec.n + w.k * (spec.n - 1),
+        morse_poly=P,
+        leading_coeff=P.leading_coefficient,
+        threshold=threshold,
+        elapsed_ms=round((time.perf_counter() - start) * 1000.0, 3),
+    )
 
 
 def compute_reports(
     jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
     threads: int = 1,
 ) -> list[MorseReport]:
-    """The report of every ``(spec, weights)`` job, in job order.
+    """The report of every ``(spec, weights)`` job, in job order, each job run by ``_run_job``.
 
-    Each pass of ``_passes`` runs through ``_run_pass``.  With more than one
-    thread and more than one pass, the passes go to a process pool of
-    ``min(threads, passes)`` workers, each pass as its jobs and its slot
-    width, and the reports come back pickled.
+    With more than one thread and more than one job, the jobs go to a
+    process pool of ``min(threads, jobs)`` workers, each job pickled as its
+    spec and weights, and the reports come back pickled.
     """
-    passes = _passes(jobs)
-    batches = [[jobs[i] for i in indices] for indices, _ in passes]
-    widths = [bits for _, bits in passes]
-    workers = min(threads, len(passes))
+    workers = min(threads, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_pass, batches, widths))
-    else:
-        results = list(map(_run_pass, batches, widths))
-    by_index = {i: report for (indices, _), batch in zip(passes, results) for i, report in zip(indices, batch)}
-    return [by_index[i] for i in range(len(jobs))]
+            return list(pool.map(_run_job, jobs))
+    return list(map(_run_job, jobs))
 
 
 def compute_report(

@@ -8,8 +8,8 @@ Results are ranked by (threshold, total, vector), with an absent threshold
 ranking last, which makes the winner independent of evaluation order and of
 any parallelism.
 
-``run_sweep`` computes the candidates with ``morse.compute_reports``, which
-packs them into shared pushforwards, serially or on a process pool.
+``run_sweep`` computes the candidates with ``morse.compute_reports``, one
+job each, serially or on a process pool.
 """
 
 from __future__ import annotations

@@ -21,11 +21,11 @@ def table_cache_dir(tmp_path_factory):
 def table_bases():
     """The base class of every table cell, pushed forward on the pipeline tower.
 
-    Each cell is a pass of one, which integrates as products of Segre
-    classes and runs no pushforward, so the pipeline never forms these
-    classes: they are computed here, once per session, from the base-only
-    class, which has the full class's pushforward.  They are the suite's only pushforward of a
-    peel deeper than one level on a tower with symbolic ``c_l``.
+    Every job integrates as products of Segre classes and runs no
+    pushforward, so the pipeline never forms these classes: they are
+    computed here, once per session, from the base-only class, which has
+    the full class's pushforward.  They are the suite's only pushforward of
+    a peel deeper than one level on a tower with symbolic ``c_l``.
     """
     bases = {}
     for n, k in TABLE_CELLS:
@@ -41,6 +41,6 @@ def table_reports(table_cache_dir):
 
 @pytest.fixture(scope="session")
 def compact_table_reports():
-    """The report of every table cell on the compact geometry, each a pass of one."""
+    """The report of every table cell on the compact geometry, each a job of its own."""
     jobs = [(GeometrySpec("compact", n), default_weights(k).a) for n, k in TABLE_CELLS]
     return dict(zip(TABLE_CELLS, compute_reports(jobs)))

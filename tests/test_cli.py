@@ -143,7 +143,6 @@ def test_an_oversized_sweep_exits_2_before_any_tower_is_built(capsys, tmp_path, 
         raise AssertionError("a tower was built")
 
     monkeypatch.setattr("jetbound.cli.pipeline_tower", refuse)
-    monkeypatch.setattr("jetbound.morse.pipeline_tower", refuse)
     code, out, err = run_cli(capsys, "sweep", "--dim", "2", "--order", "40", "--budget", "2",
                              "--cache-dir", str(tmp_path / "cache"))
     assert code == 2
@@ -280,7 +279,7 @@ def test_threads_clamped_to_cpu_count(capsys, tmp_path, monkeypatch, cpus, reque
 
     monkeypatch.setattr("jetbound.cli.os.cpu_count", lambda: cpus)
     monkeypatch.setattr("jetbound.morse.ProcessPoolExecutor", RecordingPool)
-    # three passes each: three one-job towers, and 100 (2,2) candidates
+    # three jobs or more each: three table cells, and 100 (2,2) candidates
     monkeypatch.setattr("jetbound.cli.TABLE_CELLS", [(2, 2), (2, 3), (3, 3)])
     code, _, _ = run_cli(capsys, "table", "--threads", requested,
                          "--cache-dir", str(tmp_path / "table"))
@@ -529,7 +528,7 @@ def test_internal_error_maps_to_exit_4(capsys, cache_dir, monkeypatch):
     def boom(*args, **kwargs):
         raise UnreducedClassError("synthetic invariant violation")
 
-    monkeypatch.setattr("jetbound.morse._run_pass", boom)
+    monkeypatch.setattr("jetbound.morse._run_job", boom)
     code, _, err = run_cli(capsys, "bound", "--dim", "2", "--order", "2",
                            "--cache-dir", cache_dir)
     assert code == 4

@@ -82,14 +82,23 @@ def test_sweep_candidates_equal_the_pushforward_of_their_class():
     _assert_reports_are_the_pushforward(compute_reports(jobs), jobs)
 
 
-def test_no_job_runs_a_pushforward(monkeypatch):
+@pytest.fixture
+def no_pushforward(monkeypatch):
+    """Makes forming a class, running a pushforward or evaluating one raise."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("a job formed a class or ran a pushforward")
 
     for name in ("TowerContext", "morse_class", "pushforward_to_base", "evaluate_in_degree"):
         monkeypatch.setattr(morse, name, refuse)
+
+
+def test_no_job_of_two_sweep_rounds_runs_a_pushforward(no_pushforward):
     for _ in range(2):  # two sweep rounds on one tower
         assert run_sweep(logarithmic_pair(3), 5, len(SWEEP_CANDIDATES)).best.weights == SWEEP_CANDIDATES[0]
+
+
+def test_no_job_of_mixed_towers_runs_a_pushforward(no_pushforward):
     jobs = [
         (geometry(n), a)
         for geometry in (logarithmic_pair, compact_hypersurface)

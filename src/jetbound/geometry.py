@@ -27,12 +27,9 @@ for every degree ``d >= 1``, so positivity thresholds are unaffected.  A
 job forms no base class: ``morse`` multiplies its base Segre classes out of
 the ``p_l`` (``_chern_coefficient_in_degree``) and then by ``d``, and
 ``evaluate_in_degree`` serves the pushforward of a class, the reference
-that recursion is tested against.
-
-A relation set is specialized before the pushforward, not here:
-``RelationSet.specialized`` is the one way to map its classes, as
-``symbolic_leading_form`` does with ``chern_term_map`` at ``c_l =
-(-1)^l``, the top d-coefficient of class l in both models.
+that recursion is tested against.  The symbolic forms of ``verify`` read
+the base at ``c_l = (-1)^l``, the top d-coefficient of class l in both
+models, as integers of ``morse._leading_value``.
 """
 
 from __future__ import annotations

@@ -27,9 +27,11 @@ its own by those of the level below (``tower._segre_expansion``) and the
 power of ``L`` by the binomial theorem, and sends ``u_j^E`` to the Segre
 class ``s_(E-r+1)`` below.  At the base, ``_segre_polynomial`` reads the
 products as polynomials in d.  No u-monomial, degree substitution or digit
-is formed, and no tower is built.  The pushforward of a class
-(``morse_class``, ``tower.pushforward_to_base``) remains the reference the
-recursion is tested against, and ``symbolic_leading_form`` runs on it.
+is formed, and no tower is built.  The same recursion, given the powers of
+symbolic weights in place of the ``a_j^m``, gives ``symbolic_leading_form``
+(``_leading_value``).  The pushforward of a class (``morse_class``,
+``tower.pushforward_to_base``) remains the reference the recursion is
+tested against.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ from math import comb, isfinite
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
-from .geometry import EvaluatedClass, GeometrySpec, _chern_coefficient_in_degree, chern_term_map
-# not used here: the benchmark's tracer (perfbench/spans.py) wraps it as ``morse.evaluate_in_degree``
+from .geometry import EvaluatedClass, GeometrySpec, _chern_coefficient_in_degree
+# not used here: the benchmark's tracer (perfbench/spans.py) wraps them as ``morse.evaluate_in_degree``
+# and ``morse.pushforward_to_base``
 from .geometry import evaluate_in_degree  # noqa: F401
 from .polyring import _EXP_MASK, Polynomial, _add_into, _mul_into
-from .tower import TowerContext, _segre_expansion, pushforward_to_base
+from .tower import TowerContext, _segre_expansion
+from .tower import pushforward_to_base  # noqa: F401
 
 __all__ = [
     "WeightVector",
@@ -136,7 +140,7 @@ def morse_class(
     ``pushforward_to_base`` drops every other term, whatever the relations
     and the coefficients: for ``beta > n`` the u-degree ``N - beta`` is below
     the level-k cut ``k(r-1)``, and a lower power of ``u_k`` is dropped when
-    the input is bucketed.  So both classes have the same pushforward.  The
+    the strata are split.  So both classes have the same pushforward.  The
     powers of the half holding ``u_k`` (``B``, or ``A`` at ``k = 1``) are
     filtered once, before the products, and the filter reads exponents only,
     so every admissible vector on one tower gives the same keys.
@@ -287,18 +291,17 @@ def symbolic_leading_form(spec: GeometrySpec, k: int, c1_power: int = 0) -> Poly
     The form depends on ``spec.n`` alone, not on the geometry: base class j
     has top d-coefficient ``(-1)^j`` in both, and every c-monomial of the
     base class has weighted degree n, so the ``d^(n+1)`` coefficient is the
-    base class at ``c_j = (-1)^j``.  That ring map fixes ``u_1..u_k``, so the
-    power is pushed forward on the tower's relations specialized by it
-    (``RelationSet.specialized`` with ``geometry.chern_term_map``, which
-    keeps the ``a_j`` fields), whose base class is that value times
-    ``(-1)^i`` for the factor ``c_1^i``; no c-monomial is ever formed.
+    base class at ``c_j = (-1)^j``.  ``_leading_value`` reads it off the
+    Segre recursion run on the power of the form, with the powers of the
+    weight variables ``a_j`` as its factors; the projection formula moves
+    ``c_1^i`` out of every level, and it contributes ``(-1)^i``.  No
+    u-monomial or c-monomial is ever formed.
     """
     ctx = TowerContext(spec.n, k, symbolic_weights=True)
-    ring = ctx.ring
-    signs = chern_term_map(ctx, [(-1) ** l for l in range(1, ctx.r + 1)], 1)
-    F = sum((ring.variable(ctx.a(j)) * ring.variable(ctx.u(j)) for j in range(1, k + 1)), ring.zero)
-    base = pushforward_to_base(F ** (ctx.total_dim - c1_power), ctx.relations.specialized(signs))
-    return (-1) ** c1_power * base
+    ring, N = ctx.ring, ctx.total_dim - c1_power
+    levels = [[ring.variable(ctx.a(j)) ** m for m in range(N + 1)] for j in range(1, k + 1)]
+    # ring.zero keeps the result a polynomial where no state counts and the sum is the integer 0
+    return (-1) ** c1_power * (ring.zero + _leading_value(ctx.r, levels, {N: 1}))
 
 
 @dataclass(frozen=True)
@@ -373,19 +376,23 @@ class MorseReport:
 
 
 def _segre_states(
-    r: int, weights: Sequence[int], powers: Mapping[int, int]
-) -> Iterator[dict[tuple[tuple[int, ...], int], int]]:
-    """The states of ``sum_M powers[M] L^M``, ``L = sum_j a_j u_j``, on levels k, k - 1, ..., 0.
+    r: int, levels: Sequence[Sequence], powers: Mapping[int, int]
+) -> Iterator[dict[tuple[tuple[int, ...], int], Union[int, Polynomial]]]:
+    """The states of ``sum_M powers[M] L^M``, ``L = sum_j x_j u_j``, on levels k, k - 1, ..., 0.
 
-    A state ``(indices, M)`` of level j with coefficient g stands for ``g
-    prod_(i in indices) s_i^[j] L_j^M``, ``L_j = sum_(i <= j) a_i u_i`` and
-    ``s^[j] = 1 / c^[j]`` the Segre series of the level-j classes; level k
-    holds ``((), M)`` for each power.  Level j turns its states into those
+    ``levels[j - 1][m]`` is the factor ``x_j^m`` of ``u_j^m``, for every
+    power m up to the largest M, and a zero entry drops that power: a job
+    passes ``a_j^m``, ``symbolic_leading_form`` the powers of a weight
+    variable, and the balanced intersection of ``verify`` keeps ``m = n``
+    alone.  A state ``(indices, M)`` of level j with coefficient g stands for
+    ``g prod_(i in indices) s_i^[j] L_j^M``, ``L_j = sum_(i <= j) x_i u_i``
+    and ``s^[j] = 1 / c^[j]`` the Segre series of the level-j classes; level
+    k holds ``((), M)`` for each power.  Level j turns its states into those
     of level j - 1 in three steps:
 
     - it expands each index by ``tower._segre_expansion``, which gives ``u_j^e``
       times a product of level-(j-1) Segre classes;
-    - it writes ``L_j^M = sum_m C(M, m) a_j^m u_j^m L_(j-1)^(M-m)``, with
+    - it writes ``L_j^M = sum_m C(M, m) x_j^m u_j^m L_(j-1)^(M-m)``, with
       ``m = M`` at j = 1, where ``L_0 = 0``;
     - it pushes ``u_j^E`` forward to ``s_(E-r+1)^[j-1]``, zero for ``E < r -
       1``: the ``u_j^(r-1)`` coefficient of ``u_j^E`` modulo the level
@@ -400,12 +407,14 @@ def _segre_states(
     """
     states = {((), M): g for M, g in powers.items()}
     yield states
-    for j in range(len(weights), 0, -1):
-        a, below = weights[j - 1], {}
+    for j in range(len(levels), 0, -1):
+        factors, below = levels[j - 1], {}
         for (indices, M), g in states.items():
             expansion = _segre_expansion(r, indices)
             for m in range(M if j == 1 else 0, M + 1):
-                scale = g * comb(M, m) * a**m
+                if not (factor := factors[m]):
+                    continue
+                scale = g * comb(M, m) * factor
                 for e, rest, coeff in expansion:
                     index = e + m - r + 1
                     if index >= 0:
@@ -413,6 +422,20 @@ def _segre_states(
                         below[key] = below.get(key, 0) + scale * coeff
         states = below
         yield states
+
+
+def _leading_value(r: int, levels: Sequence[Sequence], powers: Mapping[int, int]):
+    """``sum g prod_i S_i`` over the base states of ``_segre_states``, ``S_i`` the base Segre class at ``c_l = (-1)^l``.
+
+    That is the base class at ``c_l = (-1)^l``, the top d-coefficient of
+    class l in both geometries, so on a class of weighted degree n it is
+    the ``d^(n+1)`` coefficient of its evaluation in the degree.  There
+    ``1 / c(y) = (1 + y) / (1 - (-y)^(r+1))``, so ``S_1 = 1`` and ``S_p = 0``
+    for ``2 <= p <= r``: only the states whose indices are all 1 count.
+    """
+    for states in _segre_states(r, levels, powers):
+        pass
+    return sum(g for (indices, _), g in states.items() if set(indices) <= {1})
 
 
 def _segre_polynomial(spec: GeometrySpec, weights: WeightVector) -> EvaluatedClass:
@@ -431,7 +454,8 @@ def _segre_polynomial(spec: GeometrySpec, weights: WeightVector) -> EvaluatedCla
     n, r, k = spec.n, spec.n, weights.k
     N, twist = n + k * (r - 1), 2 * weights.total
     powers = {N - beta: (1 - beta) * comb(N, beta) * twist**beta for beta in range(n + 1) if beta != 1}
-    for states in _segre_states(r, weights.a, powers):
+    levels = [[a**m for m in range(N + 1)] for a in weights.a]
+    for states in _segre_states(r, levels, powers):
         pass
     # raw term maps in d, each key an exponent: -p_l(d), S_p(d) and then P(d) / d
     chern = [{i: -c for i, c in enumerate(_chern_coefficient_in_degree(spec, l))} for l in range(1, r + 1)]

@@ -9,11 +9,11 @@ below order n, with symbolic weights, so for every weight vector: of the
 self-intersection for every k < n (``low-order-leading-n*``) and against
 ``c1^i`` (``first-chern-vanishing-n*``).  A symbolic form is
 ``sum_e N!/e! a^e T(e)``, ``T(e)`` the top coefficient of the tuple ``u^e``,
-so it is zero exactly when every ``T(e)`` is.  Every integration runs through
-``pushforward_to_base``, the pipeline's own, and the first three checks read
-the relation sets of ``pipeline_tower``, the ones every report is computed
-with.  The CLI ``verify`` command prints one line per check; the test suite
-asserts them all.
+so it is zero exactly when every ``T(e)`` is.  Every integration runs on the
+Segre recursion of ``morse._segre_states``, the one every report is computed
+with, and the first two checks read the relation sets of ``pipeline_tower``,
+from which every cache key is formed.  The CLI ``verify`` command prints one
+line per check; the test suite asserts them all.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 from typing import Iterable, Sequence
 
-from .geometry import GeometrySpec, compact_hypersurface, evaluate_in_degree
-from .morse import WeightVector, morse_polynomial, symbolic_leading_form
+from .geometry import GeometrySpec, compact_hypersurface
+from .morse import WeightVector, _leading_value, morse_polynomial, symbolic_leading_form
 from .polyring import reduce_monic
-from .tower import _lifted_class, pipeline_tower, pushforward_to_base
+from .tower import _lifted_class, pipeline_tower
 
 __all__ = [
     "CheckResult",
@@ -107,12 +108,15 @@ def check_vanishing_against_first_chern(n: int) -> CheckResult:
 
 
 def check_balanced_intersection_unit(n: int) -> CheckResult:
-    """The evaluated u_1^n ... u_n^n intersection has top coefficient exactly 1."""
-    rels = pipeline_tower(n, n)[0]
-    ctx, ring = rels.ctx, rels.ctx.ring
-    monomial = ring.polynomial({ring.encode({ctx.u(j): n for j in range(1, n + 1)}): 1})
-    base = pushforward_to_base(monomial, rels)
-    value = evaluate_in_degree(ctx, base, compact_hypersurface(n)).coefficient(n + 1)
+    """The evaluated u_1^n ... u_n^n intersection has top coefficient exactly 1.
+
+    The Segre recursion integrates ``L^N``, ``N = n^2``, with each level's
+    power of ``u_j`` held at n: that is the monomial times the multinomial
+    ``N!/(n!)^n``.
+    """
+    N = n * n
+    levels = [[int(m == n) for m in range(N + 1)]] * n
+    value = Fraction(_leading_value(n, levels, {N: 1}), factorial(N) // factorial(n) ** n)
     if value != 1:
         return CheckResult(f"balanced-unit-n{n}", False, f"coefficient {value}")
     return CheckResult(f"balanced-unit-n{n}", True)

@@ -19,18 +19,19 @@ def table_cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def table_bases():
-    """The base class of every table cell, pushed forward on the pipeline tower.
+    """The base class of every table cell but (5,5), pushed forward on the pipeline tower.
 
     Every job integrates as products of Segre classes and runs no
     pushforward, so the pipeline never forms these classes: they are
     computed here, once per session, from the base-only class, which has
-    the full class's pushforward.  They are the suite's only pushforward of
-    a peel deeper than one level on a tower with symbolic ``c_l``.
+    the full class's pushforward.  The reference pass takes seconds at
+    (5,5), whose ``P(d)`` ``POLYNOMIAL_DIGESTS`` pins in both geometries.
     """
     bases = {}
     for n, k in TABLE_CELLS:
-        rels = pipeline_tower(n, k)[0]
-        bases[n, k] = pushforward_to_base(morse_class(rels.ctx, default_weights(k), base_only=True), rels)
+        if (n, k) != (5, 5):
+            rels = pipeline_tower(n, k)[0]
+            bases[n, k] = pushforward_to_base(morse_class(rels.ctx, default_weights(k), base_only=True), rels)
     return bases
 
 

@@ -704,10 +704,11 @@ def test_enumerate_admissible_order_and_content():
 
 
 def test_verify_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--dim-max", "3")
+    code, out, _ = run_cli(capsys, "verify", "--dim-max", "5")
     assert code == 0
     assert "FAIL" not in out
-    assert "balanced-unit-n3" in out
+    assert "balanced-unit-n5" in out
+    assert out.endswith("13/13 checks passed\n")
 
 
 @pytest.mark.parametrize("dim_max", ["1", "-3"])

@@ -184,6 +184,17 @@ def _digit_bound(spec, k) -> int:
     return sum(map(abs, compute_report(spec, k).morse_poly.coeffs))
 
 
+def _specialized(rels, term_map) -> RelationSet:
+    """``rels`` with every lifted class and relation mapped through ``term_map``.
+
+    When ``term_map`` is a ring map that fixes ``u_1..u_k``, such as the
+    degree specialization, the pushforward on the result is that map of the
+    pushforward on ``rels``.
+    """
+    lifted = tuple(tuple(map(term_map, level)) for level in rels.lifted)
+    return RelationSet(rels.ctx, lifted, tuple(map(term_map, rels.relations)))
+
+
 def _tower(cell) -> RelationSet:
     return _perturbed_3_4() if cell == "perturbed" else pipeline_tower(*cell)[0]
 
@@ -213,7 +224,7 @@ def test_base_only_class_has_the_pushforward_of_the_full_class(cell):
     # on the tower specialized at a degree above the 1-norm of the ladder's P, in both geometries
     for spec in (logarithmic_pair(ctx.n), compact_hypersurface(ctx.n)):
         D = 2 ** (_digit_bound(spec, ctx.k).bit_length() + 1)
-        specialized = rels.specialized(degree_term_map(ctx, spec, D))
+        specialized = _specialized(rels, degree_term_map(ctx, spec, D))
         value = pushforward_to_base(morse_class(ctx, a, keep_h=False, base_only=True), specialized)
         assert value._terms.get(0)
         assert value == pushforward_to_base(morse_class(ctx, a, keep_h=False), specialized)
@@ -354,6 +365,28 @@ POLYNOMIAL_DIGESTS = {
 }
 
 
+# SHA-256 of the term map of symbolic_leading_form(compact_hypersurface(n), k, c1_power=i), keyed
+# (n, k, i): one line "e_1,...,e_k:coefficient" per term, the a-exponents ascending, as the
+# pushforward computed the forms before they moved onto the Segre recursion.
+FORM_DIGESTS = {
+    (2, 2, 0): "6b6164e00f6253358d5d34fe417d851274c524f2b06f9fd3dfd18799813bce96",
+    (3, 3, 0): "e6af4ecd1e754b7aedad31391f08109cc245213c346c3e96530a32f307bac1eb",
+    (4, 4, 0): "9d2aafd34763070bcaf5ea8d5a539233e21067e5dd77b9476be4995626d056b5",
+    (2, 2, 1): "266be7cb1c96204952fe43ee64d24bb0be721f786ae751a321ca5db240a552e7",
+    (3, 3, 1): "c397ec4f852c7a91419cf1110cba8f0609610c3d02481c664f68ea5232b8c97c",
+    (4, 3, 1): "7fa1664fbcf7f30207eaad148b32971f9baff33fcd1e02e722cccaf57ad73043",
+}
+
+
+@pytest.mark.parametrize("n,k,i", list(FORM_DIGESTS))
+def test_every_term_of_the_symbolic_forms_is_pinned(n, k, i):
+    form = symbolic_leading_form(compact_hypersurface(n), k, c1_power=i)
+    weights = [form.ring.var(f"a{j}") for j in range(1, k + 1)]
+    rows = sorted((tuple(exps.get(v, 0) for v in weights), coeff) for exps, coeff in form.terms())
+    text = "\n".join(f"{','.join(map(str, e))}:{coeff}" for e, coeff in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == FORM_DIGESTS[n, k, i]
+
+
 @pytest.fixture()
 def both_tables(table_reports, compact_table_reports):
     return {"log": table_reports, "compact": compact_table_reports}
@@ -376,7 +409,7 @@ def test_pushforward_on_the_degree_specialized_tower_is_P_at_that_degree(make_sp
     P = compute_report(spec, k).morse_poly
     cls = morse_class(rels.ctx, a, keep_h=False)
     for D in (-3, -1, 1, 2, 7, 2 ** (_digit_bound(spec, k).bit_length() + 1)):
-        value = pushforward_to_base(cls, rels.specialized(degree_term_map(rels.ctx, spec, D)))
+        value = pushforward_to_base(cls, _specialized(rels, degree_term_map(rels.ctx, spec, D)))
         assert set(value._terms) <= {0}
         assert D * value._terms.get(0, 0) == P(D)
 
@@ -391,7 +424,8 @@ def _pushed_forward_polynomials(n, k, a) -> dict[str, EvaluatedClass]:
     return {spec.token: evaluate_in_degree(rels.ctx, base, spec) for spec in (logarithmic_pair(n), compact_hypersurface(n))}
 
 
-@pytest.mark.parametrize("cell", TABLE_CELLS)
+# (5,5), the one cell the fixture leaves out, is pinned by POLYNOMIAL_DIGESTS
+@pytest.mark.parametrize("cell", [cell for cell in TABLE_CELLS if cell != (5, 5)])
 def test_segre_recursion_equals_the_pushforward_on_table_cell(cell, table_bases):
     n, k = cell
     ctx = pipeline_tower(n, k)[0].ctx
@@ -416,9 +450,10 @@ def test_segre_recursion_equals_the_pushforward(n, a):
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 5), (3, 3), (4, 4), (5, 5)])
 def test_segre_states_keep_their_degree_and_end_with_no_power_left(n, k):
-    r, N, a = n, n + k * (n - 1), default_weights(k).a
+    r, N = n, n + k * (n - 1)
+    factors = [[x**m for m in range(N + 1)] for x in default_weights(k).a]
     for beta in (0, *range(2, n + 1)):
-        levels = list(morse._segre_states(r, a, {N - beta: 1}))
+        levels = list(morse._segre_states(r, factors, {N - beta: 1}))
         assert len(levels) == k + 1 and levels[-1]
         for j, states in zip(range(k, -1, -1), levels):
             for indices, M in states:

@@ -2,8 +2,6 @@
 
 import itertools
 import random
-import sys
-import tracemalloc
 
 import pytest
 
@@ -17,7 +15,7 @@ from jetbound import (
     pushforward_to_base,
     reduce_tower,
 )
-from jetbound import tower, verify
+from jetbound import morse, tower, verify
 from jetbound.errors import DimensionMismatchError, UnreducedClassError
 from jetbound.geometry import chern_term_map
 from jetbound.morse import default_weights, morse_class
@@ -101,41 +99,53 @@ def test_truncation_check_fails_on_a_perturbed_relation(monkeypatch):
     assert result.detail == "class 3 is nonzero at n=2, level 1"
 
 
-def _perturb_lifted_c1(ctx, lifted, relations):
-    # the u1 coefficient of c_1 at level 1 goes from r-1 to r
-    if len(lifted) > 1:
-        lifted[1] = (lifted[1][0] + ctx.ring.variable(ctx.u(1)),) + lifted[1][1:]
-    return lifted, relations
+def _perturb_segre_expansion(monkeypatch):
+    """Make ``morse`` read a ``_segre_expansion`` whose ``s_2^[j]`` gains ``(s_1^[j-1])^2``.
+
+    That coefficient goes from 0 to 1.  The term has the right degree, but
+    its extra index breaks the count that makes the low-order forms vanish:
+    at ``c_l = (-1)^l`` the base Segre classes are ``S_1 = 1`` and ``S_p =
+    0`` for ``2 <= p <= r``, so only products of n classes ``s_1`` reach
+    ``d^(n+1)``, and a true expansion adds at most one index per level, so
+    fewer than n levels never reach one.
+    """
+    expansion = morse._segre_expansion
+
+    def perturbed(r, indices):
+        terms = expansion(r, indices)
+        return terms + ((0, (1, 1), 1),) if indices == (2,) else terms
+
+    monkeypatch.setattr(morse, "_segre_expansion", perturbed)
 
 
 def test_low_order_check_fails_on_a_perturbed_lifted_class(monkeypatch):
     assert check_low_order_leading_vanishes(3).passed
-    _patch_relations(monkeypatch, _perturb_lifted_c1)
+    _perturb_segre_expansion(monkeypatch)
     result = check_low_order_leading_vanishes(3)
     assert result.name == "low-order-leading-n3"
     assert not result.passed
-    assert result.detail.startswith("k=2: ")
+    assert result.detail == "k=2: 1 terms"
 
 
 def test_verify_catches_a_perturbed_lifted_class(monkeypatch, capsys):
     # the symbolic check is the one low-order proof verify runs; its own line must fail
-    _patch_relations(monkeypatch, _perturb_lifted_c1)
+    _perturb_segre_expansion(monkeypatch)
     results = {r.name: r for r in run_all(3)}
     assert not results["low-order-leading-n3"].passed
     assert main(["verify", "--dim-max", "3"]) == 4
-    assert "FAIL  low-order-leading-n3  (k=2: " in capsys.readouterr().out
+    assert "FAIL  low-order-leading-n3  (k=2: 1 terms)" in capsys.readouterr().out
 
 
 def test_first_chern_vanishing_fails_on_a_perturbed_lifted_class(monkeypatch, capsys):
-    # the lifted classes, which the pipeline's pushforward reads, must carry the check
+    # the Segre expansion, which every integration of verify reads, must carry the check
     assert check_vanishing_against_first_chern(4).passed
-    _patch_relations(monkeypatch, _perturb_lifted_c1)
+    _perturb_segre_expansion(monkeypatch)
     result = check_vanishing_against_first_chern(4)
     assert result.name == "first-chern-vanishing-n4"
     assert not result.passed
-    assert result.detail == "i=1: 4 terms"
+    assert result.detail == "i=1: 1 terms"
     assert main(["verify", "--dim-max", "4"]) == 4
-    assert "FAIL  first-chern-vanishing-n4  (i=1: 4 terms)" in capsys.readouterr().out
+    assert "FAIL  first-chern-vanishing-n4  (i=1: 1 terms)" in capsys.readouterr().out
 
 
 def test_build_relations_matches_cached():
@@ -312,7 +322,7 @@ def _suffix_sums(ctx, exps):
 
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 3), (3, 4)])
 def test_terms_failing_a_suffix_condition_push_forward_to_zero(n, k):
-    # the lemma behind the suffix cut, on the reference path: levels k..k-i are
+    # a lemma on the reference path: levels k..k-i are
     # i + 1 projective bundles, so a term whose exponents of u_k, ..., u_(k-i)
     # sum to less than (i + 1)(r - 1) integrates to zero, also where its whole
     # u-degree reaches k(r - 1); terms that meet every condition do not all vanish
@@ -336,12 +346,11 @@ def test_terms_failing_a_suffix_condition_push_forward_to_zero(n, k):
 
 @pytest.mark.parametrize("n,k", [(4, 3), (3, 4), (5, 3), (4, 4)])
 def test_pushforward_suffix_cut_on_inhomogeneous_classes(n, k):
-    # the top level peels, so it also cuts on every shorter suffix of u_k, ..., u_1:
     # the classes hold terms on both sides of each suffix's bound (i + 1)(r - 1),
-    # and terms that reach the degree cut but fail a shorter suffix
+    # and terms that reach the degree cut but fail a shorter suffix: the pass,
+    # which cuts on the degree only, forms them and they cancel
     ctx = TowerContext(n, k)
     rels, r = ctx.relations, ctx.r
-    assert rels.peel_depth(k)
     sides = set()
     only_suffix = nonzero = 0
     for p in _random_classes(ctx, 6000 + n * 10 + k):
@@ -373,6 +382,12 @@ def test_pushforward_is_not_exact_on_an_inhomogeneous_tower():
     classes = list(_random_classes(ctx, 1))
     differ = [pushforward_to_base(p, perturbed) != integrate_fibers(reduce_tower(p, perturbed), ctx) for p in classes]
     assert any(differ) and not all(differ)
+
+
+def _specialized(rels, term_map):
+    """``rels`` with every lifted class and relation mapped through ``term_map``."""
+    lifted = tuple(tuple(map(term_map, level)) for level in rels.lifted)
+    return RelationSet(rels.ctx, lifted, tuple(map(term_map, rels.relations)))
 
 
 def _signs(ctx):
@@ -407,107 +422,17 @@ def test_chern_term_map_at_signs_keeps_the_weight_fields(n, k):
 @pytest.mark.parametrize("n,k", [(4, 3), (3, 4), (5, 3)])
 def test_specialized_relations_commute_with_the_pushforward(n, k):
     # pushing phi(p) forward on the relations mapped by phi is phi of the
-    # pushforward of p; the cells reach a level that multiplies through the
-    # lifted-class recursion, on the specialized set too
+    # pushforward of p, for a ring map phi that fixes u_1..u_k: every step is
+    # a sum of products, and the cuts read u-exponents only
     ctx = TowerContext(n, k)
     rels, signs = ctx.relations, _signs(ctx)
-    specialized = rels.specialized(signs)
-    assert specialized.ctx is ctx
-    assert any(specialized.peel_depth(j) for j in range(1, k + 1))
+    specialized = _specialized(rels, signs)
     nonzero = 0
     for p in _random_classes(ctx, 2000 + n * 10 + k):
         pushed = pushforward_to_base(signs(p), specialized)
         assert pushed._terms == signs(pushforward_to_base(p, rels))._terms
         nonzero += bool(pushed)
     assert nonzero
-
-
-def test_peel_runs_where_it_pays_and_is_exact():
-    # a level runs through the recursion of its lifted classes only where that
-    # saves products: never at n = 2, whose misses stay cheap, and more than one
-    # step only at the heavy top level of n = 4 and 5; specializing
-    # c_j -> (-1)^j leaves the depths as they are
-    expected = {2: [0, 0, 0, 0, 0], 3: [0, 0, 0, 1, 1], 4: [0, 0, 1, 1, 3], 5: [0, 0, 1, 1, 3]}
-    for n, depths in expected.items():
-        ctx = TowerContext(n, 5)
-        for rels in (ctx.relations, ctx.relations.specialized(_signs(ctx))):
-            assert [rels.peel_depth(j) for j in range(1, 6)] == depths
-    # and only where the classes follow the recursion
-    ctx = TowerContext(4, 3)
-    assert ctx.relations.peel_depth(3) == 1
-    perturbed = RelationSet(
-        ctx, *_perturb_lifted_c1(ctx, list(ctx.relations.lifted), list(ctx.relations.relations))
-    )
-    assert [perturbed.peel_depth(j) for j in range(1, 4)] == [0, 0, 0]
-
-
-def _with_depths(rels, depths):
-    """A copy of ``rels`` with fresh memos whose level j runs ``depths[j]`` steps where given."""
-    forced = RelationSet(rels.ctx, rels.lifted, rels.relations)
-    forced._depths.update(depths)
-    return forced
-
-
-@pytest.mark.parametrize("n,k", [(4, 3), (3, 4), (5, 3), (4, 4)])
-def test_every_exact_peel_depth_equals_depth_zero(n, k):
-    # every level of these towers follows the recursion, so every depth up to
-    # j - 1 is exact: at (3,4) and (4,4) depth 2 at level 4 runs in u_1 chunks,
-    # and depth j - 1 steps through u_1 itself
-    ctx = TowerContext(n, k)
-    plain = _with_depths(ctx.relations, {j: 0 for j in range(1, k + 1)})
-    classes = list(_random_classes(ctx, 4000 + n * 10 + k))
-    expected = [pushforward_to_base(p, plain) for p in classes]
-    assert any(expected)
-    for j in range(2, k + 1):
-        for depth in range(1, j):
-            forced = _with_depths(ctx.relations, {j: depth})
-            assert forced.peel_depth(j) == depth
-            assert [pushforward_to_base(p, forced) for p in classes] == expected
-
-
-@pytest.mark.parametrize("n,k", [(3, 6), (4, 5)])
-def test_suffix_cut_equals_the_depth_zero_pass(n, k):
-    # the top level runs three steps in u_1 chunks and cuts on every suffix; a
-    # pass at depth 0 everywhere cuts on the degree only.  At (3,6) the factor
-    # classes of level 2 hold u_2, so s_4, through u_2, is final only in B_m;
-    # at (4,5) they are level-1 classes
-    ctx = TowerContext(n, k)
-    rels = ctx.relations
-    assert rels.peel_depth(k) == 3
-    plain = _with_depths(rels, dict.fromkeys(range(1, k + 1), 0))
-    classes = [*_random_classes(ctx, 7000 + n * 10 + k), morse_class(ctx, default_weights(k), base_only=True)]
-    expected = [pushforward_to_base(p, plain) for p in classes]
-    assert all(expected)
-    assert [pushforward_to_base(p, rels) for p in classes] == expected
-
-
-def test_peel_depth_stops_where_a_lower_level_breaks_the_recursion():
-    # at (4,5) level 5 runs three steps; c_2^[3] gains u_1*u_3 and levels 4
-    # and 5 are rebuilt from it, so level 4 still follows the recursion from
-    # level 3 but level 3 no longer follows it from level 2
-    ctx = TowerContext(4, 5)
-    ring, rels = ctx.ring, ctx.relations
-    assert rels.peel_depth(5) == 3
-    u = [ring.variable(ctx.u(j)) for j in range(1, 6)]
-    lifted, relations = list(rels.lifted), list(rels.relations)
-    lifted[3] = (lifted[3][0], lifted[3][1] + u[0] * u[2]) + lifted[3][2:]
-    upow = [u[3] ** e for e in range(ctx.r + 1)]
-    lifted[4] = tuple(tower._lifted_class(lifted[3], upow, l) for l in range(1, ctx.r + 1))
-    for j in (4, 5):
-        rel = u[j - 1] ** ctx.r
-        for l in range(1, ctx.r + 1):
-            rel = rel + lifted[j - 1][l - 1] * u[j - 1] ** (ctx.r - l)
-        relations[j - 1] = rel
-    perturbed = RelationSet(ctx, tuple(lifted), tuple(relations))
-    assert perturbed.peel_depth(5) == 1
-    # the literal reduction is slow at (4,5), so it checks the first class and
-    # the pass at depth 0 everywhere checks the other nine
-    classes = list(_random_classes(ctx, 5000))
-    pushed = [pushforward_to_base(p, perturbed) for p in classes]
-    assert pushed[0] and pushed[0] == integrate_fibers(reduce_tower(classes[0], perturbed), ctx)
-    plain = _with_depths(perturbed, dict.fromkeys(range(1, 6), 0))
-    assert pushed == [pushforward_to_base(p, plain) for p in classes]
-    assert pushed != [pushforward_to_base(p, rels) for p in classes]
 
 
 def test_pushforward_is_exact_on_a_tower_that_breaks_the_recursion():
@@ -537,38 +462,6 @@ def test_pushforward_cut_on_morse_class(n, k):
     rels = ctx.relations
     cls = morse_class(ctx, default_weights(k))
     assert pushforward_to_base(cls, rels) == integrate_fibers(reduce_tower(cls, rels), ctx)
-
-
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="before 3.11 the caller's value stack holds a call's arguments until it returns",
-)
-def test_pushforward_releases_an_input_the_caller_does_not_hold():
-    # traced at (4,4): a class the caller still holds stays alive through the
-    # pass; one built in the call's argument is released once it is bucketed,
-    # so that pass peaks at least half a class below the held one plus the class
-    ctx = TowerContext(4, 4)
-    rels = ctx.relations
-    w = default_weights(4)
-    pushforward_to_base(morse_class(ctx, w), rels)  # memoize the bucketed lifted classes
-
-    def traced_peak(run):
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        run()
-        return tracemalloc.get_traced_memory()[1] - start
-
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        cls = morse_class(ctx, w)
-        size = tracemalloc.get_traced_memory()[0] - start
-        held = traced_peak(lambda: pushforward_to_base(cls, rels))
-        del cls
-        temporary = traced_peak(lambda: pushforward_to_base(morse_class(ctx, w), rels))
-    finally:
-        tracemalloc.stop()
-    assert temporary + size // 2 < size + held
 
 
 def test_intersect_degree_two_class():

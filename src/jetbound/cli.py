@@ -27,7 +27,7 @@ TABLE_CELLS = [(n, k) for n in range(2, 6) for k in range(n, 6)]
 
 #: Most Morse-class terms of one job: admits (5,6), 1,385,824 terms, and refuses (6,6), 4,587,778.
 #: It counts the full class (``class_terms``), which no job forms: every job integrates products of
-#: Segre classes ((6,6) in about 1 s).
+#: Segre classes ((6,6) in about 0.5 s).
 MAX_CLASS_TERMS = 2_000_000
 
 

@@ -22,10 +22,11 @@ process pool.  A job is a ``(GeometrySpec, weights)`` pair, and each job runs
 on its own: it forms no class and runs no pushforward.  At ``h = 1`` its
 class is a combination of powers of the one linear form
 ``L = sum_j a_j u_j``, and ``_segre_states`` integrates those level by
-level as products of Segre classes: a level expands each Segre class of
-its own by those of the level below (``tower._segre_expansion``) and the
-power of ``L`` by the binomial theorem, and sends ``u_j^E`` to the Segre
-class ``s_(E-r+1)`` below.  At the base, ``_segre_polynomial`` reads the
+level as products of Segre classes, each product and the power of ``L``
+packed into one integer key: a level expands each Segre class of its own
+by those of the level below (``tower._segre_expansion``) and the power of
+``L`` by the binomial theorem, and sends ``u_j^E`` to the Segre class
+``s_(E-r+1)`` below.  At the base, ``_segre_polynomial`` reads the
 products as polynomials in d.  No u-monomial, degree substitution or digit
 is formed, and no tower is built.  The same recursion, given the powers of
 symbolic weights in place of the ``a_j^m``, gives ``symbolic_leading_form``
@@ -47,7 +48,7 @@ from .geometry import EvaluatedClass, GeometrySpec, _chern_coefficient_in_degree
 # not used here: the benchmark's tracer (perfbench/spans.py) wraps them as ``morse.evaluate_in_degree``
 # and ``morse.pushforward_to_base``
 from .geometry import evaluate_in_degree  # noqa: F401
-from .polyring import _EXP_MASK, Polynomial, _add_into, _mul_into
+from .polyring import _EXP_BITS, _EXP_MASK, Polynomial, _add_into, _mul_into
 from .tower import TowerContext, _segre_expansion
 from .tower import pushforward_to_base  # noqa: F401
 
@@ -377,49 +378,59 @@ class MorseReport:
 
 def _segre_states(
     r: int, levels: Sequence[Sequence], powers: Mapping[int, int]
-) -> Iterator[dict[tuple[tuple[int, ...], int], Union[int, Polynomial]]]:
+) -> Iterator[dict[int, Union[int, Polynomial]]]:
     """The states of ``sum_M powers[M] L^M``, ``L = sum_j x_j u_j``, on levels k, k - 1, ..., 0.
 
     ``levels[j - 1][m]`` is the factor ``x_j^m`` of ``u_j^m``, for every
     power m up to the largest M, and a zero entry drops that power: a job
     passes ``a_j^m``, ``symbolic_leading_form`` the powers of a weight
     variable, and the balanced intersection of ``verify`` keeps ``m = n``
-    alone.  A state ``(indices, M)`` of level j with coefficient g stands for
-    ``g prod_(i in indices) s_i^[j] L_j^M``, ``L_j = sum_(i <= j) x_i u_i``
-    and ``s^[j] = 1 / c^[j]`` the Segre series of the level-j classes; level
-    k holds ``((), M)`` for each power.  Level j turns its states into those
+    alone.  A state of level j with coefficient g stands for ``g prod_(i in
+    indices) s_i^[j] L_j^M``, ``L_j = sum_(i <= j) x_i u_i`` and ``s^[j] =
+    1 / c^[j]`` the Segre series of the level-j classes.  Its key is one
+    integer in the packed idiom of ``polyring``: M in the low field and the
+    count of index ``i >= 1`` in field i, each ``_EXP_BITS`` wide, so level
+    k holds the key M for each power.  Level j turns its states into those
     of level j - 1 in three steps:
 
-    - it expands each index by ``tower._segre_expansion``, which gives ``u_j^e``
-      times a product of level-(j-1) Segre classes;
+    - it expands the indices, the key less M, by ``tower._segre_expansion``,
+      which gives ``u_j^e`` times a product of level-(j-1) Segre classes;
     - it writes ``L_j^M = sum_m C(M, m) x_j^m u_j^m L_(j-1)^(M-m)``, with
       ``m = M`` at j = 1, where ``L_0 = 0``;
     - it pushes ``u_j^E`` forward to ``s_(E-r+1)^[j-1]``, zero for ``E < r -
       1``: the ``u_j^(r-1)`` coefficient of ``u_j^E`` modulo the level
       relation, which is what ``pushforward_to_base`` integrates it to.
 
-    Each step is an identity in the cohomology of level j, and the
-    pushforward is linear over level j - 1 (the projection formula), so the
-    level-0 states, whose M is 0, are the pushforward of the input exactly:
-    ``sum g prod_(i in indices) s_i^[0]``.  No u-monomial is ever formed.
-    Each level lowers the degree by ``r - 1``, so a state of level j that
-    comes from ``L^M`` has its indices and M summing to ``M - (k - j)(r - 1)``.
+    So a new index t is one add of the unit ``1 << t * _EXP_BITS`` (none
+    for t = 0), and spending m powers of L one subtraction of m.  Each step
+    is an identity in the cohomology of level j, and the pushforward is
+    linear over level j - 1 (the projection formula), so the level-0
+    states, whose M is 0, are the pushforward of the input exactly: ``sum g
+    prod_(i in indices) s_i^[0]``.  No u-monomial is ever formed.  Each
+    level lowers the degree by ``r - 1``, so a state of level j that comes
+    from ``L^M`` has its indices and M summing to ``M - (k - j)(r - 1)``;
+    no field exceeds the largest M, and a largest M above ``_EXP_MASK``
+    raises ``ValueError`` before any expansion.
     """
-    states = {((), M): g for M, g in powers.items()}
+    top = max(powers, default=0)
+    if top > _EXP_MASK:
+        raise ValueError(f"power {top} of the linear form exceeds the key field limit {_EXP_MASK}")
+    units = [0] + [1 << t * _EXP_BITS for t in range(1, top + 1)]
+    states = dict(powers)
     yield states
     for j in range(len(levels), 0, -1):
         factors, below = levels[j - 1], {}
-        for (indices, M), g in states.items():
-            expansion = _segre_expansion(r, indices)
+        for key, g in states.items():
+            M = key & _EXP_MASK
+            expansion = _segre_expansion(r, key - M)
             for m in range(M if j == 1 else 0, M + 1):
                 if not (factor := factors[m]):
                     continue
-                scale = g * comb(M, m) * factor
+                scale, low, left = g * comb(M, m) * factor, m - r + 1, M - m
                 for e, rest, coeff in expansion:
-                    index = e + m - r + 1
-                    if index >= 0:
-                        key = (tuple(sorted((*rest, index))) if index else rest, M - m)
-                        below[key] = below.get(key, 0) + scale * coeff
+                    if (index := e + low) >= 0:
+                        target = rest + units[index] + left
+                        below[target] = below.get(target, 0) + scale * coeff
         states = below
         yield states
 
@@ -431,11 +442,12 @@ def _leading_value(r: int, levels: Sequence[Sequence], powers: Mapping[int, int]
     class l in both geometries, so on a class of weighted degree n it is
     the ``d^(n+1)`` coefficient of its evaluation in the degree.  There
     ``1 / c(y) = (1 + y) / (1 - (-y)^(r+1))``, so ``S_1 = 1`` and ``S_p = 0``
-    for ``2 <= p <= r``: only the states whose indices are all 1 count.
+    for ``2 <= p <= r``: only the states whose indices are all 1 count, the
+    keys with no field above index 1.
     """
     for states in _segre_states(r, levels, powers):
         pass
-    return sum(g for (indices, _), g in states.items() if set(indices) <= {1})
+    return sum(g for key, g in states.items() if not key >> 2 * _EXP_BITS)
 
 
 def _segre_polynomial(spec: GeometrySpec, weights: WeightVector) -> EvaluatedClass:
@@ -447,7 +459,8 @@ def _segre_polynomial(spec: GeometrySpec, weights: WeightVector) -> EvaluatedCla
     ``_segre_states`` pushes it forward to ``sum g prod_i s_i^[0]``.  The base
     Segre series is ``1 / c`` at ``c_l = p_l(d)``, ``h = 1``: ``S_0 = 1`` and
     ``S_p = -sum_(l <= min(p, r)) p_l(d) S_(p-l)``, and ``h^n`` integrates to
-    d, so ``P(d) = d sum g prod_i S_i(d)``.  That is
+    d, so ``P(d) = d sum g prod_i S_i(d)``, each key decoded into the count
+    of each index.  That is
     ``evaluate_in_degree`` of ``pushforward_to_base`` of the same class,
     coefficient by coefficient, with no degree substituted and no digit read.
     """
@@ -465,11 +478,13 @@ def _segre_polynomial(spec: GeometrySpec, weights: WeightVector) -> EvaluatedCla
         for l in range(1, p + 1):
             _mul_into(segre[p], chern[l - 1], segre[p - l])
     total: dict[int, int] = {}
-    for (indices, _), g in states.items():
-        term = {0: g}
-        for i in indices:
-            factor, term = term, {}
-            _mul_into(term, factor, segre[i])
+    for key, g in states.items():
+        term, i = {0: g}, 0
+        while key := key >> _EXP_BITS:
+            i += 1
+            for _ in range(key & _EXP_MASK):
+                factor, term = term, {}
+                _mul_into(term, factor, segre[i])
         _add_into(total, term)
     return EvaluatedClass.from_coefficients([0] + [total.get(i, 0) for i in range(n + 1)])
 

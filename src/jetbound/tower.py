@@ -9,8 +9,9 @@ form with ``deg(u_j) < r``, and integrates along the fibers down to the base
 (extraction of the ``u_j^(r-1)`` coefficient, level by level from the top).
 
 ``_segre_expansion`` is the package's one integration engine.  It writes a
-product of the Segre classes ``s^[j] = 1 / c^[j]`` of level j as powers of
-``u_j`` times Segre classes of level j - 1, so ``morse`` integrates a
+product of the Segre classes ``s^[j] = 1 / c^[j]`` of level j, packed into
+one integer as ``polyring`` packs a monomial, as powers of ``u_j`` times
+products of Segre classes of level j - 1, so ``morse`` integrates a
 combination of powers of a linear form in the ``u_j`` level by level
 without forming a u-monomial: every job's Morse class at ``h = 1``, the
 symbolic-weight forms of ``verify`` and its balanced intersection.  It reads
@@ -45,6 +46,7 @@ from .polyring import (
     Polynomial,
     Ring,
     VariableId,
+    _EXP_BITS,
     _EXP_MASK,
     _key_degree,
     _mul_into,
@@ -81,31 +83,34 @@ def _segre_gamma(r: int, i: int, e: int) -> int:
 
 
 @functools.cache
-def _segre_expansion(r: int, indices: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """``prod_(i in indices) s_i^[j]`` over level j-1 at rank r, as triples ``(e, rest, g)``.
+def _segre_expansion(r: int, key: int) -> tuple[tuple[int, int, int], ...]:
+    """``prod_(i in key) s_i^[j]`` over level j-1 at rank r, as triples ``(e, rest, g)``.
 
-    ``s^[j] = 1 / c^[j]`` is the Segre series of the level-j classes.  The
-    product is ``sum g u_j^e prod_(i in rest) s_i^[j-1]``, each ``rest``
-    sorted and free of ``s_0 = 1``, each ``g`` nonzero.  One factor expands
-    as ``s_i^[j] = sum_(i' <= i) _segre_gamma(r, i', i - i') u_j^(i-i')
-    s_(i')^[j-1]``: the lifted classes of ``_lifted_class`` are the degree
-    <= r part of ``c^[j](y) = (1 - u_j y)(1 + u_j y)^r c^[j-1](y / (1 +
-    u_j y))``, whose ``y^(r+1)`` term ``-u_j q_j`` vanishes modulo the level
-    relation, so on level j ``s^[j](y) = (1 - u_j y)^-1 (1 + u_j y)^-r
-    s^[j-1](y / (1 + u_j y))`` exactly.  The product is that of the
-    expansion of ``indices[:-1]`` with the last factor, memoized per
-    ``(r, indices)`` and so independent of any weight.
+    ``s^[j] = 1 / c^[j]`` is the Segre series of the level-j classes.  A
+    product of Segre classes is a packed multiset of indices, the count of
+    index ``i >= 1`` in the field ``i`` of width ``_EXP_BITS`` and field 0
+    empty.  The product is ``sum g u_j^e prod_(i in rest) s_i^[j-1]``, each
+    ``rest`` packed the same way (``s_0 = 1`` adds nothing), each ``g``
+    nonzero.  One factor expands as ``s_i^[j] = sum_(i' <= i)
+    _segre_gamma(r, i', i - i') u_j^(i-i') s_(i')^[j-1]``: the lifted
+    classes of ``_lifted_class`` are the degree <= r part of ``c^[j](y) =
+    (1 - u_j y)(1 + u_j y)^r c^[j-1](y / (1 + u_j y))``, whose ``y^(r+1)``
+    term ``-u_j q_j`` vanishes modulo the level relation, so on level j
+    ``s^[j](y) = (1 - u_j y)^-1 (1 + u_j y)^-r s^[j-1](y / (1 + u_j y))``
+    exactly.  The product is that of the expansion of ``key`` less its
+    largest index, the top field, with that index, memoized per ``(r,
+    key)`` and so independent of any weight.
     """
-    if not indices:
-        return ((0, (), 1),)
-    *head, i = indices
-    terms: dict[tuple[int, tuple[int, ...]], int] = {}
-    for e, rest, g in _segre_expansion(r, tuple(head)):
+    if not key:
+        return ((0, 0, 1),)
+    i = (key.bit_length() - 1) // _EXP_BITS
+    units = [0] + [1 << low * _EXP_BITS for low in range(1, i + 1)]
+    terms: dict[tuple[int, int], int] = {}
+    for e, rest, g in _segre_expansion(r, key - units[i]):
         for low in range(i + 1):
-            key = (e + i - low, tuple(sorted((*rest, low))) if low else rest)
-            terms[key] = terms.get(key, 0) + g * _segre_gamma(r, low, i - low)
+            term = (e + i - low, rest + units[low])
+            terms[term] = terms.get(term, 0) + g * _segre_gamma(r, low, i - low)
     return tuple((e, rest, g) for (e, rest), g in terms.items() if g)
-
 
 
 class TowerContext:

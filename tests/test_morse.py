@@ -34,7 +34,8 @@ from jetbound.cli import TABLE_CELLS
 from jetbound.errors import InadmissibleWeightsError
 from jetbound.geometry import GeometrySpec, _chern_coefficient_in_degree, degree_term_map
 from jetbound.morse import class_terms
-from jetbound.tower import RelationSet, pipeline_tower, pushforward_to_base
+from jetbound.polyring import _EXP_BITS, _EXP_MASK
+from jetbound.tower import RelationSet, _segre_expansion, _segre_gamma, pipeline_tower, pushforward_to_base
 
 
 # ---- weight vectors --------------------------------------------------------
@@ -448,18 +449,96 @@ def test_segre_recursion_equals_the_pushforward(n, a):
         assert morse._segre_polynomial(spec, WeightVector(a)) == expected[spec.token], spec.token
 
 
+def _decode(key: int) -> tuple[tuple[int, ...], int]:
+    """The sorted Segre indices and the power M of a packed state key."""
+    M, indices, i = key & _EXP_MASK, [], 0
+    while key := key >> _EXP_BITS:
+        i += 1
+        indices += [i] * (key & _EXP_MASK)
+    return tuple(indices), M
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 5), (3, 3), (4, 4), (5, 5)])
 def test_segre_states_keep_their_degree_and_end_with_no_power_left(n, k):
     r, N = n, n + k * (n - 1)
     factors = [[x**m for m in range(N + 1)] for x in default_weights(k).a]
     for beta in (0, *range(2, n + 1)):
-        levels = list(morse._segre_states(r, factors, {N - beta: 1}))
+        levels = [[_decode(key) for key in states] for states in morse._segre_states(r, factors, {N - beta: 1})]
         assert len(levels) == k + 1 and levels[-1]
         for j, states in zip(range(k, -1, -1), levels):
             for indices, M in states:
                 assert sum(indices) + M == n - beta + j * (r - 1)
                 assert list(indices) == sorted(indices) and 0 not in indices
         assert all(M == 0 for _, M in levels[-1])
+
+
+# the Segre recursion with each product of Segre classes a sorted tuple of indices: the reference
+# that the packed keys must decode to
+@functools.cache
+def _tuple_segre_expansion(r, indices):
+    if not indices:
+        return ((0, (), 1),)
+    *head, i = indices
+    terms = {}
+    for e, rest, g in _tuple_segre_expansion(r, tuple(head)):
+        for low in range(i + 1):
+            key = (e + i - low, tuple(sorted((*rest, low))) if low else rest)
+            terms[key] = terms.get(key, 0) + g * _segre_gamma(r, low, i - low)
+    return tuple((e, rest, g) for (e, rest), g in terms.items() if g)
+
+
+def _tuple_segre_states(r, levels, powers):
+    states = {((), M): g for M, g in powers.items()}
+    yield states
+    for j in range(len(levels), 0, -1):
+        factors, below = levels[j - 1], {}
+        for (indices, M), g in states.items():
+            for m in range(M if j == 1 else 0, M + 1):
+                scale = g * comb(M, m) * factors[m]
+                for e, rest, coeff in _tuple_segre_expansion(r, indices):
+                    if (index := e + m - r + 1) >= 0:
+                        key = (tuple(sorted((*rest, index))) if index else rest, M - m)
+                        below[key] = below.get(key, 0) + scale * coeff
+        states = below
+        yield states
+
+
+def _multisets(total, largest):
+    """Every sorted tuple of positive indices at most ``largest`` with sum at most ``total``."""
+    yield ()
+    for i in range(1, min(total, largest) + 1):
+        yield from ((*head, i) for head in _multisets(total - i, i))
+
+
+@pytest.mark.parametrize("r", range(2, 6))
+def test_packed_segre_expansion_equals_the_tuple_expansion(r):
+    multisets = list(_multisets(8, 8))
+    assert len(multisets) == 67  # the partitions of 0, 1, ..., 8
+    for indices in multisets:
+        key = sum(1 << i * _EXP_BITS for i in indices)
+        packed = {(e, _decode(rest)): g for e, rest, g in _segre_expansion(r, key)}
+        assert packed == {(e, (rest, 0)): g for e, rest, g in _tuple_segre_expansion(r, indices)}, indices
+
+
+@pytest.mark.parametrize("n,k", [(3, 5), (4, 4)])
+def test_packed_segre_states_equal_the_tuple_states(n, k):
+    w, N = default_weights(k), n + k * (n - 1)
+    powers = {N - beta: (1 - beta) * comb(N, beta) * (2 * w.total) ** beta for beta in range(n + 1) if beta != 1}
+    levels = [[a**m for m in range(N + 1)] for a in w.a]
+    reference = list(_tuple_segre_states(n, levels, powers))
+    packed = [{_decode(key): g for key, g in states.items()} for states in morse._segre_states(n, levels, powers)]
+    assert packed == reference and reference[-1]
+
+
+def test_a_power_beyond_the_key_field_is_refused_before_any_expansion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Segre product was expanded")
+
+    monkeypatch.setattr(morse, "_segre_expansion", refuse)
+    levels = [[1] * (_EXP_MASK + 2)]
+    with pytest.raises(ValueError, match=f"power {_EXP_MASK + 1} .* limit {_EXP_MASK}$"):
+        list(morse._segre_states(2, levels, {_EXP_MASK + 1: 1}))
+    assert list(morse._segre_states(2, [], {_EXP_MASK: 1})) == [{_EXP_MASK: 1}]
 
 
 def test_a_wrong_length_vector_is_refused_before_any_pushforward(monkeypatch):

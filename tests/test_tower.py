@@ -19,6 +19,7 @@ from jetbound import morse, tower, verify
 from jetbound.errors import DimensionMismatchError, UnreducedClassError
 from jetbound.geometry import chern_term_map
 from jetbound.morse import default_weights, morse_class
+from jetbound.polyring import _EXP_BITS
 from jetbound.cli import main
 from jetbound.verify import (
     check_low_order_leading_vanishes,
@@ -109,11 +110,11 @@ def _perturb_segre_expansion(monkeypatch):
     ``d^(n+1)``, and a true expansion adds at most one index per level, so
     fewer than n levels never reach one.
     """
-    expansion = morse._segre_expansion
+    expansion, s_1, s_2 = morse._segre_expansion, 1 << _EXP_BITS, 1 << 2 * _EXP_BITS
 
-    def perturbed(r, indices):
-        terms = expansion(r, indices)
-        return terms + ((0, (1, 1), 1),) if indices == (2,) else terms
+    def perturbed(r, key):
+        terms = expansion(r, key)
+        return terms + ((0, 2 * s_1, 1),) if key == s_2 else terms
 
     monkeypatch.setattr(morse, "_segre_expansion", perturbed)
 

@@ -12,34 +12,32 @@ token that the command line, the reports and the cache keys use:
   tangent bundle are
   ``c_j = (-1)^j h^j * sum_i (-1)^i binom(n+1, i) d^(j-i)``.
 
-``chern_term_map`` is the one way to substitute those classes in a class:
-on raw terms it sends ``c_l`` to given integers, ``h`` to 1 and ``d`` to
-``D``, and keeps every other field of a key.  ``degree_term_map`` is that
-map at ``c_l = p_l(D)``, ``p_l`` the degree polynomial of class l.
-``evaluate_in_degree`` applies ``degree_term_map`` to a finished
-weighted-degree-n base class at a ``D = 2^B`` wide enough for its
-coefficients, reads the balanced base-``2^B`` digits (``balanced_digits``)
-of the integer it gets and multiplies the result by ``d``.  For the
+``_in_degree`` is the one way to put base classes into the degree: given
+each class as its polynomial in d, it multiplies out the product of
+classes in each term exactly and multiplies the sum by ``d``.  For the
 compact model that factor is the honest integral of ``h^n``; for the
 logarithmic model it is kept anyway so that outputs are directly comparable
 with the reference pipeline this engine reproduces.  The factor is positive
-for every degree ``d >= 1``, so positivity thresholds are unaffected.  A
-job forms no base class: ``morse`` multiplies its base Segre classes out of
-the ``p_l`` (``_chern_coefficient_in_degree``) and then by ``d``, and
-``evaluate_in_degree`` serves the pushforward of a class, the reference
-that recursion is tested against.  The symbolic forms of ``verify`` read
-the base at ``c_l = (-1)^l``, the top d-coefficient of class l in both
-models, as integers of ``morse._leading_value``.
+for every degree ``d >= 1``, so positivity thresholds are unaffected.
+``evaluate_in_degree`` passes it the degree polynomials ``p_l`` of the Chern
+classes (``_chern_coefficient_in_degree``) and the exponents of each term
+``c^gamma h^beta`` of a finished weighted-degree-n base class: the
+pushforward of a class, the reference the Segre recursion is tested
+against.  A job forms no base class: ``morse`` passes the base Segre
+classes, multiplied out of the ``p_l``, and the count of each Segre index.
+The symbolic forms of ``verify`` read the base at ``c_l = (-1)^l``, the top
+d-coefficient of class l in both models, as integers of
+``morse._leading_value``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import InhomogeneousClassError, JetboundError, ResidualVariableError
-from .polyring import _EXP_MASK, NEG_INFINITY, Polynomial, Ring
+from .errors import InhomogeneousClassError, ResidualVariableError
+from .polyring import _EXP_MASK, NEG_INFINITY, Polynomial, Ring, _add_into, _mul_into
 from .tower import TowerContext
 
 __all__ = [
@@ -49,9 +47,6 @@ __all__ = [
     "compact_hypersurface",
     "logarithmic_pair",
     "base_chern",
-    "chern_term_map",
-    "degree_term_map",
-    "balanced_digits",
     "evaluate_in_degree",
     "EvaluatedClass",
 ]
@@ -90,61 +85,6 @@ def _chern_coefficient_in_degree(spec: GeometrySpec, j: int) -> list[int]:
         return [comb(n + 2, j - i) * (-1) ** i for i in range(j + 1)]
     sign = (-1) ** j
     return [sign * (-1) ** (j - i) * comb(n + 1, j - i) for i in range(j + 1)]
-
-
-def chern_term_map(ctx: TowerContext, chern: Sequence[int], D: int) -> Callable[[Polynomial], Polynomial]:
-    """The ring map ``c_l -> chern[l-1]``, ``h -> 1``, ``d -> D`` on raw terms.
-
-    It clears the c, h and d fields of each key and keeps the others, the u
-    fields and the symbolic weight fields ``a_j``, so terms that differ only
-    in the cleared fields add up.
-    """
-    ring = ctx.ring
-    values = [(ring.shift(ctx.d), D)] + [(ring.shift(ctx.c(l)), v) for l, v in enumerate(chern, start=1)]
-    keep = ~sum(_EXP_MASK << ring.shift(v) for v in (ctx.h, ctx.d, *map(ctx.c, range(1, ctx.r + 1))))
-
-    def term_map(p: Polynomial) -> Polynomial:
-        out: dict[int, int] = {}
-        for key, coeff in p._terms.items():
-            for sh, value in values:
-                e = (key >> sh) & _EXP_MASK
-                if e:
-                    coeff *= value**e
-            key &= keep
-            out[key] = out.get(key, 0) + coeff
-        return ring.polynomial(out)
-
-    return term_map
-
-
-def degree_term_map(ctx: TowerContext, spec: GeometrySpec, D: int) -> Callable[[Polynomial], Polynomial]:
-    """``chern_term_map`` at ``c_l = p_l(D)``, ``p_l`` the degree polynomial of class l.
-
-    It fixes ``u_1..u_k``, so the image of a class of the tower is a
-    polynomial in ``u_1..u_k`` alone, and that of a base class an integer.
-    """
-    if spec.n != ctx.n:
-        raise ValueError(f"geometry dimension {spec.n} != tower dimension {ctx.n}")
-    polys = [_chern_coefficient_in_degree(spec, l) for l in range(1, spec.n + 1)]
-    return chern_term_map(ctx, [sum(c * D**i for i, c in enumerate(p)) for p in polys], D)
-
-
-def balanced_digits(value: int, bits: int, count: int, name: str) -> list[int]:
-    """The ``count`` balanced base-``2^bits`` digits of ``value``, lowest first.
-
-    Every digit lies in ``[-2^(bits-1), 2^(bits-1))``; the top digit is what
-    remains, and one outside that range means ``name`` does not fit, a
-    violated invariant that raises ``JetboundError``.
-    """
-    half = 1 << (bits - 1)
-    digits = []
-    for _ in range(count - 1):
-        digit = ((value + half) & (2 * half - 1)) - half
-        digits.append(digit)
-        value = (value - digit) >> bits
-    if not -half <= value < half:
-        raise JetboundError(f"{name} does not fit {bits}-bit digits")
-    return digits + [value]
 
 
 def base_chern(ctx: TowerContext, spec: GeometrySpec, j: int) -> Polynomial:
@@ -201,19 +141,38 @@ class EvaluatedClass:
         return str(ring.polynomial({i: c for i, c in enumerate(self.coeffs)}))
 
 
+def _in_degree(
+    terms: Iterable[tuple[int, Sequence[int]]], values: Sequence[Mapping[int, int]]
+) -> EvaluatedClass:
+    """``d * sum g prod_l values[l-1]^(e_l)`` over the pairs ``(g, e)`` of ``terms``.
+
+    Each value is a polynomial in d as a raw term map, its keys the powers
+    of d.  ``evaluate_in_degree`` passes the degree polynomials ``p_l`` of
+    the base Chern classes and the exponents of ``c_l``; ``morse`` passes
+    the base Segre classes ``S_p(d)`` and the count of each Segre index.
+    The products are multiplied out exactly, and the factor ``d`` is the
+    integral of ``h^n``.
+    """
+    total: dict[int, int] = {}
+    for g, exponents in terms:
+        term = {0: g}
+        for value, e in zip(values, exponents):
+            for _ in range(e):
+                factor, term = term, {}
+                _mul_into(term, factor, value)
+        _add_into(total, term)
+    top = max(total, default=-1)
+    return EvaluatedClass.from_coefficients([0] + [total.get(i, 0) for i in range(top + 1)])
+
+
 def evaluate_in_degree(ctx: TowerContext, cls: Polynomial, spec: GeometrySpec) -> EvaluatedClass:
     """Evaluate a weighted-degree-n base class into a polynomial in d.
 
-    The input must be free of tautological and weight variables and
+    The input must be free of tautological variables and of d, and
     homogeneous of weighted degree n; both conditions catch mis-assembled
-    intersections early.  Its value under ``degree_term_map`` at
-    ``D = 2^B`` is ``sum_i q_i D^i``, whose n + 1 balanced digits are the
-    coefficients of the result divided by the degree factor ``d``.  ``B`` is
-    one bit above ``sum |coeff| * M^n``, ``M = max_l ||p_l||`` the largest
-    sum of the absolute coefficients of a degree polynomial: a term
-    ``c^gamma h^beta`` of weighted degree n has ``sum_l gamma_l <= n``, so
-    its image is at most ``|coeff| * M^n`` in 1-norm, and every
-    ``|q_i| < 2^(B-1)``.
+    intersections early.  Each term ``c^gamma h^beta`` becomes ``d prod_l
+    p_l(d)^(gamma_l)``, ``p_l`` the degree polynomial of class l, since
+    ``h^n`` integrates to d (``_in_degree``).
     """
     if spec.n != ctx.n:
         raise ValueError(f"geometry dimension {spec.n} != tower dimension {ctx.n}")
@@ -229,8 +188,8 @@ def evaluate_in_degree(ctx: TowerContext, cls: Polynomial, spec: GeometrySpec) -
         raise InhomogeneousClassError(
             f"class has weighted degree {cls.weighted_degree(weights)}, expected {ctx.n}"
         )
-    M = max(sum(map(abs, _chern_coefficient_in_degree(spec, l))) for l in range(1, ctx.n + 1))
-    bits = (sum(map(abs, cls._terms.values())) * M**ctx.n).bit_length() + 1
-    value = degree_term_map(ctx, spec, 1 << bits)(cls)._terms.get(0, 0)
-    name = f"the degree polynomial of {spec.token} ({ctx.n}, {ctx.k})"
-    return EvaluatedClass.from_coefficients([0] + balanced_digits(value, bits, ctx.n + 1, name))
+    classes = range(1, ctx.n + 1)
+    polys = [dict(enumerate(_chern_coefficient_in_degree(spec, l))) for l in classes]
+    shifts = [ctx.ring.shift(ctx.c(l)) for l in classes]
+    terms = ((g, [key >> sh & _EXP_MASK for sh in shifts]) for key, g in cls._terms.items())
+    return _in_degree(terms, polys)

@@ -7,11 +7,8 @@ For an admissible weight vector ``a`` on a jet tower of total dimension
 so only one reduction pass is needed.  The Euler operator ``h d/dh`` sends
 ``F^N`` to ``N*G*F^(N-1)``, so the class is ``F^N - h d/dh F^N``, whose
 coefficient of ``u^alpha h^beta`` is
-``(1 - beta) * N!/(alpha! beta!) * a^alpha * (2|a|)^beta``.  It is assembled
-as a trinomial in ``h`` and two halves of the weighted form, from the powers
-of each half, so every term is formed once; ``morse_class(..., base_only=True)``
-forms only the terms that can reach the base (``beta <= n`` and a power of
-``u_k`` of at least ``r - 1``), 39,650 of the full class's 122,031 at (5,5).
+``(1 - beta) * N!/(alpha! beta!) * a^alpha * (2|a|)^beta``, and
+``morse_class`` forms it from that closed form, one term per exponent tuple.
 Evaluating the integrated class in the degree variable yields a univariate
 polynomial ``P(d)``; when its leading coefficient is positive, the effective
 threshold is the smallest positive integer beyond which ``P`` stays strictly
@@ -26,13 +23,14 @@ level as products of Segre classes, each product and the power of ``L``
 packed into one integer key: a level expands each Segre class of its own
 by those of the level below (``tower._segre_expansion``) and the power of
 ``L`` by the binomial theorem, and sends ``u_j^E`` to the Segre class
-``s_(E-r+1)`` below.  At the base, ``_segre_polynomial`` reads the
-products as polynomials in d.  No u-monomial, degree substitution or digit
-is formed, and no tower is built.  The same recursion, given the powers of
-symbolic weights in place of the ``a_j^m``, gives ``symbolic_leading_form``
+``s_(E-r+1)`` below.  At the base, ``_segre_polynomial`` multiplies the
+products out as polynomials in d (``geometry._in_degree``, which also
+evaluates a pushed-forward class).  No u-monomial or c-monomial is formed,
+and no tower is built.  The same recursion, given the powers of symbolic
+weights in place of the ``a_j^m``, gives ``symbolic_leading_form``
 (``_leading_value``).  The pushforward of a class (``morse_class``,
-``tower.pushforward_to_base``) remains the reference the recursion is
-tested against.
+``tower.pushforward_to_base``, ``evaluate_in_degree``) remains the
+reference the recursion is tested against.
 """
 
 from __future__ import annotations
@@ -44,11 +42,11 @@ from math import comb, isfinite
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
-from .geometry import EvaluatedClass, GeometrySpec, _chern_coefficient_in_degree
+from .geometry import EvaluatedClass, GeometrySpec, _chern_coefficient_in_degree, _in_degree
 # not used here: the benchmark's tracer (perfbench/spans.py) wraps them as ``morse.evaluate_in_degree``
 # and ``morse.pushforward_to_base``
 from .geometry import evaluate_in_degree  # noqa: F401
-from .polyring import _EXP_BITS, _EXP_MASK, Polynomial, _add_into, _mul_into
+from .polyring import _EXP_BITS, _EXP_MASK, Polynomial, Ring, _mul_into
 from .tower import TowerContext, _segre_expansion
 from .tower import pushforward_to_base  # noqa: F401
 
@@ -112,72 +110,36 @@ def _as_weights(weights: Union[WeightVector, Sequence[int]]) -> WeightVector:
     return WeightVector(tuple(weights))
 
 
-def morse_class(
-    ctx: TowerContext,
-    weights: Union[WeightVector, Sequence[int]],
-    keep_h: bool = True,
-    base_only: bool = False,
-) -> Polynomial:
-    """The unreduced tower class ``(F - N*G) * F^(N-1)``; with ``keep_h`` false, at ``h = 1``.
+def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) -> Polynomial:
+    """The unreduced tower class ``(F - N*G) * F^(N-1)``, term by term from its closed form.
 
     ``F = sum_j a_j u_j + 2|a| h`` twists the weighted tautological bundle to
     a nef class, ``G = 2|a| h`` is the twisting class, and ``N`` is the total
     tower dimension.  Since ``h d/dh F^N = N*G*F^(N-1)``, the class equals
-    ``F^N - h d/dh F^N``.  With ``A = sum_(j<=m) a_j u_j``, ``B`` the rest of
-    the weighted form and ``m = ceil(k/2)``, the trinomial expansion of
-    ``F^N = (A + B + 2|a| h)^N`` makes the class
-    ``sum_(beta != 1) (1 - beta) C(N, beta) (2|a|)^beta h^beta
-    sum_s C(N-beta, s) A^s B^(N-beta-s)``.  The powers of each half are built
-    by repeated products (at ``k = 1`` the half ``B`` is empty), and each term
-    of the class is one product of a factor of ``(beta, s)`` and a
-    coefficient of each half, the larger half ``A`` innermost: the two halves
-    share no variable, so no two triples give the same monomial and every
-    term is formed once, nonzero since every ``a_j > 0``.  Without the h
-    field the keys are still distinct, since ``|alpha| + beta = N`` fixes
-    beta: setting ``h = 1`` merges no terms.
-
-    With ``base_only``, only the terms that can reach the base are formed:
-    those with ``beta <= n`` whose power of ``u_k`` is at least ``r - 1``.
-    ``pushforward_to_base`` drops every other term, whatever the relations
-    and the coefficients: for ``beta > n`` the u-degree ``N - beta`` is below
-    the level-k cut ``k(r-1)``, and a lower power of ``u_k`` is dropped when
-    the strata are split.  So both classes have the same pushforward.  The
-    powers of the half holding ``u_k`` (``B``, or ``A`` at ``k = 1``) are
-    filtered once, before the products, and the filter reads exponents only,
-    so every admissible vector on one tower gives the same keys.
+    ``F^N - h d/dh F^N``, so the coefficient of ``u^alpha h^beta``,
+    ``|alpha| + beta = N``, is ``(1 - beta) N!/(alpha! beta!) a^alpha
+    (2|a|)^beta``: nonzero for ``beta != 1``, since every ``a_j > 0``.  The
+    multinomial is ``C(N, beta)`` times the binomials that spread the rest
+    ``N - beta`` over ``u_1, ..., u_k`` one level at a time, and each
+    exponent tuple is enumerated once.
     """
     w = _as_weights(weights)
     if w.k != ctx.k:
         raise InadmissibleWeightsError(f"got {w.k} weights for a tower of order {ctx.k}")
-    ring, N, m = ctx.ring, ctx.total_dim, (ctx.k + 1) // 2
-    low = ring.shift(ctx.u(ctx.k))
-    halves = []
-    for js in (range(1, m + 1), range(m + 1, ctx.k + 1)):
-        form = {1 << ring.shift(ctx.u(j)): w.a[j - 1] for j in js}
-        powers = [{0: 1}]
-        for _ in range(N):
-            acc: dict[int, int] = {}
-            _mul_into(acc, powers[-1], form)
-            powers.append(acc)
-        if base_only and ctx.k in js:
-            powers = [
-                {key: c for key, c in p.items() if key >> low & _EXP_MASK >= ctx.r - 1} for p in powers
-            ]
-        halves.append(powers)
-    A, B = halves
-    h_key, twist = 1 << ring.shift(ctx.h) if keep_h else 0, 2 * w.total
-    terms: dict[int, int] = {}
-    for beta in range((ctx.n if base_only else N) + 1):
-        if beta == 1:
-            continue
-        outer = (1 - beta) * comb(N, beta) * twist**beta
-        for s in range(N - beta + 1):
-            factor = outer * comb(N - beta, s)
-            a_terms = A[s].items()
-            for b_key, b_coeff in B[N - beta - s].items():
-                key, scale = beta * h_key + b_key, factor * b_coeff
-                terms.update({key + a_key: scale * a_coeff for a_key, a_coeff in a_terms})
-    return Polynomial(ring, terms)
+    ring, N, twist = ctx.ring, ctx.total_dim, 2 * w.total
+    h = 1 << ring.shift(ctx.h)
+    # (key, coefficient, degree left to spread) before each level
+    partial = [
+        (beta * h, (1 - beta) * comb(N, beta) * twist**beta, N - beta) for beta in range(N + 1) if beta != 1
+    ]
+    for j, a in enumerate(w.a, start=1):
+        unit = 1 << ring.shift(ctx.u(j))
+        partial = [
+            (key + e * unit, coeff * comb(left, e) * a**e, left - e)
+            for key, coeff, left in partial
+            for e in (range(left + 1) if j < ctx.k else (left,))
+        ]
+    return ring.polynomial({key: coeff for key, coeff, _ in partial})
 
 
 def class_terms(n: int, k: int) -> int:
@@ -296,13 +258,14 @@ def symbolic_leading_form(spec: GeometrySpec, k: int, c1_power: int = 0) -> Poly
     Segre recursion run on the power of the form, with the powers of the
     weight variables ``a_j`` as its factors; the projection formula moves
     ``c_1^i`` out of every level, and it contributes ``(-1)^i``.  No
-    u-monomial or c-monomial is ever formed.
+    u-monomial or c-monomial is ever formed, and the weights live in a ring
+    of their own, ``a1, ..., ak``.
     """
-    ctx = TowerContext(spec.n, k, symbolic_weights=True)
-    ring, N = ctx.ring, ctx.total_dim - c1_power
-    levels = [[ring.variable(ctx.a(j)) ** m for m in range(N + 1)] for j in range(1, k + 1)]
+    ring, r = Ring([f"a{j}" for j in range(1, k + 1)]), spec.n
+    N = r + k * (r - 1) - c1_power
+    levels = [[ring.variable(v) ** m for m in range(N + 1)] for v in range(k)]
     # ring.zero keeps the result a polynomial where no state counts and the sum is the integer 0
-    return (-1) ** c1_power * (ring.zero + _leading_value(ctx.r, levels, {N: 1}))
+    return (-1) ** c1_power * (ring.zero + _leading_value(r, levels, {N: 1}))
 
 
 @dataclass(frozen=True)
@@ -402,11 +365,13 @@ def _segre_states(
       relation, which is what ``pushforward_to_base`` integrates it to.
 
     So a new index t is one add of the unit ``1 << t * _EXP_BITS`` (none
-    for t = 0), and spending m powers of L one subtraction of m.  Each step
-    is an identity in the cohomology of level j, and the pushforward is
-    linear over level j - 1 (the projection formula), so the level-0
-    states, whose M is 0, are the pushforward of the input exactly: ``sum g
-    prod_(i in indices) s_i^[0]``.  No u-monomial is ever formed.  Each
+    for t = 0), and spending m powers of L one subtraction of m; the units
+    run up to ``top - r + 1``, the largest index a level can create from
+    the largest power ``top``, and none is built when there is no level.
+    Each step is an identity in the cohomology of level j, and the
+    pushforward is linear over level j - 1 (the projection formula), so the
+    level-0 states, whose M is 0, are the pushforward of the input exactly:
+    ``sum g prod_(i in indices) s_i^[0]``.  No u-monomial is ever formed.  Each
     level lowers the degree by ``r - 1``, so a state of level j that comes
     from ``L^M`` has its indices and M summing to ``M - (k - j)(r - 1)``;
     no field exceeds the largest M, and a largest M above ``_EXP_MASK``
@@ -415,7 +380,7 @@ def _segre_states(
     top = max(powers, default=0)
     if top > _EXP_MASK:
         raise ValueError(f"power {top} of the linear form exceeds the key field limit {_EXP_MASK}")
-    units = [0] + [1 << t * _EXP_BITS for t in range(1, top + 1)]
+    units = [0] + [1 << t * _EXP_BITS for t in range(1, top - r + 2)] if levels else []
     states = dict(powers)
     yield states
     for j in range(len(levels), 0, -1):
@@ -460,9 +425,10 @@ def _segre_polynomial(spec: GeometrySpec, weights: WeightVector) -> EvaluatedCla
     Segre series is ``1 / c`` at ``c_l = p_l(d)``, ``h = 1``: ``S_0 = 1`` and
     ``S_p = -sum_(l <= min(p, r)) p_l(d) S_(p-l)``, and ``h^n`` integrates to
     d, so ``P(d) = d sum g prod_i S_i(d)``, each key decoded into the count
-    of each index.  That is
+    of each index and the products multiplied out by ``geometry._in_degree``,
+    the routine ``evaluate_in_degree`` runs on the ``p_l``.  That is
     ``evaluate_in_degree`` of ``pushforward_to_base`` of the same class,
-    coefficient by coefficient, with no degree substituted and no digit read.
+    coefficient by coefficient.
     """
     n, r, k = spec.n, spec.n, weights.k
     N, twist = n + k * (r - 1), 2 * weights.total
@@ -470,23 +436,16 @@ def _segre_polynomial(spec: GeometrySpec, weights: WeightVector) -> EvaluatedCla
     levels = [[a**m for m in range(N + 1)] for a in weights.a]
     for states in _segre_states(r, levels, powers):
         pass
-    # raw term maps in d, each key an exponent: -p_l(d), S_p(d) and then P(d) / d
+    # raw term maps in d, each key an exponent: -p_l(d) and S_p(d)
     chern = [{i: -c for i, c in enumerate(_chern_coefficient_in_degree(spec, l))} for l in range(1, r + 1)]
     segre: list[dict[int, int]] = [{0: 1}]
     for p in range(1, n + 1):
         segre.append({})
         for l in range(1, p + 1):
             _mul_into(segre[p], chern[l - 1], segre[p - l])
-    total: dict[int, int] = {}
-    for key, g in states.items():
-        term, i = {0: g}, 0
-        while key := key >> _EXP_BITS:
-            i += 1
-            for _ in range(key & _EXP_MASK):
-                factor, term = term, {}
-                _mul_into(term, factor, segre[i])
-        _add_into(total, term)
-    return EvaluatedClass.from_coefficients([0] + [total.get(i, 0) for i in range(n + 1)])
+    shifts = [i * _EXP_BITS for i in range(1, n + 1)]
+    terms = ((g, [key >> sh & _EXP_MASK for sh in shifts]) for key, g in states.items())
+    return _in_degree(terms, segre[1:])
 
 
 def _run_job(job: tuple[GeometrySpec, tuple[int, ...]]) -> MorseReport:

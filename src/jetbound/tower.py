@@ -16,7 +16,9 @@ combination of powers of a linear form in the ``u_j`` level by level
 without forming a u-monomial: every job's Morse class at ``h = 1``, the
 symbolic-weight forms of ``verify`` and its balanced intersection.  It reads
 the rank alone, not a relation set: the identity it uses holds on the towers
-``build_relations`` makes.
+``build_relations`` makes.  A ``TowerContext`` names the tower's variables
+only, ``u_1..u_k, c_1..c_r, h, d``: the symbolic weights of ``verify`` live
+in a ring of their own.
 
 ``pushforward_to_base`` is the reference that engine is tested against.  It
 computes ``integrate_fibers(reduce_tower(p))`` without materializing the
@@ -118,13 +120,12 @@ class TowerContext:
 
     ``n`` is the base dimension, ``r = n`` the rank of the directed bundle,
     ``k >= 1`` the jet order.  The ring orders its variables as
-    ``u_1..u_k, c_1..c_r, h, d`` and, when ``symbolic_weights`` is set,
-    ``a_1..a_k`` (weight-0 coefficient symbols used by the symbolic mode).
+    ``u_1..u_k, c_1..c_r, h, d``.
     """
 
-    __slots__ = ("n", "r", "k", "symbolic_weights", "ring", "_relations")
+    __slots__ = ("n", "r", "k", "ring", "_relations")
 
-    def __init__(self, n: int, k: int, symbolic_weights: bool = False):
+    def __init__(self, n: int, k: int):
         if n < 1:
             raise ValueError("base dimension n must be >= 1")
         if k < 1:
@@ -132,12 +133,9 @@ class TowerContext:
         self.n = n
         self.r = n
         self.k = k
-        self.symbolic_weights = symbolic_weights
         names = [f"u{j}" for j in range(1, k + 1)]
         names += [f"c{l}" for l in range(1, self.r + 1)]
         names += ["h", "d"]
-        if symbolic_weights:
-            names += [f"a{j}" for j in range(1, k + 1)]
         self.ring = Ring(names)
         self._relations: Optional[RelationSet] = None
 
@@ -164,20 +162,10 @@ class TowerContext:
     def d(self) -> VariableId:
         return self.k + self.r + 1
 
-    def a(self, j: int) -> VariableId:
-        if not self.symbolic_weights:
-            raise ValueError("symbolic weight variables were not enabled")
-        if not 1 <= j <= self.k:
-            raise IndexError(f"a index {j} outside 1..{self.k}")
-        return self.k + self.r + 2 + (j - 1)
-
     @property
     def cohomology_weights(self) -> tuple[int, ...]:
-        """Weighted degree of each ring variable: u, h -> 1; c_l -> l; d, a -> 0."""
-        weights = [1] * self.k + list(range(1, self.r + 1)) + [1, 0]
-        if self.symbolic_weights:
-            weights += [0] * self.k
-        return tuple(weights)
+        """Weighted degree of each ring variable: u, h -> 1; c_l -> l; d -> 0."""
+        return tuple([1] * self.k + list(range(1, self.r + 1)) + [1, 0])
 
     @property
     def relations(self) -> "RelationSet":
@@ -281,7 +269,7 @@ def pipeline_tower(n: int, k: int) -> tuple[RelationSet, str]:
 
     The text is ``str`` of each level relation, one per line; cache keys
     carry its digest.  Every pipeline stage takes its tower from here;
-    towers built by hand (perturbed or with symbolic weights) do not.
+    towers built by hand, such as perturbed ones, do not.
     """
     rels = TowerContext(n, k).relations
     text = "\n".join(str(q) for q in rels.relations)

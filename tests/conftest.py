@@ -23,15 +23,15 @@ def table_bases():
 
     Every job integrates as products of Segre classes and runs no
     pushforward, so the pipeline never forms these classes: they are
-    computed here, once per session, from the base-only class, which has
-    the full class's pushforward.  The reference pass takes seconds at
-    (5,5), whose ``P(d)`` ``POLYNOMIAL_DIGESTS`` pins in both geometries.
+    computed here, once per session, from the full Morse class.  The
+    reference pass takes seconds at (5,5), whose ``P(d)``
+    ``POLYNOMIAL_DIGESTS`` pins in both geometries.
     """
     bases = {}
     for n, k in TABLE_CELLS:
         if (n, k) != (5, 5):
             rels = pipeline_tower(n, k)[0]
-            bases[n, k] = pushforward_to_base(morse_class(rels.ctx, default_weights(k), base_only=True), rels)
+            bases[n, k] = pushforward_to_base(morse_class(rels.ctx, default_weights(k)), rels)
     return bases
 
 

@@ -32,7 +32,7 @@ from jetbound import (
 from jetbound import morse
 from jetbound.cli import TABLE_CELLS
 from jetbound.errors import InadmissibleWeightsError
-from jetbound.geometry import GeometrySpec, _chern_coefficient_in_degree, degree_term_map
+from jetbound.geometry import GeometrySpec, _chern_coefficient_in_degree
 from jetbound.morse import class_terms
 from jetbound.polyring import _EXP_BITS, _EXP_MASK
 from jetbound.tower import RelationSet, _segre_expansion, _segre_gamma, pipeline_tower, pushforward_to_base
@@ -133,7 +133,7 @@ def _admissible(draw, k):
     return tuple(a)
 
 
-# k = 1 leaves one half of the class's split empty; odd k splits it unevenly
+# k = 1 spreads the whole rest onto u_1 at once
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), cell=st.sampled_from([(2, k) for k in range(1, 6)] + [(3, k) for k in range(1, 5)]))
 def test_morse_class_equals_product_for_drawn_weights(data, cell):
@@ -153,7 +153,7 @@ def test_morse_class_term_count_and_no_linear_h(n, k):
     assert len(cls) == comb(N + k, k) - comb(N + k - 2, k - 1) == class_terms(n, k)
     assert 1 not in {exponents.get(ctx.h, 0) for exponents, _ in cls.terms()}
     # at h = 1 no two terms merge: |alpha| + beta = N fixes beta
-    assert len(morse_class(ctx, default_weights(k), keep_h=False)) == len(cls)
+    assert len(cls.substitute(ctx.h, ctx.ring.one)) == len(cls)
 
 
 def test_morse_class_homogeneous():
@@ -180,9 +180,26 @@ def _perturbed_3_4() -> RelationSet:
     return RelationSet(ctx, lifted, rels.relations)
 
 
-def _digit_bound(spec, k) -> int:
-    """The 1-norm of ``P(d)`` at the default weights: ``D = 2^B`` one bit above it is wide enough for its digits."""
-    return sum(map(abs, compute_report(spec, k).morse_poly.coeffs))
+def _wide_degree(spec, k) -> int:
+    """A power of two above twice the 1-norm of the ladder's ``P(d)``, where ``P`` shows every coefficient."""
+    return 2 ** (sum(map(abs, compute_report(spec, k).morse_poly.coeffs)).bit_length() + 1)
+
+
+def _at_degree(ctx, spec, D):
+    """The ring map ``c_l -> p_l(D)``, ``h -> 1``, ``d -> D``, ``p_l`` the degree polynomial of class l.
+
+    It fixes ``u_1..u_k``, so the image of a base class is an integer.
+    """
+    values = {ctx.h: 1, ctx.d: D}
+    for l in range(1, ctx.n + 1):
+        values[ctx.c(l)] = sum(c * D**i for i, c in enumerate(_chern_coefficient_in_degree(spec, l)))
+
+    def at_degree(p):
+        for v, value in values.items():
+            p = p.substitute(v, ctx.ring.const(value))
+        return p
+
+    return at_degree
 
 
 def _specialized(rels, term_map) -> RelationSet:
@@ -212,23 +229,22 @@ BASE_ONLY_TOWERS = [(n, k) for n, k in TABLE_CELLS if n + k <= 8] + [(2, 1), (3,
 
 @pytest.mark.parametrize("cell", BASE_ONLY_TOWERS, ids=str)
 def test_base_only_class_has_the_pushforward_of_the_full_class(cell):
+    # pushforward_to_base drops every other term whatever the relations: for beta > n the u-degree
+    # is below the top level's cut k(r-1), and a lower power of u_k is dropped as the strata are
+    # split; the Segre recursion, which forms no beta > n, relies on the first
     rels = _tower(cell)
     ctx = rels.ctx
-    a = default_weights(ctx.k)
-    for keep_h in (True, False):
-        full = morse_class(ctx, a, keep_h=keep_h)
-        cut = morse_class(ctx, a, keep_h=keep_h, base_only=True)
-        assert cut._terms == {key: c for key, c in full._terms.items() if _reaches_base(ctx, key)}
-    assert pushforward_to_base(morse_class(ctx, a, base_only=True), rels) == pushforward_to_base(
-        morse_class(ctx, a), rels
-    )
+    full = morse_class(ctx, default_weights(ctx.k))
+    cut = ctx.ring.polynomial({key: c for key, c in full._terms.items() if _reaches_base(ctx, key)})
+    assert 0 < len(cut) < len(full)
+    assert pushforward_to_base(cut, rels) == pushforward_to_base(full, rels)
     # on the tower specialized at a degree above the 1-norm of the ladder's P, in both geometries
     for spec in (logarithmic_pair(ctx.n), compact_hypersurface(ctx.n)):
-        D = 2 ** (_digit_bound(spec, ctx.k).bit_length() + 1)
-        specialized = _specialized(rels, degree_term_map(ctx, spec, D))
-        value = pushforward_to_base(morse_class(ctx, a, keep_h=False, base_only=True), specialized)
+        at_degree = _at_degree(ctx, spec, _wide_degree(spec, ctx.k))
+        specialized = _specialized(rels, at_degree)
+        value = pushforward_to_base(at_degree(cut), specialized)
         assert value._terms.get(0)
-        assert value == pushforward_to_base(morse_class(ctx, a, keep_h=False), specialized)
+        assert value == pushforward_to_base(at_degree(full), specialized)
 
 
 def test_every_term_the_base_only_class_leaves_out_pushes_forward_to_zero():
@@ -239,19 +255,6 @@ def test_every_term_the_base_only_class_leaves_out_pushes_forward_to_zero():
     assert 0 < len(dropped) < len(full)
     for key, coeff in dropped.items():
         assert not pushforward_to_base(ctx.ring.polynomial({key: coeff}), rels)
-
-
-@pytest.mark.parametrize("n,k", TABLE_CELLS + [(4, 6), (2, 1), (3, 1)])
-def test_base_only_class_term_count_and_keys_do_not_depend_on_the_weights(n, k):
-    ctx = TowerContext(n, k)
-    N, a = ctx.total_dim, default_weights(k).a
-    # alpha_k >= r - 1 leaves |alpha| - r + 1 to spread over k exponents, for each beta in {0, 2..n}
-    count = sum(comb(N - beta - ctx.r + k, k - 1) for beta in range(min(n, N) + 1) if beta != 1)
-    ladder = morse_class(ctx, a, base_only=True)
-    other = morse_class(ctx, (a[0] + 1,) + a[1:], base_only=True)
-    assert len(ladder) == count
-    assert ladder._terms.keys() == other._terms.keys()
-    assert {(3, 5): 2575, (5, 5): 39650}.get((n, k), count) == count
 
 
 def test_power_equals_repeated_product():
@@ -408,9 +411,9 @@ def test_pushforward_on_the_degree_specialized_tower_is_P_at_that_degree(make_sp
     spec, rels = make_spec(n), pipeline_tower(n, k)[0]
     a = default_weights(k)
     P = compute_report(spec, k).morse_poly
-    cls = morse_class(rels.ctx, a, keep_h=False)
-    for D in (-3, -1, 1, 2, 7, 2 ** (_digit_bound(spec, k).bit_length() + 1)):
-        value = pushforward_to_base(cls, _specialized(rels, degree_term_map(rels.ctx, spec, D)))
+    cls = morse_class(rels.ctx, a).substitute(rels.ctx.h, rels.ctx.ring.one)
+    for D in (-3, -1, 1, 2, 7, _wide_degree(spec, k)):
+        value = pushforward_to_base(cls, _specialized(rels, _at_degree(rels.ctx, spec, D)))
         assert set(value._terms) <= {0}
         assert D * value._terms.get(0, 0) == P(D)
 
@@ -419,9 +422,9 @@ def test_pushforward_on_the_degree_specialized_tower_is_P_at_that_degree(make_sp
 
 
 def _pushed_forward_polynomials(n, k, a) -> dict[str, EvaluatedClass]:
-    """``P(d)`` in both geometries from the base-only class pushed forward on the pipeline tower."""
+    """``P(d)`` in both geometries from the Morse class pushed forward on the pipeline tower."""
     rels = pipeline_tower(n, k)[0]
-    base = pushforward_to_base(morse_class(rels.ctx, a, base_only=True), rels)
+    base = pushforward_to_base(morse_class(rels.ctx, a), rels)
     return {spec.token: evaluate_in_degree(rels.ctx, base, spec) for spec in (logarithmic_pair(n), compact_hypersurface(n))}
 
 
@@ -663,6 +666,12 @@ def test_leading_coefficient_matches_symbolic_form():
     for a in [(2, 1), (5, 2), (9, 3)]:
         value = morse_polynomial(compact_hypersurface(2), 2, a).coefficient(3)
         assert value == 6 * a[0] ** 2 * a[1] ** 2 - 8 * a[0] * a[1] ** 3 + 4 * a[1] ** 4
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 3), (4, 2)])
+def test_symbolic_leading_form_lives_in_a_ring_of_the_weights_alone(n, k):
+    form = symbolic_leading_form(compact_hypersurface(n), k)
+    assert form.ring.names == tuple(f"a{j}" for j in range(1, k + 1))
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (3, 3)])

@@ -17,7 +17,6 @@ from jetbound import (
 )
 from jetbound import morse, tower, verify
 from jetbound.errors import DimensionMismatchError, UnreducedClassError
-from jetbound.geometry import chern_term_map
 from jetbound.morse import default_weights, morse_class
 from jetbound.polyring import _EXP_BITS
 from jetbound.cli import main
@@ -402,24 +401,6 @@ def _signs(ctx):
     return signs
 
 
-@pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (4, 2)])
-def test_chern_term_map_at_signs_keeps_the_weight_fields(n, k):
-    # on classes over u, c and the symbolic weights a, the one integer map at
-    # c_l = (-1)^l is _signs: it keeps the a fields, which lie below u_k
-    ctx = TowerContext(n, k, symbolic_weights=True)
-    ring, rng, signs = ctx.ring, random.Random(3000 + n * 10 + k), _signs(ctx)
-    term_map = chern_term_map(ctx, [(-1) ** l for l in range(1, ctx.r + 1)], 1)
-    variables = [*map(ctx.u, range(1, k + 1)), *map(ctx.c, range(1, ctx.r + 1)), *map(ctx.a, range(1, k + 1))]
-    weights = {ctx.a(j) for j in range(1, k + 1)}
-    for _ in range(10):
-        p = ring.polynomial({
-            ring.encode({v: rng.randint(0, 2) for v in variables}): rng.randint(-9, 9) for _ in range(8)
-        })
-        image = term_map(p)
-        assert image == signs(p)
-        assert image.variables_used() & weights
-
-
 @pytest.mark.parametrize("n,k", [(4, 3), (3, 4), (5, 3)])
 def test_specialized_relations_commute_with_the_pushforward(n, k):
     # pushing phi(p) forward on the relations mapped by phi is phi of the
@@ -504,7 +485,3 @@ def test_context_validation():
         ctx.u(4)
     with pytest.raises(IndexError):
         ctx.c(3)
-    with pytest.raises(ValueError):
-        ctx.a(1)
-    sym = TowerContext(2, 2, symbolic_weights=True)
-    assert sym.ring.names[-2:] == ("a1", "a2")

@@ -83,12 +83,13 @@ def cached_reports(
         if hit is None:
             misses.append((len(results), key))
         results.append(hit)
-    if misses:
-        # fail before computing anything that could not be stored
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-        except OSError as exc:
-            raise _unwritable(cache_dir, exc) from exc
+    if not misses:
+        return results
+    # fail before computing anything that could not be stored
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(cache_dir, exc) from exc
     computed = compute_reports([jobs[index] for index, _ in misses], threads)
     for (index, key), report in zip(misses, computed):
         try:

@@ -15,30 +15,35 @@ threshold is the smallest positive integer beyond which ``P`` stays strictly
 positive, located by an exact downward search below a power-of-two root bound.
 
 ``compute_reports`` is the package's one batch computation, serial or on a
-process pool.  A job is a ``(GeometrySpec, weights)`` pair, and each job runs
-on its own: it forms no class and runs no pushforward.  At ``h = 1`` its
-class is a combination of powers of the one linear form
-``L = sum_j a_j u_j``, and ``_segre_states`` integrates those level by
-level as products of Segre classes, each product and the power of ``L``
-packed into one integer key: a level expands each Segre class of its own
-by those of the level below (``tower._segre_expansion``) and the power of
-``L`` by the binomial theorem, and sends ``u_j^E`` to the Segre class
-``s_(E-r+1)`` below.  At the base, ``_segre_polynomial`` multiplies the
-products out as polynomials in d (``geometry._in_degree``, which also
-evaluates a pushed-forward class).  No u-monomial or c-monomial is formed,
-and no tower is built.  The same recursion, given the powers of symbolic
-weights in place of the ``a_j^m``, gives ``symbolic_leading_form``
-(``_leading_value``).  The pushforward of a class (``morse_class``,
-``tower.pushforward_to_base``, ``evaluate_in_degree``) remains the
-reference the recursion is tested against.
+process pool, each chunk of jobs run by ``_run_jobs``.  A job is a
+``(GeometrySpec, weights)`` pair; it forms no class and runs no
+pushforward.  At ``h = 1`` its class is a combination of powers of the one
+linear form ``L = sum_j a_j u_j``, and the Segre recursion integrates those
+level by level as products of Segre classes, each product and the power of
+``L`` packed into one integer key: a level step (``_level_step``) expands
+each Segre class of its own level by those of the level below
+(``tower._segre_expansion``) and the power of ``L`` by the binomial
+theorem, and sends ``u_j^E`` to the Segre class ``s_(E-r+1)`` below.  Level
+j reads the weights through ``a_j`` alone, and the twist ``(2|a|)^beta``
+is applied at the base, so ``_segre_polynomials`` runs the jobs of one
+tower as one descent over the levels: jobs whose weights agree on
+``a_k..a_j``, in either geometry, share levels k..j.  At the base it
+multiplies the products out as polynomials in d (``geometry._in_degree``,
+which also evaluates a pushed-forward class).  No u-monomial or c-monomial
+is formed, and no tower is built.  The same level step, given the powers of
+symbolic weights in place of the ``a_j^m`` (``_segre_states``), gives
+``symbolic_leading_form`` (``_leading_value``).  The pushforward of a class
+(``morse_class``, ``tower.pushforward_to_base``, ``evaluate_in_degree``)
+remains the reference the recursion is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, isfinite
+from operator import mul
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
@@ -164,7 +169,7 @@ def morse_polynomial(
     """Full pipeline: integrate the class to the base and evaluate it in the degree.
 
     The value equals evaluating ``integrate_fibers(reduce_tower(...))``; the
-    job integrates by the Segre recursion of ``_segre_polynomial``.
+    job integrates by the Segre recursion of ``_segre_polynomials``.
     """
     return compute_report(spec, k, weights).morse_poly
 
@@ -339,35 +344,65 @@ class MorseReport:
         return report
 
 
+def _key_units(r: int, top: int) -> list[int]:
+    """The key unit ``1 << t * _EXP_BITS`` of each Segre index t a level can create from the power ``top``.
+
+    The indices run up to ``top - r + 1``, and index 0 adds nothing.  A
+    power above ``_EXP_MASK`` raises ``ValueError``: it does not fit the
+    key's low field.
+    """
+    if top > _EXP_MASK:
+        raise ValueError(f"power {top} of the linear form exceeds the key field limit {_EXP_MASK}")
+    return [0] + [1 << t * _EXP_BITS for t in range(1, top - r + 2)]
+
+
+def _level_step(
+    r: int, states: Mapping[int, Union[int, Polynomial]], factors: Sequence, units: Sequence[int], last: bool
+) -> dict[int, Union[int, Polynomial]]:
+    """The states of level j - 1 from those of level j, ``factors[m]`` the factor ``x_j^m`` of ``u_j^m``.
+
+    Each state's indices, its key less M, expand by
+    ``tower._segre_expansion`` into ``u_j^e`` times a product of
+    level-(j-1) Segre classes; ``L_j^M = sum_m C(M, m) x_j^m u_j^m
+    L_(j-1)^(M-m)``, with ``m = M`` alone on the ``last`` level, j = 1,
+    where ``L_0 = 0``; and ``u_j^E`` pushes forward to ``s_(E-r+1)^[j-1]``,
+    zero for ``E < r - 1``.  A zero factor drops its power, and ``units``
+    come from ``_key_units``.
+    """
+    below: dict[int, Union[int, Polynomial]] = {}
+    for key, g in states.items():
+        M = key & _EXP_MASK
+        expansion = _segre_expansion(r, key - M)
+        for m in range(M if last else 0, M + 1):
+            if not (factor := factors[m]):
+                continue
+            scale, low, left = g * comb(M, m) * factor, m - r + 1, M - m
+            for e, rest, coeff in expansion:
+                if (index := e + low) >= 0:
+                    target = rest + units[index] + left
+                    below[target] = below.get(target, 0) + scale * coeff
+    return below
+
+
 def _segre_states(
     r: int, levels: Sequence[Sequence], powers: Mapping[int, int]
 ) -> Iterator[dict[int, Union[int, Polynomial]]]:
     """The states of ``sum_M powers[M] L^M``, ``L = sum_j x_j u_j``, on levels k, k - 1, ..., 0.
 
     ``levels[j - 1][m]`` is the factor ``x_j^m`` of ``u_j^m``, for every
-    power m up to the largest M, and a zero entry drops that power: a job
-    passes ``a_j^m``, ``symbolic_leading_form`` the powers of a weight
-    variable, and the balanced intersection of ``verify`` keeps ``m = n``
-    alone.  A state of level j with coefficient g stands for ``g prod_(i in
-    indices) s_i^[j] L_j^M``, ``L_j = sum_(i <= j) x_i u_i`` and ``s^[j] =
-    1 / c^[j]`` the Segre series of the level-j classes.  Its key is one
-    integer in the packed idiom of ``polyring``: M in the low field and the
-    count of index ``i >= 1`` in field i, each ``_EXP_BITS`` wide, so level
-    k holds the key M for each power.  Level j turns its states into those
-    of level j - 1 in three steps:
+    power m up to the largest M, and a zero entry drops that power:
+    ``symbolic_leading_form`` passes the powers of a weight variable, and
+    the balanced intersection of ``verify`` keeps ``m = n`` alone.  A state
+    of level j with coefficient g stands for ``g prod_(i in indices)
+    s_i^[j] L_j^M``, ``L_j = sum_(i <= j) x_i u_i`` and ``s^[j] = 1 /
+    c^[j]`` the Segre series of the level-j classes.  Its key is one integer
+    in the packed idiom of ``polyring``: M in the low field and the count of
+    index ``i >= 1`` in field i, each ``_EXP_BITS`` wide, so level k holds
+    the key M for each power.  ``_level_step`` turns the states of level j
+    into those of level j - 1, so a new index t is one add of its unit (none
+    for t = 0), and spending m powers of L one subtraction of m; no unit is
+    built when there is no level.
 
-    - it expands the indices, the key less M, by ``tower._segre_expansion``,
-      which gives ``u_j^e`` times a product of level-(j-1) Segre classes;
-    - it writes ``L_j^M = sum_m C(M, m) x_j^m u_j^m L_(j-1)^(M-m)``, with
-      ``m = M`` at j = 1, where ``L_0 = 0``;
-    - it pushes ``u_j^E`` forward to ``s_(E-r+1)^[j-1]``, zero for ``E < r -
-      1``: the ``u_j^(r-1)`` coefficient of ``u_j^E`` modulo the level
-      relation, which is what ``pushforward_to_base`` integrates it to.
-
-    So a new index t is one add of the unit ``1 << t * _EXP_BITS`` (none
-    for t = 0), and spending m powers of L one subtraction of m; the units
-    run up to ``top - r + 1``, the largest index a level can create from
-    the largest power ``top``, and none is built when there is no level.
     Each step is an identity in the cohomology of level j, and the
     pushforward is linear over level j - 1 (the projection formula), so the
     level-0 states, whose M is 0, are the pushforward of the input exactly:
@@ -378,25 +413,11 @@ def _segre_states(
     raises ``ValueError`` before any expansion.
     """
     top = max(powers, default=0)
-    if top > _EXP_MASK:
-        raise ValueError(f"power {top} of the linear form exceeds the key field limit {_EXP_MASK}")
-    units = [0] + [1 << t * _EXP_BITS for t in range(1, top - r + 2)] if levels else []
+    units = _key_units(r, top) if levels else []
     states = dict(powers)
     yield states
     for j in range(len(levels), 0, -1):
-        factors, below = levels[j - 1], {}
-        for key, g in states.items():
-            M = key & _EXP_MASK
-            expansion = _segre_expansion(r, key - M)
-            for m in range(M if j == 1 else 0, M + 1):
-                if not (factor := factors[m]):
-                    continue
-                scale, low, left = g * comb(M, m) * factor, m - r + 1, M - m
-                for e, rest, coeff in expansion:
-                    if (index := e + low) >= 0:
-                        target = rest + units[index] + left
-                        below[target] = below.get(target, 0) + scale * coeff
-        states = below
+        states = _level_step(r, states, levels[j - 1], units, j == 1)
         yield states
 
 
@@ -415,78 +436,132 @@ def _leading_value(r: int, levels: Sequence[Sequence], powers: Mapping[int, int]
     return sum(g for key, g in states.items() if not key >> 2 * _EXP_BITS)
 
 
-def _segre_polynomial(spec: GeometrySpec, weights: WeightVector) -> EvaluatedClass:
-    """``P(d)`` of one job from the Morse class's pushforward as products of base Segre classes.
+@functools.lru_cache(maxsize=None)
+def _base_segre(spec: GeometrySpec) -> tuple[dict[int, int], ...]:
+    """The base Segre classes ``S_1(d), ..., S_n(d)`` of ``spec`` as raw term maps in d, memoized per spec.
 
-    At ``h = 1`` the class is ``sum_(beta != 1) (1 - beta) C(N, beta)
-    (2|a|)^beta L^(N-beta)``, ``L = sum_j a_j u_j``: ``h^beta`` only fixes
-    the degree ``n - beta`` of its base part, so ``beta > n`` gives none.
-    ``_segre_states`` pushes it forward to ``sum g prod_i s_i^[0]``.  The base
-    Segre series is ``1 / c`` at ``c_l = p_l(d)``, ``h = 1``: ``S_0 = 1`` and
-    ``S_p = -sum_(l <= min(p, r)) p_l(d) S_(p-l)``, and ``h^n`` integrates to
-    d, so ``P(d) = d sum g prod_i S_i(d)``, each key decoded into the count
-    of each index and the products multiplied out by ``geometry._in_degree``,
-    the routine ``evaluate_in_degree`` runs on the ``p_l``.  That is
-    ``evaluate_in_degree`` of ``pushforward_to_base`` of the same class,
-    coefficient by coefficient.
+    ``S = 1 / c`` at ``c_l = p_l(d)``, ``h = 1``: ``S_0 = 1`` and ``S_p =
+    -sum_(l <= min(p, n)) p_l(d) S_(p-l)``.  Callers only read the maps.
     """
-    n, r, k = spec.n, spec.n, weights.k
-    N, twist = n + k * (r - 1), 2 * weights.total
-    powers = {N - beta: (1 - beta) * comb(N, beta) * twist**beta for beta in range(n + 1) if beta != 1}
-    levels = [[a**m for m in range(N + 1)] for a in weights.a]
-    for states in _segre_states(r, levels, powers):
-        pass
-    # raw term maps in d, each key an exponent: -p_l(d) and S_p(d)
-    chern = [{i: -c for i, c in enumerate(_chern_coefficient_in_degree(spec, l))} for l in range(1, r + 1)]
+    n = spec.n
+    chern = [{i: -c for i, c in enumerate(_chern_coefficient_in_degree(spec, l))} for l in range(1, n + 1)]
     segre: list[dict[int, int]] = [{0: 1}]
     for p in range(1, n + 1):
         segre.append({})
         for l in range(1, p + 1):
             _mul_into(segre[p], chern[l - 1], segre[p - l])
-    shifts = [i * _EXP_BITS for i in range(1, n + 1)]
-    terms = ((g, [key >> sh & _EXP_MASK for sh in shifts]) for key, g in states.items())
-    return _in_degree(terms, segre[1:])
+    return tuple(segre[1:])
 
 
-def _run_job(job: tuple[GeometrySpec, tuple[int, ...]]) -> MorseReport:
-    """The report of one ``(spec, weights)`` job, its ``elapsed_ms`` the job's own wall time.
+def _segre_polynomials(jobs: Sequence[tuple[GeometrySpec, WeightVector]]) -> list[EvaluatedClass]:
+    """``P(d)`` of each ``(spec, weights)`` job, from its Morse class as products of base Segre classes.
 
-    ``P(d)`` comes from ``_segre_polynomial``: no tower is built and no class
-    is formed or pushed forward.
+    At ``h = 1`` the class is ``sum_(beta != 1) (1 - beta) C(N, beta)
+    (2|a|)^beta L^(N-beta)``, ``L = sum_j a_j u_j``: ``h^beta`` only fixes
+    the degree ``n - beta`` of its base part, so ``beta > n`` gives none.
+    Level j's step reads the weights through ``a_j`` alone, and the twist
+    ``(2|a|)^beta`` waits for the base: there a state's weighted index sum
+    ``sum_i i count_i`` is ``n - beta`` (the degree count of
+    ``_segre_states``), so its beta is known, and multiplying it in there is
+    exact by linearity.  So every job of one tower ``(n, k)``, in either
+    geometry, starts level k from the weight-free powers ``{N - beta: (1 -
+    beta) C(N, beta)}``, and jobs whose weights agree on ``a_k, ..., a_j``
+    share levels k..j: the weight vectors are walked in the order of their
+    reversed tuples, and each runs only the levels below the suffix it
+    shares with the vector before it, one ``_level_step`` per distinct
+    suffix.  A job list of one runs exactly k steps.
+
+    At the base ``P(d) = d sum g (2|a|)^beta prod_i S_i(d)``, the count of
+    each index decoded from the key and the products multiplied out by
+    ``geometry._in_degree``, the routine ``evaluate_in_degree`` runs on the
+    ``p_l``, with the ``S_p`` of each spec (``_base_segre``) built once per
+    process.  That is ``evaluate_in_degree`` of ``pushforward_to_base`` of
+    the same class, coefficient by coefficient.
     """
-    spec, weights = job
+    polys: list[Optional[EvaluatedClass]] = [None] * len(jobs)
+    towers: dict[tuple[int, int], dict[tuple[int, ...], list[int]]] = {}
+    for index, (spec, w) in enumerate(jobs):
+        towers.setdefault((spec.n, w.k), {}).setdefault(w.a, []).append(index)
+    for (n, k), vectors in towers.items():
+        N = n + k * (n - 1)
+        units, indices = _key_units(n, N), range(1, n + 1)
+        shifts = [i * _EXP_BITS for i in indices]
+        # stack[i] holds the states after the steps of levels k, ..., k - i + 1
+        stack = [{N - beta: (1 - beta) * comb(N, beta) for beta in range(n + 1) if beta != 1}]
+        previous = (0,) * k  # every weight is positive, so the first vector shares no level
+        for a in sorted(vectors, key=lambda a: a[::-1]):
+            shared = 0
+            while a[k - 1 - shared] == previous[k - 1 - shared]:
+                shared += 1
+            del stack[shared + 1:]
+            for j in range(k - shared, 0, -1):
+                x = a[j - 1]
+                stack.append(_level_step(n, stack[-1], [x**m for m in range(N + 1)], units, j == 1))
+            previous, twist = a, 2 * sum(a)
+            terms = []
+            for key, g in stack[-1].items():
+                counts = [key >> shift & _EXP_MASK for shift in shifts]
+                terms.append((g * twist ** (n - sum(map(mul, indices, counts))), counts))
+            for index in vectors[a]:
+                polys[index] = _in_degree(terms, _base_segre(jobs[index][0]))
+    return polys
+
+
+def _run_jobs(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]]) -> list[MorseReport]:
+    """The report of every ``(spec, weights)`` job, in job order, its ``elapsed_ms`` the jobs' mean wall time.
+
+    ``P(d)`` comes from ``_segre_polynomials``: no tower is built and no
+    class is formed or pushed forward.  Jobs on one tower share the levels
+    their weights agree on, so a report's time is not its own: every report
+    carries the wall time of the whole list (the recursion and each
+    threshold search) divided by its number of jobs, which for a list of one
+    is that job's own time.
+    """
     start = time.perf_counter()
-    w = _as_weights(weights)
-    P = _segre_polynomial(spec, w)
-    threshold = degree_threshold(P)
-    return MorseReport(
-        n=spec.n,
-        k=w.k,
-        geometry=spec.token,
-        weights=w.a,
-        total_dim=spec.n + w.k * (spec.n - 1),
-        morse_poly=P,
-        leading_coeff=P.leading_coefficient,
-        threshold=threshold,
-        elapsed_ms=round((time.perf_counter() - start) * 1000.0, 3),
-    )
+    jobs = [(spec, _as_weights(weights)) for spec, weights in jobs]
+    polys = _segre_polynomials(jobs)
+    thresholds = [degree_threshold(P) for P in polys]
+    elapsed = round((time.perf_counter() - start) * 1000.0 / max(len(jobs), 1), 3)
+    return [
+        MorseReport(
+            n=spec.n,
+            k=w.k,
+            geometry=spec.token,
+            weights=w.a,
+            total_dim=spec.n + w.k * (spec.n - 1),
+            morse_poly=P,
+            leading_coeff=P.leading_coefficient,
+            threshold=threshold,
+            elapsed_ms=elapsed,
+        )
+        for (spec, w), P, threshold in zip(jobs, polys, thresholds)
+    ]
 
 
 def compute_reports(
     jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
     threads: int = 1,
 ) -> list[MorseReport]:
-    """The report of every ``(spec, weights)`` job, in job order, each job run by ``_run_job``.
+    """The report of every ``(spec, weights)`` job, in job order, the jobs run in chunks by ``_run_jobs``.
 
-    With more than one thread and more than one job, the jobs go to a
-    process pool of ``min(threads, jobs)`` workers, each job pickled as its
-    spec and weights, and the reports come back pickled.
+    With ``workers = min(threads, jobs)`` above one, the jobs split
+    round-robin into that many chunks, chunk i holding jobs i, i + workers,
+    ..., and each chunk goes to a worker of a process pool, pickled as its
+    specs and weights; its reports come back pickled.  Otherwise the jobs are
+    one chunk, run in this process.  Each chunk shares the levels of the
+    towers within it.
     """
     workers = min(threads, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_job, jobs))
-    return list(map(_run_job, jobs))
+    if workers < 2:
+        return _run_jobs(jobs)
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = list(pool.map(_run_jobs, [jobs[i::workers] for i in range(workers)]))
+    reports: list[MorseReport] = [None] * len(jobs)
+    for i, chunk in enumerate(chunks):
+        reports[i::workers] = chunk
+    return reports
 
 
 def compute_report(

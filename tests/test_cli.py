@@ -278,7 +278,7 @@ def test_threads_clamped_to_cpu_count(capsys, tmp_path, monkeypatch, cpus, reque
             return map(fn, *iterables)
 
     monkeypatch.setattr("jetbound.cli.os.cpu_count", lambda: cpus)
-    monkeypatch.setattr("jetbound.morse.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     # three jobs or more each: three table cells, and 100 (2,2) candidates
     monkeypatch.setattr("jetbound.cli.TABLE_CELLS", [(2, 2), (2, 3), (3, 3)])
     code, _, _ = run_cli(capsys, "table", "--threads", requested,
@@ -528,7 +528,7 @@ def test_internal_error_maps_to_exit_4(capsys, cache_dir, monkeypatch):
     def boom(*args, **kwargs):
         raise UnreducedClassError("synthetic invariant violation")
 
-    monkeypatch.setattr("jetbound.morse._run_job", boom)
+    monkeypatch.setattr("jetbound.morse._run_jobs", boom)
     code, _, err = run_cli(capsys, "bound", "--dim", "2", "--order", "2",
                            "--cache-dir", cache_dir)
     assert code == 4

@@ -435,7 +435,7 @@ def test_segre_recursion_equals_the_pushforward_on_table_cell(cell, table_bases)
     ctx = pipeline_tower(n, k)[0].ctx
     for spec in (logarithmic_pair(n), compact_hypersurface(n)):
         expected = evaluate_in_degree(ctx, table_bases[cell], spec)
-        assert morse._segre_polynomial(spec, default_weights(k)) == expected, spec.token
+        assert compute_report(spec, k).morse_poly == expected, spec.token
 
 
 SEGRE_JOBS = [
@@ -449,7 +449,7 @@ SEGRE_JOBS = [
 def test_segre_recursion_equals_the_pushforward(n, a):
     expected = _pushed_forward_polynomials(n, len(a), a)
     for spec in (logarithmic_pair(n), compact_hypersurface(n)):
-        assert morse._segre_polynomial(spec, WeightVector(a)) == expected[spec.token], spec.token
+        assert compute_report(spec, len(a), a).morse_poly == expected[spec.token], spec.token
 
 
 def _decode(key: int) -> tuple[tuple[int, ...], int]:

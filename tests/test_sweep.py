@@ -1,4 +1,4 @@
-"""Sweeps: every weight candidate is a job of its own, run in order, serially or on a pool."""
+"""Sweeps: every weight candidate is a job, run in order, serially or on a pool, sharing the levels of its tower."""
 
 import pickle
 import time
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from jetbound import (
     compact_hypersurface,
+    compute_report,
     default_weights,
     degree_threshold,
     enumerate_admissible,
@@ -130,16 +131,84 @@ def test_a_pool_starts_for_several_jobs_only_and_receives_specs_and_weights(monk
                 payloads.append(pickle.dumps(args))
                 yield fn(*pickle.loads(payloads[-1]))
 
-    monkeypatch.setattr(morse, "ProcessPoolExecutor", PicklingPool)
-    assert compute_reports([], threads=2) == []  # what an all-hit CLI run passes
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", PicklingPool)
+    assert compute_reports([], threads=2) == []
     assert compute_reports([(logarithmic_pair(3), SWEEP_CANDIDATES[0])], threads=2)[0].threshold == 68
     assert pools == []
     jobs = [(logarithmic_pair(2), (2, 1)), (compact_hypersurface(2), (6, 2, 1)), (logarithmic_pair(3), (3, 1))]
     reports = compute_reports(jobs, threads=8)
     assert pools == [3]  # one worker per job
     assert [(r.n, r.geometry, r.weights) for r in reports] == [(spec.n, spec.token, a) for spec, a in jobs]
-    assert [pickle.loads(payload) for payload in payloads] == [(job,) for job in jobs]
+    assert [pickle.loads(payload) for payload in payloads] == [([job],) for job in jobs]  # one chunk list per worker
+    payloads.clear()
+    reports = compute_reports(jobs, threads=2)
+    assert pools == [3, 2]
+    assert [(r.n, r.geometry, r.weights) for r in reports] == [(spec.n, spec.token, a) for spec, a in jobs]
+    assert [pickle.loads(payload) for payload in payloads] == [(jobs[0::2],), (jobs[1::2],)]  # round-robin
     assert not any(b"RelationSet" in payload for payload in payloads)
+
+
+def _alone(jobs):
+    return [_untimed(compute_report(spec, len(a), a)) for spec, a in jobs]
+
+
+MIXED_JOBS = [
+    (geometry(n), a)
+    for geometry in (logarithmic_pair, compact_hypersurface)
+    for n, a in (
+        (3, SWEEP_CANDIDATES[3]),
+        (2, (6, 2, 1)),
+        (3, SWEEP_CANDIDATES[0]),
+        (2, (2, 1)),
+        (3, SWEEP_CANDIDATES[3]),  # a duplicate
+        (4, (6, 2, 1)),
+        (3, (6, 2, 1)),
+        (2, (7, 2, 1)),
+        (3, SWEEP_CANDIDATES[11]),
+        (2, (2, 1)),  # a duplicate
+        (2, (5, 2)),
+    )
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("order", ["as listed", "interleaved", "reversed"])
+def test_mixed_job_lists_equal_each_job_alone(threads, order):
+    jobs = {
+        "as listed": MIXED_JOBS,
+        "interleaved": MIXED_JOBS[::2] + MIXED_JOBS[1::2],
+        "reversed": MIXED_JOBS[::-1],
+    }[order]
+    assert [_untimed(r) for r in compute_reports(jobs, threads)] == _alone(jobs)
+
+
+@pytest.fixture
+def level_steps(monkeypatch):
+    """Records, per call of ``morse._level_step``, whether it steps to the base."""
+    calls = []
+    step = morse._level_step
+
+    def counted(r, states, factors, units, last):
+        calls.append(last)
+        return step(r, states, factors, units, last)
+
+    monkeypatch.setattr(morse, "_level_step", counted)
+    return calls
+
+
+def test_sweep_candidates_share_the_levels_their_weights_agree_on(level_steps):
+    # the 12 candidates (54..61, 18|19, 6, 2, 1) share a_3..a_5 and take two values of a_2: 1 + 1 + 1 + 2 + 12
+    jobs = [(spec(3), a) for a in SWEEP_CANDIDATES for spec in (logarithmic_pair, compact_hypersurface)]
+    assert len({a[1] for a in SWEEP_CANDIDATES}) == 2 and len({a[2:] for a in SWEEP_CANDIDATES}) == 1
+    reports = compute_reports(jobs)
+    assert len(level_steps) == 17 and sum(level_steps) == 12  # one step to the base per vector
+    assert [_untimed(r) for r in reports] == _alone(jobs)
+
+
+@pytest.mark.parametrize("n,a", [(2, (2, 1)), (3, SWEEP_CANDIDATES[5]), (4, (1,))])
+def test_one_job_takes_one_step_per_level(level_steps, n, a):
+    compute_reports([(compact_hypersurface(n), a)])
+    assert len(level_steps) == len(a)
 
 
 @pytest.mark.parametrize("k", range(1, 7))

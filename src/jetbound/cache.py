@@ -5,8 +5,9 @@ SHA-256 digest of the tower's canonical relation text, and the engine
 version), so any change to the reduction algebra or to the engine invalidates
 stale entries.  The digest comes with the tower from ``tower.pipeline_tower``,
 once per process, so forming a key hashes only this short description.
-Writes go through a temporary file and an atomic rename; concurrent writers
-of the same key are harmless because they write identical content.
+Writes go through a temporary file and an atomic rename; two processes
+writing the same key at once are harmless because they write identical
+content.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """Command-line front end: bound, poly, table, sweep, verify.
 
+``bound``, ``poly``, ``table`` and ``sweep`` fetch or compute their reports
+through ``cached_reports``, the one cache path, whose misses are one job
+list for ``morse.compute_reports``, computed in this process.
+
 Exit codes: 0 success, 2 invalid input or weights, an oversized job or an
 unusable cache directory, 3 no threshold (the degree polynomial has
 non-positive leading coefficient), 4 violated internal invariant or failed
@@ -40,9 +44,16 @@ def _unwritable(cache_dir: str, exc: OSError) -> CacheDirectoryError:
     return CacheDirectoryError(f"cannot write cache directory {cache_dir}: {exc.strerror or exc}")
 
 
+def _refuse_oversized(n: int, k: int) -> None:
+    """Raise ``OversizedJobError`` when the Morse class of the (n, k) tower has more than ``MAX_CLASS_TERMS`` terms."""
+    terms = class_terms(n, k)
+    if terms > MAX_CLASS_TERMS:
+        raise OversizedJobError(f"the Morse class of the ({n}, {k}) tower has {terms} terms, "
+                                f"above the limit of {MAX_CLASS_TERMS}")
+
+
 def cached_reports(
     jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
-    threads: int,
     cache_dir: str,
 ) -> list[MorseReport]:
     """Fetch or compute the report of every ``(spec, weights)`` job, in job order.
@@ -57,13 +68,10 @@ def cached_reports(
     that cannot be created or written raises ``CacheDirectoryError``, before
     any miss is computed where it can.  A job whose Morse class would have
     more than ``MAX_CLASS_TERMS`` terms raises ``OversizedJobError`` before
-    any tower is built or key formed.
+    any tower is built or key formed (``_refuse_oversized``).
     """
     for n, k in dict.fromkeys((spec.n, len(weights)) for spec, weights in jobs):
-        terms = class_terms(n, k)
-        if terms > MAX_CLASS_TERMS:
-            raise OversizedJobError(f"the Morse class of the ({n}, {k}) tower has {terms} terms, "
-                                    f"above the limit of {MAX_CLASS_TERMS}")
+        _refuse_oversized(n, k)
     results: list[Optional[MorseReport]] = []
     misses: list[tuple[int, str]] = []
     for spec, weights in jobs:
@@ -90,7 +98,7 @@ def cached_reports(
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
         raise _unwritable(cache_dir, exc) from exc
-    computed = compute_reports([jobs[index] for index, _ in misses], threads)
+    computed = compute_reports([jobs[index] for index, _ in misses])
     for (index, key), report in zip(misses, computed):
         try:
             cache.store(cache_dir, key, _json_text(report.to_json_dict()).encode())
@@ -100,18 +108,9 @@ def cached_reports(
     return results
 
 
-def _thread_count(text: str) -> int:
-    """``--threads`` clamped to the CPU count: a process pool starts every worker up front.
-
-    ``morse.compute_reports`` starts no more workers than jobs, and no pool
-    for a single job.
-    """
-    return min(int(text), os.cpu_count() or 1)
-
-
 #: Bound on each integer option, checked in this order before any command runs.
-_LIMITS = (("dim", ">=", 2), ("order", ">=", 1), ("budget", ">=", 1), ("threads", ">=", 1),
-           ("dim_max", ">=", 2), ("dim_max", "<=", MAX_DIM))
+_LIMITS = (("dim", ">=", 2), ("order", ">=", 1), ("budget", ">=", 1), ("dim_max", ">=", 2),
+           ("dim_max", "<=", MAX_DIM))
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -197,7 +196,7 @@ def _one_report(args) -> MorseReport:
         # before the tower is built or the cache directory created
         raise InadmissibleWeightsError(f"got {len(weights)} weights for a tower of order {args.order}")
     spec = GeometrySpec(args.geometry, args.dim)
-    return cached_reports([(spec, weights)], 1, cache.resolve_cache_dir(args.cache_dir))[0]
+    return cached_reports([(spec, weights)], cache.resolve_cache_dir(args.cache_dir))[0]
 
 
 def cmd_bound(args):
@@ -215,7 +214,7 @@ def cmd_poly(args):
 
 def cmd_table(args):
     jobs = [(GeometrySpec("log", n), default_weights(k).a) for n, k in TABLE_CELLS]
-    reports = cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
+    reports = cached_reports(jobs, cache.resolve_cache_dir(args.cache_dir))
     thresholds = {cell: report.threshold for cell, report in zip(TABLE_CELLS, reports)}
     bounds = order_bounds(thresholds)
     cells = [[n, k, thresholds[(n, k)], bounds[(n, k)]] for n, k in TABLE_CELLS]
@@ -225,11 +224,10 @@ def cmd_table(args):
 
 
 def cmd_sweep(args):
+    _refuse_oversized(args.dim, args.order)  # before the candidates, whose count is the budget
     spec = GeometrySpec(args.geometry, args.dim)
     jobs = [(spec, w.a) for w in sweep.enumerate_admissible(args.order, args.budget)]
-    result = sweep.SweepResult.from_reports(
-        cached_reports(jobs, args.threads, cache.resolve_cache_dir(args.cache_dir))
-    )
+    result = sweep.SweepResult.from_reports(cached_reports(jobs, cache.resolve_cache_dir(args.cache_dir)))
     best = result.best
     data = {"dim": args.dim, "order": args.order, "geometry": args.geometry,
             "budget": args.budget, "evaluated": result.evaluated, "best": best.to_json_dict()}
@@ -279,13 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="effective bounds for all 2 <= n <= k <= 5, log geometry")
     _add_common(p_table, dim_order=False)
-    p_table.add_argument("--threads", type=_thread_count, default=1)
     p_table.set_defaults(func=cmd_table)
 
     p_sweep = sub.add_parser("sweep", help="search admissible weight vectors")
     _add_common(p_sweep)
     p_sweep.add_argument("--budget", type=int, default=10, help="number of candidates")
-    p_sweep.add_argument("--threads", type=_thread_count, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the structural verification matrix")

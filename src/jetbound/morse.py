@@ -14,24 +14,24 @@ polynomial ``P(d)``; when its leading coefficient is positive, the effective
 threshold is the smallest positive integer beyond which ``P`` stays strictly
 positive, located by an exact downward search below a power-of-two root bound.
 
-``compute_reports`` is the package's one batch computation, serial or on a
-process pool, each chunk of jobs run by ``_run_jobs``.  A job is a
-``(GeometrySpec, weights)`` pair; it forms no class and runs no
-pushforward.  At ``h = 1`` its class is a combination of powers of the one
-linear form ``L = sum_j a_j u_j``, and the Segre recursion integrates those
-level by level as products of Segre classes, each product and the power of
-``L`` packed into one integer key: a level step (``_level_step``) expands
-each Segre class of its own level by those of the level below
-(``tower._segre_expansion``) and the power of ``L`` by the binomial
-theorem, and sends ``u_j^E`` to the Segre class ``s_(E-r+1)`` below.  Level
-j reads the weights through ``a_j`` alone, and the twist ``(2|a|)^beta``
-is applied at the base, so ``_segre_polynomials`` runs the jobs of one
-tower as one descent over the levels: jobs whose weights agree on
-``a_k..a_j``, in either geometry, share levels k..j.  At the base it
-multiplies the products out as polynomials in d (``geometry._in_degree``,
-which also evaluates a pushed-forward class).  No u-monomial or c-monomial
-is formed, and no tower is built.  The same level step, given the powers of
-symbolic weights in place of the ``a_j^m`` (``_segre_states``), gives
+``compute_reports`` is the package's one batch computation, and it runs
+in this process, one tower at a time.  A job is a ``(GeometrySpec,
+weights)`` pair; it forms no class and runs no pushforward.  At ``h = 1``
+its class is a combination of powers of the one linear form ``L = sum_j
+a_j u_j``, and the Segre recursion integrates those level by level as
+products of Segre classes, each product and the power of ``L`` packed into
+one integer key: a level step (``_level_step``) expands each Segre class of
+its own level by those of the level below (``tower._segre_expansion``) and
+the power of ``L`` by the binomial theorem, and sends ``u_j^E`` to the
+Segre class ``s_(E-r+1)`` below.  Level j reads the weights through
+``a_j`` alone, and the twist ``(2|a|)^beta`` is applied at the base, so
+``_segre_polynomials`` runs the jobs of one tower as one descent over the
+levels: jobs whose weights agree on ``a_k..a_j``, in either geometry,
+share levels k..j.  At the base it multiplies the products out as
+polynomials in d (``geometry._in_degree``, which also evaluates a
+pushed-forward class).  No u-monomial or c-monomial is formed, and no
+tower is built.  The same level step, given the powers of symbolic weights
+in place of the ``a_j^m`` (``_segre_states``), gives
 ``symbolic_leading_form`` (``_leading_value``).  The pushforward of a class
 (``morse_class``, ``tower.pushforward_to_base``, ``evaluate_in_degree``)
 remains the reference the recursion is tested against.
@@ -453,8 +453,10 @@ def _base_segre(spec: GeometrySpec) -> tuple[dict[int, int], ...]:
     return tuple(segre[1:])
 
 
-def _segre_polynomials(jobs: Sequence[tuple[GeometrySpec, WeightVector]]) -> list[EvaluatedClass]:
-    """``P(d)`` of each ``(spec, weights)`` job, from its Morse class as products of base Segre classes.
+def _segre_polynomials(
+    n: int, k: int, jobs: Sequence[tuple[GeometrySpec, WeightVector]]
+) -> list[EvaluatedClass]:
+    """``P(d)`` of each ``(spec, weights)`` job on the (n, k) tower, from its Morse class as products of base Segre classes.
 
     At ``h = 1`` the class is ``sum_(beta != 1) (1 - beta) C(N, beta)
     (2|a|)^beta L^(N-beta)``, ``L = sum_j a_j u_j``: ``h^beta`` only fixes
@@ -463,13 +465,13 @@ def _segre_polynomials(jobs: Sequence[tuple[GeometrySpec, WeightVector]]) -> lis
     ``(2|a|)^beta`` waits for the base: there a state's weighted index sum
     ``sum_i i count_i`` is ``n - beta`` (the degree count of
     ``_segre_states``), so its beta is known, and multiplying it in there is
-    exact by linearity.  So every job of one tower ``(n, k)``, in either
-    geometry, starts level k from the weight-free powers ``{N - beta: (1 -
-    beta) C(N, beta)}``, and jobs whose weights agree on ``a_k, ..., a_j``
-    share levels k..j: the weight vectors are walked in the order of their
-    reversed tuples, and each runs only the levels below the suffix it
-    shares with the vector before it, one ``_level_step`` per distinct
-    suffix.  A job list of one runs exactly k steps.
+    exact by linearity.  So every job, in either geometry, starts level k
+    from the weight-free powers ``{N - beta: (1 - beta) C(N, beta)}``, and
+    jobs whose weights agree on ``a_k, ..., a_j`` share levels k..j: the
+    weight vectors are walked in the order of their reversed tuples, and
+    each runs only the levels below the suffix it shares with the vector
+    before it, one ``_level_step`` per distinct suffix.  A job list of one
+    runs exactly k steps.
 
     At the base ``P(d) = d sum g (2|a|)^beta prod_i S_i(d)``, the count of
     each index decoded from the key and the products multiplied out by
@@ -479,88 +481,67 @@ def _segre_polynomials(jobs: Sequence[tuple[GeometrySpec, WeightVector]]) -> lis
     the same class, coefficient by coefficient.
     """
     polys: list[Optional[EvaluatedClass]] = [None] * len(jobs)
-    towers: dict[tuple[int, int], dict[tuple[int, ...], list[int]]] = {}
-    for index, (spec, w) in enumerate(jobs):
-        towers.setdefault((spec.n, w.k), {}).setdefault(w.a, []).append(index)
-    for (n, k), vectors in towers.items():
-        N = n + k * (n - 1)
-        units, indices = _key_units(n, N), range(1, n + 1)
-        shifts = [i * _EXP_BITS for i in indices]
-        # stack[i] holds the states after the steps of levels k, ..., k - i + 1
-        stack = [{N - beta: (1 - beta) * comb(N, beta) for beta in range(n + 1) if beta != 1}]
-        previous = (0,) * k  # every weight is positive, so the first vector shares no level
-        for a in sorted(vectors, key=lambda a: a[::-1]):
-            shared = 0
-            while a[k - 1 - shared] == previous[k - 1 - shared]:
-                shared += 1
-            del stack[shared + 1:]
-            for j in range(k - shared, 0, -1):
-                x = a[j - 1]
-                stack.append(_level_step(n, stack[-1], [x**m for m in range(N + 1)], units, j == 1))
-            previous, twist = a, 2 * sum(a)
-            terms = []
-            for key, g in stack[-1].items():
-                counts = [key >> shift & _EXP_MASK for shift in shifts]
-                terms.append((g * twist ** (n - sum(map(mul, indices, counts))), counts))
-            for index in vectors[a]:
-                polys[index] = _in_degree(terms, _base_segre(jobs[index][0]))
+    vectors: dict[tuple[int, ...], list[int]] = {}
+    for index, (_, w) in enumerate(jobs):
+        vectors.setdefault(w.a, []).append(index)
+    N = n + k * (n - 1)
+    units, indices = _key_units(n, N), range(1, n + 1)
+    shifts = [i * _EXP_BITS for i in indices]
+    # stack[i] holds the states after the steps of levels k, ..., k - i + 1
+    stack = [{N - beta: (1 - beta) * comb(N, beta) for beta in range(n + 1) if beta != 1}]
+    previous = (0,) * k  # every weight is positive, so the first vector shares no level
+    for a in sorted(vectors, key=lambda a: a[::-1]):
+        shared = 0
+        while a[k - 1 - shared] == previous[k - 1 - shared]:
+            shared += 1
+        del stack[shared + 1:]
+        for j in range(k - shared, 0, -1):
+            x = a[j - 1]
+            stack.append(_level_step(n, stack[-1], [x**m for m in range(N + 1)], units, j == 1))
+        previous, twist = a, 2 * sum(a)
+        terms = []
+        for key, g in stack[-1].items():
+            counts = [key >> shift & _EXP_MASK for shift in shifts]
+            terms.append((g * twist ** (n - sum(map(mul, indices, counts))), counts))
+        for index in vectors[a]:
+            polys[index] = _in_degree(terms, _base_segre(jobs[index][0]))
     return polys
 
 
-def _run_jobs(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]]) -> list[MorseReport]:
-    """The report of every ``(spec, weights)`` job, in job order, its ``elapsed_ms`` the jobs' mean wall time.
+def compute_reports(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]]) -> list[MorseReport]:
+    """The report of every ``(spec, weights)`` job, in job order, computed in this process.
 
-    ``P(d)`` comes from ``_segre_polynomials``: no tower is built and no
-    class is formed or pushed forward.  Jobs on one tower share the levels
-    their weights agree on, so a report's time is not its own: every report
-    carries the wall time of the whole list (the recursion and each
-    threshold search) divided by its number of jobs, which for a list of one
-    is that job's own time.
+    The jobs are grouped by their tower ``(n, k)``, log and compact together,
+    and each group's ``P(d)`` comes from one ``_segre_polynomials`` run: no
+    tower is built and no class is formed or pushed forward.  Jobs on one
+    tower share the levels their weights agree on, so a report's time is not
+    its own: its ``elapsed_ms`` is the wall time of its tower's group (the
+    recursion and each threshold search) divided by the group's number of
+    jobs, which for a job alone on its tower is its own time.
     """
-    start = time.perf_counter()
     jobs = [(spec, _as_weights(weights)) for spec, weights in jobs]
-    polys = _segre_polynomials(jobs)
-    thresholds = [degree_threshold(P) for P in polys]
-    elapsed = round((time.perf_counter() - start) * 1000.0 / max(len(jobs), 1), 3)
-    return [
-        MorseReport(
-            n=spec.n,
-            k=w.k,
-            geometry=spec.token,
-            weights=w.a,
-            total_dim=spec.n + w.k * (spec.n - 1),
-            morse_poly=P,
-            leading_coeff=P.leading_coefficient,
-            threshold=threshold,
-            elapsed_ms=elapsed,
-        )
-        for (spec, w), P, threshold in zip(jobs, polys, thresholds)
-    ]
-
-
-def compute_reports(
-    jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]],
-    threads: int = 1,
-) -> list[MorseReport]:
-    """The report of every ``(spec, weights)`` job, in job order, the jobs run in chunks by ``_run_jobs``.
-
-    With ``workers = min(threads, jobs)`` above one, the jobs split
-    round-robin into that many chunks, chunk i holding jobs i, i + workers,
-    ..., and each chunk goes to a worker of a process pool, pickled as its
-    specs and weights; its reports come back pickled.  Otherwise the jobs are
-    one chunk, run in this process.  Each chunk shares the levels of the
-    towers within it.
-    """
-    workers = min(threads, len(jobs))
-    if workers < 2:
-        return _run_jobs(jobs)
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_run_jobs, [jobs[i::workers] for i in range(workers)]))
-    reports: list[MorseReport] = [None] * len(jobs)
-    for i, chunk in enumerate(chunks):
-        reports[i::workers] = chunk
+    towers: dict[tuple[int, int], list[int]] = {}
+    for index, (spec, w) in enumerate(jobs):
+        towers.setdefault((spec.n, w.k), []).append(index)
+    reports: list[Optional[MorseReport]] = [None] * len(jobs)
+    for (n, k), indices in towers.items():
+        start = time.perf_counter()
+        group = [jobs[index] for index in indices]
+        polys = _segre_polynomials(n, k, group)
+        thresholds = [degree_threshold(P) for P in polys]
+        elapsed = round((time.perf_counter() - start) * 1000.0 / len(group), 3)
+        for index, (spec, w), P, threshold in zip(indices, group, polys, thresholds):
+            reports[index] = MorseReport(
+                n=n,
+                k=k,
+                geometry=spec.token,
+                weights=w.a,
+                total_dim=n + k * (n - 1),
+                morse_poly=P,
+                leading_coeff=P.leading_coefficient,
+                threshold=threshold,
+                elapsed_ms=elapsed,
+            )
     return reports
 
 

@@ -5,14 +5,13 @@ in ascending lexicographic order; the first ``budget`` candidates form the
 search space.  The minimal admissible vector for order k is the default
 geometric ladder, so the default weights are always candidate number one.
 Results are ranked by (threshold, total, vector), with an absent threshold
-ranking last, which makes the winner independent of evaluation order and of
-any parallelism.
+ranking last, which makes the winner independent of evaluation order.
 
 ``run_sweep`` computes the candidates with ``morse.compute_reports``, one
-job each, serially or on a process pool.  Candidates of one total differ
-mostly in ``a_1`` and ``a_2``, and the jobs of one chunk share the Segre
-recursion's levels their weights agree on, so the first 12 candidates of
-order 5 take 17 level steps, not 60.
+job each, as one job list.  Candidates of one total differ mostly in
+``a_1`` and ``a_2``, and the jobs of one tower share the Segre recursion's
+levels their weights agree on, so the first 12 candidates of order 5 take
+17 level steps, not 60.
 """
 
 from __future__ import annotations
@@ -81,12 +80,7 @@ class SweepResult:
         return SweepResult(best=min(reports, key=_rank), evaluated=len(reports), reports=tuple(reports))
 
 
-def run_sweep(
-    spec: GeometrySpec,
-    k: int,
-    budget: int,
-    threads: int = 1,
-) -> SweepResult:
+def run_sweep(spec: GeometrySpec, k: int, budget: int) -> SweepResult:
     """Evaluate the first ``budget`` admissible vectors and return the best; no report is cached."""
     candidates = enumerate_admissible(k, budget)
-    return SweepResult.from_reports(compute_reports([(spec, w.a) for w in candidates], threads))
+    return SweepResult.from_reports(compute_reports([(spec, w.a) for w in candidates]))

@@ -13,7 +13,7 @@ TABLE_JOBS = [(GeometrySpec("log", n), default_weights(k).a) for n, k in TABLE_C
 def table_cache_dir(tmp_path_factory):
     """A cache warmed with every table cell; the heavy cells run exactly once."""
     path = str(tmp_path_factory.mktemp("table-cache"))
-    cached_reports(TABLE_JOBS, 1, path)
+    cached_reports(TABLE_JOBS, path)
     return path
 
 
@@ -37,7 +37,7 @@ def table_bases():
 
 @pytest.fixture(scope="session")
 def table_reports(table_cache_dir):
-    return dict(zip(TABLE_CELLS, cached_reports(TABLE_JOBS, 1, table_cache_dir)))
+    return dict(zip(TABLE_CELLS, cached_reports(TABLE_JOBS, table_cache_dir)))
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -152,6 +151,22 @@ def test_an_oversized_sweep_exits_2_before_any_tower_is_built(capsys, tmp_path, 
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("dim,order,terms", [("2", "40", 309785580566094139142020), ("6", "6", 4587778)],
+                         ids=["2-40", "6-6"])
+def test_an_oversized_sweep_exits_2_before_its_candidates_are_enumerated(capsys, tmp_path, monkeypatch,
+                                                                         dim, order, terms):
+    def refuse(*args):
+        raise AssertionError("the candidates were enumerated")
+
+    monkeypatch.setattr("jetbound.sweep.enumerate_admissible", refuse)
+    code, out, err = run_cli(capsys, "sweep", "--dim", dim, "--order", order, "--budget", "100000",
+                             "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the Morse class of the ({dim}, {order}) tower has {terms} terms, above the limit of 2000000\n"
+    assert not (tmp_path / "cache").exists()
+
+
 def test_bound_huge_weights_threshold(capsys, cache_dir):
     code, out, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "2",
                            "--weights", "99999999999999999999,1", "--cache-dir", cache_dir)
@@ -258,48 +273,14 @@ def test_table_recomputes_and_repairs_truncated_cache_file(capsys, tmp_path, mon
             assert json.load(fh)["threshold"] == 15
 
 
-@pytest.mark.parametrize("cpus,requested,expected", [(2, "10000", 2), (8, "3", 3)])
-def test_threads_clamped_to_cpu_count(capsys, tmp_path, monkeypatch, cpus, requested, expected):
-    recorded = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
-
-        def __init__(self, max_workers):
-            recorded.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr("jetbound.cli.os.cpu_count", lambda: cpus)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    # three jobs or more each: three table cells, and 100 (2,2) candidates
-    monkeypatch.setattr("jetbound.cli.TABLE_CELLS", [(2, 2), (2, 3), (3, 3)])
-    code, _, _ = run_cli(capsys, "table", "--threads", requested,
-                         "--cache-dir", str(tmp_path / "table"))
-    assert code == 0
-    code, out, _ = run_cli(capsys, "sweep", "--dim", "2", "--order", "2", "--budget", "100",
-                           "--threads", requested, "--cache-dir", str(tmp_path / "sweep"))
-    assert code == 0 and "evaluated : 100 candidates" in out
-    assert recorded == [expected, expected]
-
-
-@pytest.mark.parametrize("command", ["table", "sweep"])
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_threads_below_one_exits_2(capsys, tmp_path, command, threads):
-    argv = [command, "--threads", threads, "--cache-dir", str(tmp_path / "cache")]
-    if command == "sweep":
-        argv += ["--dim", "2", "--order", "2"]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"{command} requires --threads >= 1\n"
+@pytest.mark.parametrize("argv", [["table"], ["sweep", "--dim", "2", "--order", "2"]], ids=["table", "sweep"])
+def test_the_threads_option_is_refused_as_unrecognized(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--threads", "2", "--cache-dir", str(tmp_path / "cache")])
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.endswith("error: unrecognized arguments: --threads 2\n")
     assert not (tmp_path / "cache").exists()
 
 
@@ -339,9 +320,9 @@ def _argv_exit_code(argv):
 
 
 @settings(max_examples=25, deadline=None)
-@given(fmt=st.sampled_from(["text", "json", "csv"]), threads=st.integers(-2, 4))
-def test_table_argv_ends_in_documented_exit_code(table_cache_dir, fmt, threads):
-    argv = ["table", "--format", fmt, "--threads", str(threads), "--cache-dir", table_cache_dir]
+@given(fmt=st.sampled_from(["text", "json", "csv"]))
+def test_table_argv_ends_in_documented_exit_code(table_cache_dir, fmt):
+    argv = ["table", "--format", fmt, "--cache-dir", table_cache_dir]
     assert _argv_exit_code(argv) in {0, 2, 3, 4}
 
 
@@ -503,8 +484,8 @@ def test_cache_entry_equals_fresh_recomputation(capsys, cache_dir):
     from jetbound.morse import compute_report
 
     spec = logarithmic_pair(2)
-    (cached,) = cached_reports([(spec, (2, 1))], 1, cache_dir)
-    (again,) = cached_reports([(spec, (2, 1))], 1, cache_dir)
+    (cached,) = cached_reports([(spec, (2, 1))], cache_dir)
+    (again,) = cached_reports([(spec, (2, 1))], cache_dir)
     fresh = compute_report(spec, 2)
     strip = lambda report: {
         k: v for k, v in report.to_json_dict().items() if k != "elapsed_ms"
@@ -528,7 +509,7 @@ def test_internal_error_maps_to_exit_4(capsys, cache_dir, monkeypatch):
     def boom(*args, **kwargs):
         raise UnreducedClassError("synthetic invariant violation")
 
-    monkeypatch.setattr("jetbound.morse._run_jobs", boom)
+    monkeypatch.setattr("jetbound.morse._segre_polynomials", boom)
     code, _, err = run_cli(capsys, "bound", "--dim", "2", "--order", "2",
                            "--cache-dir", cache_dir)
     assert code == 4
@@ -610,18 +591,6 @@ def test_table_json_and_cached_second_run_identical(capsys, table_cache_dir):
     assert cells[(3, 5)]["threshold"] == 68 and cells[(3, 5)]["bound"] == 67
 
 
-def test_table_thread_pool_on_cold_cache(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("jetbound.cli.TABLE_CELLS", [(2, 2), (2, 3)])
-    code, out, _ = run_cli(
-        capsys, "table", "--threads", "2", "--format", "csv",
-        "--cache-dir", str(tmp_path / "cold"),
-    )
-    assert code == 0
-    rows = {(r["dim"], r["order"]): (r["threshold"], r["bound"])
-            for r in csv.DictReader(io.StringIO(out))}
-    assert rows == {("2", "2"): ("15", "15"), ("2", "3"): ("14", "14")}
-
-
 def test_sweep_contains_default(capsys, cache_dir):
     code, out, _ = run_cli(
         capsys, "sweep", "--dim", "2", "--order", "2", "--budget", "4",
@@ -659,20 +628,6 @@ def test_sweep_caches_each_candidate_and_replays(capsys, cache_dir):
     code, out, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "3", "--format", "json",
                            "--weights", ",".join(map(str, best["weights"])), "--cache-dir", cache_dir)
     assert code == 0 and json.loads(out) == best  # bound shares the sweep's entry
-
-
-@pytest.mark.parametrize("n,k", [(2, 2), (3, 3)])
-def test_sweep_threads_match_sequential(n, k):
-    # run_sweep does not clamp threads, so this ships jobs with their relations to a real pool
-    spec = logarithmic_pair(n)
-    seq = run_sweep(spec, k, budget=4, threads=1)
-    par = run_sweep(spec, k, budget=4, threads=2)
-
-    def untimed(report):
-        return dataclasses.replace(report, elapsed_ms=None)
-
-    assert list(map(untimed, par.reports)) == list(map(untimed, seq.reports))
-    assert untimed(par.best) == untimed(seq.best)
 
 
 def test_sweep_order_three_improves_to_table_value():

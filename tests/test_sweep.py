@@ -1,7 +1,7 @@
-"""Sweeps: every weight candidate is a job, run in order, serially or on a pool, sharing the levels of its tower."""
+"""Sweeps: every weight candidate is a job, run in order in this process, sharing the levels of its tower."""
 
-import pickle
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -68,16 +68,6 @@ def test_job_reports_equal_the_pushforward_of_their_class(jobs):
     _assert_reports_are_the_pushforward(compute_reports(jobs), jobs)
 
 
-def test_pool_chunks_equal_serial_passes():
-    jobs = [
-        (spec(2), a)
-        for spec in (logarithmic_pair, compact_hypersurface)
-        for a in ((2, 1), (6, 2, 1), (3, 1), (7, 2, 1), (5, 2))
-    ]
-    pooled = compute_reports(jobs, threads=2)
-    assert [_untimed(r) for r in pooled] == [_untimed(r) for r in compute_reports(jobs)]
-
-
 def test_sweep_candidates_equal_the_pushforward_of_their_class():
     jobs = [(logarithmic_pair(3), a) for a in SWEEP_CANDIDATES]
     _assert_reports_are_the_pushforward(compute_reports(jobs), jobs)
@@ -111,43 +101,6 @@ def test_no_job_of_mixed_towers_runs_a_pushforward(no_pushforward):
     ]
 
 
-def test_a_pool_starts_for_several_jobs_only_and_receives_specs_and_weights(monkeypatch):
-    pools, payloads = [], []
-
-    class PicklingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, pickles each argument tuple, starts no process."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            for args in zip(*iterables):
-                payloads.append(pickle.dumps(args))
-                yield fn(*pickle.loads(payloads[-1]))
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", PicklingPool)
-    assert compute_reports([], threads=2) == []
-    assert compute_reports([(logarithmic_pair(3), SWEEP_CANDIDATES[0])], threads=2)[0].threshold == 68
-    assert pools == []
-    jobs = [(logarithmic_pair(2), (2, 1)), (compact_hypersurface(2), (6, 2, 1)), (logarithmic_pair(3), (3, 1))]
-    reports = compute_reports(jobs, threads=8)
-    assert pools == [3]  # one worker per job
-    assert [(r.n, r.geometry, r.weights) for r in reports] == [(spec.n, spec.token, a) for spec, a in jobs]
-    assert [pickle.loads(payload) for payload in payloads] == [([job],) for job in jobs]  # one chunk list per worker
-    payloads.clear()
-    reports = compute_reports(jobs, threads=2)
-    assert pools == [3, 2]
-    assert [(r.n, r.geometry, r.weights) for r in reports] == [(spec.n, spec.token, a) for spec, a in jobs]
-    assert [pickle.loads(payload) for payload in payloads] == [(jobs[0::2],), (jobs[1::2],)]  # round-robin
-    assert not any(b"RelationSet" in payload for payload in payloads)
-
-
 def _alone(jobs):
     return [_untimed(compute_report(spec, len(a), a)) for spec, a in jobs]
 
@@ -171,15 +124,31 @@ MIXED_JOBS = [
 ]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("order", ["as listed", "interleaved", "reversed"])
-def test_mixed_job_lists_equal_each_job_alone(threads, order):
+def test_mixed_job_lists_equal_each_job_alone(order):
     jobs = {
         "as listed": MIXED_JOBS,
         "interleaved": MIXED_JOBS[::2] + MIXED_JOBS[1::2],
         "reversed": MIXED_JOBS[::-1],
     }[order]
-    assert [_untimed(r) for r in compute_reports(jobs, threads)] == _alone(jobs)
+    assert [_untimed(r) for r in compute_reports(jobs)] == _alone(jobs)
+
+
+def test_each_report_carries_its_towers_time_over_its_towers_job_count(monkeypatch):
+    # a clock that advances by 3/8 s over the first tower read and by 1/2 s over the second
+    readings = iter([0.0, 0.375, 1.0, 1.5, 2.0, 2.25])
+    monkeypatch.setattr(morse, "time", types.SimpleNamespace(perf_counter=lambda: next(readings)))
+    assert compute_reports([]) == []  # no tower, no reading
+    jobs = [  # three jobs on the (2,2) tower, log and compact, and two on the (3,3) tower
+        (logarithmic_pair(2), (2, 1)),
+        (logarithmic_pair(3), (6, 2, 1)),
+        (compact_hypersurface(2), (3, 1)),
+        (logarithmic_pair(2), (5, 2)),
+        (compact_hypersurface(3), (7, 2, 1)),
+    ]
+    assert [r.elapsed_ms for r in compute_reports(jobs)] == [125.0, 250.0, 125.0, 125.0, 250.0]
+    assert compute_report(logarithmic_pair(3), 2).elapsed_ms == 250.0  # a job alone keeps its own time
+    assert next(readings, None) is None  # two readings per tower
 
 
 @pytest.fixture

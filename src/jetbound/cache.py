@@ -1,13 +1,14 @@
 """Content-addressed cache for pipeline reports.
 
-Keys hash the full input description (dimensions, geometry, weights, the
-SHA-256 digest of the tower's canonical relation text, and the engine
-version), so any change to the reduction algebra or to the engine invalidates
-stale entries.  The digest comes with the tower from ``tower.pipeline_tower``,
-once per process, so forming a key hashes only this short description.
-Writes go through a temporary file and an atomic rename; two processes
-writing the same key at once are harmless because they write identical
-content.
+A key is the SHA-256 of a short description of one job: the engine
+version, the base dimension n, the jet order k, the geometry token and the
+weights, one ``name=value`` line each.  Those are everything a job reads
+apart from the engine itself, so forming a key does no algebra.  The engine
+is named by ``ENGINE_VERSION`` alone: any change to a field a report stores,
+or to a value the engine computes for it, must bump ``ENGINE_VERSION``, which
+retires every stored file at once.  Writes go through a temporary file and
+an atomic rename; two processes writing the same key at once are harmless
+because they write identical content.
 """
 
 from __future__ import annotations
@@ -30,24 +31,15 @@ def resolve_cache_dir(explicit: Optional[str] = None) -> str:
     return os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
 
 
-def cache_key(
-    n: int,
-    r: int,
-    k: int,
-    geometry: str,
-    weights: Sequence[int],
-    relations_digest: str,
-) -> str:
-    """Hex digest identifying one pipeline configuration; ``relations_digest`` is ``pipeline_tower``'s."""
+def cache_key(n: int, k: int, geometry: str, weights: Sequence[int]) -> str:
+    """The SHA-256, in hex, of one job's description: its (n, k) tower, geometry token and weights."""
     blob = "\n".join(
         [
             f"engine={ENGINE_VERSION}",
             f"n={n}",
-            f"r={r}",
             f"k={k}",
             f"geometry={geometry}",
             "weights=" + ",".join(str(w) for w in weights),
-            "relations=" + relations_digest,
         ]
     )
     return hashlib.sha256(blob.encode()).hexdigest()

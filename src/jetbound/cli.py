@@ -24,7 +24,7 @@ from . import cache, sweep
 from .errors import CacheDirectoryError, InadmissibleWeightsError, JetboundError, OversizedJobError
 from .geometry import GeometrySpec
 from .morse import MorseReport, WeightVector, class_terms, compute_reports, default_weights, order_bounds
-from .tower import TowerContext, pipeline_tower
+from .tower import TowerContext
 from .verify import MAX_DIM, run_all
 
 TABLE_CELLS = [(n, k) for n in range(2, 6) for k in range(n, 6)]
@@ -60,25 +60,25 @@ def cached_reports(
 
     A job's tower is ``(spec.n, len(weights))``.  A stored file is a miss
     unless it decodes to a report of the job's own (n, k, geometry,
-    weights).  Misses are computed in one batch, on the towers their keys
-    came from, and each is stored once as its canonical JSON;
-    ``cache.store`` replaces a bad file atomically.  Each tower comes from
-    ``pipeline_tower``: its relations and the digest its keys carry are
-    built once per process, so a hit does no algebra.  A cache directory
-    that cannot be created or written raises ``CacheDirectoryError``, before
-    any miss is computed where it can.  A job whose Morse class would have
-    more than ``MAX_CLASS_TERMS`` terms raises ``OversizedJobError`` before
-    any tower is built or key formed (``_refuse_oversized``).
+    weights).  A key hashes only that description (``cache.cache_key``),
+    so forming it, and a hit, does no algebra.  Misses are computed in one
+    batch, and each is stored once as its canonical JSON; ``cache.store``
+    replaces a bad file atomically.  A cache directory that cannot be
+    created or written raises ``CacheDirectoryError``, before any miss is
+    computed where it can.  A job whose Morse class would have more than
+    ``MAX_CLASS_TERMS`` terms raises ``OversizedJobError`` before any key is
+    formed (``_refuse_oversized``).
     """
     for n, k in dict.fromkeys((spec.n, len(weights)) for spec, weights in jobs):
         _refuse_oversized(n, k)
     results: list[Optional[MorseReport]] = []
     misses: list[tuple[int, str]] = []
     for spec, weights in jobs:
-        # a context per job, although the tower has its own: the traced
-        # benchmark (perfbench/spans.py) times the key step from this call
+        # the tracer's anchor, which builds no relations (they are lazy): the
+        # traced benchmark (perfbench/spans.py) starts each key span at this
+        # call, and it goes once the tracer times cache.cache_key (ROADMAP item 3)
         ctx, w = TowerContext(spec.n, len(weights)), tuple(weights)
-        key = cache.cache_key(ctx.n, ctx.r, ctx.k, spec.token, w, pipeline_tower(ctx.n, ctx.k)[1])
+        key = cache.cache_key(spec.n, ctx.k, spec.token, w)
         stored = cache.fetch(cache_dir, key)
         hit = None
         if stored is not None:
@@ -193,7 +193,7 @@ def _one_report(args) -> MorseReport:
     """The cached report that ``bound`` and ``poly`` print."""
     weights = default_weights(args.order).a if args.weights is None else _parse_weights(args.weights)
     if len(weights) != args.order:
-        # before the tower is built or the cache directory created
+        # before any key is formed or the cache directory created
         raise InadmissibleWeightsError(f"got {len(weights)} weights for a tower of order {args.order}")
     spec = GeometrySpec(args.geometry, args.dim)
     return cached_reports([(spec, weights)], cache.resolve_cache_dir(args.cache_dir))[0]

@@ -19,8 +19,9 @@ the total degree of their operands.
 
 The text form (``str``) lists terms in graded-lex descending order with
 explicit ``+``/``-`` separators and ``^`` exponents, e.g.
-``3*u1^2*h - 2*c1 + 5``.  It is the form that cache keys hash, so it must not
-change; there is no parser for it.
+``3*u1^2*h - 2*c1 + 5``.  It must not change: stdout's ``P(d)`` line prints
+it, and the test suite pins it by digest (``FORM_DIGESTS``,
+``POLYNOMIAL_DIGESTS``).  There is no parser for it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ combination of powers of a linear form in the ``u_j`` level by level
 without forming a u-monomial: every job's Morse class at ``h = 1``, the
 symbolic-weight forms of ``verify`` and its balanced intersection.  It reads
 the rank alone, not a relation set: the identity it uses holds on the towers
-``build_relations`` makes.  A ``TowerContext`` names the tower's variables
+``build_relations`` makes.  So no job and no cache key reads a relation set;
+those of ``pipeline_tower`` serve ``verify``'s first two checks and the
+reference below.  A ``TowerContext`` names the tower's variables
 only, ``u_1..u_k, c_1..c_r, h, d``: the symbolic weights of ``verify`` live
 in a ring of their own.
 
@@ -38,7 +40,6 @@ and the limit.
 from __future__ import annotations
 
 import functools
-import hashlib
 from math import comb
 from typing import Optional, Sequence
 
@@ -264,16 +265,14 @@ def build_relations(ctx: TowerContext) -> RelationSet:
 
 
 @functools.lru_cache(maxsize=None)
-def pipeline_tower(n: int, k: int) -> tuple[RelationSet, str]:
-    """The relations of the (n, k) tower and the SHA-256 hex digest of their text, once per process.
+def pipeline_tower(n: int, k: int) -> RelationSet:
+    """The relations of the (n, k) tower, built once per process.
 
-    The text is ``str`` of each level relation, one per line; cache keys
-    carry its digest.  Every pipeline stage takes its tower from here;
-    towers built by hand, such as perturbed ones, do not.
+    ``verify``'s first two checks and the reference tests read them; no
+    report and no cache key does.  Towers built by hand, such as perturbed
+    ones, do not come from here.
     """
-    rels = TowerContext(n, k).relations
-    text = "\n".join(str(q) for q in rels.relations)
-    return rels, hashlib.sha256(text.encode()).hexdigest()
+    return TowerContext(n, k).relations
 
 
 def reduce_tower(p: Polynomial, rels: RelationSet) -> Polynomial:

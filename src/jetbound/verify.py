@@ -12,8 +12,8 @@ self-intersection for every k < n (``low-order-leading-n*``) and against
 so it is zero exactly when every ``T(e)`` is.  Every integration runs on the
 Segre recursion of ``morse._segre_states``, the one every report is computed
 with, and the first two checks read the relation sets of ``pipeline_tower``,
-from which every cache key is formed.  The CLI ``verify`` command prints one
-line per check; the test suite asserts them all.
+the towers the recursion's identity is stated on.  The CLI ``verify``
+command prints one line per check; the test suite asserts them all.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def check_first_chern_closed_form() -> CheckResult:
     lifted classes are the same classes, level by level.
     """
     for n in range(2, MAX_DIM + 1):
-        rels = pipeline_tower(n, MAX_ORDER)[0]
+        rels = pipeline_tower(n, MAX_ORDER)
         ctx, ring = rels.ctx, rels.ctx.ring
         for j in range(0, MAX_ORDER):
             expected = ring.variable(ctx.c(1))
@@ -82,7 +82,7 @@ def check_first_chern_closed_form() -> CheckResult:
 def check_truncation() -> CheckResult:
     """The recursion's class r+1 at every level reduces to zero modulo that level's relation."""
     for n in range(2, MAX_DIM + 1):
-        rels = pipeline_tower(n, MAX_ORDER)[0]
+        rels = pipeline_tower(n, MAX_ORDER)
         ctx = rels.ctx
         for j in range(1, MAX_ORDER + 1):
             uj = ctx.ring.variable(ctx.u(j))

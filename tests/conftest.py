@@ -30,7 +30,7 @@ def table_bases():
     bases = {}
     for n, k in TABLE_CELLS:
         if (n, k) != (5, 5):
-            rels = pipeline_tower(n, k)[0]
+            rels = pipeline_tower(n, k)
             bases[n, k] = pushforward_to_base(morse_class(rels.ctx, default_weights(k)), rels)
     return bases
 

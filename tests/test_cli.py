@@ -101,6 +101,19 @@ def test_bound_exit_code_bad_weights(capsys, cache_dir):
     assert code == 2
 
 
+#: Forming a cache key and building a relation set, which no refused command may reach.
+KEY_AND_RELATIONS = ("jetbound.cache.cache_key", "jetbound.tower.build_relations")
+
+
+def _refuse(monkeypatch, *targets):
+    """Make each dotted ``target`` raise ``AssertionError`` when called."""
+    for target in targets:
+        def refuse(*args, target=target, **kwargs):
+            raise AssertionError(f"{target} was called")
+
+        monkeypatch.setattr(target, refuse)
+
+
 @pytest.mark.parametrize(
     "command,order,weights",
     [("bound", "3", "2,1"), ("poly", "1", "6,2,1"), ("bound", "2", ""), ("poly", "2", "")],
@@ -109,9 +122,7 @@ def test_weight_count_other_than_order_exits_2_before_anything_is_built(
     capsys, tmp_path, monkeypatch, command, order, weights
 ):
     # an empty list is no list at all, not the default ladder
-    built = []
-    monkeypatch.setattr("jetbound.cli.TowerContext", lambda *args: built.append(args))
-    monkeypatch.setattr("jetbound.cli.pipeline_tower", lambda *args: built.append(args))
+    _refuse(monkeypatch, "jetbound.cli.TowerContext", *KEY_AND_RELATIONS)
     code, out, err = run_cli(capsys, command, "--dim", "2", "--order", order, "--weights", weights,
                              "--cache-dir", str(tmp_path / "cache"))
     assert code == 2
@@ -120,15 +131,11 @@ def test_weight_count_other_than_order_exits_2_before_anything_is_built(
         assert err == f"error: got {len(weights.split(','))} weights for a tower of order {order}\n"
     else:
         assert err == "error: weights '' are not a comma-separated integer list\n"
-    assert built == []
     assert not (tmp_path / "cache").exists()
 
 
 def test_an_oversized_job_exits_2_before_any_tower_is_built(capsys, tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a tower was built")
-
-    monkeypatch.setattr("jetbound.cli.pipeline_tower", refuse)
+    _refuse(monkeypatch, *KEY_AND_RELATIONS)
     code, out, err = run_cli(capsys, "bound", "--dim", "2", "--order", "40", "--cache-dir", str(tmp_path / "cache"))
     assert code == 2
     assert out == ""
@@ -138,10 +145,7 @@ def test_an_oversized_job_exits_2_before_any_tower_is_built(capsys, tmp_path, mo
 
 
 def test_an_oversized_sweep_exits_2_before_any_tower_is_built(capsys, tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a tower was built")
-
-    monkeypatch.setattr("jetbound.cli.pipeline_tower", refuse)
+    _refuse(monkeypatch, *KEY_AND_RELATIONS)
     code, out, err = run_cli(capsys, "sweep", "--dim", "2", "--order", "40", "--budget", "2",
                              "--cache-dir", str(tmp_path / "cache"))
     assert code == 2
@@ -339,15 +343,20 @@ def test_sweep_argv_ends_in_documented_exit_code(fuzz_cache_dir, dim, order, bud
     assert _argv_exit_code(argv) in {0, 2, 3, 4}
 
 
-# The cache key of `bound` at the default ladder, by (geometry, n, k).  The key
-# carries the digest of the relation text, so these pin str() of the relations
-# too; (3, 5) has five level relations.
+# The cache key of `bound` at the default ladder, by (geometry, n, k): the
+# SHA-256 of the job's description, which names the engine version and the job
+# alone.
 PINNED_KEYS = {
-    ("log", 2, 2): "116162c080ceffe9ec2e26821df5ccbcd819b50909d50b13f6f7720fc316654d",
-    ("compact", 3, 3): "9858b389124fecb85c9ae418e05ba1a4f21f0384f3dcfb3f834fa5a43ac206f3",
-    ("log", 3, 5): "0bfed64ead9f4d54565ca7d76081fd37864202518063663861046ffdf087fee5",
+    ("log", 2, 2): "5ec86829edf570164b59983cb0f4029f512c8eb474ed493e3f7707e5f0924088",
+    ("compact", 3, 3): "9bf849f03af4ab60a24249056d365349e1a4fb0419751de6cf4a023b63d47efc",
+    ("log", 3, 5): "a23cdd6284658b72bdb837c7b0cedc142e94210163b8bd1c5513bcaad23908f2",
 }
 PINNED_IDS = ["-".join(map(str, cell)) for cell in PINNED_KEYS]
+DESCRIPTIONS = {
+    ("log", 2, 2): "engine=0.1.0\nn=2\nk=2\ngeometry=log\nweights=2,1",
+    ("compact", 3, 3): "engine=0.1.0\nn=3\nk=3\ngeometry=compact\nweights=6,2,1",
+    ("log", 3, 5): "engine=0.1.0\nn=3\nk=5\ngeometry=log\nweights=54,18,6,2,1",
+}
 
 
 @pytest.mark.parametrize("cell,key", PINNED_KEYS.items(), ids=PINNED_IDS)
@@ -362,48 +371,33 @@ def test_cache_file_names_are_stable(capsys, cache_dir, cell, key):
 
 
 @pytest.mark.parametrize("cell,key", PINNED_KEYS.items(), ids=PINNED_IDS)
-def test_cache_key_of_the_memoized_digest_is_pinned(cell, key):
+def test_cache_key_is_the_sha256_of_its_description(cell, key):
+    import hashlib
+
     from jetbound import cache
     from jetbound.morse import default_weights
-    from jetbound.tower import pipeline_tower
 
     geometry, n, k = cell
-    rels, digest = pipeline_tower(n, k)
-    assert cache.cache_key(n, rels.ctx.r, k, geometry, default_weights(k).a, digest) == key
+    assert hashlib.sha256(DESCRIPTIONS[cell].encode()).hexdigest() == key
+    assert cache.cache_key(n, k, geometry, default_weights(k).a) == key
 
 
-def test_relations_built_once_per_process(capsys, cache_dir, monkeypatch):
+def test_no_cached_command_builds_a_relation_set(capsys, tmp_path, monkeypatch):
     from jetbound import compute_report, tower
 
-    built = []
-    build = tower.build_relations
-
-    def counting(ctx):
-        built.append((ctx.n, ctx.k))
-        return build(ctx)
-
-    monkeypatch.setattr(tower, "build_relations", counting)
+    _refuse(monkeypatch, "jetbound.tower.build_relations")
     tower.pipeline_tower.cache_clear()
-    # a miss: its key and its compute share one tower
-    code, _, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "3", "--cache-dir", cache_dir)
-    assert code == 0
-    assert built == [(2, 3)]
-    # a hit, a poly, a cold sweep and the library's calls on the same tower build nothing
-    for argv in (
-        ("bound", "--dim", "2", "--order", "3", "--cache-dir", cache_dir),
-        ("poly", "--dim", "2", "--order", "3", "--cache-dir", cache_dir),
-        ("sweep", "--dim", "2", "--order", "3", "--budget", "6", "--cache-dir", os.path.join(cache_dir, "sweep")),
-    ):
-        code, _, _ = run_cli(capsys, *argv)
-        assert code == 0
+    dim_order = ("--dim", "2", "--order", "3")
+    for argv in (("bound", *dim_order), ("poly", *dim_order), ("sweep", *dim_order, "--budget", "6"), ("table",)):
+        cache_dir = str(tmp_path / argv[0])
+        outputs = []
+        for _ in ("cold", "warm"):
+            code, out, _ = run_cli(capsys, *argv, "--cache-dir", cache_dir)
+            assert code == 0, argv
+            outputs.append(out)
+        assert outputs[0] == outputs[1], argv
     compute_report(logarithmic_pair(2), 3)
     run_sweep(logarithmic_pair(2), 3, budget=2)
-    assert built == [(2, 3)]
-    # another tower is built once, on its first use
-    for _ in range(2):
-        code, _, _ = run_cli(capsys, "bound", "--dim", "2", "--order", "2", "--cache-dir", cache_dir)
-        assert code == 0
-    assert built == [(2, 3), (2, 2)]
 
 
 @pytest.mark.parametrize("command", ["bound", "poly", "table", "sweep"])

@@ -174,7 +174,7 @@ def test_morse_class_validates_weights():
 
 def _perturbed_3_4() -> RelationSet:
     """The (3,4) tower with the u1 coefficient of c_1 at level 1 raised from r-1 to r."""
-    rels = pipeline_tower(3, 4)[0]
+    rels = pipeline_tower(3, 4)
     ctx = rels.ctx
     lifted = (rels.lifted[0], (rels.lifted[1][0] + ctx.ring.variable(ctx.u(1)),) + rels.lifted[1][1:]) + rels.lifted[2:]
     return RelationSet(ctx, lifted, rels.relations)
@@ -214,7 +214,7 @@ def _specialized(rels, term_map) -> RelationSet:
 
 
 def _tower(cell) -> RelationSet:
-    return _perturbed_3_4() if cell == "perturbed" else pipeline_tower(*cell)[0]
+    return _perturbed_3_4() if cell == "perturbed" else pipeline_tower(*cell)
 
 
 def _reaches_base(ctx, key) -> bool:
@@ -408,7 +408,7 @@ def test_every_coefficient_of_every_table_cell_in_both_geometries_is_pinned(both
 @pytest.mark.parametrize("cell", [(n, k) for n, k in TABLE_CELLS if n + k <= 7])
 def test_pushforward_on_the_degree_specialized_tower_is_P_at_that_degree(make_spec, cell):
     n, k = cell
-    spec, rels = make_spec(n), pipeline_tower(n, k)[0]
+    spec, rels = make_spec(n), pipeline_tower(n, k)
     a = default_weights(k)
     P = compute_report(spec, k).morse_poly
     cls = morse_class(rels.ctx, a).substitute(rels.ctx.h, rels.ctx.ring.one)
@@ -423,7 +423,7 @@ def test_pushforward_on_the_degree_specialized_tower_is_P_at_that_degree(make_sp
 
 def _pushed_forward_polynomials(n, k, a) -> dict[str, EvaluatedClass]:
     """``P(d)`` in both geometries from the Morse class pushed forward on the pipeline tower."""
-    rels = pipeline_tower(n, k)[0]
+    rels = pipeline_tower(n, k)
     base = pushforward_to_base(morse_class(rels.ctx, a), rels)
     return {spec.token: evaluate_in_degree(rels.ctx, base, spec) for spec in (logarithmic_pair(n), compact_hypersurface(n))}
 
@@ -432,7 +432,7 @@ def _pushed_forward_polynomials(n, k, a) -> dict[str, EvaluatedClass]:
 @pytest.mark.parametrize("cell", [cell for cell in TABLE_CELLS if cell != (5, 5)])
 def test_segre_recursion_equals_the_pushforward_on_table_cell(cell, table_bases):
     n, k = cell
-    ctx = pipeline_tower(n, k)[0].ctx
+    ctx = pipeline_tower(n, k).ctx
     for spec in (logarithmic_pair(n), compact_hypersurface(n)):
         expected = evaluate_in_degree(ctx, table_bases[cell], spec)
         assert compute_report(spec, k).morse_poly == expected, spec.token

@@ -25,7 +25,7 @@ from jetbound.geometry import GeometrySpec
 from jetbound.morse import compute_reports
 from jetbound.tower import pipeline_tower
 
-RELATIONS = {(n, k): pipeline_tower(n, k)[0] for n in (2, 3) for k in range(1, 6)}
+RELATIONS = {(n, k): pipeline_tower(n, k) for n in (2, 3) for k in range(1, 6)}
 SWEEP_CANDIDATES = [w.a for w in enumerate_admissible(5, 12)]
 
 

@@ -24,7 +24,7 @@ classes (``_chern_coefficient_in_degree``) and the exponents of each term
 ``c^gamma h^beta`` of a finished weighted-degree-n base class: the
 pushforward of a class, the reference the Segre recursion is tested
 against.  A job forms no base class: ``morse`` passes the base Segre
-classes, multiplied out of the ``p_l``, and the count of each Segre index.
+classes, in closed form, and the count of each Segre index of one product.
 The symbolic forms of ``verify`` read the base at ``c_l = (-1)^l``, the top
 d-coefficient of class l in both models, as integers of
 ``morse._leading_value``.

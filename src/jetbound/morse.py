@@ -12,7 +12,8 @@ coefficient of ``u^alpha h^beta`` is
 Evaluating the integrated class in the degree variable yields a univariate
 polynomial ``P(d)``; when its leading coefficient is positive, the effective
 threshold is the smallest positive integer beyond which ``P`` stays strictly
-positive, located by an exact downward search below a power-of-two root bound.
+positive, located by an exact downward search from the first point below a
+power-of-two root bound where every Taylor coefficient is non-negative.
 
 ``compute_reports`` is the package's one batch computation, and it runs
 in this process, one tower at a time.  A job is a ``(GeometrySpec,
@@ -24,12 +25,15 @@ one integer key: a level step (``_level_step``) expands each Segre class of
 its own level by those of the level below (``tower._segre_expansion``) and
 the power of ``L`` by the binomial theorem, and sends ``u_j^E`` to the
 Segre class ``s_(E-r+1)`` below.  Level j reads the weights through
-``a_j`` alone, and the twist ``(2|a|)^beta`` is applied at the base, so
+``a_j`` alone, level 1 through ``a_1^M`` alone, and the twist
+``(2|a|)^beta`` and ``a_1^M`` are applied at the base, so
 ``_segre_polynomials`` runs the jobs of one tower as one descent over the
 levels: jobs whose weights agree on ``a_k..a_j``, in either geometry,
-share levels k..j.  At the base it multiplies the products out as
-polynomials in d (``geometry._in_degree``, which also evaluates a
-pushed-forward class).  No u-monomial or c-monomial is formed, and no
+share levels k..j, and jobs that agree on ``a_2..a_k`` share every level.
+At the base it multiplies each product of Segre classes out once per
+spec as a polynomial in d (``geometry._in_degree``, which also evaluates
+a pushed-forward class), and each job is a sum of those polynomials
+scaled by its weights.  No u-monomial or c-monomial is formed, and no
 tower is built.  The same level step, given the powers of symbolic weights
 in place of the ``a_j^m`` (``_segre_states``), gives
 ``symbolic_leading_form`` (``_leading_value``).  The pushforward of a class
@@ -47,11 +51,11 @@ from operator import mul
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
-from .geometry import EvaluatedClass, GeometrySpec, _chern_coefficient_in_degree, _in_degree
+from .geometry import COMPACT_HYPERSURFACE, EvaluatedClass, GeometrySpec, _in_degree
 # not used here: the benchmark's tracer (perfbench/spans.py) wraps them as ``morse.evaluate_in_degree``
 # and ``morse.pushforward_to_base``
 from .geometry import evaluate_in_degree  # noqa: F401
-from .polyring import _EXP_BITS, _EXP_MASK, Polynomial, Ring, _mul_into
+from .polyring import _EXP_BITS, _EXP_MASK, Polynomial, Ring
 from .tower import TowerContext, _segre_expansion
 from .tower import pushforward_to_base  # noqa: F401
 
@@ -179,21 +183,37 @@ def degree_threshold(P: EvaluatedClass) -> Optional[int]:
 
     Absent (None) when the leading coefficient is not positive.  With
     ``P = lead*d^m + sum_i c_i d^i``, the first power of two ``B`` with
-    ``lead*B^m > sum_i |c_i|*B^i`` bounds every real root: dividing by
-    ``B^m``, the leading term dominates at every ``x >= B`` as well, so
-    ``P(x) > 0`` there.  The integers below ``B`` are searched downwards for
-    the largest non-positive value, skipping each run ``_positive_run``
+    ``lead*B^m > sum_i |c_i|*B^i`` bounds every complex root: dividing by
+    ``B^m``, the leading term dominates at every ``|z| >= B`` as well.  By
+    Gauss-Lucas the roots of every derivative lie in the hull of those of
+    ``P``, so every Taylor coefficient of ``P(B + t)`` is positive.  Having
+    them all ``>= 0`` with ``P(x) > 0`` holds from any such x upwards, so a
+    binary search finds the smallest such x in ``[1, B]``, and ``P > 0``
+    from there on.  The integers below are searched downwards for the
+    largest non-positive value, skipping each run ``_positive_run``
     certifies positive, so the result is exact and the search takes about
     one step per halving of the distance to a root, not one per integer.
     """
     lead = P.leading_coefficient
     if lead <= 0:
         return None
-    rest = [abs(c) for c in P.coeffs[:-1]]
+    rest = [abs(c) for c in reversed(P.coeffs[:-1])]
     bound = 1
-    while lead * bound ** len(rest) <= sum(c * bound**i for i, c in enumerate(rest)):
+    while True:
+        excess = lead  # lead*B^m - sum_i |c_i|*B^i, by Horner
+        for c in rest:
+            excess = excess * bound - c
+        if excess > 0:
+            break
         bound *= 2
-    x = bound - 1
+    low, high = 1, bound
+    while low < high:
+        middle = (low + high) // 2
+        if P(middle) > 0 and min(_taylor(P.coeffs, middle)) >= 0:
+            high = middle
+        else:
+            low = middle + 1
+    x = high - 1
     while x > 0:
         if P(x) <= 0:
             return x + 1
@@ -201,20 +221,26 @@ def degree_threshold(P: EvaluatedClass) -> Optional[int]:
     return 1
 
 
+def _taylor(coeffs: Sequence[int], x: int) -> list[int]:
+    """The coefficients ``p_i`` of ``P(x + t) = sum_i p_i t^i``, by synthetic division."""
+    p = list(coeffs)
+    m = len(p) - 1
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            p[j] += x * p[j + 1]
+    return p
+
+
 def _positive_run(coeffs: Sequence[int], x: int) -> int:
     """A length ``s >= 0`` such that ``P > 0`` on ``[x - s, x]``, given ``P(x) > 0``.
 
-    With ``P(x + t) = sum_i p_i t^i``, the Taylor expansion at x, ``p_0 = P(x)``
-    and on ``0 <= t <= s`` the value ``P(x - t)`` is at least
+    With ``P(x + t) = sum_i p_i t^i``, the Taylor expansion at x (``_taylor``),
+    ``p_0 = P(x)`` and on ``0 <= t <= s`` the value ``P(x - t)`` is at least
     ``p_0 - sum |p_i| s^i`` over the i with ``(-1)^i p_i < 0``.  The run is
     the largest power of two (or 0) that keeps this bound positive, or all
     of ``[0, x]`` when no term can pull ``P`` down.
     """
-    p = list(coeffs)
-    m = len(p) - 1
-    for i in range(m):  # synthetic division: p becomes the coefficients of P(x + t)
-        for j in range(m - 1, i - 1, -1):
-            p[j] += x * p[j + 1]
+    p = _taylor(coeffs, x)
     negative = [(i, abs(c)) for i, c in enumerate(p) if (-1) ** i * c < 0]
     if not negative:
         return x
@@ -440,17 +466,27 @@ def _leading_value(r: int, levels: Sequence[Sequence], powers: Mapping[int, int]
 def _base_segre(spec: GeometrySpec) -> tuple[dict[int, int], ...]:
     """The base Segre classes ``S_1(d), ..., S_n(d)`` of ``spec`` as raw term maps in d, memoized per spec.
 
-    ``S = 1 / c`` at ``c_l = p_l(d)``, ``h = 1``: ``S_0 = 1`` and ``S_p =
-    -sum_(l <= min(p, n)) p_l(d) S_(p-l)``.  Callers only read the maps.
+    At ``h = 1`` the total Chern class is ``(1 + y)^e / (1 + d y)`` up to
+    degree n, ``e = n + 2`` on the compact hypersurface and ``n + 1`` on the
+    log pair (``geometry``), so ``S = 1 / c = (1 + d y)(1 + y)^(-e)`` and
+    ``S_p = (-1)^p [C(e+p-1, p) - d C(e+p-2, p-1)]``.  Callers only read the maps.
     """
-    n = spec.n
-    chern = [{i: -c for i, c in enumerate(_chern_coefficient_in_degree(spec, l))} for l in range(1, n + 1)]
-    segre: list[dict[int, int]] = [{0: 1}]
-    for p in range(1, n + 1):
-        segre.append({})
-        for l in range(1, p + 1):
-            _mul_into(segre[p], chern[l - 1], segre[p - l])
-    return tuple(segre[1:])
+    e = spec.n + (2 if spec.token == COMPACT_HYPERSURFACE else 1)
+    return tuple(
+        {0: (-1) ** p * comb(e + p - 1, p), 1: (-1) ** (p + 1) * comb(e + p - 2, p - 1)}
+        for p in range(1, spec.n + 1)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _base_readouts(spec: GeometrySpec) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Each base key's beta and the coefficients of its ``d prod_i S_i(d)``, memoized per spec as ``_segre_polynomials`` reads them out.
+
+    The products depend on the spec and the key alone, not on the tower's
+    order or the weights, and a base key's weighted index sum is at most n,
+    so the memo holds at most one entry per partition of each of 0..n.
+    """
+    return {}
 
 
 def _segre_polynomials(
@@ -468,43 +504,69 @@ def _segre_polynomials(
     exact by linearity.  So every job, in either geometry, starts level k
     from the weight-free powers ``{N - beta: (1 - beta) C(N, beta)}``, and
     jobs whose weights agree on ``a_k, ..., a_j`` share levels k..j: the
-    weight vectors are walked in the order of their reversed tuples, and
-    each runs only the levels below the suffix it shares with the vector
-    before it, one ``_level_step`` per distinct suffix.  A job list of one
-    runs exactly k steps.
+    suffixes ``a_2..a_k`` are walked in the order of their reversed tuples,
+    and each runs only the levels above 1 below the suffix it shares with
+    the one before, one ``_level_step`` per distinct suffix of each length.
 
-    At the base ``P(d) = d sum g (2|a|)^beta prod_i S_i(d)``, the count of
-    each index decoded from the key and the products multiplied out by
+    Level 1 reads ``a_1`` only through the factor ``a_1^M`` of a state with
+    power M, since it spends all of M.  So it runs once per suffix, one
+    weight-free ``_level_step`` per power M, and ``a_1`` is applied at the
+    base as the twist is: ``P(d) = sum a_1^M (2|a|)^beta V_(M,beta)(d)``,
+    where ``V_(M,beta) = d sum g prod_i S_i(d)`` over the base states that
+    came from M and beta.  Each base key's product ``d prod_i S_i(d)`` is
+    multiplied out once per spec and process (``_base_readouts``, by
     ``geometry._in_degree``, the routine ``evaluate_in_degree`` runs on the
-    ``p_l``, with the ``S_p`` of each spec (``_base_segre``) built once per
-    process.  That is ``evaluate_in_degree`` of ``pushforward_to_base`` of
-    the same class, coefficient by coefficient.
+    ``p_l``; ``_base_segre``), each ``V`` once per suffix and spec, and
+    each job is a sum of scaled ``V``.  A job list of one runs k - 1 steps
+    and one more per power M at level 1.  That is ``evaluate_in_degree``
+    of ``pushforward_to_base`` of the same class, coefficient by
+    coefficient.
     """
     polys: list[Optional[EvaluatedClass]] = [None] * len(jobs)
-    vectors: dict[tuple[int, ...], list[int]] = {}
-    for index, (_, w) in enumerate(jobs):
-        vectors.setdefault(w.a, []).append(index)
+    suffixes: dict[tuple[int, ...], dict[GeometrySpec, list[int]]] = {}
+    for index, (spec, w) in enumerate(jobs):
+        suffixes.setdefault(w.a[1:], {}).setdefault(spec, []).append(index)
     N = n + k * (n - 1)
-    units, indices = _key_units(n, N), range(1, n + 1)
+    units, indices, ones = _key_units(n, N), range(1, n + 1), [1] * (N + 1)
     shifts = [i * _EXP_BITS for i in indices]
     # stack[i] holds the states after the steps of levels k, ..., k - i + 1
     stack = [{N - beta: (1 - beta) * comb(N, beta) for beta in range(n + 1) if beta != 1}]
-    previous = (0,) * k  # every weight is positive, so the first vector shares no level
-    for a in sorted(vectors, key=lambda a: a[::-1]):
+    previous: tuple[int, ...] = ()  # shares no level
+    for suffix in sorted(suffixes, key=lambda s: s[::-1]):
         shared = 0
-        while a[k - 1 - shared] == previous[k - 1 - shared]:
+        while shared < len(previous) and suffix[-1 - shared] == previous[-1 - shared]:
             shared += 1
         del stack[shared + 1:]
-        for j in range(k - shared, 0, -1):
-            x = a[j - 1]
-            stack.append(_level_step(n, stack[-1], [x**m for m in range(N + 1)], units, j == 1))
-        previous, twist = a, 2 * sum(a)
-        terms = []
+        for j in range(k - shared, 1, -1):
+            x = suffix[j - 2]
+            stack.append(_level_step(n, stack[-1], [x**m for m in range(N + 1)], units, False))
+        previous = suffix
+        by_power: dict[int, dict[int, int]] = {}
         for key, g in stack[-1].items():
-            counts = [key >> shift & _EXP_MASK for shift in shifts]
-            terms.append((g * twist ** (n - sum(map(mul, indices, counts))), counts))
-        for index in vectors[a]:
-            polys[index] = _in_degree(terms, _base_segre(jobs[index][0]))
+            by_power.setdefault(key & _EXP_MASK, {})[key] = g
+        base = [(M, _level_step(n, states, ones, units, True)) for M, states in by_power.items()]
+        for spec, members in suffixes[suffix].items():
+            readouts, segre = _base_readouts(spec), _base_segre(spec)
+            parts: dict[tuple[int, int], list[int]] = {}
+            for M, states in base:
+                for key, g in states.items():
+                    if (readout := readouts.get(key)) is None:
+                        counts = [key >> shift & _EXP_MASK for shift in shifts]
+                        beta = n - sum(map(mul, indices, counts))
+                        readout = readouts[key] = (beta, _in_degree([(1, counts)], segre).coeffs)
+                    beta, product = readout
+                    if (part := parts.get((M, beta))) is None:
+                        part = parts[M, beta] = [0] * (n + 2)
+                    for i, c in enumerate(product):
+                        part[i] += g * c
+            for index in members:
+                a_1, twist = jobs[index][1].a[0], 2 * jobs[index][1].total
+                coeffs = [0] * (n + 2)
+                for (M, beta), part in parts.items():
+                    scale = a_1**M * twist**beta
+                    for i, c in enumerate(part):
+                        coeffs[i] += scale * c
+                polys[index] = EvaluatedClass.from_coefficients(coeffs)
     return polys
 
 

@@ -9,9 +9,13 @@ ranking last, which makes the winner independent of evaluation order.
 
 ``run_sweep`` computes the candidates with ``morse.compute_reports``, one
 job each, as one job list.  Candidates of one total differ mostly in
-``a_1`` and ``a_2``, and the jobs of one tower share the Segre recursion's
-levels their weights agree on, so the first 12 candidates of order 5 take
-17 level steps, not 60.
+``a_1`` and ``a_2``.  The jobs of one tower share the Segre recursion's
+levels their weights agree on, and ``a_1`` is applied at the base, so no
+level step is a candidate's own: the first 12 candidates of order 5, with
+two values of ``a_2``, take one step each at levels 5, 4 and 3, two at
+level 2 and, for each ``a_2``, six weight-free steps at level 1, one per
+power of the linear form; each base product is read out once per
+geometry.
 """
 
 from __future__ import annotations
@@ -25,26 +29,26 @@ from .morse import MorseReport, WeightVector, compute_reports, default_weights
 __all__ = ["enumerate_admissible", "SweepResult", "run_sweep"]
 
 
-def _chains(k: int, total: int, suffix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """Admissible k-tuples with the given total that end in ``suffix``.
+def _chains(ladder: tuple[int, ...], total: int, suffix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Admissible tuples of the ladder's length with the given total that end in ``suffix``.
 
     Positions are filled from a_k leftwards, each at least its lower bound:
     1 at a_k, 2*a_k at a_(k-1) and 3*a_(j+1) elsewhere; a_1 takes the rest.
-    With ``L`` the default ladder, a value ``v`` at position p leaves
-    positions 1..p-1 at least ``v * sum_(j<p) L_j / L_p`` (the ratios are
-    integers), so every value tried completes to at least one chain, and
+    With ``ladder`` the default weights ``L``, a value ``v`` at position p
+    leaves positions 1..p-1 at least ``v * sum_(j<p) L_j / L_p`` (the ratios
+    are integers), so every value tried completes to at least one chain, and
     the work grows with the chains yielded, not with the total.
     """
+    k = len(ladder)
     position = k - len(suffix)
     lower = 1 if not suffix else (2 if position == k - 1 else 3) * suffix[0]
     if position == 1:
         if total >= lower:
             yield (total,) + suffix
         return
-    ladder = default_weights(k).a
     need = sum(ladder[:position - 1]) // ladder[position - 1]
     for value in range(lower, total // (1 + need) + 1):
-        yield from _chains(k, total - value, (value,) + suffix)
+        yield from _chains(ladder, total - value, (value,) + suffix)
 
 
 def enumerate_admissible(k: int, count: int) -> list[WeightVector]:
@@ -54,9 +58,10 @@ def enumerate_admissible(k: int, count: int) -> list[WeightVector]:
     if count < 1:
         raise ValueError("candidate budget must be >= 1")
     out: list[WeightVector] = []
-    total = default_weights(k).total  # the admissible minimum
+    ladder = default_weights(k).a
+    total = sum(ladder)  # the admissible minimum
     while len(out) < count:
-        for a in sorted(_chains(k, total)):
+        for a in sorted(_chains(ladder, total)):
             out.append(WeightVector(a))
             if len(out) == count:
                 break

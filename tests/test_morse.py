@@ -6,7 +6,7 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetbound import (
@@ -581,16 +581,20 @@ def test_threshold_dips_after_sign_change():
     assert degree_threshold(P) == 7
 
 
-def _threshold_by_scan(P):
-    """The reference search: every integer below the power-of-two root bound, downwards."""
-    lead = P.leading_coefficient
-    if lead <= 0:
-        return None
-    rest = [abs(c) for c in P.coeffs[:-1]]
+def _root_bound(P):
+    """The first power of two B with ``lead * B^m > sum_i |c_i| B^i``, given a positive leading coefficient."""
+    lead, rest = P.leading_coefficient, [abs(c) for c in P.coeffs[:-1]]
     bound = 1
     while lead * bound ** len(rest) <= sum(c * bound**i for i, c in enumerate(rest)):
         bound *= 2
-    for x in range(bound - 1, 0, -1):
+    return bound
+
+
+def _threshold_by_scan(P):
+    """The reference search: every integer below the power-of-two root bound, downwards."""
+    if P.leading_coefficient <= 0:
+        return None
+    for x in range(_root_bound(P) - 1, 0, -1):
         if P(x) <= 0:
             return x + 1
     return 1
@@ -619,6 +623,19 @@ def test_threshold_equals_linear_scan(P):
     assert degree_threshold(P) == _threshold_by_scan(P)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_threshold_polynomials())
+def test_taylor_certificate_holds_at_the_root_bound_and_from_its_first_point_upwards(P):
+    # the search starts at the first x with P(x) > 0 and every Taylor coefficient of P(x + t) >= 0:
+    # by Gauss-Lucas every coefficient is positive at the root bound, and the property holds upwards
+    assume(P.leading_coefficient > 0)
+    bound = _root_bound(P)
+    assert min(morse._taylor(P.coeffs, bound)) > 0
+    window = range(max(1, bound - 256), bound + 1)
+    certified = [x for x in window if P(x) > 0 and min(morse._taylor(P.coeffs, x)) >= 0]
+    assert certified == list(range(certified[0], bound + 1))
+
+
 def test_threshold_search_skips_certified_runs(monkeypatch):
     # d^3 - 10^30 vanishes at 10^10: a search that stepped one integer at a
     # time would need about 7 * 10^9 steps from the root bound 2^34
@@ -632,6 +649,34 @@ def test_threshold_search_skips_certified_runs(monkeypatch):
 
     monkeypatch.setattr(morse, "_positive_run", counted)
     assert degree_threshold(EvaluatedClass.from_coefficients([-(10**30), 0, 0, 1])) == 10**10 + 1
+
+
+def _segre_by_recursion(spec):
+    """``S_p = -sum_(l <= p) p_l(d) S_(p-l)`` from ``S_0 = 1``, ``p_l`` the degree polynomial of class l."""
+    segre = [[1]]
+    for p in range(1, spec.n + 1):
+        s = [0] * (p + 1)
+        for l in range(1, p + 1):
+            for i, c in enumerate(_chern_coefficient_in_degree(spec, l)):
+                for j, e in enumerate(segre[p - l]):
+                    s[i + j] -= c * e
+        segre.append(s)
+    return [{i: c for i, c in enumerate(s) if c} for s in segre[1:]]
+
+
+@pytest.mark.parametrize("token", ["log", "compact"])
+def test_base_segre_closed_form_equals_the_recursion_on_the_chern_classes(token):
+    for n in range(1, 41):
+        spec = GeometrySpec(token, n)
+        closed = [{i: c for i, c in S.items() if c} for S in morse._base_segre(spec)]
+        assert closed == _segre_by_recursion(spec), n
+
+
+def test_order_one_reports_at_dimension_200_have_no_threshold():
+    # order 1 at n = 200 reads 200 base Segre classes, each a closed form of degree 1 in d
+    for spec in (logarithmic_pair(200), compact_hypersurface(200)):
+        report = compute_report(spec, 1)
+        assert report.leading_coeff < 0 and report.threshold is None
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 3)])

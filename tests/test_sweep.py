@@ -23,6 +23,7 @@ from jetbound import (
 )
 from jetbound.geometry import GeometrySpec
 from jetbound.morse import compute_reports
+from jetbound.polyring import _EXP_MASK
 from jetbound.tower import pipeline_tower
 
 RELATIONS = {(n, k): pipeline_tower(n, k) for n in (2, 3) for k in range(1, 6)}
@@ -153,31 +154,95 @@ def test_each_report_carries_its_towers_time_over_its_towers_job_count(monkeypat
 
 @pytest.fixture
 def level_steps(monkeypatch):
-    """Records, per call of ``morse._level_step``, whether it steps to the base."""
+    """Records, per call of ``morse._level_step``, whether it steps to the base and the powers of L it is given."""
     calls = []
     step = morse._level_step
 
     def counted(r, states, factors, units, last):
-        calls.append(last)
+        calls.append((last, sorted({key & _EXP_MASK for key in states})))
         return step(r, states, factors, units, last)
 
     monkeypatch.setattr(morse, "_level_step", counted)
     return calls
 
 
-def test_sweep_candidates_share_the_levels_their_weights_agree_on(level_steps):
-    # the 12 candidates (54..61, 18|19, 6, 2, 1) share a_3..a_5 and take two values of a_2: 1 + 1 + 1 + 2 + 12
+@pytest.fixture
+def readouts(monkeypatch):
+    """Records each base product ``morse._segre_polynomials`` multiplies out, from an empty memo."""
+    calls = []
+    in_degree = morse._in_degree
+
+    def counted(terms, values):
+        terms = list(terms)
+        calls.append(len(terms))
+        return in_degree(terms, values)
+
+    morse._base_readouts.cache_clear()
+    monkeypatch.setattr(morse, "_in_degree", counted)
+    yield calls
+    morse._base_readouts.cache_clear()
+
+
+def test_sweep_candidates_share_the_levels_their_weights_agree_on(level_steps, readouts):
+    # the 12 candidates (54..61, 18|19, 6, 2, 1) share a_3..a_5 and take two values of a_2: levels 5, 4
+    # and 3 step once and level 2 twice; level 1 steps once per power of L for each a_2, weight-free,
+    # and its powers are 0..5, since N = 13 and levels 5..2 spend 4 * (r - 1) = 8
     jobs = [(spec(3), a) for a in SWEEP_CANDIDATES for spec in (logarithmic_pair, compact_hypersurface)]
     assert len({a[1] for a in SWEEP_CANDIDATES}) == 2 and len({a[2:] for a in SWEEP_CANDIDATES}) == 1
     reports = compute_reports(jobs)
-    assert len(level_steps) == 17 and sum(level_steps) == 12  # one step to the base per vector
+    assert len([last for last, _ in level_steps if not last]) == 5
+    assert sorted(powers for last, powers in level_steps if last) == sorted([[M] for M in range(6)] * 2)
+    # each geometry reads out its five base products, the partitions of 3, 1 and 0 (beta = 0, 2, 3), once
+    assert readouts == [1] * 10
     assert [_untimed(r) for r in reports] == _alone(jobs)
 
 
+# the powers of L that enter level 1 for each n of the parametrization below
+LEVEL_ONE_POWERS = {2: [0, 1, 2, 3], 3: [0, 1, 2, 3, 4, 5], 4: [3, 4, 5, 7]}
+
+
 @pytest.mark.parametrize("n,a", [(2, (2, 1)), (3, SWEEP_CANDIDATES[5]), (4, (1,))])
-def test_one_job_takes_one_step_per_level(level_steps, n, a):
+def test_one_job_takes_one_step_per_level(level_steps, readouts, n, a):
+    # one step per level above 1, then one weight-free step per power of L at level 1, and one
+    # readout per base key: (2, 2) reaches 3, (3, 5) 5 and (4, 1) the four single indices n - beta
     compute_reports([(compact_hypersurface(n), a)])
-    assert len(level_steps) == len(a)
+    assert [last for last, _ in level_steps] == [False] * (len(a) - 1) + [True] * len(LEVEL_ONE_POWERS[n])
+    assert sorted(powers for last, powers in level_steps if last) == [[M] for M in LEVEL_ONE_POWERS[n]]
+    assert readouts == [1] * {2: 3, 3: 5, 4: 4}[n]
+
+
+def test_jobs_sharing_a_2_to_a_k_in_both_geometries_equal_each_job_alone(level_steps):
+    # a_1 is applied at the base, so each tower's jobs with one suffix a_2..a_k step level 1 together
+    jobs = [
+        (geometry(n), (a_1,) + suffix)
+        for a_1 in (22, 21, 25)
+        for n, suffix in ((3, (6, 2, 1)), (2, (6, 2, 1)), (3, (7, 2, 1)))
+        for geometry in (compact_hypersurface, logarithmic_pair)
+    ]
+    reports = compute_reports(jobs)
+    # n = 3 steps levels 4 and 3 once and level 2 for a_2 = 6 and 7, n = 2 levels 4..2 once
+    assert len([last for last, _ in level_steps if not last]) == 4 + 3
+    assert [_untimed(r) for r in reports] == _alone(jobs)
+
+
+def test_order_one_jobs_equal_each_job_alone():
+    jobs = [(geometry(n), (a,)) for n in (2, 3, 4) for a in (1, 2, 5) for geometry in (logarithmic_pair, compact_hypersurface)]
+    assert [_untimed(r) for r in compute_reports(jobs)] == _alone(jobs)
+
+
+def test_duplicated_vectors_equal_each_job_alone():
+    jobs = [(logarithmic_pair(3), SWEEP_CANDIDATES[4])] * 3 + [(compact_hypersurface(3), SWEEP_CANDIDATES[4])] * 2
+    jobs += [(logarithmic_pair(2), (2, 1)), (logarithmic_pair(2), (2, 1))]
+    reports = compute_reports(jobs)
+    assert [_untimed(r) for r in reports] == _alone(jobs)
+    assert reports[0].morse_poly != reports[3].morse_poly  # the geometries differ
+
+
+def test_first_sixty_5_5_candidates_equal_each_job_alone():
+    jobs = [(logarithmic_pair(5), w.a) for w in enumerate_admissible(5, 60)]
+    reports = compute_reports(jobs)
+    assert reports[0].threshold == 1154 and len({r.morse_poly for r in reports}) == 60
+    assert [_untimed(r) for r in reports] == _alone(jobs)
 
 
 @pytest.mark.parametrize("k", range(1, 7))

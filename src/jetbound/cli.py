@@ -74,7 +74,7 @@ def cached_reports(
     results: list[Optional[MorseReport]] = []
     misses: list[tuple[int, str]] = []
     for spec, weights in jobs:
-        # the tracer's anchor, which builds no relations (they are lazy): the
+        # the tracer's anchor, which builds no ring and no relations (both are lazy): the
         # traced benchmark (perfbench/spans.py) starts each key span at this
         # call, and it goes once the tracer times cache.cache_key (ROADMAP item 3)
         ctx, w = TowerContext(spec.n, len(weights)), tuple(weights)

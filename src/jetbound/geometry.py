@@ -137,8 +137,11 @@ class EvaluatedClass:
         return value
 
     def __str__(self) -> str:
-        ring = Ring(("d",))
-        return str(ring.polynomial({i: c for i, c in enumerate(self.coeffs)}))
+        return str(_DEGREE_RING.polynomial({i: c for i, c in enumerate(self.coeffs)}))
+
+
+#: The ring an ``EvaluatedClass`` prints in, shared by every instance.
+_DEGREE_RING = Ring(("d",))
 
 
 def _in_degree(

@@ -15,30 +15,32 @@ threshold is the smallest positive integer beyond which ``P`` stays strictly
 positive, located by an exact downward search from the first point below a
 power-of-two root bound where every Taylor coefficient is non-negative.
 
-``compute_reports`` is the package's one batch computation, and it runs
-in this process, one tower at a time.  A job is a ``(GeometrySpec,
-weights)`` pair; it forms no class and runs no pushforward.  At ``h = 1``
-its class is a combination of powers of the one linear form ``L = sum_j
-a_j u_j``, and the Segre recursion integrates those level by level as
-products of Segre classes, each product and the power of ``L`` packed into
-one integer key: a level step (``_level_step``) expands each Segre class of
-its own level by those of the level below (``tower._segre_expansion``) and
-the power of ``L`` by the binomial theorem, and sends ``u_j^E`` to the
-Segre class ``s_(E-r+1)`` below.  Level j reads the weights through
-``a_j`` alone, level 1 through ``a_1^M`` alone, and the twist
-``(2|a|)^beta`` and ``a_1^M`` are applied at the base, so
-``_segre_polynomials`` runs the jobs of one tower as one descent over the
-levels: jobs whose weights agree on ``a_k..a_j``, in either geometry,
-share levels k..j, and jobs that agree on ``a_2..a_k`` share every level.
-At the base it multiplies each product of Segre classes out once per
-spec as a polynomial in d (``geometry._in_degree``, which also evaluates
-a pushed-forward class), and each job is a sum of those polynomials
-scaled by its weights.  No u-monomial or c-monomial is formed, and no
-tower is built.  The same level step, given the powers of symbolic weights
-in place of the ``a_j^m`` (``_segre_states``), gives
-``symbolic_leading_form`` (``_leading_value``).  The pushforward of a class
-(``morse_class``, ``tower.pushforward_to_base``, ``evaluate_in_degree``)
-remains the reference the recursion is tested against.
+``compute_reports`` is the package's one batch computation, and it runs in
+this process, one tower at a time.  A job is a ``(GeometrySpec, weights)``
+pair; it forms no class and runs no pushforward.  At ``h = 1`` its class is
+a combination of powers of the one linear form ``L = sum_j a_j u_j``, and
+the Segre recursion integrates those level by level as products of Segre
+classes, each product and the power of ``L`` packed into one integer key
+whose fields are as wide as the run's largest power of ``L`` needs: a
+level step (``_level_step``) expands each Segre class of its own level by
+those of the level below (``tower._segre_expansion``) and the power of
+``L`` by the binomial theorem, and sends ``u_j^E`` to the Segre class
+``s_(E-r+1)`` below.  Level j reads the weights through ``a_j`` alone,
+level 1 through ``a_1^M`` alone, and the twist ``(2|a|)^beta`` and
+``a_1^M`` are applied at the base, so ``_segre_polynomials`` runs the jobs
+of one tower as one descent over the levels above 1: jobs whose weights
+agree on ``a_k..a_j``, in either geometry, share levels k..j.  Each state
+entering level 1 is read out once per spec and key width as a polynomial
+in d (``_level_one_readouts``: one weight-free step to the base, whose
+products of Segre classes ``geometry._in_degree`` multiplies out, as it
+evaluates a pushed-forward class), and each job is a sum of those
+polynomials scaled by its weights and by the coefficients of its level-1
+states.  No u-monomial or c-monomial is formed, and no tower is built.  The
+same level step, given the powers of symbolic weights in place of the
+``a_j^m`` (``_segre_states``), gives ``symbolic_leading_form``
+(``_leading_value``).  The pushforward of a class (``morse_class``,
+``tower.pushforward_to_base``, ``evaluate_in_degree``) remains the
+reference the recursion is tested against.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .geometry import COMPACT_HYPERSURFACE, EvaluatedClass, GeometrySpec, _in_de
 # not used here: the benchmark's tracer (perfbench/spans.py) wraps them as ``morse.evaluate_in_degree``
 # and ``morse.pushforward_to_base``
 from .geometry import evaluate_in_degree  # noqa: F401
-from .polyring import _EXP_BITS, _EXP_MASK, Polynomial, Ring
+from .polyring import Polynomial, Ring
 from .tower import TowerContext, _segre_expansion
 from .tower import pushforward_to_base  # noqa: F401
 
@@ -370,20 +372,13 @@ class MorseReport:
         return report
 
 
-def _key_units(r: int, top: int) -> list[int]:
-    """The key unit ``1 << t * _EXP_BITS`` of each Segre index t a level can create from the power ``top``.
-
-    The indices run up to ``top - r + 1``, and index 0 adds nothing.  A
-    power above ``_EXP_MASK`` raises ``ValueError``: it does not fit the
-    key's low field.
-    """
-    if top > _EXP_MASK:
-        raise ValueError(f"power {top} of the linear form exceeds the key field limit {_EXP_MASK}")
-    return [0] + [1 << t * _EXP_BITS for t in range(1, top - r + 2)]
+def _key_units(r: int, top: int, bits: int) -> list[int]:
+    """The unit ``1 << t * bits`` of each Segre index ``t <= top - r + 1`` a level makes from ``L^top``; 0 adds none."""
+    return [0] + [1 << t * bits for t in range(1, top - r + 2)]
 
 
 def _level_step(
-    r: int, states: Mapping[int, Union[int, Polynomial]], factors: Sequence, units: Sequence[int], last: bool
+    r: int, states: Mapping[int, Union[int, Polynomial]], factors: Sequence, units: Sequence[int], bits: int, last: bool
 ) -> dict[int, Union[int, Polynomial]]:
     """The states of level j - 1 from those of level j, ``factors[m]`` the factor ``x_j^m`` of ``u_j^m``.
 
@@ -392,13 +387,14 @@ def _level_step(
     level-(j-1) Segre classes; ``L_j^M = sum_m C(M, m) x_j^m u_j^m
     L_(j-1)^(M-m)``, with ``m = M`` alone on the ``last`` level, j = 1,
     where ``L_0 = 0``; and ``u_j^E`` pushes forward to ``s_(E-r+1)^[j-1]``,
-    zero for ``E < r - 1``.  A zero factor drops its power, and ``units``
-    come from ``_key_units``.
+    zero for ``E < r - 1``.  A zero factor drops its power, the key's
+    fields are ``bits`` wide, and ``units`` come from ``_key_units``.
     """
     below: dict[int, Union[int, Polynomial]] = {}
+    get, mask = below.get, (1 << bits) - 1
     for key, g in states.items():
-        M = key & _EXP_MASK
-        expansion = _segre_expansion(r, key - M)
+        M = key & mask
+        expansion = _segre_expansion(r, bits, key - M)
         for m in range(M if last else 0, M + 1):
             if not (factor := factors[m]):
                 continue
@@ -406,7 +402,7 @@ def _level_step(
             for e, rest, coeff in expansion:
                 if (index := e + low) >= 0:
                     target = rest + units[index] + left
-                    below[target] = below.get(target, 0) + scale * coeff
+                    below[target] = get(target, 0) + scale * coeff
     return below
 
 
@@ -421,29 +417,29 @@ def _segre_states(
     the balanced intersection of ``verify`` keeps ``m = n`` alone.  A state
     of level j with coefficient g stands for ``g prod_(i in indices)
     s_i^[j] L_j^M``, ``L_j = sum_(i <= j) x_i u_i`` and ``s^[j] = 1 /
-    c^[j]`` the Segre series of the level-j classes.  Its key is one integer
-    in the packed idiom of ``polyring``: M in the low field and the count of
-    index ``i >= 1`` in field i, each ``_EXP_BITS`` wide, so level k holds
-    the key M for each power.  ``_level_step`` turns the states of level j
-    into those of level j - 1, so a new index t is one add of its unit (none
-    for t = 0), and spending m powers of L one subtraction of m; no unit is
-    built when there is no level.
+    c^[j]`` the Segre series of the level-j classes.  Its key is one
+    integer: M in the low field and the count of index ``i >= 1`` in field
+    i, each ``bits`` wide, the bit length of the largest M, so level k
+    holds the key M for each power.  ``_level_step`` turns the states of
+    level j into those of level j - 1, so a new index t is one add of its
+    unit (none for t = 0), and spending m powers of L one subtraction of
+    m; no unit is built when there is no level.
 
     Each step is an identity in the cohomology of level j, and the
     pushforward is linear over level j - 1 (the projection formula), so the
     level-0 states, whose M is 0, are the pushforward of the input exactly:
     ``sum g prod_(i in indices) s_i^[0]``.  No u-monomial is ever formed.  Each
     level lowers the degree by ``r - 1``, so a state of level j that comes
-    from ``L^M`` has its indices and M summing to ``M - (k - j)(r - 1)``;
-    no field exceeds the largest M, and a largest M above ``_EXP_MASK``
-    raises ``ValueError`` before any expansion.
+    from ``L^M`` has its indices and M summing to ``M - (k - j)(r - 1)``:
+    no field exceeds the largest M, so none overflows into the next.
     """
     top = max(powers, default=0)
-    units = _key_units(r, top) if levels else []
+    bits = top.bit_length()
+    units = _key_units(r, top, bits) if levels else []
     states = dict(powers)
     yield states
     for j in range(len(levels), 0, -1):
-        states = _level_step(r, states, levels[j - 1], units, j == 1)
+        states = _level_step(r, states, levels[j - 1], units, bits, j == 1)
         yield states
 
 
@@ -459,7 +455,8 @@ def _leading_value(r: int, levels: Sequence[Sequence], powers: Mapping[int, int]
     """
     for states in _segre_states(r, levels, powers):
         pass
-    return sum(g for key, g in states.items() if not key >> 2 * _EXP_BITS)
+    bits = max(powers, default=0).bit_length()
+    return sum(g for key, g in states.items() if not key >> 2 * bits)
 
 
 @functools.lru_cache(maxsize=None)
@@ -479,12 +476,12 @@ def _base_segre(spec: GeometrySpec) -> tuple[dict[int, int], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _base_readouts(spec: GeometrySpec) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Each base key's beta and the coefficients of its ``d prod_i S_i(d)``, memoized per spec as ``_segre_polynomials`` reads them out.
+def _level_one_readouts(spec: GeometrySpec, bits: int) -> dict[int, tuple[int, int, list[int]]]:
+    """Each level-1 key's M, beta and ``d sum g prod_i S_i(d)`` over its base states, as ``_segre_polynomials`` reads it.
 
-    The products depend on the spec and the key alone, not on the tower's
-    order or the weights, and a base key's weighted index sum is at most n,
-    so the memo holds at most one entry per partition of each of 0..n.
+    A readout reads no weight, and one multiset packs to a different key at
+    each width, so the memo serves every tower of the spec's dimension whose
+    keys have that width, one entry per level-1 state reached.
     """
     return {}
 
@@ -506,29 +503,29 @@ def _segre_polynomials(
     jobs whose weights agree on ``a_k, ..., a_j`` share levels k..j: the
     suffixes ``a_2..a_k`` are walked in the order of their reversed tuples,
     and each runs only the levels above 1 below the suffix it shares with
-    the one before, one ``_level_step`` per distinct suffix of each length.
+    the one before, one ``_level_step`` per distinct suffix of each length,
+    on keys of ``N.bit_length()`` bits a field.
 
     Level 1 reads ``a_1`` only through the factor ``a_1^M`` of a state with
-    power M, since it spends all of M.  So it runs once per suffix, one
-    weight-free ``_level_step`` per power M, and ``a_1`` is applied at the
-    base as the twist is: ``P(d) = sum a_1^M (2|a|)^beta V_(M,beta)(d)``,
-    where ``V_(M,beta) = d sum g prod_i S_i(d)`` over the base states that
-    came from M and beta.  Each base key's product ``d prod_i S_i(d)`` is
-    multiplied out once per spec and process (``_base_readouts``, by
-    ``geometry._in_degree``, the routine ``evaluate_in_degree`` runs on the
-    ``p_l``; ``_base_segre``), each ``V`` once per suffix and spec, and
-    each job is a sum of scaled ``V``.  A job list of one runs k - 1 steps
-    and one more per power M at level 1.  That is ``evaluate_in_degree``
-    of ``pushforward_to_base`` of the same class, coefficient by
-    coefficient.
+    power M, since it spends all of M, so ``a_1`` is applied at the base as
+    the twist is: ``P(d) = sum a_1^M (2|a|)^beta V_(M,beta)(d)``, with
+    ``V_(M,beta) = sum g R(key)`` over the level-1 states of that M and
+    beta, ``R(key) = d sum g' prod_i S_i(d)`` over the base states of one
+    weight-free step of the key.  Each ``R`` is multiplied out once per
+    spec, width and process (``_level_one_readouts``, by
+    ``geometry._in_degree``, which ``evaluate_in_degree`` runs on the
+    ``p_l``; ``_base_segre``), each ``V`` once per suffix and spec.  That is
+    ``evaluate_in_degree`` of ``pushforward_to_base`` of the same class,
+    coefficient by coefficient.
     """
     polys: list[Optional[EvaluatedClass]] = [None] * len(jobs)
     suffixes: dict[tuple[int, ...], dict[GeometrySpec, list[int]]] = {}
     for index, (spec, w) in enumerate(jobs):
         suffixes.setdefault(w.a[1:], {}).setdefault(spec, []).append(index)
     N = n + k * (n - 1)
-    units, indices, ones = _key_units(n, N), range(1, n + 1), [1] * (N + 1)
-    shifts = [i * _EXP_BITS for i in indices]
+    bits = N.bit_length()
+    mask, units, indices = (1 << bits) - 1, _key_units(n, N, bits), range(1, n + 1)
+    shifts = [i * bits for i in indices]
     # stack[i] holds the states after the steps of levels k, ..., k - i + 1
     stack = [{N - beta: (1 - beta) * comb(N, beta) for beta in range(n + 1) if beta != 1}]
     previous: tuple[int, ...] = ()  # shares no level
@@ -539,26 +536,28 @@ def _segre_polynomials(
         del stack[shared + 1:]
         for j in range(k - shared, 1, -1):
             x = suffix[j - 2]
-            stack.append(_level_step(n, stack[-1], [x**m for m in range(N + 1)], units, False))
+            stack.append(_level_step(n, stack[-1], [x**m for m in range(N + 1)], units, bits, False))
         previous = suffix
-        by_power: dict[int, dict[int, int]] = {}
-        for key, g in stack[-1].items():
-            by_power.setdefault(key & _EXP_MASK, {})[key] = g
-        base = [(M, _level_step(n, states, ones, units, True)) for M, states in by_power.items()]
         for spec, members in suffixes[suffix].items():
-            readouts, segre = _base_readouts(spec), _base_segre(spec)
-            parts: dict[tuple[int, int], list[int]] = {}
-            for M, states in base:
-                for key, g in states.items():
-                    if (readout := readouts.get(key)) is None:
-                        counts = [key >> shift & _EXP_MASK for shift in shifts]
-                        beta = n - sum(map(mul, indices, counts))
-                        readout = readouts[key] = (beta, _in_degree([(1, counts)], segre).coeffs)
-                    beta, product = readout
-                    if (part := parts.get((M, beta))) is None:
-                        part = parts[M, beta] = [0] * (n + 2)
-                    for i, c in enumerate(product):
-                        part[i] += g * c
+            # products: the beta and d prod_i S_i(d) of each base key that this suffix's readouts reach
+            readouts, products, parts = _level_one_readouts(spec, bits), {}, {}
+            for key, g in stack[-1].items():
+                if (readout := readouts.get(key)) is None:
+                    M, beta, total = key & mask, 0, [0] * (n + 2)
+                    for base, coeff in _level_step(n, {key: 1}, [1] * (M + 1), units, bits, True).items():
+                        if base not in products:
+                            counts = [base >> shift & mask for shift in shifts]
+                            beta = n - sum(map(mul, indices, counts))
+                            products[base] = beta, _in_degree([(1, counts)], _base_segre(spec))
+                        beta, product = products[base]
+                        for i, c in enumerate(product.coeffs):
+                            total[i] += coeff * c
+                    readout = readouts[key] = (M, beta, total)
+                M, beta, product = readout
+                if (part := parts.get((M, beta))) is None:
+                    part = parts[M, beta] = [0] * (n + 2)
+                for i, c in enumerate(product):
+                    part[i] += g * c
             for index in members:
                 a_1, twist = jobs[index][1].a[0], 2 * jobs[index][1].total
                 coeffs = [0] * (n + 2)
@@ -570,7 +569,7 @@ def _segre_polynomials(
     return polys
 
 
-def compute_reports(jobs: Sequence[tuple[GeometrySpec, tuple[int, ...]]]) -> list[MorseReport]:
+def compute_reports(jobs: Sequence[tuple[GeometrySpec, Union[WeightVector, Sequence[int]]]]) -> list[MorseReport]:
     """The report of every ``(spec, weights)`` job, in job order, computed in this process.
 
     The jobs are grouped by their tower ``(n, k)``, log and compact together,

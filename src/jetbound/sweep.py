@@ -12,10 +12,10 @@ job each, as one job list.  Candidates of one total differ mostly in
 ``a_1`` and ``a_2``.  The jobs of one tower share the Segre recursion's
 levels their weights agree on, and ``a_1`` is applied at the base, so no
 level step is a candidate's own: the first 12 candidates of order 5, with
-two values of ``a_2``, take one step each at levels 5, 4 and 3, two at
-level 2 and, for each ``a_2``, six weight-free steps at level 1, one per
-power of the linear form; each base product is read out once per
-geometry.
+two values of ``a_2``, take one step each at levels 5, 4 and 3 and two at
+level 2.  Each state entering level 1 is read out once per geometry and
+key width by one weight-free step, and every candidate is a sum of those
+readouts scaled by its weights.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ class SweepResult:
 
 
 def run_sweep(spec: GeometrySpec, k: int, budget: int) -> SweepResult:
-    """Evaluate the first ``budget`` admissible vectors and return the best; no report is cached."""
-    candidates = enumerate_admissible(k, budget)
-    return SweepResult.from_reports(compute_reports([(spec, w.a) for w in candidates]))
+    """Evaluate the first ``budget`` admissible vectors and return the best; no report is cached.
+
+    Each candidate goes to ``compute_reports`` as the ``WeightVector`` the
+    enumeration validated, so none is checked twice.
+    """
+    return SweepResult.from_reports(compute_reports([(spec, w) for w in enumerate_admissible(k, budget)]))

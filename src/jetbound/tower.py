@@ -10,17 +10,17 @@ form with ``deg(u_j) < r``, and integrates along the fibers down to the base
 
 ``_segre_expansion`` is the package's one integration engine.  It writes a
 product of the Segre classes ``s^[j] = 1 / c^[j]`` of level j, packed into
-one integer as ``polyring`` packs a monomial, as powers of ``u_j`` times
-products of Segre classes of level j - 1, so ``morse`` integrates a
-combination of powers of a linear form in the ``u_j`` level by level
-without forming a u-monomial: every job's Morse class at ``h = 1``, the
-symbolic-weight forms of ``verify`` and its balanced intersection.  It reads
-the rank alone, not a relation set: the identity it uses holds on the towers
-``build_relations`` makes.  So no job and no cache key reads a relation set;
-those of ``pipeline_tower`` serve ``verify``'s first two checks and the
-reference below.  A ``TowerContext`` names the tower's variables
-only, ``u_1..u_k, c_1..c_r, h, d``: the symbolic weights of ``verify`` live
-in a ring of their own.
+one integer in fields as wide as the caller's run needs, as powers of
+``u_j`` times products of Segre classes of level j - 1, so ``morse``
+integrates a combination of powers of a linear form in the ``u_j`` level by
+level without forming a u-monomial: every job's Morse class at ``h = 1``,
+the symbolic-weight forms of ``verify`` and its balanced intersection.  It
+reads the rank alone, not a relation set: the identity it uses holds on the
+towers ``build_relations`` makes.  So no job and no cache key reads a
+relation set; those of ``pipeline_tower`` serve ``verify``'s first two
+checks and the reference below.  A ``TowerContext`` names the tower's
+variables only, ``u_1..u_k, c_1..c_r, h, d``, and builds their ring on
+first use: the symbolic weights of ``verify`` live in a ring of their own.
 
 ``pushforward_to_base`` is the reference that engine is tested against.  It
 computes ``integrate_fibers(reduce_tower(p))`` without materializing the
@@ -49,7 +49,6 @@ from .polyring import (
     Polynomial,
     Ring,
     VariableId,
-    _EXP_BITS,
     _EXP_MASK,
     _key_degree,
     _mul_into,
@@ -86,30 +85,31 @@ def _segre_gamma(r: int, i: int, e: int) -> int:
 
 
 @functools.cache
-def _segre_expansion(r: int, key: int) -> tuple[tuple[int, int, int], ...]:
+def _segre_expansion(r: int, bits: int, key: int) -> tuple[tuple[int, int, int], ...]:
     """``prod_(i in key) s_i^[j]`` over level j-1 at rank r, as triples ``(e, rest, g)``.
 
     ``s^[j] = 1 / c^[j]`` is the Segre series of the level-j classes.  A
     product of Segre classes is a packed multiset of indices, the count of
-    index ``i >= 1`` in the field ``i`` of width ``_EXP_BITS`` and field 0
-    empty.  The product is ``sum g u_j^e prod_(i in rest) s_i^[j-1]``, each
-    ``rest`` packed the same way (``s_0 = 1`` adds nothing), each ``g``
-    nonzero.  One factor expands as ``s_i^[j] = sum_(i' <= i)
-    _segre_gamma(r, i', i - i') u_j^(i-i') s_(i')^[j-1]``: the lifted
-    classes of ``_lifted_class`` are the degree <= r part of ``c^[j](y) =
-    (1 - u_j y)(1 + u_j y)^r c^[j-1](y / (1 + u_j y))``, whose ``y^(r+1)``
-    term ``-u_j q_j`` vanishes modulo the level relation, so on level j
-    ``s^[j](y) = (1 - u_j y)^-1 (1 + u_j y)^-r s^[j-1](y / (1 + u_j y))``
-    exactly.  The product is that of the expansion of ``key`` less its
-    largest index, the top field, with that index, memoized per ``(r,
-    key)`` and so independent of any weight.
+    index ``i >= 1`` in the field ``i`` of width ``bits`` and field 0
+    empty; ``morse`` sizes the fields to its run.  The product is ``sum g
+    u_j^e prod_(i in rest) s_i^[j-1]``, each ``rest`` packed the same way
+    (``s_0 = 1`` adds nothing), each ``g`` nonzero.  One factor expands as
+    ``s_i^[j] = sum_(i' <= i) _segre_gamma(r, i', i - i') u_j^(i-i')
+    s_(i')^[j-1]``: the lifted classes of ``_lifted_class`` are the degree
+    <= r part of ``c^[j](y) = (1 - u_j y)(1 + u_j y)^r c^[j-1](y / (1 +
+    u_j y))``, whose ``y^(r+1)`` term ``-u_j q_j`` vanishes modulo the
+    level relation, so on level j ``s^[j](y) = (1 - u_j y)^-1 (1 + u_j
+    y)^-r s^[j-1](y / (1 + u_j y))`` exactly.  The product is that of the
+    expansion of ``key`` less its largest index, the top field, with that
+    index, memoized per ``(r, bits, key)``, since one multiset packs to a
+    different key at each width, and so independent of any weight.
     """
     if not key:
         return ((0, 0, 1),)
-    i = (key.bit_length() - 1) // _EXP_BITS
-    units = [0] + [1 << low * _EXP_BITS for low in range(1, i + 1)]
+    i = (key.bit_length() - 1) // bits
+    units = [0] + [1 << low * bits for low in range(1, i + 1)]
     terms: dict[tuple[int, int], int] = {}
-    for e, rest, g in _segre_expansion(r, key - units[i]):
+    for e, rest, g in _segre_expansion(r, bits, key - units[i]):
         for low in range(i + 1):
             term = (e + i - low, rest + units[low])
             terms[term] = terms.get(term, 0) + g * _segre_gamma(r, low, i - low)
@@ -121,10 +121,11 @@ class TowerContext:
 
     ``n`` is the base dimension, ``r = n`` the rank of the directed bundle,
     ``k >= 1`` the jet order.  The ring orders its variables as
-    ``u_1..u_k, c_1..c_r, h, d``.
+    ``u_1..u_k, c_1..c_r, h, d``; it is built on first use, since a
+    context that only names a tower, as a cache lookup's does, reads none.
     """
 
-    __slots__ = ("n", "r", "k", "ring", "_relations")
+    __slots__ = ("n", "r", "k", "_ring", "_relations")
 
     def __init__(self, n: int, k: int):
         if n < 1:
@@ -134,11 +135,17 @@ class TowerContext:
         self.n = n
         self.r = n
         self.k = k
-        names = [f"u{j}" for j in range(1, k + 1)]
-        names += [f"c{l}" for l in range(1, self.r + 1)]
-        names += ["h", "d"]
-        self.ring = Ring(names)
+        self._ring: Optional[Ring] = None
         self._relations: Optional[RelationSet] = None
+
+    @property
+    def ring(self) -> Ring:
+        """The ring of ``u_1..u_k, c_1..c_r, h, d``, built once."""
+        if self._ring is None:
+            names = [f"u{j}" for j in range(1, self.k + 1)]
+            names += [f"c{l}" for l in range(1, self.r + 1)]
+            self._ring = Ring(names + ["h", "d"])
+        return self._ring
 
     @property
     def total_dim(self) -> int:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from jetbound import enumerate_admissible, logarithmic_pair, run_sweep
 from jetbound.cli import main
+from jetbound.polyring import Ring
 
 
 def run_cli(capsys, *argv):
@@ -427,6 +428,20 @@ def test_bound_cache_hit_byte_identical(capsys, cache_dir):
     (name,) = os.listdir(cache_dir)
     with open(os.path.join(cache_dir, name), "rb") as fh:
         assert fh.read() == out2.encode()  # the hit serialises the report to the stored bytes
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_cache_hit_builds_no_ring(capsys, cache_dir, monkeypatch, fmt):
+    # the key's tower context names the tower only, and the text form prints P(d) in one shared ring
+    args = ("bound", "--dim", "3", "--order", "4", "--format", fmt, "--cache-dir", cache_dir)
+    code1, out1, _ = run_cli(capsys, *args)
+
+    def refuse(self, names):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(Ring, "__init__", refuse)
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0 and out1 == out2
 
 
 def test_cache_file_of_another_configuration_is_a_miss(capsys, cache_dir):

@@ -34,7 +34,6 @@ from jetbound.cli import TABLE_CELLS
 from jetbound.errors import InadmissibleWeightsError
 from jetbound.geometry import GeometrySpec, _chern_coefficient_in_degree
 from jetbound.morse import class_terms
-from jetbound.polyring import _EXP_BITS, _EXP_MASK
 from jetbound.tower import RelationSet, _segre_expansion, _segre_gamma, pipeline_tower, pushforward_to_base
 
 
@@ -452,12 +451,13 @@ def test_segre_recursion_equals_the_pushforward(n, a):
         assert compute_report(spec, len(a), a).morse_poly == expected[spec.token], spec.token
 
 
-def _decode(key: int) -> tuple[tuple[int, ...], int]:
-    """The sorted Segre indices and the power M of a packed state key."""
-    M, indices, i = key & _EXP_MASK, [], 0
-    while key := key >> _EXP_BITS:
+def _decode(key: int, bits: int) -> tuple[tuple[int, ...], int]:
+    """The sorted Segre indices and the power M of a state key packed in fields ``bits`` wide."""
+    mask = (1 << bits) - 1
+    M, indices, i = key & mask, [], 0
+    while key := key >> bits:
         i += 1
-        indices += [i] * (key & _EXP_MASK)
+        indices += [i] * (key & mask)
     return tuple(indices), M
 
 
@@ -466,7 +466,9 @@ def test_segre_states_keep_their_degree_and_end_with_no_power_left(n, k):
     r, N = n, n + k * (n - 1)
     factors = [[x**m for m in range(N + 1)] for x in default_weights(k).a]
     for beta in (0, *range(2, n + 1)):
-        levels = [[_decode(key) for key in states] for states in morse._segre_states(r, factors, {N - beta: 1})]
+        bits = (N - beta).bit_length()  # the width _segre_states sizes its keys to
+        states = morse._segre_states(r, factors, {N - beta: 1})
+        levels = [[_decode(key, bits) for key in level] for level in states]
         assert len(levels) == k + 1 and levels[-1]
         for j, states in zip(range(k, -1, -1), levels):
             for indices, M in states:
@@ -517,31 +519,65 @@ def _multisets(total, largest):
 def test_packed_segre_expansion_equals_the_tuple_expansion(r):
     multisets = list(_multisets(8, 8))
     assert len(multisets) == 67  # the partitions of 0, 1, ..., 8
-    for indices in multisets:
-        key = sum(1 << i * _EXP_BITS for i in indices)
-        packed = {(e, _decode(rest)): g for e, rest, g in _segre_expansion(r, key)}
-        assert packed == {(e, (rest, 0)): g for e, rest, g in _tuple_segre_expansion(r, indices)}, indices
+    # every count is at most 8, so 4 bits is the narrowest width that holds the keys
+    for bits, indices in product((4, 5, 16), multisets):
+        key = sum(1 << i * bits for i in indices)
+        packed = {(e, _decode(rest, bits)): g for e, rest, g in _segre_expansion(r, bits, key)}
+        assert packed == {(e, (rest, 0)): g for e, rest, g in _tuple_segre_expansion(r, indices)}, (bits, indices)
 
 
-@pytest.mark.parametrize("n,k", [(3, 5), (4, 4)])
+# N = 4, 7, 13 and 16: keys 3, 3, 4 and 5 bits wide
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 5), (4, 4)])
 def test_packed_segre_states_equal_the_tuple_states(n, k):
     w, N = default_weights(k), n + k * (n - 1)
     powers = {N - beta: (1 - beta) * comb(N, beta) * (2 * w.total) ** beta for beta in range(n + 1) if beta != 1}
     levels = [[a**m for m in range(N + 1)] for a in w.a]
     reference = list(_tuple_segre_states(n, levels, powers))
-    packed = [{_decode(key): g for key, g in states.items()} for states in morse._segre_states(n, levels, powers)]
+    states = morse._segre_states(n, levels, powers)
+    packed = [{_decode(key, N.bit_length()): g for key, g in level.items()} for level in states]
     assert packed == reference and reference[-1]
 
 
-def test_a_power_beyond_the_key_field_is_refused_before_any_expansion(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a Segre product was expanded")
+def _clear_recursion_memos():
+    _segre_expansion.cache_clear()
+    morse._level_one_readouts.cache_clear()
 
-    monkeypatch.setattr(morse, "_segre_expansion", refuse)
-    levels = [[1] * (_EXP_MASK + 2)]
-    with pytest.raises(ValueError, match=f"power {_EXP_MASK + 1} .* limit {_EXP_MASK}$"):
-        list(morse._segre_states(2, levels, {_EXP_MASK + 1: 1}))
-    assert list(morse._segre_states(2, [], {_EXP_MASK: 1})) == [{_EXP_MASK: 1}]
+
+def _untimed(report) -> dict:
+    data = report.to_json_dict()
+    del data["elapsed_ms"]
+    return data
+
+
+def test_towers_of_one_rank_with_different_key_widths_interleaved_equal_each_job_alone():
+    # N = 7, 13 and 21: keys 3, 4 and 5 bits wide, so one multiset packs to a different key in each;
+    # the memos are keyed by the width, so running the towers in any order must not mix them up
+    jobs = [(geometry(3), default_weights(k).a) for k in (2, 5, 9) for geometry in (logarithmic_pair, compact_hypersurface)]
+    assert sorted({(3 + len(a) * 2).bit_length() for _, a in jobs}) == [3, 4, 5]
+    alone = {}
+    for spec, a in jobs:
+        _clear_recursion_memos()
+        alone[spec, a] = _untimed(compute_report(spec, len(a), a))
+    _clear_recursion_memos()
+    for order in (jobs[::-1], jobs[::2] + jobs[1::2], jobs):
+        assert [_untimed(compute_report(spec, len(a), a)) for spec, a in order] == [alone[job] for job in order]
+    assert [_untimed(r) for r in morse.compute_reports(jobs[::-1])] == [alone[job] for job in jobs[::-1]]
+
+
+# SHA-256 of the comma-joined decimal coefficients of P(d) for (130, 1), N = 259 (9-bit keys), as the
+# engine computed them with 16-bit key fields
+WIDE_ORDER_ONE_DIGESTS = {
+    "log": "c961f2b4d6da2f9d43606f311a7df94bde464ebf84685ef22864617a157ae9ca",
+    "compact": "e3e0225ebb7dae4aae86a2b91b1c7a1b011e01919ade69a218d7d907ab325c47",
+}
+
+
+@pytest.mark.parametrize("geometry", [logarithmic_pair, compact_hypersurface])
+def test_an_order_one_tower_whose_power_exceeds_255_is_pinned(geometry):
+    report = compute_report(geometry(130), 1)
+    assert report.total_dim == 259 and report.total_dim.bit_length() == 9
+    text = ",".join(map(str, report.morse_poly.coeffs))
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_ORDER_ONE_DIGESTS[report.geometry]
 
 
 def test_a_wrong_length_vector_is_refused_before_any_pushforward(monkeypatch):

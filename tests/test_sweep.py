@@ -2,6 +2,7 @@
 
 import time
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from jetbound import (
 )
 from jetbound.geometry import GeometrySpec
 from jetbound.morse import compute_reports
-from jetbound.polyring import _EXP_MASK
 from jetbound.tower import pipeline_tower
 
 RELATIONS = {(n, k): pipeline_tower(n, k) for n in (2, 3) for k in range(1, 6)}
@@ -154,46 +154,44 @@ def test_each_report_carries_its_towers_time_over_its_towers_job_count(monkeypat
 
 @pytest.fixture
 def level_steps(monkeypatch):
-    """Records, per call of ``morse._level_step``, whether it steps to the base and the powers of L it is given."""
+    """Records each call of ``morse._level_step`` as ``(last, bits, states, below)``, from emptied readout memos.
+
+    A call with ``last`` set is a level-1 readout: ``_segre_polynomials`` makes one for each level-1 key
+    that its memo for the geometry and the key width does not hold yet, with that key alone.
+    """
     calls = []
     step = morse._level_step
 
-    def counted(r, states, factors, units, last):
-        calls.append((last, sorted({key & _EXP_MASK for key in states})))
-        return step(r, states, factors, units, last)
+    def counted(r, states, factors, units, bits, last):
+        below = step(r, states, factors, units, bits, last)
+        calls.append((last, bits, dict(states), below))
+        return below
 
+    morse._level_one_readouts.cache_clear()
     monkeypatch.setattr(morse, "_level_step", counted)
-    return calls
-
-
-@pytest.fixture
-def readouts(monkeypatch):
-    """Records each base product ``morse._segre_polynomials`` multiplies out, from an empty memo."""
-    calls = []
-    in_degree = morse._in_degree
-
-    def counted(terms, values):
-        terms = list(terms)
-        calls.append(len(terms))
-        return in_degree(terms, values)
-
-    morse._base_readouts.cache_clear()
-    monkeypatch.setattr(morse, "_in_degree", counted)
     yield calls
-    morse._base_readouts.cache_clear()
+    morse._level_one_readouts.cache_clear()
 
 
-def test_sweep_candidates_share_the_levels_their_weights_agree_on(level_steps, readouts):
+def _read_out(calls) -> list[tuple[int, int]]:
+    """The ``(bits, key)`` of each level-1 key read out, in call order."""
+    assert all(len(states) == 1 for last, _, states, _ in calls if last)
+    return [(bits, key) for last, bits, states, _ in calls if last for key in states]
+
+
+def test_sweep_candidates_share_the_levels_their_weights_agree_on(level_steps):
     # the 12 candidates (54..61, 18|19, 6, 2, 1) share a_3..a_5 and take two values of a_2: levels 5, 4
-    # and 3 step once and level 2 twice; level 1 steps once per power of L for each a_2, weight-free,
-    # and its powers are 0..5, since N = 13 and levels 5..2 spend 4 * (r - 1) = 8
+    # and 3 step once and level 2 twice, on 4-bit keys since N = 13; level 1 takes no step of a candidate's
+    # own: each key the two level-2 steps reach is read out once per geometry, by a weight-free step
     jobs = [(spec(3), a) for a in SWEEP_CANDIDATES for spec in (logarithmic_pair, compact_hypersurface)]
     assert len({a[1] for a in SWEEP_CANDIDATES}) == 2 and len({a[2:] for a in SWEEP_CANDIDATES}) == 1
     reports = compute_reports(jobs)
-    assert len([last for last, _ in level_steps if not last]) == 5
-    assert sorted(powers for last, powers in level_steps if last) == sorted([[M] for M in range(6)] * 2)
-    # each geometry reads out its five base products, the partitions of 3, 1 and 0 (beta = 0, 2, 3), once
-    assert readouts == [1] * 10
+    upper = [(bits, below) for last, bits, _, below in level_steps if not last]
+    assert len(upper) == 5 and {bits for bits, _ in upper} == {4}
+    level_one = {key for _, below in upper[3:] for key in below}
+    # levels 5..2 spend 4 * (r - 1) = 8 of the 13 powers of L, so the powers entering level 1 are 0..5
+    assert {key & 15 for key in level_one} == set(range(6))
+    assert Counter(_read_out(level_steps)) == {(4, key): 2 for key in level_one}
     assert [_untimed(r) for r in reports] == _alone(jobs)
 
 
@@ -202,13 +200,51 @@ LEVEL_ONE_POWERS = {2: [0, 1, 2, 3], 3: [0, 1, 2, 3, 4, 5], 4: [3, 4, 5, 7]}
 
 
 @pytest.mark.parametrize("n,a", [(2, (2, 1)), (3, SWEEP_CANDIDATES[5]), (4, (1,))])
-def test_one_job_takes_one_step_per_level(level_steps, readouts, n, a):
-    # one step per level above 1, then one weight-free step per power of L at level 1, and one
-    # readout per base key: (2, 2) reaches 3, (3, 5) 5 and (4, 1) the four single indices n - beta
-    compute_reports([(compact_hypersurface(n), a)])
-    assert [last for last, _ in level_steps] == [False] * (len(a) - 1) + [True] * len(LEVEL_ONE_POWERS[n])
-    assert sorted(powers for last, powers in level_steps if last) == [[M] for M in LEVEL_ONE_POWERS[n]]
-    assert readouts == [1] * {2: 3, 3: 5, 4: 4}[n]
+def test_one_job_takes_one_step_per_level(level_steps, n, a):
+    # one step per level above 1, on keys of N.bit_length() bits, then one weight-free readout per state
+    # entering level 1, which a second run of the job finds in the memo: (2, 2) has N = 4, (3, 5) 13
+    # and (4, 1) 7, whose level-1 states are the powers n - 1 + n - beta of its class
+    spec, k, N = compact_hypersurface(n), len(a), n + len(a) * (n - 1)
+    compute_reports([(spec, a)])
+    assert [last for last, *_ in level_steps[: k - 1]] == [False] * (k - 1)
+    assert {bits for _, bits, *_ in level_steps} == {N.bit_length()}
+    entering = level_steps[k - 2][3] if k > 1 else {N - beta: None for beta in (0, *range(2, n + 1))}
+    assert sorted(_read_out(level_steps)) == sorted((N.bit_length(), key) for key in entering)
+    assert sorted({key & (1 << N.bit_length()) - 1 for key in entering}) == LEVEL_ONE_POWERS[n]
+    done = len(level_steps)
+    compute_reports([(spec, a)])
+    assert [last for last, *_ in level_steps[done:]] == [False] * (k - 1)
+
+
+def test_each_level_one_key_is_read_out_once_per_geometry_and_width(level_steps):
+    def read_out(jobs):
+        done = len(level_steps)
+        compute_reports(jobs)
+        return _read_out(level_steps[done:])
+
+    keys = read_out([(logarithmic_pair(3), SWEEP_CANDIDATES[0])])
+    assert keys and len(set(keys)) == len(keys) and {bits for bits, _ in keys} == {4}
+    # other weights reach the same level-1 keys, which the memo holds
+    assert read_out([(logarithmic_pair(3), a) for a in SWEEP_CANDIDATES[1:]]) == []
+    # the other geometry reads each of them once more
+    assert sorted(read_out([(compact_hypersurface(3), SWEEP_CANDIDATES[1])])) == sorted(keys)
+    # a level-1 state's indices and M sum to 2n - 1 - beta whatever k is, and k - 1 levels add at most
+    # k - 1 indices, so (3, 4), N = 11, whose keys have the same width, reaches no key the memo lacks;
+    # (3, 9), N = 21, reads its keys again at 5 bits, and reaches at least those of (3, 5)
+    assert read_out([(logarithmic_pair(3), default_weights(4).a)]) == []
+    wide = read_out([(logarithmic_pair(3), default_weights(9).a)])
+    assert {bits for bits, _ in wide} == {5} and len(set(wide)) == len(wide) >= len(keys)
+
+
+def test_a_sweep_round_validates_each_candidate_once(monkeypatch):
+    # the ladder once, as the enumeration's starting total, and each of the 12 candidates once: the
+    # WeightVector the enumeration built goes into compute_reports as it is
+    calls = []
+    check = morse.is_admissible
+    monkeypatch.setattr(morse, "is_admissible", lambda a: calls.append(a) or check(a))
+    result = run_sweep(logarithmic_pair(3), 5, 12)
+    assert result.evaluated == 12 and len(calls) == 13
+    assert sorted(calls) == sorted([default_weights(5).a] + SWEEP_CANDIDATES)
 
 
 def test_jobs_sharing_a_2_to_a_k_in_both_geometries_equal_each_job_alone(level_steps):
@@ -221,7 +257,7 @@ def test_jobs_sharing_a_2_to_a_k_in_both_geometries_equal_each_job_alone(level_s
     ]
     reports = compute_reports(jobs)
     # n = 3 steps levels 4 and 3 once and level 2 for a_2 = 6 and 7, n = 2 levels 4..2 once
-    assert len([last for last, _ in level_steps if not last]) == 4 + 3
+    assert len([last for last, *_ in level_steps if not last]) == 4 + 3
     assert [_untimed(r) for r in reports] == _alone(jobs)
 
 

@@ -18,7 +18,6 @@ from jetbound import (
 from jetbound import morse, tower, verify
 from jetbound.errors import DimensionMismatchError, UnreducedClassError
 from jetbound.morse import default_weights, morse_class
-from jetbound.polyring import _EXP_BITS
 from jetbound.cli import main
 from jetbound.verify import (
     check_low_order_leading_vanishes,
@@ -109,10 +108,11 @@ def _perturb_segre_expansion(monkeypatch):
     ``d^(n+1)``, and a true expansion adds at most one index per level, so
     fewer than n levels never reach one.
     """
-    expansion, s_1, s_2 = morse._segre_expansion, 1 << _EXP_BITS, 1 << 2 * _EXP_BITS
+    expansion = morse._segre_expansion
 
-    def perturbed(r, key):
-        terms = expansion(r, key)
+    def perturbed(r, bits, key):
+        terms = expansion(r, bits, key)
+        s_1, s_2 = 1 << bits, 1 << 2 * bits  # keys in fields ``bits`` wide
         return terms + ((0, 2 * s_1, 1),) if key == s_2 else terms
 
     monkeypatch.setattr(morse, "_segre_expansion", perturbed)

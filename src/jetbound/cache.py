@@ -58,7 +58,7 @@ def fetch(cache_dir: str, key: str) -> Optional[bytes]:
 
 
 def store(cache_dir: str, key: str, payload: bytes) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
+    """Write ``payload`` under ``key`` atomically; the caller creates ``cache_dir`` first."""
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

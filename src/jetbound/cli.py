@@ -2,7 +2,9 @@
 
 ``bound``, ``poly``, ``table`` and ``sweep`` fetch or compute their reports
 through ``cached_reports``, the one cache path, whose misses are one job
-list for ``morse.compute_reports``, computed in this process.
+list for ``morse.compute_reports``, computed in this process.  A known
+command is parsed by its own parser in one pass, and each command builds
+only the view ``--format`` prints.
 
 Exit codes: 0 success, 2 invalid input or weights, an oversized job or an
 unusable cache directory, 3 no threshold (the degree polynomial has
@@ -121,14 +123,17 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return WeightVector(weights).a  # raises on an inadmissible chain
 
 
-def _emit(fmt: str, data, rows: list, lines: list[str]) -> None:
-    """Print one command's result: ``data`` as JSON, ``rows`` as CSV or ``lines`` as text."""
+def _emit(fmt: str, data, rows, lines) -> None:
+    """Print one command's result: ``data()`` as JSON, ``rows()`` as CSV or ``lines()`` as text.
+
+    Each view is a zero-argument callable, so only the one ``fmt`` names is built.
+    """
     if fmt == "json":
-        sys.stdout.write(_json_text(data))
+        sys.stdout.write(_json_text(data()))
     elif fmt == "csv":
-        csv.writer(sys.stdout).writerows(rows)
+        csv.writer(sys.stdout).writerows(rows())
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -186,7 +191,8 @@ def _table_lines(thresholds: dict, bounds: dict) -> list[str]:
 
 
 # Each command returns its exit code and its result in the three shapes
-# ``_emit`` prints: a JSON object, CSV rows and text lines.
+# ``_emit`` prints, as zero-argument callables: a JSON object, CSV rows and
+# text lines.
 
 
 def _one_report(args) -> MorseReport:
@@ -202,14 +208,15 @@ def _one_report(args) -> MorseReport:
 def cmd_bound(args):
     report = _one_report(args)
     code = 0 if report.threshold is not None else 3
-    return code, report.to_json_dict(), [_REPORT_HEADER, _report_row(report)], _report_lines(report)
+    return (code, report.to_json_dict, lambda: [_REPORT_HEADER, _report_row(report)],
+            lambda: _report_lines(report))
 
 
 def cmd_poly(args):
     report = _one_report(args)
-    coeffs = [str(c) for c in report.morse_poly.coeffs]
-    data = {"dim": report.n, "order": report.k, "geometry": report.geometry, "polynomial": coeffs}
-    return 0, data, [["power", "coefficient"], *enumerate(coeffs)], [str(report.morse_poly)]
+    coeffs = lambda: [str(c) for c in report.morse_poly.coeffs]
+    data = lambda: {"dim": report.n, "order": report.k, "geometry": report.geometry, "polynomial": coeffs()}
+    return 0, data, lambda: [["power", "coefficient"], *enumerate(coeffs())], lambda: [str(report.morse_poly)]
 
 
 def cmd_table(args):
@@ -219,8 +226,8 @@ def cmd_table(args):
     bounds = order_bounds(thresholds)
     cells = [[n, k, thresholds[(n, k)], bounds[(n, k)]] for n, k in TABLE_CELLS]
     header = ["dim", "order", "threshold", "bound"]
-    data = {"geometry": "log", "cells": [dict(zip(header, cell)) for cell in cells]}
-    return 0, data, [header, *cells], _table_lines(thresholds, bounds)
+    data = lambda: {"geometry": "log", "cells": [dict(zip(header, cell)) for cell in cells]}
+    return 0, data, lambda: [header, *cells], lambda: _table_lines(thresholds, bounds)
 
 
 def cmd_sweep(args):
@@ -229,22 +236,21 @@ def cmd_sweep(args):
     jobs = [(spec, w.a) for w in sweep.enumerate_admissible(args.order, args.budget)]
     result = sweep.SweepResult.from_reports(cached_reports(jobs, cache.resolve_cache_dir(args.cache_dir)))
     best = result.best
-    data = {"dim": args.dim, "order": args.order, "geometry": args.geometry,
-            "budget": args.budget, "evaluated": result.evaluated, "best": best.to_json_dict()}
-    lines = [f"evaluated : {result.evaluated} candidates",
-             f"best      : {','.join(str(w) for w in best.weights)}", *_report_lines(best)]
+    data = lambda: {"dim": args.dim, "order": args.order, "geometry": args.geometry,
+                    "budget": args.budget, "evaluated": result.evaluated, "best": best.to_json_dict()}
+    lines = lambda: [f"evaluated : {result.evaluated} candidates",
+                     f"best      : {','.join(str(w) for w in best.weights)}", *_report_lines(best)]
     code = 0 if best.threshold is not None else 3
-    return code, data, [_REPORT_HEADER, _report_row(best)], lines
+    return code, data, lambda: [_REPORT_HEADER, _report_row(best)], lines
 
 
 def cmd_verify(args):
     results = run_all(max_n=args.dim_max)
     passed = sum(r.passed for r in results)
-    data = {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]}
-    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}" + (f"  ({r.detail})" if r.detail else "")
-             for r in results]
-    lines.append(f"{passed}/{len(results)} checks passed")
-    return 0 if passed == len(results) else 4, data, [], lines
+    data = lambda: {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]}
+    lines = lambda: [*(f"{'PASS' if r.passed else 'FAIL'}  {r.name}" + (f"  ({r.detail})" if r.detail else "")
+                       for r in results), f"{passed}/{len(results)} checks passed"]
+    return 0 if passed == len(results) else 4, data, list, lines
 
 
 def _add_common(parser: argparse.ArgumentParser, *, dim_order: bool = True) -> None:
@@ -258,12 +264,35 @@ def _add_common(parser: argparse.ArgumentParser, *, dim_order: bool = True) -> N
     parser.add_argument("--cache-dir", default=None, help="result cache directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """The top parser, which hands a known command's arguments to that command's parser alone.
+
+    Plain argparse scans the whole argv twice, once here and again in the
+    command's parser; this parses the arguments after a known command in one
+    pass, to the same Namespace and the same errors.  Anything else (no
+    arguments, ``-h``, an unknown command) goes through the top parser.
+    """
+
+    commands: dict[str, argparse.ArgumentParser]  # set by ``build_parser``
+
+    def parse_args(self, args=None, namespace=None):
+        argv = sys.argv[1:] if args is None else list(args)
+        command = self.commands.get(argv[0]) if argv and namespace is None else None
+        if command is None:
+            return super().parse_args(argv, namespace)
+        parsed, extras = command.parse_known_args(argv[1:])
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        parsed.command = argv[0]
+        return parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jetbound",
         description="Exact degree thresholds for invariant jet differentials on jet towers",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     p_bound = sub.add_parser("bound", help="compute one degree threshold")
     _add_common(p_bound)
@@ -289,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
+    parser.commands = {"bound": p_bound, "poly": p_poly, "table": p_table, "sweep": p_sweep, "verify": p_verify}
     return parser
 
 

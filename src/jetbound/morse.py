@@ -344,9 +344,11 @@ class MorseReport:
         coefficient that of the polynomial, and ``elapsed_ms`` a finite number.
         """
         texts = data["polynomial"]
-        if not isinstance(texts, list) or not all(
-            isinstance(c, str) and str(int(c)) == c for c in (*texts, data["leading_coeff"])
-        ):
+        texts = [*texts, data["leading_coeff"]] if isinstance(texts, list) else [None]
+        if not all(isinstance(c, str) for c in texts):
+            raise ValueError("report coefficients are not decimal strings")
+        coeffs = [*map(int, texts)]  # each decoded once, then checked to print back as stored
+        if [*map(str, coeffs)] != texts:
             raise ValueError("report coefficients are not decimal strings")
         report = MorseReport(
             n=data["dim"],
@@ -354,8 +356,8 @@ class MorseReport:
             geometry=data["geometry"],
             weights=tuple(data["weights"]),
             total_dim=data["total_dim"],
-            morse_poly=EvaluatedClass(tuple(map(int, texts))),
-            leading_coeff=int(data["leading_coeff"]),
+            morse_poly=EvaluatedClass(tuple(coeffs[:-1])),
+            leading_coeff=coeffs[-1],
             threshold=data["threshold"],
             elapsed_ms=data["elapsed_ms"],
         )

@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, exit codes, cache, sweep, verify."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetbound import enumerate_admissible, logarithmic_pair, run_sweep
+from jetbound import cli, enumerate_admissible, logarithmic_pair, run_sweep
 from jetbound.cli import main
+from jetbound.geometry import EvaluatedClass
 from jetbound.polyring import Ring
 
 
@@ -238,6 +240,9 @@ _BAD_FIELDS = {
     "polynomial-float": _with_coefficient(1, lambda c: int(c) + 0.5),
     "polynomial-bool": _with_coefficient(0, lambda c: False),
     "polynomial-noncanonical": _with_coefficient(-1, lambda c: "0" + c),
+    "polynomial-plus-sign": _with_coefficient(-1, lambda c: "+" + c),
+    "polynomial-text": _with_field("polynomial", "12"),
+    "leading-noncanonical": _with_field("leading_coeff", "012"),
 }
 
 
@@ -287,6 +292,67 @@ def test_the_threads_option_is_refused_as_unrecognized(capsys, tmp_path, argv):
     assert out == "" and "Traceback" not in err
     assert err.endswith("error: unrecognized arguments: --threads 2\n")
     assert not (tmp_path / "cache").exists()
+
+
+_ARGV_CASES = [
+    *([command, "--dim", "2", "--order", "2", "--format", fmt] for command in ("bound", "poly", "sweep")
+      for fmt in ("text", "json", "csv")),
+    *(["table", "--format", fmt, "--cache-dir", "c"] for fmt in ("text", "json", "csv")),
+    *(["verify", "--dim-max", "2", "--format", fmt] for fmt in ("text", "json")),
+    ["bound", "--dim", "3", "--order", "3", "--geometry", "compact", "--weights", "6,2,1"],
+    ["poly", "--dim=2", "--order=2", "--weights=-1,2"],
+    ["bound", "--dim", "2", "--order", "2", "--weights", "-1,2"],
+    ["sweep", "--dim", "2", "--order", "3", "--budget", "-4"],
+    ["bound", "--di", "2", "--order", "2"],
+    ["bound", "--d", "2", "--order", "2"],
+    ["bound", "extra", "--dim", "2", "--order", "2"],
+    ["bound", "--dim", "2", "extra", "--order", "2"],
+    ["bound", "--dim", "2", "--order", "2", "extra", "more"],
+    ["bound", "--dim", "2", "--order", "2", "--threads", "2"],
+    ["bound", "--dim", "2", "--order", "2", "--", "--format", "json"],
+    ["bound", "--dim", "2"],
+    ["bound", "--dim", "two", "--order", "2"],
+    ["bound", "--dim", "2", "--order", "2", "--format", "xml"],
+    ["verify", "--format", "csv"],
+    ["bound", "-h"],
+    ["bound", "--h"],
+    ["table", "--help"],
+    [],
+    ["-h"],
+    ["--format", "json", "bound", "--dim", "2", "--order", "2"],
+    ["frob"],
+    ["frob", "--dim", "2"],
+]
+
+
+def _parse(capsys, parse, argv):
+    try:
+        result = parse(argv)
+    except SystemExit as exited:
+        result = ("exit", exited.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _ARGV_CASES, ids=[" ".join(argv) or "no-argv" for argv in _ARGV_CASES])
+def test_the_one_pass_parse_equals_plain_argparse(capsys, argv):
+    # a known command's arguments go to its own parser alone; everything else through the top parser
+    parser = cli._parser()
+    plain = _parse(capsys, lambda a: argparse.ArgumentParser.parse_args(parser, a), argv)
+    assert _parse(capsys, parser.parse_args, argv) == plain
+
+
+def test_a_request_builds_only_the_view_its_format_prints(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a view the format does not print was built")
+
+    for command, fmt in [("bound", "json"), ("poly", "json"), ("poly", "csv")]:
+        argv = (command, "--dim", "3", "--order", "4", "--format", fmt, "--cache-dir", str(tmp_path / fmt))
+        with monkeypatch.context() as patched:
+            for name in ("_report_lines", "_report_row"):
+                patched.setattr(cli, name, refuse)
+            patched.setattr(EvaluatedClass, "__str__", refuse)
+            refused = [run_cli(capsys, *argv) for _ in range(2)]  # cold, then a hit
+        assert refused[0][0] == 0 and refused == [run_cli(capsys, *argv)] * 2
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 from . import cache, sweep
 from .errors import CacheDirectoryError, InadmissibleWeightsError, JetboundError, OversizedJobError
 from .geometry import GeometrySpec
-from .morse import MorseReport, WeightVector, class_terms, compute_reports, default_weights, order_bounds
+from .morse import (MorseReport, WeightVector, _check_weight_count, class_terms, compute_reports, default_weights,
+                    order_bounds)
 from .tower import TowerContext
 from .verify import MAX_DIM, run_all
 
@@ -198,9 +199,7 @@ def _table_lines(thresholds: dict, bounds: dict) -> list[str]:
 def _one_report(args) -> MorseReport:
     """The cached report that ``bound`` and ``poly`` print."""
     weights = default_weights(args.order).a if args.weights is None else _parse_weights(args.weights)
-    if len(weights) != args.order:
-        # before any key is formed or the cache directory created
-        raise InadmissibleWeightsError(f"got {len(weights)} weights for a tower of order {args.order}")
+    _check_weight_count(weights, args.order)  # before any key is formed or the cache directory created
     spec = GeometrySpec(args.geometry, args.dim)
     return cached_reports([(spec, weights)], cache.resolve_cache_dir(args.cache_dir))[0]
 

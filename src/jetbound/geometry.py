@@ -4,13 +4,15 @@ Two base models are supported, both of rank ``r = n``, each named by the
 token that the command line, the reports and the cache keys use:
 
 * ``'compact'`` (``compact_hypersurface(n)``), a smooth degree-d
-  hypersurface in (n+1)-space; its Chern classes come from the exact
-  truncated series identity ``c(T) * (1 + d*h) = (1 + h)^(n+2)``, and
-  ``h^n`` integrates to ``d``.
+  hypersurface in (n+1)-space, where ``h^n`` integrates to ``d``.
 * ``'log'`` (``logarithmic_pair(n)``), projective n-space with a smooth
-  irreducible degree-d divisor; the Chern classes of the logarithmic
-  tangent bundle are
-  ``c_j = (-1)^j h^j * sum_i (-1)^i binom(n+1, i) d^(j-i)``.
+  irreducible degree-d divisor, and the logarithmic tangent bundle.
+
+Both total Chern classes are the truncated series ``c = (1 + h)^e / (1 +
+d h)``, with ``e = n + 2`` on the compact hypersurface and ``n + 1`` on the
+log pair (``_exponent``), so ``c_j = h^j sum_i (-1)^i C(e, j-i) d^i``
+(``_chern_coefficient_in_degree``) and the Segre classes ``S = 1 / c``
+have the closed form of ``_base_segre``.
 
 ``_in_degree`` is the one way to put base classes into the degree: given
 each class as its polynomial in d, it multiplies out the product of
@@ -20,18 +22,17 @@ logarithmic model it is kept anyway so that outputs are directly comparable
 with the reference pipeline this engine reproduces.  The factor is positive
 for every degree ``d >= 1``, so positivity thresholds are unaffected.
 ``evaluate_in_degree`` passes it the degree polynomials ``p_l`` of the Chern
-classes (``_chern_coefficient_in_degree``) and the exponents of each term
-``c^gamma h^beta`` of a finished weighted-degree-n base class: the
-pushforward of a class, the reference the Segre recursion is tested
-against.  A job forms no base class: ``morse`` passes the base Segre
-classes, in closed form, and the count of each Segre index of one product.
-The symbolic forms of ``verify`` read the base at ``c_l = (-1)^l``, the top
-d-coefficient of class l in both models, as integers of
-``morse._leading_value``.
+classes and the exponents of each term ``c^gamma h^beta`` of a finished
+weighted-degree-n base class: the pushforward of a class, the reference the
+Segre recursion is tested against.  No run of the recursion forms a base
+class: ``morse._read_out``, which serves the jobs and the symbolic forms of
+``verify`` alike, passes the base Segre classes and the count of each Segre
+index of one product.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -77,14 +78,29 @@ def logarithmic_pair(n: int) -> GeometrySpec:
     return GeometrySpec(LOGARITHMIC_PAIR, n)
 
 
+def _exponent(spec: GeometrySpec) -> int:
+    """The ``e`` of ``c = (1 + h)^e / (1 + d h)``: ``n + 2`` on the compact hypersurface, ``n + 1`` on the log pair."""
+    return spec.n + (2 if spec.token == COMPACT_HYPERSURFACE else 1)
+
+
 def _chern_coefficient_in_degree(spec: GeometrySpec, j: int) -> list[int]:
-    """Coefficients (ascending in d) of the degree-polynomial of class j."""
-    n = spec.n
-    if spec.token == COMPACT_HYPERSURFACE:
-        # h^j-coefficient of (1+h)^(n+2) / (1+d*h) as a truncated series
-        return [comb(n + 2, j - i) * (-1) ** i for i in range(j + 1)]
-    sign = (-1) ** j
-    return [sign * (-1) ** (j - i) * comb(n + 1, j - i) for i in range(j + 1)]
+    """Coefficients (ascending in d) of the degree-polynomial of class j: ``c_j = sum_i (-1)^i C(e, j-i) d^i``."""
+    e = _exponent(spec)
+    return [(-1) ** i * comb(e, j - i) for i in range(j + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _base_segre(spec: GeometrySpec) -> tuple[dict[int, int], ...]:
+    """The base Segre classes ``S_1(d), ..., S_n(d)`` of ``spec`` as raw term maps in d, memoized per spec.
+
+    ``S = 1 / c = (1 + d h)(1 + h)^(-e)``, so ``S_p = (-1)^p [C(e+p-1, p)
+    - d C(e+p-2, p-1)]``.  Callers only read the maps.
+    """
+    e = _exponent(spec)
+    return tuple(
+        {0: (-1) ** p * comb(e + p - 1, p), 1: (-1) ** (p + 1) * comb(e + p - 2, p - 1)}
+        for p in range(1, spec.n + 1)
+    )
 
 
 def base_chern(ctx: TowerContext, spec: GeometrySpec, j: int) -> Polynomial:

@@ -31,16 +31,17 @@ level 1 through ``a_1^M`` alone, and the twist ``(2|a|)^beta`` and
 of one tower as one descent over the levels above 1: jobs whose weights
 agree on ``a_k..a_j``, in either geometry, share levels k..j.  Each state
 entering level 1 is read out once per spec and key width as a polynomial
-in d (``_level_one_readouts``: one weight-free step to the base, whose
-products of Segre classes ``geometry._in_degree`` multiplies out, as it
+in d (``_read_out``: one weight-free step to the base, whose products of
+the base Segre classes ``geometry._in_degree`` multiplies out, as it
 evaluates a pushed-forward class), and each job is a sum of those
 polynomials scaled by its weights and by the coefficients of its level-1
 states.  No u-monomial or c-monomial is formed, and no tower is built.  The
-same level step, given the powers of symbolic weights in place of the
-``a_j^m`` (``_segre_states``), gives ``symbolic_leading_form``
-(``_leading_value``).  The pushforward of a class (``morse_class``,
-``tower.pushforward_to_base``, ``evaluate_in_degree``) remains the
-reference the recursion is tested against.
+same levels, given the powers of symbolic weights in place of the
+``a_j^m``, and the same readouts give ``symbolic_leading_form``
+(``_top_coefficient``), so every run reaches the base one way.  The
+pushforward of a class (``morse_class``, ``tower.pushforward_to_base``,
+``evaluate_in_degree``) remains the reference the recursion is tested
+against.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ import time
 from dataclasses import dataclass
 from math import comb, isfinite
 from operator import mul
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InadmissibleWeightsError
-from .geometry import COMPACT_HYPERSURFACE, EvaluatedClass, GeometrySpec, _in_degree
+from .geometry import EvaluatedClass, GeometrySpec, _base_segre, _in_degree
 # not used here: the benchmark's tracer (perfbench/spans.py) wraps them as ``morse.evaluate_in_degree``
 # and ``morse.pushforward_to_base``
 from .geometry import evaluate_in_degree  # noqa: F401
@@ -115,6 +116,12 @@ def default_weights(k: int) -> WeightVector:
     return WeightVector(tuple(2 * 3 ** (k - j - 1) for j in range(1, k)) + (1,))
 
 
+def _check_weight_count(weights: Sequence[int], k: int) -> None:
+    """Raise ``InadmissibleWeightsError`` unless there is one weight per level of the order-k tower."""
+    if len(weights) != k:
+        raise InadmissibleWeightsError(f"got {len(weights)} weights for a tower of order {k}")
+
+
 def _as_weights(weights: Union[WeightVector, Sequence[int]]) -> WeightVector:
     if isinstance(weights, WeightVector):
         return weights
@@ -135,8 +142,7 @@ def morse_class(ctx: TowerContext, weights: Union[WeightVector, Sequence[int]]) 
     exponent tuple is enumerated once.
     """
     w = _as_weights(weights)
-    if w.k != ctx.k:
-        raise InadmissibleWeightsError(f"got {w.k} weights for a tower of order {ctx.k}")
+    _check_weight_count(w.a, ctx.k)
     ring, N, twist = ctx.ring, ctx.total_dim, 2 * w.total
     h = 1 << ring.shift(ctx.h)
     # (key, coefficient, degree left to spread) before each level
@@ -160,8 +166,7 @@ def class_terms(n: int, k: int) -> int:
     and ``beta != 1``: the monomials of degree N in k + 1 variables, less
     those with ``beta = 1``, the monomials of degree N - 1 in k variables.
     This counts the full class, which no job forms (each integrates products
-    of Segre classes); the CLI's oversize guard keeps reading it, so
-    ``MAX_CLASS_TERMS`` and the jobs the guard refuses stay as they were.
+    of Segre classes); the CLI's oversize guard reads it.
     """
     N = n + k * (n - 1)
     return comb(N + k, k) - comb(N + k - 2, k - 1)
@@ -284,21 +289,21 @@ def symbolic_leading_form(spec: GeometrySpec, k: int, c1_power: int = 0) -> Poly
     beta, so only the ``beta = 0`` terms of the class, ``(sum_j a_j u_j)^N``
     scaled by ``1 - 0``, reach ``d^(n+1)``.
 
-    The form depends on ``spec.n`` alone, not on the geometry: base class j
-    has top d-coefficient ``(-1)^j`` in both, and every c-monomial of the
-    base class has weighted degree n, so the ``d^(n+1)`` coefficient is the
-    base class at ``c_j = (-1)^j``.  ``_leading_value`` reads it off the
-    Segre recursion run on the power of the form, with the powers of the
-    weight variables ``a_j`` as its factors; the projection formula moves
-    ``c_1^i`` out of every level, and it contributes ``(-1)^i``.  No
-    u-monomial or c-monomial is ever formed, and the weights live in a ring
-    of their own, ``a1, ..., ak``.
+    The projection formula moves ``c_1^i`` out of every level, and ``c_1``
+    is ``-d`` plus a constant in both geometries, so the form is ``(-1)^i``
+    times the ``d^(n+1-i)`` coefficient of ``(sum_j a_j u_j)^(N-i)`` on the
+    base: the Segre recursion run with the powers of the weight variables
+    ``a_j`` as its factors, its level-1 states read out by the readouts the
+    jobs of ``spec`` share (``_top_coefficient``).  Only products of base
+    Segre classes ``S_1`` reach that coefficient, so the form does not depend
+    on the geometry.  No u-monomial or c-monomial is ever formed, and the
+    weights live in a ring of their own, ``a1, ..., ak``.
     """
     ring, r = Ring([f"a{j}" for j in range(1, k + 1)]), spec.n
     N = r + k * (r - 1) - c1_power
     levels = [[ring.variable(v) ** m for m in range(N + 1)] for v in range(k)]
     # ring.zero keeps the result a polynomial where no state counts and the sum is the integer 0
-    return (-1) ** c1_power * (ring.zero + _leading_value(r, levels, {N: 1}))
+    return (-1) ** c1_power * (ring.zero + _top_coefficient(spec, levels, N))
 
 
 @dataclass(frozen=True)
@@ -380,24 +385,36 @@ def _key_units(r: int, top: int, bits: int) -> list[int]:
 
 
 def _level_step(
-    r: int, states: Mapping[int, Union[int, Polynomial]], factors: Sequence, units: Sequence[int], bits: int, last: bool
+    r: int, states: Mapping[int, Union[int, Polynomial]], factors: Sequence, units: Sequence[int], bits: int
 ) -> dict[int, Union[int, Polynomial]]:
     """The states of level j - 1 from those of level j, ``factors[m]`` the factor ``x_j^m`` of ``u_j^m``.
 
-    Each state's indices, its key less M, expand by
-    ``tower._segre_expansion`` into ``u_j^e`` times a product of
-    level-(j-1) Segre classes; ``L_j^M = sum_m C(M, m) x_j^m u_j^m
-    L_(j-1)^(M-m)``, with ``m = M`` alone on the ``last`` level, j = 1,
-    where ``L_0 = 0``; and ``u_j^E`` pushes forward to ``s_(E-r+1)^[j-1]``,
-    zero for ``E < r - 1``.  A zero factor drops its power, the key's
-    fields are ``bits`` wide, and ``units`` come from ``_key_units``.
+    A state of level j with coefficient g stands for ``g prod_(i in indices)
+    s_i^[j] L_j^M``, ``L_j = sum_(i <= j) x_i u_i`` and ``s^[j] = 1 / c^[j]``
+    the Segre series of the level-j classes.  Its key is one integer: M in
+    the low field and the count of index ``i >= 1`` in field i, each
+    ``bits`` wide, so a new index t is one add of its unit (``_key_units``,
+    none for t = 0) and spending m powers of L one subtraction of m.  The
+    indices expand by ``tower._segre_expansion`` into ``u_j^e`` times a
+    product of level-(j-1) Segre classes; ``L_j^M = sum_m C(M, m) x_j^m u_j^m
+    L_(j-1)^(M-m)``; and ``u_j^E`` pushes forward to ``s_(E-r+1)^[j-1]``,
+    zero for ``E < r - 1``.  A zero factor drops its power, so the factors
+    ``[0] * M + [1]`` of a readout (``_read_out``) spend all of M, as level 1
+    must, where ``L_0 = 0``.
+
+    Each step is an identity in the cohomology of level j, and the
+    pushforward is linear over level j - 1 (the projection formula), so the
+    base states of a run are the pushforward of its input exactly.  Each
+    level lowers the degree by ``r - 1``: a state of level j that comes from
+    ``L^top`` has its indices and M summing to ``top - (k - j)(r - 1)``, so
+    with ``bits`` the bit length of ``top`` no field overflows into the next.
     """
     below: dict[int, Union[int, Polynomial]] = {}
     get, mask = below.get, (1 << bits) - 1
     for key, g in states.items():
         M = key & mask
         expansion = _segre_expansion(r, bits, key - M)
-        for m in range(M if last else 0, M + 1):
+        for m in range(M + 1):
             if not (factor := factors[m]):
                 continue
             scale, low, left = g * comb(M, m) * factor, m - r + 1, M - m
@@ -408,84 +425,74 @@ def _level_step(
     return below
 
 
-def _segre_states(
-    r: int, levels: Sequence[Sequence], powers: Mapping[int, int]
-) -> Iterator[dict[int, Union[int, Polynomial]]]:
-    """The states of ``sum_M powers[M] L^M``, ``L = sum_j x_j u_j``, on levels k, k - 1, ..., 0.
-
-    ``levels[j - 1][m]`` is the factor ``x_j^m`` of ``u_j^m``, for every
-    power m up to the largest M, and a zero entry drops that power:
-    ``symbolic_leading_form`` passes the powers of a weight variable, and
-    the balanced intersection of ``verify`` keeps ``m = n`` alone.  A state
-    of level j with coefficient g stands for ``g prod_(i in indices)
-    s_i^[j] L_j^M``, ``L_j = sum_(i <= j) x_i u_i`` and ``s^[j] = 1 /
-    c^[j]`` the Segre series of the level-j classes.  Its key is one
-    integer: M in the low field and the count of index ``i >= 1`` in field
-    i, each ``bits`` wide, the bit length of the largest M, so level k
-    holds the key M for each power.  ``_level_step`` turns the states of
-    level j into those of level j - 1, so a new index t is one add of its
-    unit (none for t = 0), and spending m powers of L one subtraction of
-    m; no unit is built when there is no level.
-
-    Each step is an identity in the cohomology of level j, and the
-    pushforward is linear over level j - 1 (the projection formula), so the
-    level-0 states, whose M is 0, are the pushforward of the input exactly:
-    ``sum g prod_(i in indices) s_i^[0]``.  No u-monomial is ever formed.  Each
-    level lowers the degree by ``r - 1``, so a state of level j that comes
-    from ``L^M`` has its indices and M summing to ``M - (k - j)(r - 1)``:
-    no field exceeds the largest M, so none overflows into the next.
-    """
-    top = max(powers, default=0)
-    bits = top.bit_length()
-    units = _key_units(r, top, bits) if levels else []
-    states = dict(powers)
-    yield states
-    for j in range(len(levels), 0, -1):
-        states = _level_step(r, states, levels[j - 1], units, bits, j == 1)
-        yield states
-
-
-def _leading_value(r: int, levels: Sequence[Sequence], powers: Mapping[int, int]):
-    """``sum g prod_i S_i`` over the base states of ``_segre_states``, ``S_i`` the base Segre class at ``c_l = (-1)^l``.
-
-    That is the base class at ``c_l = (-1)^l``, the top d-coefficient of
-    class l in both geometries, so on a class of weighted degree n it is
-    the ``d^(n+1)`` coefficient of its evaluation in the degree.  There
-    ``1 / c(y) = (1 + y) / (1 - (-y)^(r+1))``, so ``S_1 = 1`` and ``S_p = 0``
-    for ``2 <= p <= r``: only the states whose indices are all 1 count, the
-    keys with no field above index 1.
-    """
-    for states in _segre_states(r, levels, powers):
-        pass
-    bits = max(powers, default=0).bit_length()
-    return sum(g for key, g in states.items() if not key >> 2 * bits)
-
-
-@functools.lru_cache(maxsize=None)
-def _base_segre(spec: GeometrySpec) -> tuple[dict[int, int], ...]:
-    """The base Segre classes ``S_1(d), ..., S_n(d)`` of ``spec`` as raw term maps in d, memoized per spec.
-
-    At ``h = 1`` the total Chern class is ``(1 + y)^e / (1 + d y)`` up to
-    degree n, ``e = n + 2`` on the compact hypersurface and ``n + 1`` on the
-    log pair (``geometry``), so ``S = 1 / c = (1 + d y)(1 + y)^(-e)`` and
-    ``S_p = (-1)^p [C(e+p-1, p) - d C(e+p-2, p-1)]``.  Callers only read the maps.
-    """
-    e = spec.n + (2 if spec.token == COMPACT_HYPERSURFACE else 1)
-    return tuple(
-        {0: (-1) ** p * comb(e + p - 1, p), 1: (-1) ** (p + 1) * comb(e + p - 2, p - 1)}
-        for p in range(1, spec.n + 1)
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _level_one_readouts(spec: GeometrySpec, bits: int) -> dict[int, tuple[int, int, list[int]]]:
-    """Each level-1 key's M, beta and ``d sum g prod_i S_i(d)`` over its base states, as ``_segre_polynomials`` reads it.
+    """The readouts ``_read_out`` has made for the spec on keys ``bits`` wide, by level-1 key.
 
     A readout reads no weight, and one multiset packs to a different key at
-    each width, so the memo serves every tower of the spec's dimension whose
-    keys have that width, one entry per level-1 state reached.
+    each width, so the memo serves every run of the spec's dimension whose
+    keys have that width, jobs and symbolic forms alike.
     """
     return {}
+
+
+@functools.lru_cache(maxsize=None)
+def _base_products(spec: GeometrySpec, bits: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """The beta and ``d prod_i S_i(d)`` of each base key ``_read_out`` has reached for the spec on keys ``bits`` wide."""
+    return {}
+
+
+def _read_out(spec: GeometrySpec, bits: int, key: int) -> tuple[int, int, list[int]]:
+    """A level-1 key's M, beta and the coefficients of ``R(key) = d sum g prod_i S_i(d)``, stored in its memo.
+
+    One weight-free level step, factors ``[0] * M + [1]``, takes the key to
+    its base states ``g prod_i s_i``.  ``geometry._in_degree`` multiplies out
+    each one's product of base Segre classes ``S_i(d)`` (``_base_segre``), as
+    ``evaluate_in_degree`` does a pushed-forward class with the ``p_l``, and
+    its beta is n less its weighted index sum.  Each product and each
+    readout is formed once per spec, key width and process
+    (``_base_products``, ``_level_one_readouts``), so a caller looks the
+    readout up first and calls this on a miss.
+    """
+    n, mask = spec.n, (1 << bits) - 1
+    M, beta, total, products = key & mask, 0, [0] * (n + 2), _base_products(spec, bits)
+    # a base state's indices sum to at most n, so units up to index n suffice
+    for base, coeff in _level_step(n, {key: 1}, [0] * M + [1], _key_units(n, 2 * n - 1, bits), bits).items():
+        if (entry := products.get(base)) is None:
+            counts = [base >> i * bits & mask for i in range(1, n + 1)]
+            beta = n - sum(map(mul, range(1, n + 1), counts))
+            entry = products[base] = beta, _in_degree([(1, counts)], _base_segre(spec)).coeffs
+        beta, product = entry
+        for i, c in enumerate(product):
+            total[i] += coeff * c
+    readout = _level_one_readouts(spec, bits)[key] = M, beta, total
+    return readout
+
+
+def _top_coefficient(spec: GeometrySpec, levels: Sequence[Sequence], power: int):
+    """The ``d^(m+1)`` coefficient of ``L^power``, ``L = sum_j x_j u_j``, integrated to the base and put into d.
+
+    ``levels[j - 1][M]`` is the factor ``x_j^M`` of ``u_j^M``, for every M up
+    to ``power``, and a zero entry drops that power: ``symbolic_leading_form``
+    passes the powers of a weight variable, and the balanced intersection of
+    ``verify`` keeps ``M = n`` alone.  Levels k..2 step as the jobs' do, and
+    level 1 is read out (``_read_out``): the value is ``sum g x_1^M
+    [d^(m+1)] R(key)`` over the level-1 states, ``m = power - k(n-1)`` the
+    degree of the class on the base.  A product of Segre classes has degree
+    in d at most its number of indices, and ``S_1(d)`` has top coefficient 1,
+    so only the products of m classes ``S_1`` reach ``d^(m+1)``, with
+    coefficient 1, in either geometry.
+    """
+    n, k, bits = spec.n, len(levels), power.bit_length()
+    states, units = {power: 1}, _key_units(n, power, bits)
+    for j in range(k, 1, -1):
+        states = _level_step(n, states, levels[j - 1], units, bits)
+    readouts, top, value = _level_one_readouts(spec, bits), power - k * (n - 1) + 1, 0
+    for key, g in states.items():
+        M, _, product = readouts.get(key) or _read_out(spec, bits, key)
+        if product[top]:
+            value += g * levels[0][M] * product[top]
+    return value
 
 
 def _segre_polynomials(
@@ -499,7 +506,7 @@ def _segre_polynomials(
     Level j's step reads the weights through ``a_j`` alone, and the twist
     ``(2|a|)^beta`` waits for the base: there a state's weighted index sum
     ``sum_i i count_i`` is ``n - beta`` (the degree count of
-    ``_segre_states``), so its beta is known, and multiplying it in there is
+    ``_level_step``), so its beta is known, and multiplying it in there is
     exact by linearity.  So every job, in either geometry, starts level k
     from the weight-free powers ``{N - beta: (1 - beta) C(N, beta)}``, and
     jobs whose weights agree on ``a_k, ..., a_j`` share levels k..j: the
@@ -512,13 +519,10 @@ def _segre_polynomials(
     power M, since it spends all of M, so ``a_1`` is applied at the base as
     the twist is: ``P(d) = sum a_1^M (2|a|)^beta V_(M,beta)(d)``, with
     ``V_(M,beta) = sum g R(key)`` over the level-1 states of that M and
-    beta, ``R(key) = d sum g' prod_i S_i(d)`` over the base states of one
-    weight-free step of the key.  Each ``R`` is multiplied out once per
-    spec, width and process (``_level_one_readouts``, by
-    ``geometry._in_degree``, which ``evaluate_in_degree`` runs on the
-    ``p_l``; ``_base_segre``), each ``V`` once per suffix and spec.  That is
-    ``evaluate_in_degree`` of ``pushforward_to_base`` of the same class,
-    coefficient by coefficient.
+    beta, ``R(key)`` the readout of the key (``_read_out``), multiplied out
+    once per spec, width and process, and each ``V`` once per suffix and
+    spec.  That is ``evaluate_in_degree`` of ``pushforward_to_base`` of the
+    same class, coefficient by coefficient.
     """
     polys: list[Optional[EvaluatedClass]] = [None] * len(jobs)
     suffixes: dict[tuple[int, ...], dict[GeometrySpec, list[int]]] = {}
@@ -526,8 +530,7 @@ def _segre_polynomials(
         suffixes.setdefault(w.a[1:], {}).setdefault(spec, []).append(index)
     N = n + k * (n - 1)
     bits = N.bit_length()
-    mask, units, indices = (1 << bits) - 1, _key_units(n, N, bits), range(1, n + 1)
-    shifts = [i * bits for i in indices]
+    units = _key_units(n, N, bits)
     # stack[i] holds the states after the steps of levels k, ..., k - i + 1
     stack = [{N - beta: (1 - beta) * comb(N, beta) for beta in range(n + 1) if beta != 1}]
     previous: tuple[int, ...] = ()  # shares no level
@@ -538,24 +541,12 @@ def _segre_polynomials(
         del stack[shared + 1:]
         for j in range(k - shared, 1, -1):
             x = suffix[j - 2]
-            stack.append(_level_step(n, stack[-1], [x**m for m in range(N + 1)], units, bits, False))
+            stack.append(_level_step(n, stack[-1], [x**m for m in range(N + 1)], units, bits))
         previous = suffix
         for spec, members in suffixes[suffix].items():
-            # products: the beta and d prod_i S_i(d) of each base key that this suffix's readouts reach
-            readouts, products, parts = _level_one_readouts(spec, bits), {}, {}
+            readouts, parts = _level_one_readouts(spec, bits), {}
             for key, g in stack[-1].items():
-                if (readout := readouts.get(key)) is None:
-                    M, beta, total = key & mask, 0, [0] * (n + 2)
-                    for base, coeff in _level_step(n, {key: 1}, [1] * (M + 1), units, bits, True).items():
-                        if base not in products:
-                            counts = [base >> shift & mask for shift in shifts]
-                            beta = n - sum(map(mul, indices, counts))
-                            products[base] = beta, _in_degree([(1, counts)], _base_segre(spec))
-                        beta, product = products[base]
-                        for i, c in enumerate(product.coeffs):
-                            total[i] += coeff * c
-                    readout = readouts[key] = (M, beta, total)
-                M, beta, product = readout
+                M, beta, product = readouts.get(key) or _read_out(spec, bits, key)
                 if (part := parts.get((M, beta))) is None:
                     part = parts[M, beta] = [0] * (n + 2)
                 for i, c in enumerate(product):
@@ -619,6 +610,5 @@ def compute_report(
     before anything is assembled.
     """
     w = default_weights(k) if weights is None else _as_weights(weights)
-    if w.k != k:
-        raise InadmissibleWeightsError(f"got {w.k} weights for a tower of order {k}")
+    _check_weight_count(w.a, k)
     return compute_reports([(spec, w.a)])[0]

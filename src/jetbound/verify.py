@@ -10,10 +10,11 @@ self-intersection for every k < n (``low-order-leading-n*``) and against
 ``c1^i`` (``first-chern-vanishing-n*``).  A symbolic form is
 ``sum_e N!/e! a^e T(e)``, ``T(e)`` the top coefficient of the tuple ``u^e``,
 so it is zero exactly when every ``T(e)`` is.  Every integration runs on the
-Segre recursion of ``morse._segre_states``, the one every report is computed
-with, and the first two checks read the relation sets of ``pipeline_tower``,
-the towers the recursion's identity is stated on.  The CLI ``verify``
-command prints one line per check; the test suite asserts them all.
+Segre recursion every report is computed with, and reads the base through
+the readouts the jobs share (``morse._top_coefficient``); the first two
+checks read the relation sets of ``pipeline_tower``, the towers the
+recursion's identity is stated on.  The CLI ``verify`` command prints one
+line per check; the test suite asserts them all.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .geometry import GeometrySpec, compact_hypersurface
-from .morse import WeightVector, _leading_value, morse_polynomial, symbolic_leading_form
+from .morse import WeightVector, _top_coefficient, morse_polynomial, symbolic_leading_form
 from .polyring import reduce_monic
 from .tower import _lifted_class, pipeline_tower
 
@@ -116,7 +117,7 @@ def check_balanced_intersection_unit(n: int) -> CheckResult:
     """
     N = n * n
     levels = [[int(m == n) for m in range(N + 1)]] * n
-    value = Fraction(_leading_value(n, levels, {N: 1}), factorial(N) // factorial(n) ** n)
+    value = Fraction(_top_coefficient(compact_hypersurface(n), levels, N), factorial(N) // factorial(n) ** n)
     if value != 1:
         return CheckResult(f"balanced-unit-n{n}", False, f"coefficient {value}")
     return CheckResult(f"balanced-unit-n{n}", True)

@@ -32,9 +32,10 @@ from jetbound import (
 from jetbound import morse
 from jetbound.cli import TABLE_CELLS
 from jetbound.errors import InadmissibleWeightsError
-from jetbound.geometry import GeometrySpec, _chern_coefficient_in_degree
+from jetbound.geometry import GeometrySpec, _base_segre, _chern_coefficient_in_degree
 from jetbound.morse import class_terms
 from jetbound.tower import RelationSet, _segre_expansion, _segre_gamma, pipeline_tower, pushforward_to_base
+from jetbound.verify import run_all
 
 
 # ---- weight vectors --------------------------------------------------------
@@ -368,9 +369,10 @@ POLYNOMIAL_DIGESTS = {
 }
 
 
-# SHA-256 of the term map of symbolic_leading_form(compact_hypersurface(n), k, c1_power=i), keyed
+# SHA-256 of the term map of symbolic_leading_form(spec, k, c1_power=i) in either geometry, keyed
 # (n, k, i): one line "e_1,...,e_k:coefficient" per term, the a-exponents ascending, as the
-# pushforward computed the forms before they moved onto the Segre recursion.
+# pushforward computed the forms on the compact hypersurface before they moved onto the Segre
+# recursion.  A form reads the readouts of its own geometry, so both must give the same terms.
 FORM_DIGESTS = {
     (2, 2, 0): "6b6164e00f6253358d5d34fe417d851274c524f2b06f9fd3dfd18799813bce96",
     (3, 3, 0): "e6af4ecd1e754b7aedad31391f08109cc245213c346c3e96530a32f307bac1eb",
@@ -381,13 +383,36 @@ FORM_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("n,k,i", list(FORM_DIGESTS))
-def test_every_term_of_the_symbolic_forms_is_pinned(n, k, i):
-    form = symbolic_leading_form(compact_hypersurface(n), k, c1_power=i)
+def _form_digest(spec, k, i) -> str:
+    form = symbolic_leading_form(spec, k, c1_power=i)
     weights = [form.ring.var(f"a{j}") for j in range(1, k + 1)]
     rows = sorted((tuple(exps.get(v, 0) for v in weights), coeff) for exps, coeff in form.terms())
     text = "\n".join(f"{','.join(map(str, e))}:{coeff}" for e, coeff in rows)
-    assert hashlib.sha256(text.encode()).hexdigest() == FORM_DIGESTS[n, k, i]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "geometry,n,k,i",
+    [pytest.param(compact_hypersurface, *cell, id="-".join(map(str, cell))) for cell in FORM_DIGESTS]
+    + [pytest.param(logarithmic_pair, *cell, id="-".join(map(str, ("log", *cell)))) for cell in FORM_DIGESTS],
+)
+def test_every_term_of_the_symbolic_forms_is_pinned(geometry, n, k, i):
+    assert _form_digest(geometry(n), k, i) == FORM_DIGESTS[n, k, i]
+
+
+def test_readouts_filled_by_jobs_serve_the_symbolic_forms_and_verify():
+    # jobs and symbolic forms share one readout memo per geometry and key width: fill it with jobs of
+    # both geometries at widths 3, 4 and 5 (N = 4..7, 8..15, 16..31) before any form reads it
+    _clear_recursion_memos()
+    orders = {2: (2, 6, 14), 3: (2, 3, 7), 4: (1, 2, 4), 5: (1, 3)}
+    jobs = [(geometry(n), default_weights(k).a) for n, ks in orders.items() for k in ks
+            for geometry in (logarithmic_pair, compact_hypersurface)]
+    assert {(spec.n + len(a) * (spec.n - 1)).bit_length() for spec, a in jobs} == {3, 4, 5}
+    morse.compute_reports(jobs)
+    for n, k, i in FORM_DIGESTS:
+        for geometry in (compact_hypersurface, logarithmic_pair):
+            assert _form_digest(geometry(n), k, i) == FORM_DIGESTS[n, k, i], (geometry, n, k, i)
+    assert all(result.passed for result in run_all(5))
 
 
 @pytest.fixture()
@@ -461,13 +486,36 @@ def _decode(key: int, bits: int) -> tuple[tuple[int, ...], int]:
     return tuple(indices), M
 
 
+def _segre_states(r, levels, powers):
+    """The states of ``sum_M powers[M] L^M``, ``L = sum_j x_j u_j``, on levels k, ..., 0, by ``morse._level_step``.
+
+    ``levels[j - 1][m]`` is the factor ``x_j^m`` of ``u_j^m``.  Keys are as wide as the largest power
+    needs.  Level 1 steps each state alone with the factors ``[0] * M + [x_1^M]``, which spend all of
+    its M, as a readout's do.
+    """
+    top = max(powers)
+    bits = top.bit_length()
+    units, mask = morse._key_units(r, top, bits), (1 << bits) - 1
+    states = dict(powers)
+    yield states
+    for j in range(len(levels), 1, -1):
+        states = morse._level_step(r, states, levels[j - 1], units, bits)
+        yield states
+    base = {}
+    for key, g in states.items():
+        M = key & mask
+        for target, c in morse._level_step(r, {key: g}, [0] * M + [levels[0][M]], units, bits).items():
+            base[target] = base.get(target, 0) + c
+    yield base
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 5), (3, 3), (4, 4), (5, 5)])
 def test_segre_states_keep_their_degree_and_end_with_no_power_left(n, k):
     r, N = n, n + k * (n - 1)
     factors = [[x**m for m in range(N + 1)] for x in default_weights(k).a]
     for beta in (0, *range(2, n + 1)):
         bits = (N - beta).bit_length()  # the width _segre_states sizes its keys to
-        states = morse._segre_states(r, factors, {N - beta: 1})
+        states = _segre_states(r, factors, {N - beta: 1})
         levels = [[_decode(key, bits) for key in level] for level in states]
         assert len(levels) == k + 1 and levels[-1]
         for j, states in zip(range(k, -1, -1), levels):
@@ -533,7 +581,7 @@ def test_packed_segre_states_equal_the_tuple_states(n, k):
     powers = {N - beta: (1 - beta) * comb(N, beta) * (2 * w.total) ** beta for beta in range(n + 1) if beta != 1}
     levels = [[a**m for m in range(N + 1)] for a in w.a]
     reference = list(_tuple_segre_states(n, levels, powers))
-    states = morse._segre_states(n, levels, powers)
+    states = _segre_states(n, levels, powers)
     packed = [{_decode(key, N.bit_length()): g for key, g in level.items()} for level in states]
     assert packed == reference and reference[-1]
 
@@ -541,6 +589,7 @@ def test_packed_segre_states_equal_the_tuple_states(n, k):
 def _clear_recursion_memos():
     _segre_expansion.cache_clear()
     morse._level_one_readouts.cache_clear()
+    morse._base_products.cache_clear()
 
 
 def _untimed(report) -> dict:
@@ -704,7 +753,7 @@ def _segre_by_recursion(spec):
 def test_base_segre_closed_form_equals_the_recursion_on_the_chern_classes(token):
     for n in range(1, 41):
         spec = GeometrySpec(token, n)
-        closed = [{i: c for i, c in S.items() if c} for S in morse._base_segre(spec)]
+        closed = [{i: c for i, c in S.items() if c} for S in _base_segre(spec)]
         assert closed == _segre_by_recursion(spec), n
 
 

@@ -154,17 +154,18 @@ def test_each_report_carries_its_towers_time_over_its_towers_job_count(monkeypat
 
 @pytest.fixture
 def level_steps(monkeypatch):
-    """Records each call of ``morse._level_step`` as ``(last, bits, states, below)``, from emptied readout memos.
+    """Records each call of ``morse._level_step`` as ``(readout, bits, states, below)``, from emptied readout memos.
 
-    A call with ``last`` set is a level-1 readout: ``_segre_polynomials`` makes one for each level-1 key
-    that its memo for the geometry and the key width does not hold yet, with that key alone.
+    A call whose factors are all zero but the last, ``[0] * M + [1]``, is a level-1 readout (an upper
+    level's factors start with ``x^0 = 1``): ``_segre_polynomials`` makes one for each level-1 key that its
+    memo for the geometry and the key width does not hold yet, with that key alone.
     """
     calls = []
     step = morse._level_step
 
-    def counted(r, states, factors, units, bits, last):
-        below = step(r, states, factors, units, bits, last)
-        calls.append((last, bits, dict(states), below))
+    def counted(r, states, factors, units, bits):
+        below = step(r, states, factors, units, bits)
+        calls.append((not any(factors[:-1]), bits, dict(states), below))
         return below
 
     morse._level_one_readouts.cache_clear()
@@ -175,8 +176,8 @@ def level_steps(monkeypatch):
 
 def _read_out(calls) -> list[tuple[int, int]]:
     """The ``(bits, key)`` of each level-1 key read out, in call order."""
-    assert all(len(states) == 1 for last, _, states, _ in calls if last)
-    return [(bits, key) for last, bits, states, _ in calls if last for key in states]
+    assert all(len(states) == 1 for readout, _, states, _ in calls if readout)
+    return [(bits, key) for readout, bits, states, _ in calls if readout for key in states]
 
 
 def test_sweep_candidates_share_the_levels_their_weights_agree_on(level_steps):
@@ -186,7 +187,7 @@ def test_sweep_candidates_share_the_levels_their_weights_agree_on(level_steps):
     jobs = [(spec(3), a) for a in SWEEP_CANDIDATES for spec in (logarithmic_pair, compact_hypersurface)]
     assert len({a[1] for a in SWEEP_CANDIDATES}) == 2 and len({a[2:] for a in SWEEP_CANDIDATES}) == 1
     reports = compute_reports(jobs)
-    upper = [(bits, below) for last, bits, _, below in level_steps if not last]
+    upper = [(bits, below) for readout, bits, _, below in level_steps if not readout]
     assert len(upper) == 5 and {bits for bits, _ in upper} == {4}
     level_one = {key for _, below in upper[3:] for key in below}
     # levels 5..2 spend 4 * (r - 1) = 8 of the 13 powers of L, so the powers entering level 1 are 0..5
@@ -206,14 +207,14 @@ def test_one_job_takes_one_step_per_level(level_steps, n, a):
     # and (4, 1) 7, whose level-1 states are the powers n - 1 + n - beta of its class
     spec, k, N = compact_hypersurface(n), len(a), n + len(a) * (n - 1)
     compute_reports([(spec, a)])
-    assert [last for last, *_ in level_steps[: k - 1]] == [False] * (k - 1)
+    assert [readout for readout, *_ in level_steps[: k - 1]] == [False] * (k - 1)
     assert {bits for _, bits, *_ in level_steps} == {N.bit_length()}
     entering = level_steps[k - 2][3] if k > 1 else {N - beta: None for beta in (0, *range(2, n + 1))}
     assert sorted(_read_out(level_steps)) == sorted((N.bit_length(), key) for key in entering)
     assert sorted({key & (1 << N.bit_length()) - 1 for key in entering}) == LEVEL_ONE_POWERS[n]
     done = len(level_steps)
     compute_reports([(spec, a)])
-    assert [last for last, *_ in level_steps[done:]] == [False] * (k - 1)
+    assert [readout for readout, *_ in level_steps[done:]] == [False] * (k - 1)
 
 
 def test_each_level_one_key_is_read_out_once_per_geometry_and_width(level_steps):
@@ -257,7 +258,7 @@ def test_jobs_sharing_a_2_to_a_k_in_both_geometries_equal_each_job_alone(level_s
     ]
     reports = compute_reports(jobs)
     # n = 3 steps levels 4 and 3 once and level 2 for a_2 = 6 and 7, n = 2 levels 4..2 once
-    assert len([last for last, *_ in level_steps if not last]) == 4 + 3
+    assert len([readout for readout, *_ in level_steps if not readout]) == 4 + 3
     assert [_untimed(r) for r in reports] == _alone(jobs)
 
 

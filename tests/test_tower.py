@@ -1,5 +1,6 @@
 """Level relations, canonical reduction, fiber integration, intersections."""
 
+import functools
 import itertools
 import random
 
@@ -103,10 +104,10 @@ def _perturb_segre_expansion(monkeypatch):
 
     That coefficient goes from 0 to 1.  The term has the right degree, but
     its extra index breaks the count that makes the low-order forms vanish:
-    at ``c_l = (-1)^l`` the base Segre classes are ``S_1 = 1`` and ``S_p =
-    0`` for ``2 <= p <= r``, so only products of n classes ``s_1`` reach
-    ``d^(n+1)``, and a true expansion adds at most one index per level, so
-    fewer than n levels never reach one.
+    a product of base Segre classes has degree in d at most its number of
+    indices, so only products of n classes ``S_1`` reach ``d^(n+1)``, and a
+    true expansion adds at most one index per level, so fewer than n levels
+    never reach one.
     """
     expansion = morse._segre_expansion
 
@@ -116,6 +117,10 @@ def _perturb_segre_expansion(monkeypatch):
         return terms + ((0, 2 * s_1, 1),) if key == s_2 else terms
 
     monkeypatch.setattr(morse, "_segre_expansion", perturbed)
+    # level-1 readouts are memoized process-wide, and those made before the patch read the true
+    # expansion: the test reads an empty memo of its own, which monkeypatch drops with the patch, so
+    # no stale readout reaches the test and no perturbed one the tests after it
+    monkeypatch.setattr(morse, "_level_one_readouts", functools.lru_cache(maxsize=None)(lambda spec, bits: {}))
 
 
 def test_low_order_check_fails_on_a_perturbed_lifted_class(monkeypatch):

@@ -21,23 +21,27 @@ pair; it forms no class and runs no pushforward.  At ``h = 1`` its class is
 a combination of powers of the one linear form ``L = sum_j a_j u_j``, and
 the Segre recursion integrates those level by level as products of Segre
 classes, each product and the power of ``L`` packed into one integer key
-whose fields are as wide as the run's largest power of ``L`` needs: a
-level step (``_level_step``) expands each Segre class of its own level by
-those of the level below (``tower._segre_expansion``) and the power of
-``L`` by the binomial theorem, and sends ``u_j^E`` to the Segre class
-``s_(E-r+1)`` below.  Level j reads the weights through ``a_j`` alone,
-level 1 through ``a_1^M`` alone, and the twist ``(2|a|)^beta`` and
-``a_1^M`` are applied at the base, so ``_segre_polynomials`` runs the jobs
-of one tower as one descent over the levels above 1: jobs whose weights
-agree on ``a_k..a_j``, in either geometry, share levels k..j.  Each state
-entering level 1 is read out once per spec and key width as a polynomial
-in d (``_read_out``: one weight-free step to the base, whose products of
-the base Segre classes ``geometry._in_degree`` multiplies out, as it
-evaluates a pushed-forward class), and each job is a sum of those
-polynomials scaled by its weights and by the coefficients of its level-1
-states.  No u-monomial or c-monomial is formed, and no tower is built.  The
-same levels, given the powers of symbolic weights in place of the
-``a_j^m``, and the same readouts give ``symbolic_leading_form``
+whose fields are as wide as the run's largest power of ``L`` needs.  A
+level step (``_level_step``) is two passes.  The first (``_expand``) reads
+no weight: it expands each state's Segre classes of its own level by those
+of the level below (``tower._segre_expansion``) and merges the terms of all
+states by ``(rest, e, M)``.  The second (``_spend``) reads the level's
+weight: it expands the power of ``L`` by the binomial theorem, scaling by
+``a_j^m``, and sends ``u_j^E`` to the Segre class ``s_(E-r+1)`` below.
+Level j reads the weights through ``a_j`` alone, level 1 through ``a_1^M``
+alone, and the twist ``(2|a|)^beta`` and ``a_1^M`` are applied at the
+base, so ``_segre_polynomials`` runs the jobs of one tower as one descent
+over the levels above 1: jobs whose weights agree on ``a_k..a_(j+1)``, in
+either geometry, share levels k..j + 1 and the expansion of level j, which
+is spent once per value of ``a_j``.  Each state entering level 1 is read
+out once per spec and key width as a polynomial in d (``_read_out``: its
+expansion with all of M spent takes it to the base, and
+``geometry._in_degree`` multiplies out the products of base Segre classes
+there, as it evaluates a pushed-forward class), and each job is a sum of
+those polynomials scaled by its weights and by the coefficients of its
+level-1 states.  No u-monomial or c-monomial is formed, and no tower is
+built.  The same levels, given the powers of symbolic weights in place of
+the ``a_j^m``, and the same readouts give ``symbolic_leading_form``
 (``_top_coefficient``), so every run reaches the base one way.  The
 pushforward of a class (``morse_class``, ``tower.pushforward_to_base``,
 ``evaluate_in_degree``) remains the reference the recursion is tested
@@ -379,9 +383,10 @@ class MorseReport:
         return report
 
 
-def _key_units(r: int, top: int, bits: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _key_units(r: int, top: int, bits: int) -> tuple[int, ...]:
     """The unit ``1 << t * bits`` of each Segre index ``t <= top - r + 1`` a level makes from ``L^top``; 0 adds none."""
-    return [0] + [1 << t * bits for t in range(1, top - r + 2)]
+    return (0, *(1 << t * bits for t in range(1, top - r + 2)))
 
 
 def _level_step(
@@ -398,30 +403,76 @@ def _level_step(
     indices expand by ``tower._segre_expansion`` into ``u_j^e`` times a
     product of level-(j-1) Segre classes; ``L_j^M = sum_m C(M, m) x_j^m u_j^m
     L_(j-1)^(M-m)``; and ``u_j^E`` pushes forward to ``s_(E-r+1)^[j-1]``,
-    zero for ``E < r - 1``.  A zero factor drops its power, so the factors
-    ``[0] * M + [1]`` of a readout (``_read_out``) spend all of M, as level 1
-    must, where ``L_0 = 0``.
+    zero for ``E < r - 1``.  A zero factor drops its power: the factors
+    ``[0] * M + [1]`` spend all of M, as level 1 must, where ``L_0 = 0``.
 
-    Each step is an identity in the cohomology of level j, and the
-    pushforward is linear over level j - 1 (the projection formula), so the
-    base states of a run are the pushforward of its input exactly.  Each
-    level lowers the degree by ``r - 1``: a state of level j that comes from
-    ``L^top`` has its indices and M summing to ``top - (k - j)(r - 1)``, so
-    with ``bits`` the bit length of ``top`` no field overflows into the next.
+    The step is two passes.  ``_expand`` reads no weight: it expands the
+    indices of every state and merges the terms by ``(rest, e, M)``, so
+    states that expand to the same term pay for it once.  ``_spend`` reads
+    the factors: it expands ``L_j^M`` and pushes forward.  The expansion is
+    an identity in the cohomology of level j, and the pushforward is linear
+    over level j - 1 (the projection formula), so merging before spending
+    changes no sum, and the base states of a run are the pushforward of its
+    input exactly; ``_segre_polynomials`` spends one expansion for several
+    values of ``x_j``.  Each level lowers the degree by ``r - 1``: a state
+    of level j that comes from ``L^top`` has its indices and M summing to
+    ``top - (k - j)(r - 1)``, so with ``bits`` the bit length of ``top`` no
+    field overflows into the next.
     """
-    below: dict[int, Union[int, Polynomial]] = {}
-    get, mask = below.get, (1 << bits) - 1
+    return _spend(r, _expand(r, states, bits), factors, units, bits)
+
+
+def _expand(
+    r: int, states: Mapping[int, Union[int, Polynomial]], bits: int
+) -> dict[tuple[int, int, int], Union[int, Polynomial]]:
+    """The states of level j with their Segre products expanded over level j - 1, merged by ``(rest, e, M)``.
+
+    A state ``g prod_(i in indices) s_i^[j] L_j^M`` becomes ``sum g' u_j^e
+    prod_(i in rest) s_i^[j-1] L_j^M`` by ``tower._segre_expansion``, and the
+    terms of all states that agree on ``(rest, e, M)`` add up.  No weight is
+    read, so the result serves every run that enters level j with these
+    states, whatever its ``a_j`` (``_segre_polynomials``).
+    """
+    expanded: dict[tuple[int, int, int], Union[int, Polynomial]] = {}
+    get, mask = expanded.get, (1 << bits) - 1
     for key, g in states.items():
         M = key & mask
-        expansion = _segre_expansion(r, bits, key - M)
-        for m in range(M + 1):
-            if not (factor := factors[m]):
-                continue
-            scale, low, left = g * comb(M, m) * factor, m - r + 1, M - m
-            for e, rest, coeff in expansion:
-                if (index := e + low) >= 0:
-                    target = rest + units[index] + left
-                    below[target] = get(target, 0) + scale * coeff
+        for e, rest, coeff in _segre_expansion(r, bits, key - M):
+            term = rest, e, M
+            expanded[term] = get(term, 0) + g * coeff
+    return expanded
+
+
+def _spend(
+    r: int,
+    expanded: Mapping[tuple[int, int, int], Union[int, Polynomial]],
+    factors: Sequence,
+    units: Sequence[int],
+    bits: int,
+) -> dict[int, Union[int, Polynomial]]:
+    """The states of level j - 1 from an expansion of level j (``_expand``), ``factors[m]`` the factor ``x_j^m``.
+
+    ``L_j^M = sum_m C(M, m) x_j^m u_j^m L_(j-1)^(M-m)``, and ``u_j^(e+m)``
+    pushes forward to ``s_(e+m-r+1)^[j-1]``, zero for ``e + m < r - 1``.
+    Each M's list of ``(m, M - m, C(M, m) x_j^m)`` is built once per call,
+    without the zero factors, from ``m = M`` down, so a term's loop ends at
+    its first m below ``r - 1 - e`` and visits none of the rest.  A zero
+    coefficient of the expansion is skipped; a zero ``Polynomial`` is falsy
+    as well.
+    """
+    below: dict[int, Union[int, Polynomial]] = {}
+    get, spends = below.get, {}
+    for (rest, e, M), g in expanded.items():
+        if not g:
+            continue
+        if (spend := spends.get(M)) is None:
+            spend = spends[M] = [(m, M - m, comb(M, m) * factor) for m in range(M, -1, -1) if (factor := factors[m])]
+        low = r - 1 - e
+        for m, left, scale in spend:
+            if m < low:
+                break
+            target = rest + units[m - low] + left
+            below[target] = get(target, 0) + g * scale
     return below
 
 
@@ -445,8 +496,9 @@ def _base_products(spec: GeometrySpec, bits: int) -> dict[int, tuple[int, tuple[
 def _read_out(spec: GeometrySpec, bits: int, key: int) -> tuple[int, int, list[int]]:
     """A level-1 key's M, beta and the coefficients of ``R(key) = d sum g prod_i S_i(d)``, stored in its memo.
 
-    One weight-free level step, factors ``[0] * M + [1]``, takes the key to
-    its base states ``g prod_i s_i``.  ``geometry._in_degree`` multiplies out
+    The key's Segre expansion with all of M spent, ``m = M`` alone, takes it
+    to its base states ``g prod_i s_i``; the units of its new indices are
+    built once per (n, width).  ``geometry._in_degree`` multiplies out
     each one's product of base Segre classes ``S_i(d)`` (``_base_segre``), as
     ``evaluate_in_degree`` does a pushed-forward class with the ``p_l``, and
     its beta is n less its weighted index sum.  Each product and each
@@ -457,7 +509,11 @@ def _read_out(spec: GeometrySpec, bits: int, key: int) -> tuple[int, int, list[i
     n, mask = spec.n, (1 << bits) - 1
     M, beta, total, products = key & mask, 0, [0] * (n + 2), _base_products(spec, bits)
     # a base state's indices sum to at most n, so units up to index n suffice
-    for base, coeff in _level_step(n, {key: 1}, [0] * M + [1], _key_units(n, 2 * n - 1, bits), bits).items():
+    units, low = _key_units(n, 2 * n - 1, bits), n - 1 - M
+    for e, rest, coeff in _segre_expansion(n, bits, key - M):
+        if e < low:
+            continue
+        base = rest + units[e - low]
         if (entry := products.get(base)) is None:
             counts = [base >> i * bits & mask for i in range(1, n + 1)]
             beta = n - sum(map(mul, range(1, n + 1), counts))
@@ -495,6 +551,14 @@ def _top_coefficient(spec: GeometrySpec, levels: Sequence[Sequence], power: int)
     return value
 
 
+def _shared_levels(suffix: tuple[int, ...], other: tuple[int, ...]) -> int:
+    """How many levels from the top two weight suffixes ``(a_2, ..., a_k)`` agree on."""
+    shared = 0
+    while shared < len(suffix) and suffix[-1 - shared] == other[-1 - shared]:
+        shared += 1
+    return shared
+
+
 def _segre_polynomials(
     n: int, k: int, jobs: Sequence[tuple[GeometrySpec, WeightVector]]
 ) -> list[EvaluatedClass]:
@@ -512,8 +576,13 @@ def _segre_polynomials(
     jobs whose weights agree on ``a_k, ..., a_j`` share levels k..j: the
     suffixes ``a_2..a_k`` are walked in the order of their reversed tuples,
     and each runs only the levels above 1 below the suffix it shares with
-    the one before, one ``_level_step`` per distinct suffix of each length,
-    on keys of ``N.bit_length()`` bits a field.
+    the one before, one ``_spend`` per distinct suffix of each length, on
+    keys of ``N.bit_length()`` bits a field.  The expansion of a level reads
+    no weight (``_expand``), so when the next suffix shares every level above
+    level j, level j is expanded once and spent for each value of ``a_j``.
+    An expansion is kept only while a later suffix will spend it again, and
+    is dropped after its last spend, so a lone job holds at most one
+    expansion at a time.
 
     Level 1 reads ``a_1`` only through the factor ``a_1^M`` of a state with
     power M, since it spends all of M, so ``a_1`` is applied at the base as
@@ -531,18 +600,28 @@ def _segre_polynomials(
     N = n + k * (n - 1)
     bits = N.bit_length()
     units = _key_units(n, N, bits)
-    # stack[i] holds the states after the steps of levels k, ..., k - i + 1
+    walk = sorted(suffixes, key=lambda s: s[::-1])
+    # shares[p]: the levels walk[p] and walk[p + 1] share, so walk[p + 1] spends again the expansion of
+    # stack index shares[p]; respent, from the last suffix back: the stack indices whose expansion some
+    # later suffix spends again
+    shares = [_shared_levels(suffix, after) for suffix, after in zip(walk, walk[1:])]
+    respent: list[set[int]] = [set()]
+    for shared in reversed(shares):
+        respent.append({shared} | {i for i in respent[-1] if i < shared})
+    # stack[i] holds the states after the steps of levels k, ..., k - i + 1, and expansions[i] their
+    # expansion while a later suffix will spend it again
     stack = [{N - beta: (1 - beta) * comb(N, beta) for beta in range(n + 1) if beta != 1}]
-    previous: tuple[int, ...] = ()  # shares no level
-    for suffix in sorted(suffixes, key=lambda s: s[::-1]):
-        shared = 0
-        while shared < len(previous) and suffix[-1 - shared] == previous[-1 - shared]:
-            shared += 1
+    expansions: dict[int, dict] = {}
+    for suffix, shared, respend in zip(walk, [0, *shares], reversed(respent)):
         del stack[shared + 1:]
-        for j in range(k - shared, 1, -1):
-            x = suffix[j - 2]
-            stack.append(_level_step(n, stack[-1], [x**m for m in range(N + 1)], units, bits))
-        previous = suffix
+        for i in range(shared, k - 1):
+            if (expansion := expansions.pop(i, None)) is None:
+                expansion = _expand(n, stack[i], bits)
+            if i in respend:
+                expansions[i] = expansion
+            x = suffix[k - i - 2]
+            stack.append(_spend(n, expansion, [x**m for m in range(N + 1)], units, bits))
+            del expansion  # freed here unless a later suffix spends it, before the next level's is made
         for spec, members in suffixes[suffix].items():
             readouts, parts = _level_one_readouts(spec, bits), {}
             for key, g in stack[-1].items():

@@ -10,12 +10,13 @@ ranking last, which makes the winner independent of evaluation order.
 ``run_sweep`` computes the candidates with ``morse.compute_reports``, one
 job each, as one job list.  Candidates of one total differ mostly in
 ``a_1`` and ``a_2``.  The jobs of one tower share the Segre recursion's
-levels their weights agree on, and ``a_1`` is applied at the base, so no
-level step is a candidate's own: the first 12 candidates of order 5, with
-two values of ``a_2``, take one step each at levels 5, 4 and 3 and two at
-level 2.  Each state entering level 1 is read out once per geometry and
-key width by one weight-free step, and every candidate is a sum of those
-readouts scaled by its weights.
+levels their weights agree on, a level's expansion reads no weight (only
+spending the power of ``L`` reads ``a_j``), and ``a_1`` is applied at the
+base, so no level step is a candidate's own: the first 12 candidates of
+order 5, with two values of ``a_2``, have levels 5-3 expanded and spent
+once, and level 2 expanded once and spent twice.  Each state entering
+level 1 is read out once per geometry and key width, weight-free, and
+every candidate is a sum of those readouts scaled by its weights.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from jetbound.cli import TABLE_CELLS
 from jetbound.errors import InadmissibleWeightsError
 from jetbound.geometry import GeometrySpec, _base_segre, _chern_coefficient_in_degree
 from jetbound.morse import class_terms
+from jetbound.polyring import Ring
 from jetbound.tower import RelationSet, _segre_expansion, _segre_gamma, pipeline_tower, pushforward_to_base
 from jetbound.verify import run_all
 
@@ -574,12 +575,19 @@ def test_packed_segre_expansion_equals_the_tuple_expansion(r):
         assert packed == {(e, (rest, 0)): g for e, rest, g in _tuple_segre_expansion(r, indices)}, (bits, indices)
 
 
-# N = 4, 7, 13 and 16: keys 3, 3, 4 and 5 bits wide
-@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 5), (4, 4)])
-def test_packed_segre_states_equal_the_tuple_states(n, k):
+# N = 4, 7, 13, 16 and 11: keys 3, 3, 4, 5 and 4 bits wide; the symbolic input takes the powers of the
+# weight variables as its factors, as symbolic_leading_form does, so its coefficients are polynomials
+@pytest.mark.parametrize(
+    "n,k,symbolic",
+    [(2, 2, False), (3, 2, False), (3, 5, False), (4, 4, False), (3, 4, True)],
+    ids=["2-2", "3-2", "3-5", "4-4", "3-4-symbolic"],
+)
+def test_packed_segre_states_equal_the_tuple_states(n, k, symbolic):
     w, N = default_weights(k), n + k * (n - 1)
     powers = {N - beta: (1 - beta) * comb(N, beta) * (2 * w.total) ** beta for beta in range(n + 1) if beta != 1}
-    levels = [[a**m for m in range(N + 1)] for a in w.a]
+    ring = Ring([f"a{j}" for j in range(1, k + 1)])
+    weights = [ring.variable(v) for v in range(k)] if symbolic else w.a
+    levels = [[a**m for m in range(N + 1)] for a in weights]
     reference = list(_tuple_segre_states(n, levels, powers))
     states = _segre_states(n, levels, powers)
     packed = [{_decode(key, N.bit_length()): g for key, g in level.items()} for level in states]

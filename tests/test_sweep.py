@@ -2,6 +2,7 @@
 
 import time
 import types
+import weakref
 from collections import Counter
 
 import pytest
@@ -152,47 +153,78 @@ def test_each_report_carries_its_towers_time_over_its_towers_job_count(monkeypat
     assert next(readings, None) is None  # two readings per tower
 
 
+class _Expansion(dict):
+    """An expansion that ``morse._expand`` returned, numbered in call order; unlike a dict, weakly referable."""
+
+
 @pytest.fixture
 def level_steps(monkeypatch):
-    """Records each call of ``morse._level_step`` as ``(readout, bits, states, below)``, from emptied readout memos.
+    """Records the calls of ``morse._expand``, ``morse._spend`` and ``morse._read_out``, from emptied readout memos.
 
-    A call whose factors are all zero but the last, ``[0] * M + [1]``, is a level-1 readout (an upper
-    level's factors start with ``x^0 = 1``): ``_segre_polynomials`` makes one for each level-1 key that its
-    memo for the geometry and the key width does not hold yet, with that key alone.
+    ``expands`` holds ``(bits, states, alive)`` per call, ``alive`` the number of earlier expansions still held
+    by anyone at that call; ``spends`` holds ``(number of the expansion spent, x, below)``, x the level's weight
+    ``factors[1]``; ``reads`` holds the ``(bits, key)`` of each level-1 key read out; ``refs`` weakly refers to
+    each expansion, so a test can tell which ones the run still holds.
     """
-    calls = []
-    step = morse._level_step
+    calls = types.SimpleNamespace(expands=[], spends=[], reads=[], refs=[])
+    expand, spend, read_out = morse._expand, morse._spend, morse._read_out
 
-    def counted(r, states, factors, units, bits):
-        below = step(r, states, factors, units, bits)
-        calls.append((not any(factors[:-1]), bits, dict(states), below))
+    def counted_expand(r, states, bits):
+        alive = sum(ref() is not None for ref in calls.refs)
+        expansion = _Expansion(expand(r, states, bits))
+        expansion.number = len(calls.refs)
+        calls.expands.append((bits, dict(states), alive))
+        calls.refs.append(weakref.ref(expansion))
+        return expansion
+
+    def counted_spend(r, expansion, factors, units, bits):
+        below = spend(r, expansion, factors, units, bits)
+        calls.spends.append((expansion.number, factors[1], below))
         return below
 
+    def counted_read_out(spec, bits, key):
+        calls.reads.append((bits, key))
+        return read_out(spec, bits, key)
+
     morse._level_one_readouts.cache_clear()
-    monkeypatch.setattr(morse, "_level_step", counted)
+    monkeypatch.setattr(morse, "_expand", counted_expand)
+    monkeypatch.setattr(morse, "_spend", counted_spend)
+    monkeypatch.setattr(morse, "_read_out", counted_read_out)
     yield calls
     morse._level_one_readouts.cache_clear()
 
 
-def _read_out(calls) -> list[tuple[int, int]]:
-    """The ``(bits, key)`` of each level-1 key read out, in call order."""
-    assert all(len(states) == 1 for readout, _, states, _ in calls if readout)
-    return [(bits, key) for readout, bits, states, _ in calls if readout for key in states]
-
-
 def test_sweep_candidates_share_the_levels_their_weights_agree_on(level_steps):
-    # the 12 candidates (54..61, 18|19, 6, 2, 1) share a_3..a_5 and take two values of a_2: levels 5, 4
-    # and 3 step once and level 2 twice, on 4-bit keys since N = 13; level 1 takes no step of a candidate's
-    # own: each key the two level-2 steps reach is read out once per geometry, by a weight-free step
+    # the 12 candidates (54..61, 18|19, 6, 2, 1) share a_3..a_5 and take two values of a_2: levels 5, 4, 3
+    # and 2 are expanded once each and spent once, but for level 2, whose one expansion is spent for both
+    # values of a_2, on 4-bit keys since N = 13; level 1 takes no step of a candidate's own: each key the two
+    # level-2 spends reach is read out once per geometry
     jobs = [(spec(3), a) for a in SWEEP_CANDIDATES for spec in (logarithmic_pair, compact_hypersurface)]
     assert len({a[1] for a in SWEEP_CANDIDATES}) == 2 and len({a[2:] for a in SWEEP_CANDIDATES}) == 1
     reports = compute_reports(jobs)
-    upper = [(bits, below) for readout, bits, _, below in level_steps if not readout]
-    assert len(upper) == 5 and {bits for bits, _ in upper} == {4}
-    level_one = {key for _, below in upper[3:] for key in below}
+    # no later suffix spends levels 5..3 again, so each of their expansions is dropped before the next is made
+    assert [(bits, alive) for bits, _, alive in level_steps.expands] == [(4, 0)] * 4
+    assert [(number, x) for number, x, _ in level_steps.spends] == [(0, 1), (1, 2), (2, 6), (3, 18), (3, 19)]
+    # each level's states enter the next level's expansion
+    assert [states for _, states, _ in level_steps.expands[1:]] == [below for *_, below in level_steps.spends[:3]]
+    level_one = {key for *_, below in level_steps.spends[3:] for key in below}
     # levels 5..2 spend 4 * (r - 1) = 8 of the 13 powers of L, so the powers entering level 1 are 0..5
     assert {key & 15 for key in level_one} == set(range(6))
-    assert Counter(_read_out(level_steps)) == {(4, key): 2 for key in level_one}
+    assert Counter(level_steps.reads) == {(4, key): 2 for key in level_one}
+    # the walk drops the expansions with the run
+    assert all(ref() is None for ref in level_steps.refs)
+    assert [_untimed(r) for r in reports] == _alone(jobs)
+
+
+def test_an_expansion_lives_until_the_last_suffix_that_spends_it(level_steps):
+    # the suffixes walk as (6, 2, 1), (7, 2, 1), (9, 3, 1): the second shares levels 4 and 3 with the first
+    # and spends its level-2 expansion again; the third shares level 4 alone and spends again the level-3
+    # expansion, which the walk kept across the second: four expansions and six spends
+    jobs = [(logarithmic_pair(3), (30, *suffix)) for suffix in ((9, 3, 1), (6, 2, 1), (7, 2, 1))]
+    reports = compute_reports(jobs)
+    assert [alive for *_, alive in level_steps.expands] == [0, 0, 1, 0]
+    assert [(number, x) for number, x, _ in level_steps.spends] == [(0, 1), (1, 2), (2, 6), (2, 7), (1, 3), (3, 9)]
+    assert all(ref() is None for ref in level_steps.refs)
     assert [_untimed(r) for r in reports] == _alone(jobs)
 
 
@@ -202,26 +234,28 @@ LEVEL_ONE_POWERS = {2: [0, 1, 2, 3], 3: [0, 1, 2, 3, 4, 5], 4: [3, 4, 5, 7]}
 
 @pytest.mark.parametrize("n,a", [(2, (2, 1)), (3, SWEEP_CANDIDATES[5]), (4, (1,))])
 def test_one_job_takes_one_step_per_level(level_steps, n, a):
-    # one step per level above 1, on keys of N.bit_length() bits, then one weight-free readout per state
-    # entering level 1, which a second run of the job finds in the memo: (2, 2) has N = 4, (3, 5) 13
-    # and (4, 1) 7, whose level-1 states are the powers n - 1 + n - beta of its class
+    # one expansion and one spend per level above 1, on keys of N.bit_length() bits, each expansion dropped
+    # before the next level's is made, then one readout per state entering level 1, which a second run of
+    # the job finds in the memo: (2, 2) has N = 4, (3, 5) 13 and (4, 1) 7, whose level-1 states are the
+    # powers n - 1 + n - beta of its class
     spec, k, N = compact_hypersurface(n), len(a), n + len(a) * (n - 1)
     compute_reports([(spec, a)])
-    assert [readout for readout, *_ in level_steps[: k - 1]] == [False] * (k - 1)
-    assert {bits for _, bits, *_ in level_steps} == {N.bit_length()}
-    entering = level_steps[k - 2][3] if k > 1 else {N - beta: None for beta in (0, *range(2, n + 1))}
-    assert sorted(_read_out(level_steps)) == sorted((N.bit_length(), key) for key in entering)
+    assert [(bits, alive) for bits, _, alive in level_steps.expands] == [(N.bit_length(), 0)] * (k - 1)
+    assert [number for number, *_ in level_steps.spends] == list(range(k - 1))
+    assert all(ref() is None for ref in level_steps.refs)  # a lone job keeps no expansion after its run
+    entering = level_steps.spends[-1][2] if k > 1 else {N - beta: None for beta in (0, *range(2, n + 1))}
+    assert sorted(level_steps.reads) == sorted((N.bit_length(), key) for key in entering)
     assert sorted({key & (1 << N.bit_length()) - 1 for key in entering}) == LEVEL_ONE_POWERS[n]
-    done = len(level_steps)
+    done = len(level_steps.reads)
     compute_reports([(spec, a)])
-    assert [readout for readout, *_ in level_steps[done:]] == [False] * (k - 1)
+    assert len(level_steps.expands) == len(level_steps.spends) == 2 * (k - 1) and len(level_steps.reads) == done
 
 
 def test_each_level_one_key_is_read_out_once_per_geometry_and_width(level_steps):
     def read_out(jobs):
-        done = len(level_steps)
+        done = len(level_steps.reads)
         compute_reports(jobs)
-        return _read_out(level_steps[done:])
+        return level_steps.reads[done:]
 
     keys = read_out([(logarithmic_pair(3), SWEEP_CANDIDATES[0])])
     assert keys and len(set(keys)) == len(keys) and {bits for bits, _ in keys} == {4}
@@ -257,8 +291,8 @@ def test_jobs_sharing_a_2_to_a_k_in_both_geometries_equal_each_job_alone(level_s
         for geometry in (compact_hypersurface, logarithmic_pair)
     ]
     reports = compute_reports(jobs)
-    # n = 3 steps levels 4 and 3 once and level 2 for a_2 = 6 and 7, n = 2 levels 4..2 once
-    assert len([readout for readout, *_ in level_steps if not readout]) == 4 + 3
+    # n = 3 expands levels 4..2 once and spends level 2 for a_2 = 6 and 7, n = 2 expands and spends 4..2 once
+    assert len(level_steps.expands) == 3 + 3 and len(level_steps.spends) == 4 + 3
     assert [_untimed(r) for r in reports] == _alone(jobs)
 
 
